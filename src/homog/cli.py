@@ -118,7 +118,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, RuntimeError) as exc:
+        # RuntimeError covers SolverError and the per-solve residual and
+        # energy checks
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -1,16 +1,21 @@
 """Assembly of symmetric positive (semi-)definite Q1 stiffness systems and a
-preconditioned conjugate-gradient solver.
+multigrid-preconditioned conjugate-gradient solver.
 
 The bilinear form is ``(u, v) -> integral of (A grad u) . grad v`` with the
 matrix coefficient sampled at quadrature points.  Constraints are applied
 structurally: Dirichlet rows/columns are eliminated, periodic slave nodes are
 folded onto their masters, and pure-Neumann (zero-mean) systems are left
 singular with the constant mode projected out inside the solver.
+
+The preconditioner is one symmetric geometric-multigrid V-cycle over the
+nested grids obtained by halving the mesh divisions: bilinear prolongation,
+Galerkin coarse operators ``P^T A P``, damped-Jacobi smoothing and a dense
+inverse on the coarsest level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -29,6 +34,11 @@ from .grid import (
 )
 
 CHUNK_ELEMENTS = 65536
+
+SMOOTH_WEIGHT = 0.8  # damped Jacobi
+SMOOTH_SWEEPS = 2  # before and after the coarse correction
+COARSEN_ABOVE = 300  # coarsen while a level has more dofs than this
+DENSE_MAX = 1200  # largest coarsest level inverted densely; above, smoothing only
 
 
 class AssemblyError(ValueError):
@@ -158,6 +168,10 @@ class SparseSystem:
     constraint: Constraint
     node_to_dof: np.ndarray
     n_nodes: int
+    divisions: tuple[int, ...] = ()  # of the mesh; () gives a single-level preconditioner
+    # levels of the multigrid preconditioner, built by the first solve and
+    # reused by later ones
+    hierarchy: list[_Level] = field(default_factory=list, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -199,7 +213,7 @@ def assemble_stiffness(
         rule = gauss_rule(mesh.dim)
     node_to_dof, ndof = _dof_map(mesh, constraint)
     matrix = _assemble_matrix(mesh, matrix_sampler, node_to_dof, ndof, rule, validate=True)
-    return SparseSystem(matrix, constraint, node_to_dof, mesh.n_nodes)
+    return SparseSystem(matrix, constraint, node_to_dof, mesh.n_nodes, mesh.divisions)
 
 
 def assemble_load(
@@ -254,13 +268,132 @@ def default_max_iter(dimension: int) -> int:
     return 50 * int(np.sqrt(dimension)) + 1000
 
 
+@dataclass(frozen=True, eq=False)
+class _Level:
+    """One level of the V-cycle.  ``weights`` scale the residual in a Jacobi
+    sweep; ``prolong`` maps the next coarser level's dofs onto this level's,
+    and ``coarse`` is that level's Galerkin operator.  The coarsest level
+    carries a dense ``inverse`` instead, or only its smoother when it is too
+    large for one."""
+
+    weights: np.ndarray | None = None
+    prolong: sp.csr_matrix | None = None
+    restrict: sp.csr_matrix | None = None  # prolong.T as CSR; transposing per call is slower
+    coarse: sp.csr_matrix | None = None
+    inverse: np.ndarray | None = None
+
+
+def _prolongation_1d(n: int) -> sp.csr_matrix:
+    """Linear interpolation from the n/2 + 1 coarse to the n + 1 fine nodes."""
+    fine = np.arange(n + 1)
+    odd = fine[1::2]  # midway between coarse nodes odd // 2 and odd // 2 + 1
+    rows = np.concatenate([fine, odd])
+    cols = np.concatenate([fine // 2, odd // 2 + 1])
+    vals = np.concatenate([np.where(fine % 2, 0.5, 1.0), np.full(len(odd), 0.5)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n + 1, n // 2 + 1))
+
+
+def _prolongation(divisions: tuple[int, ...], node_to_dof: np.ndarray):
+    """Bilinear prolongation between the dof spaces of a mesh and of the mesh
+    with halved divisions, and the coarse node -> dof map.
+
+    A coarse node is a dof exactly when the fine node it coincides with is
+    one, and shares that node's dof; so eliminated Dirichlet nodes and inactive
+    nodes drop out and periodic slaves fold onto their masters.
+    """
+    coarse_div = tuple(d // 2 for d in divisions)
+    nodes = sp.csr_matrix(np.ones((1, 1)))
+    for d in divisions:  # axis 0 varies fastest, so it is the innermost factor
+        nodes = sp.kron(_prolongation_1d(d), nodes, format="csr")
+    coinciding = np.ravel_multi_index(
+        np.meshgrid(*[2 * np.arange(c + 1) for c in coarse_div], indexing="ij"),
+        tuple(d + 1 for d in divisions),
+        order="F",
+    ).ravel(order="F")
+    fine_dof = node_to_dof[coinciding]
+    keep = fine_dof >= 0
+    coarse_to_dof = np.full(len(coinciding), -1, dtype=int)
+    _, coarse_to_dof[keep] = np.unique(fine_dof[keep], return_inverse=True)
+    ncoarse = int(coarse_to_dof.max()) + 1
+    fold = sp.csr_matrix(
+        (np.ones(keep.sum()), (np.flatnonzero(keep), coarse_to_dof[keep])),
+        shape=(len(coinciding), ncoarse),
+    )
+    dofs, first = np.unique(node_to_dof, return_index=True)
+    rows = first[dofs >= 0]  # one node per fine dof: the lowest, i.e. the periodic master
+    return (nodes[rows] @ fold).tocsr(), coarse_to_dof
+
+
+def _dense_inverse(matrix: sp.csr_matrix, singular: bool) -> np.ndarray:
+    dense = matrix.toarray()
+    if not singular:
+        inverse = np.linalg.inv(dense)
+    else:
+        # pin the first dof and re-centre on both sides: the pseudo-inverse
+        # when the kernel is the constant mode
+        n = len(dense)
+        inverse = np.zeros_like(dense)
+        inverse[1:, 1:] = np.linalg.inv(dense[1:, 1:])
+        centre = np.eye(n) - 1.0 / n
+        inverse = centre @ inverse @ centre
+    return 0.5 * (inverse + inverse.T)
+
+
+def _jacobi_weights(matrix: sp.csr_matrix) -> np.ndarray:
+    """Damped-Jacobi weights ``SMOOTH_WEIGHT / d`` with ``d`` the diagonal,
+    raised to half the absolute row sum where that is larger.  Rows with zero
+    sum and non-positive off-diagonals (isotropic Q1 stencils) keep their
+    diagonal; for any other stencil the raise bounds the spectrum of
+    ``diag(d)^-1 A`` by 2, so a sweep still contracts and the V-cycle stays
+    positive definite (anisotropic tensors would otherwise make it indefinite).
+    """
+    row_sum = np.asarray(abs(matrix).sum(axis=1)).ravel()
+    return SMOOTH_WEIGHT / np.maximum(matrix.diagonal(), 0.5 * row_sum)
+
+
+def _build_hierarchy(system: SparseSystem) -> list[_Level]:
+    levels = []
+    matrix, node_to_dof, divisions = system.matrix, system.node_to_dof, system.divisions
+    while matrix.shape[0] > COARSEN_ABOVE and divisions and all(d % 2 == 0 for d in divisions):
+        prolong, node_to_dof = _prolongation(divisions, node_to_dof)
+        if prolong.shape[1] == 0:
+            break
+        restrict = prolong.T.tocsr()
+        coarse = (restrict @ (matrix @ prolong)).tocsr()
+        levels.append(_Level(_jacobi_weights(matrix), prolong, restrict, coarse))
+        matrix, divisions = coarse, tuple(d // 2 for d in divisions)
+    if matrix.shape[0] <= DENSE_MAX:
+        levels.append(_Level(inverse=_dense_inverse(matrix, system.needs_projection)))
+    else:
+        levels.append(_Level(_jacobi_weights(matrix)))
+    return levels
+
+
+def _vcycle(matrix: sp.csr_matrix, levels: list[_Level], r: np.ndarray) -> np.ndarray:
+    """One symmetric V-cycle from a zero initial guess: the same number of
+    Jacobi sweeps before and after the coarse correction."""
+    level = levels[0]
+    if level.inverse is not None:
+        return level.inverse @ r
+    x = level.weights * r
+    for _ in range(SMOOTH_SWEEPS - 1):
+        x += level.weights * (r - matrix @ x)
+    if level.coarse is not None:
+        coarse_r = level.restrict @ (r - matrix @ x)
+        x += level.prolong @ _vcycle(level.coarse, levels[1:], coarse_r)
+    for _ in range(SMOOTH_SWEEPS):
+        x += level.weights * (r - matrix @ x)
+    return x
+
+
 def cg_solve(
     system: SparseSystem,
     rhs: np.ndarray,
     rel_tol: float = 1e-10,
     max_iter: int | None = None,
 ) -> np.ndarray:
-    """Jacobi-preconditioned conjugate gradients on the constrained system.
+    """Conjugate gradients on the constrained system, preconditioned by one
+    geometric-multigrid V-cycle per iteration.
 
     Zero-mean and periodic systems are singular with the constant mode in the
     kernel; the mode is removed from the right-hand side and from every
@@ -280,9 +413,11 @@ def cg_solve(
     x = np.zeros_like(b)
     if norm_b == 0.0:
         return x
-    inv_diag = 1.0 / a.diagonal()
+    if not system.hierarchy:
+        system.hierarchy.extend(_build_hierarchy(system))
+    levels = system.hierarchy
     r = b.copy()
-    z = inv_diag * r
+    z = _vcycle(a, levels, r)
     p = z.copy()
     rz = float(r @ z)
     for _ in range(max_iter):
@@ -301,11 +436,11 @@ def cg_solve(
                 r -= r.mean()
             if np.linalg.norm(r) <= rel_tol * norm_b:
                 return x
-            z = inv_diag * r
+            z = _vcycle(a, levels, r)
             p = z.copy()
             rz = float(r @ z)
             continue
-        z = inv_diag * r
+        z = _vcycle(a, levels, r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new

@@ -69,6 +69,15 @@ class CellIndexMap:
             return self.cell_lookup[local[:, 0]]
         return self.cell_lookup[local[:, 0], local[:, 1]]
 
+    def cell_position(self, cells: np.ndarray) -> np.ndarray:
+        """Position in ``cells`` of absolute lattice indices (K, n); -1 where
+        the cell lies outside the domain or is inactive."""
+        rel = np.asarray(cells) - np.asarray(self.lo)
+        inside = np.all((rel >= 0) & (rel < np.asarray(self.counts)), axis=1)
+        pos = np.full(len(rel), -1)
+        pos[inside] = self.cell_lookup[tuple(rel[inside].T)]
+        return pos
+
 
 def build_cell_map(mesh: StructuredMesh, n_per_unit: int) -> CellIndexMap:
     """Validate epsilon-alignment and enumerate the cells meeting the domain."""
@@ -163,47 +172,35 @@ def unfold(field: ScalarField, cmap: CellIndexMap, y_resolution: int) -> Unfolde
     return UnfoldedField(cmap, r, vals.reshape(shape))
 
 
-def _cell_active(cmap: CellIndexMap, c: np.ndarray) -> bool:
-    rel = c - np.asarray(cmap.lo)
-    if np.any(rel < 0) or np.any(rel >= np.asarray(cmap.counts)):
-        return False
-    pos = cmap.cell_lookup[tuple(rel)] if cmap.dim == 2 else cmap.cell_lookup[rel[0]]
-    return bool(pos >= 0)
-
-
 def _containing_cell(cmap: CellIndexMap, rel: np.ndarray) -> np.ndarray:
     """Cell multi-index (absolute) containing points given as x/eps.
 
     The far domain boundary is closed (clamped to the last cell).  When the
     half-open cell of a point is inactive, a neighbouring containing cell is
-    preferred (points on cell faces); points genuinely inside the removed
-    quadrant resolve to the nearest fully interior cell by index clamping.
+    preferred: the active cell behind a face the point lies on, axis 0
+    first.  (The cell behind two faces at once is active only when one
+    behind a single face is, because the removed quadrant is the upper-right
+    one.)  Points genuinely inside the removed quadrant resolve to the
+    nearest fully interior cell by clamping the axis closest to it.
     """
     lo = np.asarray(cmap.lo)
-    hi = lo + np.asarray(cmap.counts)
-    cell = np.clip(np.floor(rel).astype(int), lo, hi - 1)
+    cell = np.clip(np.floor(rel).astype(int), lo, lo + np.asarray(cmap.counts) - 1)
     if cmap.mesh.active_mask is None:
         return cell
-    pos = cmap.cell_lookup[tuple((cell - lo).T)] if cmap.dim == 2 else cmap.cell_lookup[(cell - lo)[:, 0]]
-    half = lo + np.asarray(cmap.counts) // 2
-    for idx in np.flatnonzero(pos < 0):
-        c = cell[idx].copy()
-        on_face = [k for k in range(cmap.dim) if rel[idx][k] == c[k]]
-        resolved = False
-        for axes in ([(k,) for k in on_face] + ([tuple(on_face)] if len(on_face) > 1 else [])):
-            cand = c.copy()
-            for k in axes:
-                cand[k] -= 1
-            if _cell_active(cmap, cand):
-                cell[idx] = cand
-                resolved = True
-                break
-        if not resolved:
-            # interior of the removed quadrant: clamp the axis closest to it
-            excess = c - (half - 1)
-            axis = int(np.argmin(excess))
-            c[axis] = half[axis] - 1
-            cell[idx] = c
+    bad = np.flatnonzero(cmap.cell_position(cell) < 0)
+    on_face = rel[bad] == cell[bad]
+    resolved = np.zeros(len(bad), dtype=bool)
+    for k in range(cmap.dim):
+        cand = cell[bad]
+        cand[:, k] -= 1
+        take = ~resolved & on_face[:, k] & (cmap.cell_position(cand) >= 0)
+        cell[bad[take]] = cand[take]
+        resolved |= take
+    # interior of the removed quadrant: clamp the axis closest to it
+    rest = bad[~resolved]
+    edge = lo + np.asarray(cmap.counts) // 2 - 1
+    axis = np.argmin(cell[rest] - edge, axis=1)
+    cell[rest, axis] = edge[axis]
     return cell
 
 
@@ -222,7 +219,7 @@ def average(ufield: UnfoldedField) -> ScalarField:
     rel = x / eps
     cell = _containing_cell(cmap, rel)
     y = rel - cell
-    pos = cmap.cell_lookup[tuple((cell - np.asarray(cmap.lo)).T)] if cmap.dim == 2 else cmap.cell_lookup[(cell - np.asarray(cmap.lo))[:, 0]]
+    pos = cmap.cell_position(cell)
     s = y * r
     sub = np.clip(np.floor(s).astype(int), 0, r - 1)
     loc = s - sub

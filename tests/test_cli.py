@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import homog.cli
 from homog.cli import main
+from homog.sparse import SolverError
 
 
 def write_config(tmp_path, **overrides):
@@ -94,3 +96,16 @@ def test_runtime_error_exit_code(tmp_path, capsys):
 def test_bad_epsilon_argument(tmp_path):
     path = write_config(tmp_path, cell_divisions=8)
     assert main(["solve", "--config", str(path), "--epsilon", "2/5"]) == 1
+
+
+@pytest.mark.parametrize("exc", [SolverError("CG did not converge in 5 iterations", 3e-4),
+                                 RuntimeError("Galerkin residual 1.0e-06 exceeds 1.0e-09")])
+def test_solver_failure_exit_code(tmp_path, capsys, monkeypatch, exc):
+    def failing_study(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(homog.cli, "run_study", failing_study)
+    path = write_config(tmp_path, cell_divisions=8)
+    assert main(["study", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {exc}\n"

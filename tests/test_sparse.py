@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from homog.coeff import Checkerboard, ScalarCosine
 from homog.grid import build_mesh, boundary_nodes
 from homog.sparse import (
     AssemblyError,
@@ -153,12 +154,79 @@ def test_cg_determinism_bitwise():
 
 
 def test_cg_max_iter_reports_residual():
-    mesh = build_mesh((0, 0), (1, 1), (16, 16), "box")
+    # large enough to have coarse levels, so one iteration is not an exact solve
+    mesh = build_mesh((0, 0), (1, 1), (128, 128), "box")
     sys = assemble_stiffness(mesh, identity_sampler, Dirichlet(boundary_nodes(mesh)))
     b = np.ones(sys.dimension)
     with pytest.raises(SolverError) as err:
-        cg_solve(sys, b, rel_tol=1e-14, max_iter=3)
+        cg_solve(sys, b, rel_tol=1e-14, max_iter=1)
     assert err.value.achieved > 0
+
+
+def _dirichlet(mesh):
+    return Dirichlet(boundary_nodes(mesh))
+
+
+def _cosine_sampler(epsilon):
+    field = ScalarCosine(2.0, 1.0, 0, 2)
+    return lambda p: field.sample_batch(p / epsilon)
+
+
+SOLVER_CASES = {
+    # name: (mesh, sampler, constraint of the mesh, levels of the preconditioner)
+    "dirichlet_box": (build_mesh((0, 0), (1, 1), (32, 32)), identity_sampler, _dirichlet, 2),
+    "dirichlet_l_shape": (build_mesh((0, 0), (1, 1), (32, 32), "l_shape"), identity_sampler,
+                          _dirichlet, 2),
+    "zero_mean_l_shape": (build_mesh((0, 0), (1, 1), (32, 32), "l_shape"), identity_sampler,
+                          lambda m: ZeroMean(), 2),
+    "periodic_cosine": (build_mesh((0, 0), (1, 1), (32, 32)), _cosine_sampler(1.0),
+                        lambda m: Periodic(), 2),
+    "periodic_checkerboard": (build_mesh((0, 0), (1, 1), (32, 32)),
+                              Checkerboard(1.0, 100.0).sample_batch, lambda m: Periodic(), 2),
+    "dirichlet_1d": (build_mesh(0.0, 1.0, [1024]), identity_sampler, _dirichlet, 3),
+    "odd_divisions": (build_mesh((0, 0), (1, 1), (45, 45)), identity_sampler, _dirichlet, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_CASES))
+def test_cg_matches_dense_solve(name):
+    mesh, sampler, constraint, levels = SOLVER_CASES[name]
+    sys = assemble_stiffness(mesh, sampler, constraint(mesh))
+    b = np.random.default_rng(3).standard_normal(sys.dimension)
+    dense = sys.matrix.toarray()
+    if sys.needs_projection:
+        # with the constant mode as kernel, adding 1 to every entry makes the
+        # matrix regular and its solution the zero-mean one
+        b -= b.mean()
+        dense += 1.0
+    expected = np.linalg.solve(dense, b)
+    x = cg_solve(sys, b)
+    assert len(sys.hierarchy) == levels
+    assert np.linalg.norm(x - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("divisions", [128, 256])
+def test_cg_iterations_bounded_on_cosine_fine_problem(divisions):
+    # 16 elements per period; Jacobi-CG needs hundreds of iterations here
+    mesh = build_mesh((0, 0), (1, 1), (divisions, divisions))
+    sys = assemble_stiffness(mesh, _cosine_sampler(16 / divisions), _dirichlet(mesh))
+    b = sys.reduce(assemble_load(mesh, lambda p: np.ones(len(p))))
+    x = cg_solve(sys, b, max_iter=15)
+    assert np.linalg.norm(b - sys.matrix @ x) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_cg_strongly_anisotropic_tensor():
+    # plain damped Jacobi over-relaxes the modes of this stencil that are
+    # smooth in y and oscillate in x, and makes the V-cycle indefinite
+    # (thousands of iterations); the raised diagonal keeps the smoother
+    # contracting
+    tensor = np.array([[1.0, 0.0], [0.0, 100.0]])
+    mesh = build_mesh((0, 0), (1, 1), (128, 128))
+    sys = assemble_stiffness(mesh, lambda p: np.broadcast_to(tensor, (len(p), 2, 2)),
+                             _dirichlet(mesh))
+    b = sys.reduce(assemble_load(mesh, lambda p: np.ones(len(p))))
+    x = cg_solve(sys, b, max_iter=100)
+    assert np.linalg.norm(b - sys.matrix @ x) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_expand_roundtrip_periodic():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from homog.grid import ScalarField, build_mesh, gauss_rule, integrate_field
 from homog.unfold import (
     AlignmentError,
+    _containing_cell,
     boundary_distance,
     build_cell_map,
     cell_means,
@@ -46,6 +47,36 @@ def test_split_point_reconstructs(num, nexp):
     xi, y = split_point(x, eps)
     assert 0.0 <= y[0] < 1.0
     assert eps * (xi[0] + y[0]) == pytest.approx(x, abs=2e-16 * max(1, abs(x)))
+
+
+def _containing_cell_oracle(cmap, point):
+    """Point-by-point statement of the containing-cell rule, including the
+    cell behind two faces at once, which the vectorised rule leaves out."""
+    lo, counts = np.asarray(cmap.lo), np.asarray(cmap.counts)
+    active = {tuple(c) for c in cmap.cells}
+    cell = np.clip(np.floor(point).astype(int), lo, lo + counts - 1)
+    if tuple(cell) in active:
+        return cell
+    on_face = [k for k in range(2) if point[k] == cell[k]]
+    candidates = [[k] for k in on_face] + ([on_face] if len(on_face) > 1 else [])
+    for axes in candidates:
+        cand = cell.copy()
+        cand[axes] -= 1
+        if tuple(cand) in active:
+            return cand
+    edge = lo + counts // 2 - 1
+    axis = int(np.argmin(cell - edge))
+    cell[axis] = edge[axis]
+    return cell
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_containing_cell_matches_pointwise_rule_on_l_shape(n):
+    mesh = unit_mesh(4 * n, "l_shape")
+    cmap = build_cell_map(mesh, n)
+    rel = mesh.node_coordinates() * n
+    expected = np.array([_containing_cell_oracle(cmap, p) for p in rel])
+    np.testing.assert_array_equal(_containing_cell(cmap, rel), expected)
 
 
 def test_cell_map_counts_and_alignment():
