@@ -11,15 +11,18 @@ The homogenized tensor is the cell quadrature of
 
     A_ij = integral over Y of  grad(y_i + chi_i) . A grad(y_j + chi_j).
 
-Non-symmetric coefficients are handled by splitting the stiffness into its
-symmetric positive part (solved by CG) plus a skew part applied through an
-outer defect-correction loop; the final residual always meets the requested
-tolerance on the full system.
+The stiffness is assembled as its symmetric part S, whose sampler is
+validated for ellipticity, plus, for a non-symmetric coefficient, its skew
+part N.  A symmetric coefficient is solved by CG on S.  Otherwise the
+correctors solve K = S + N and the adjoints K^T = S - N, each with GMRES
+preconditioned by the V-cycle of S; both families share that one multigrid
+hierarchy.  Every solve meets the requested tolerance on the true residual of
+the full system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,14 +36,12 @@ from .grid import (
 )
 from .sparse import (
     Periodic,
-    SolverError,
+    SparseSystem,
     _assemble_matrix,
     assemble_gradient_load,
     assemble_stiffness,
     cg_solve,
 )
-
-MAX_DEFECT_ITERATIONS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,23 +81,6 @@ def _check_cell_mesh(field: CoefficientField, cell_mesh: StructuredMesh) -> None
         raise ValueError("cell mesh must cover the unit cell (0,1)^n")
 
 
-def _solve_with_skew(system, skew, rhs, rel_tol):
-    """Solve (S + N) x = rhs where S is the SPD system and N is skew."""
-    norm_b = np.linalg.norm(rhs)
-    x = cg_solve(system, rhs, rel_tol=rel_tol)
-    if skew is None or norm_b == 0.0:
-        return x
-    for _ in range(MAX_DEFECT_ITERATIONS):
-        residual = rhs - system.matrix @ x - skew @ x
-        residual -= residual.mean()
-        if np.linalg.norm(residual) <= rel_tol * norm_b:
-            return x
-        x = x + cg_solve(system, residual, rel_tol=rel_tol)
-        x -= x.mean()
-    achieved = float(np.linalg.norm(rhs - system.matrix @ x - skew @ x) / norm_b)
-    raise SolverError("defect iteration for the skew part stalled", achieved)
-
-
 def solve_correctors(
     field: CoefficientField,
     cell_mesh: StructuredMesh,
@@ -113,35 +97,35 @@ def solve_correctors(
         return 0.5 * (a + np.swapaxes(a, 1, 2))
 
     system = assemble_stiffness(cell_mesh, sym_sampler, Periodic(), rule)
-    skew = None
-    if not field.symmetric:
 
-        def skew_sampler(pts):
-            a = field.sample_batch(pts)
-            return 0.5 * (a - np.swapaxes(a, 1, 2))
-
-        skew = _assemble_matrix(
-            cell_mesh, skew_sampler, system.node_to_dof, system.dimension, rule, validate=False
-        )
-
-    def solve_family(coeff: CoefficientField, skew_sign: float) -> tuple[ScalarField, ...]:
+    def solve_family(coeff: CoefficientField, stiffness: SparseSystem) -> tuple[ScalarField, ...]:
         out = []
         for i in range(n):
 
             def rhs_sampler(pts, i=i):
                 return -coeff.sample_batch(pts)[:, :, i]
 
-            b = system.reduce(assemble_gradient_load(cell_mesh, rhs_sampler, rule))
-            x = _solve_with_skew(system, None if skew is None else skew_sign * skew, b, rel_tol)
+            b = stiffness.reduce(assemble_gradient_load(cell_mesh, rhs_sampler, rule))
+            x = cg_solve(stiffness, b, rel_tol=rel_tol)
             x = x - x.mean()  # zero mean over the periodic torus
-            out.append(ScalarField(cell_mesh, system.expand(x)))
+            out.append(ScalarField(cell_mesh, stiffness.expand(x)))
         return tuple(out)
 
-    chi = solve_family(field, 1.0)
     if field.symmetric:
-        chi_adj = chi
-    else:
-        chi_adj = solve_family(field.transposed(), -1.0)
+        chi = solve_family(field, system)
+        return CorrectorSet(cell_mesh, chi, chi, field)
+
+    def skew_sampler(pts):
+        a = field.sample_batch(pts)
+        return 0.5 * (a - np.swapaxes(a, 1, 2))
+
+    s = system.matrix
+    skew = _assemble_matrix(cell_mesh, skew_sampler, system.node_to_dof, system.dimension, rule,
+                            validate=False)
+    # S^T = S and N^T = -N, so S - N is the adjoint matrix; replace() keeps the
+    # hierarchy list, which the first solve fills from S for both families
+    chi = solve_family(field, replace(system, matrix=s + skew, symmetric_part=s))
+    chi_adj = solve_family(field.transposed(), replace(system, matrix=s - skew, symmetric_part=s))
     return CorrectorSet(cell_mesh, chi, chi_adj, field)
 
 

@@ -23,9 +23,9 @@ from .grid import (
     same_mesh,
 )
 from .solve import Reconstruction
+from .sparse import CHUNK_ELEMENTS
 from .unfold import CellIndexMap, boundary_distance, layer_indicator
 
-CHUNK = 65536
 CSV_HEADER = "epsilon,e_l2,e_h1_corr,e_weighted,e_interior,e_layer"
 
 
@@ -122,8 +122,8 @@ def error_report(
     vol = float(np.prod(mesh.h))
     acc = dict(l2=0.0, h1=0.0, weighted=0.0, interior=0.0, layer=0.0)
     max_rho = 0.0
-    for start in range(0, len(elems), CHUNK):
-        sel = slice(start, start + CHUNK)
+    for start in range(0, len(elems), CHUNK_ELEMENTS):
+        sel = slice(start, start + CHUNK_ELEMENTS)
         chunk = elems[sel]
         u = element_values_at(fine, rule, chunk)
         gu = element_gradients_at(fine, rule, chunk)

@@ -38,7 +38,7 @@ from .grid import (
     same_mesh,
     shape_gradients,
 )
-from .sparse import Dirichlet, ZeroMean, assemble_load, assemble_stiffness, cg_solve
+from .sparse import CHUNK_ELEMENTS, Dirichlet, ZeroMean, assemble_load, assemble_stiffness, cg_solve
 from .unfold import CellIndexMap, build_cell_map, scale_split
 
 RhsLike = Callable[[np.ndarray], np.ndarray] | ScalarField
@@ -135,8 +135,8 @@ def _h1_seminorm_sq(field: ScalarField) -> float:
     elems = mesh.active_elements()
     vol = float(np.prod(mesh.h))
     total = 0.0
-    for start in range(0, len(elems), 65536):
-        chunk = elems[start : start + 65536]
+    for start in range(0, len(elems), CHUNK_ELEMENTS):
+        chunk = elems[start : start + CHUNK_ELEMENTS]
         g = element_gradients_at(field, rule, chunk)
         total += vol * float(np.einsum("eqd,eqd,q->", g, g, rule.weights))
     return total

@@ -1,5 +1,6 @@
 """Assembly of symmetric positive (semi-)definite Q1 stiffness systems and a
-multigrid-preconditioned conjugate-gradient solver.
+multigrid-preconditioned Krylov solver: conjugate gradients for symmetric
+systems, restarted GMRES for non-symmetric ones.
 
 The bilinear form is ``(u, v) -> integral of (A grad u) . grad v`` with the
 matrix coefficient sampled at quadrature points.  Constraints are applied
@@ -10,7 +11,9 @@ singular with the constant mode projected out inside the solver.
 The preconditioner is one symmetric geometric-multigrid V-cycle over the
 nested grids obtained by halving the mesh divisions: bilinear prolongation,
 Galerkin coarse operators ``P^T A P``, damped-Jacobi smoothing and a dense
-inverse on the coarsest level.
+inverse on the coarsest level.  A non-symmetric system carries its symmetric
+part, which is positive (semi-)definite; the hierarchy is built from that part
+and its V-cycle right-preconditions GMRES.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ SMOOTH_WEIGHT = 0.8  # damped Jacobi
 SMOOTH_SWEEPS = 2  # before and after the coarse correction
 COARSEN_ABOVE = 300  # coarsen while a level has more dofs than this
 DENSE_MAX = 1200  # largest coarsest level inverted densely; above, smoothing only
+GMRES_RESTART = 30  # Krylov vectors kept before GMRES restarts from the true residual
 
 
 class AssemblyError(ValueError):
@@ -46,7 +50,7 @@ class AssemblyError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """CG failed to reach the requested tolerance."""
+    """The Krylov solver failed to reach the requested tolerance."""
 
     def __init__(self, message: str, achieved: float):
         super().__init__(f"{message} (achieved relative residual {achieved:.3e})")
@@ -169,6 +173,9 @@ class SparseSystem:
     node_to_dof: np.ndarray
     n_nodes: int
     divisions: tuple[int, ...] = ()  # of the mesh; () gives a single-level preconditioner
+    # (matrix + matrix.T) / 2 when the matrix is not symmetric, else None; the
+    # preconditioner is built from it and the solver is GMRES instead of CG
+    symmetric_part: sp.csr_matrix | None = None
     # levels of the multigrid preconditioner, built by the first solve and
     # reused by later ones
     hierarchy: list[_Level] = field(default_factory=list, repr=False)
@@ -353,7 +360,8 @@ def _jacobi_weights(matrix: sp.csr_matrix) -> np.ndarray:
 
 def _build_hierarchy(system: SparseSystem) -> list[_Level]:
     levels = []
-    matrix, node_to_dof, divisions = system.matrix, system.node_to_dof, system.divisions
+    matrix = system.matrix if system.symmetric_part is None else system.symmetric_part
+    node_to_dof, divisions = system.node_to_dof, system.divisions
     while matrix.shape[0] > COARSEN_ABOVE and divisions and all(d % 2 == 0 for d in divisions):
         prolong, node_to_dof = _prolongation(divisions, node_to_dof)
         if prolong.shape[1] == 0:
@@ -393,12 +401,15 @@ def cg_solve(
     max_iter: int | None = None,
 ) -> np.ndarray:
     """Conjugate gradients on the constrained system, preconditioned by one
-    geometric-multigrid V-cycle per iteration.
+    geometric-multigrid V-cycle per iteration; restarted GMRES, right-
+    preconditioned by the V-cycle of the symmetric part, when the system
+    carries a ``symmetric_part``.
 
     Zero-mean and periodic systems are singular with the constant mode in the
     kernel; the mode is removed from the right-hand side and from every
-    iterate, and the returned vector has zero algebraic mean.  Raises
-    SolverError when the tolerance is not met within ``max_iter``.
+    iterate, and the returned vector has zero algebraic mean.  Convergence is
+    accepted on the true residual.  Raises SolverError when the tolerance is
+    not met within ``max_iter`` iterations.
     """
     a = system.matrix
     b = np.array(rhs, dtype=float)
@@ -415,6 +426,8 @@ def cg_solve(
         return x
     if not system.hierarchy:
         system.hierarchy.extend(_build_hierarchy(system))
+    if system.symmetric_part is not None:
+        return _gmres(system, b, norm_b, rel_tol, max_iter)
     levels = system.hierarchy
     r = b.copy()
     z = _vcycle(a, levels, r)
@@ -446,3 +459,68 @@ def cg_solve(
         rz = rz_new
     achieved = float(np.linalg.norm(b - a @ x) / norm_b)
     raise SolverError(f"CG did not converge in {max_iter} iterations", achieved)
+
+
+def _gmres(
+    system: SparseSystem, b: np.ndarray, norm_b: float, rel_tol: float, max_iter: int
+) -> np.ndarray:
+    """GMRES(``GMRES_RESTART``) for ``K x = b``, right-preconditioned by the
+    V-cycle of the symmetric part S of K.  With K = S + N and N skew, the
+    preconditioned operator's field of values stays away from zero by a margin
+    set by the size of N against S, not by the mesh, so the iteration count
+    does not grow under refinement.  ``b`` is already projected when the
+    system needs it; the Arnoldi basis is orthogonalised by two passes of
+    classical Gram-Schmidt, and each cycle ends on the true residual."""
+    a, levels = system.matrix, system.hierarchy
+    project = system.needs_projection
+
+    def precondition(v):
+        z = _vcycle(system.symmetric_part, levels, v)
+        if project:
+            z -= z.mean()
+        return z
+
+    x = np.zeros_like(b)
+    r = b.copy()
+    used = 0
+    while used < max_iter:
+        steps = min(GMRES_RESTART, max_iter - used)
+        basis = np.empty((steps + 1, len(b)))
+        hess = np.zeros((steps, steps))  # upper triangular once rotated
+        cos, sin = np.zeros(steps), np.zeros(steps)
+        g = np.zeros(steps + 1)  # the rotated residual; |g[k]| is the residual after k steps
+        g[0] = np.linalg.norm(r)
+        basis[0] = r / g[0]
+        k = 0
+        while k < steps:
+            w = a @ precondition(basis[k])
+            if project:
+                w -= w.mean()
+            for _ in range(2):
+                coef = basis[: k + 1] @ w
+                w -= coef @ basis[: k + 1]
+                hess[: k + 1, k] += coef
+            h_next = np.linalg.norm(w)
+            for i in range(k):
+                hess[i, k], hess[i + 1, k] = (
+                    cos[i] * hess[i, k] + sin[i] * hess[i + 1, k],
+                    cos[i] * hess[i + 1, k] - sin[i] * hess[i, k],
+                )
+            rho = np.hypot(hess[k, k], h_next)
+            cos[k], sin[k] = hess[k, k] / rho, h_next / rho
+            hess[k, k] = rho
+            g[k + 1], g[k] = -sin[k] * g[k], cos[k] * g[k]
+            k += 1
+            if abs(g[k]) <= rel_tol * norm_b or h_next == 0.0:
+                break
+            basis[k] = w / h_next
+        used += k
+        y = np.linalg.solve(hess[:k, :k], g[:k])
+        x += precondition(y @ basis[:k])
+        r = b - a @ x
+        if project:
+            r -= r.mean()
+        if np.linalg.norm(r) <= rel_tol * norm_b:
+            return x
+    achieved = float(np.linalg.norm(r) / norm_b)
+    raise SolverError(f"GMRES did not converge in {max_iter} iterations", achieved)

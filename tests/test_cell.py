@@ -193,6 +193,23 @@ def test_nonsymmetric_adjoint_and_duality():
         assert np.abs(a.values - b.values).max() <= 1e-7
 
 
+@pytest.mark.parametrize("s", [1.0, 2.0, 4.0])
+def test_skew_checkerboard_tensor_and_duality(s):
+    # blocks I + sJ and I - sJ: the skew part is as large as the symmetric
+    # part or larger, and the exact effective tensor is sqrt(1 + s^2) I
+    block, flipped = [[1.0, s], [-s, 1.0]], [[1.0, -s], [s, 1.0]]
+    field = GridTable(np.array([[block, flipped], [flipped, block]]))
+    mesh = unit_cell_mesh(2, 64)
+    tensor = homogenized_tensor(field, solve_correctors(field, mesh)).matrix
+    exact = np.sqrt(1.0 + s * s)
+    assert np.abs(np.diag(tensor) - exact).max() <= 1e-3 * exact
+    assert max(abs(tensor[0, 1]), abs(tensor[1, 0])) <= 1e-12
+    # duality, as in test_nonsymmetric_adjoint_and_duality: A*(A^T) = A*(A)^T
+    transposed = field.transposed()
+    tensor_t = homogenized_tensor(transposed, solve_correctors(transposed, mesh)).matrix
+    assert np.abs(tensor_t - tensor.T).max() <= 1e-9 * np.abs(tensor).max()
+
+
 def test_mesh_convergence_monotone():
     field = ScalarCosine(2.0, 1.0, axis=0)
     tensors = {}

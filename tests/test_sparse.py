@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from homog.coeff import Checkerboard, ScalarCosine
-from homog.grid import build_mesh, boundary_nodes
+from homog.coeff import Checkerboard, GridTable, ScalarCosine
+from homog.grid import boundary_nodes, build_mesh, gauss_rule
 from homog.sparse import (
     AssemblyError,
     Dirichlet,
@@ -10,6 +12,7 @@ from homog.sparse import (
     Periodic,
     SolverError,
     ZeroMean,
+    _assemble_matrix,
     assemble_load,
     assemble_stiffness,
     cg_solve,
@@ -167,6 +170,34 @@ def _dirichlet(mesh):
     return Dirichlet(boundary_nodes(mesh))
 
 
+def _skew_checkerboard(s):
+    """Blocks I + sJ and I - sJ in a 2x2 checkerboard: symmetric part I,
+    skew part of size s."""
+    block, flipped = [[1.0, s], [-s, 1.0]], [[1.0, -s], [s, 1.0]]
+    return GridTable(np.array([[block, flipped], [flipped, block]])).sample_batch
+
+
+def _assemble(mesh, sampler, constraint):
+    """The stiffness of any elliptic sampler, split as the cell problems split
+    it: the validated symmetric part S, plus the skew part N when there is
+    one, giving matrix S + N with ``symmetric_part`` S."""
+
+    def sym_sampler(p):
+        a = sampler(p)
+        return 0.5 * (a + np.swapaxes(a, 1, 2))
+
+    def skew_sampler(p):
+        a = sampler(p)
+        return 0.5 * (a - np.swapaxes(a, 1, 2))
+
+    sym = assemble_stiffness(mesh, sym_sampler, constraint)
+    skew = _assemble_matrix(mesh, skew_sampler, sym.node_to_dof, sym.dimension,
+                            gauss_rule(mesh.dim), validate=False)
+    if skew.count_nonzero() == 0:
+        return sym
+    return replace(sym, matrix=sym.matrix + skew, symmetric_part=sym.matrix)
+
+
 def _cosine_sampler(epsilon):
     field = ScalarCosine(2.0, 1.0, 0, 2)
     return lambda p: field.sample_batch(p / epsilon)
@@ -185,13 +216,16 @@ SOLVER_CASES = {
                               Checkerboard(1.0, 100.0).sample_batch, lambda m: Periodic(), 2),
     "dirichlet_1d": (build_mesh(0.0, 1.0, [1024]), identity_sampler, _dirichlet, 3),
     "odd_divisions": (build_mesh((0, 0), (1, 1), (45, 45)), identity_sampler, _dirichlet, 1),
+    "periodic_skew_checkerboard": (build_mesh((0, 0), (1, 1), (32, 32)), _skew_checkerboard(2.0),
+                                   lambda m: Periodic(), 2),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SOLVER_CASES))
 def test_cg_matches_dense_solve(name):
     mesh, sampler, constraint, levels = SOLVER_CASES[name]
-    sys = assemble_stiffness(mesh, sampler, constraint(mesh))
+    sys = _assemble(mesh, sampler, constraint(mesh))
+    assert (sys.symmetric_part is not None) == ("skew" in name)
     b = np.random.default_rng(3).standard_normal(sys.dimension)
     dense = sys.matrix.toarray()
     if sys.needs_projection:
@@ -227,6 +261,31 @@ def test_cg_strongly_anisotropic_tensor():
     b = sys.reduce(assemble_load(mesh, lambda p: np.ones(len(p))))
     x = cg_solve(sys, b, max_iter=100)
     assert np.linalg.norm(b - sys.matrix @ x) <= 1e-10 * np.linalg.norm(b)
+
+
+def _skew_periodic_system(divisions, s):
+    mesh = build_mesh((0, 0), (1, 1), (divisions, divisions))
+    return _assemble(mesh, _skew_checkerboard(s), Periodic())
+
+
+def test_gmres_max_iter_reports_residual():
+    sys = _skew_periodic_system(64, 1.0)
+    b = np.random.default_rng(3).standard_normal(sys.dimension)
+    with pytest.raises(SolverError) as err:
+        cg_solve(sys, b, max_iter=1)
+    assert err.value.achieved > 0
+
+
+@pytest.mark.parametrize("divisions", [64, 128])
+def test_gmres_iterations_bounded_under_refinement(divisions):
+    # preconditioned by the V-cycle of the symmetric part, GMRES converges at a
+    # rate set by the skew ratio, not the mesh: 26 iterations at both sizes
+    sys = _skew_periodic_system(divisions, 1.0)
+    b = np.random.default_rng(3).standard_normal(sys.dimension)
+    b -= b.mean()
+    x = cg_solve(sys, b, max_iter=40)
+    assert np.linalg.norm(b - sys.matrix @ x) <= 1e-10 * np.linalg.norm(b)
+    assert abs(x.mean()) <= 1e-13
 
 
 def test_expand_roundtrip_periodic():
