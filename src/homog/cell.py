@@ -120,7 +120,7 @@ def solve_correctors(
         return 0.5 * (a - np.swapaxes(a, 1, 2))
 
     s = system.matrix
-    skew = _assemble_matrix(cell_mesh, skew_sampler, system.node_to_dof, system.dimension, rule,
+    skew = _assemble_matrix(cell_mesh, skew_sampler, system.constraint, system.node_to_dof, rule,
                             validate=False)
     # S^T = S and N^T = -N, so S - N is the adjoint matrix; replace() keeps the
     # hierarchy list, which the first solve fills from S for both families

@@ -8,6 +8,12 @@ structurally: Dirichlet rows/columns are eliminated, periodic slave nodes are
 folded onto their masters, and pure-Neumann (zero-mean) systems are left
 singular with the constant mode projected out inside the solver.
 
+Assembly works on blocks of whole element rows.  A block's element matrices
+are one product of the coefficient samples with a fixed quadrature table,
+and they are added into a nodal 3^n-point stencil by one array-slice add per
+element corner; load vectors are scattered onto the nodes the same way.  The
+compressed-row matrix is read straight off the stencil, with no triplet list.
+
 The preconditioner is one symmetric geometric-multigrid V-cycle over the
 nested grids obtained by halving the mesh divisions: bilinear prolongation,
 Galerkin coarse operators ``P^T A P``, damped-Jacobi smoothing and a dense
@@ -24,6 +30,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
+from .coeff import symmetric_part_eiglimits
 from .grid import (
     QuadratureRule,
     ScalarField,
@@ -95,73 +102,156 @@ def periodic_node_map(mesh: StructuredMesh) -> np.ndarray:
     return mesh.node_flat_index(folded)
 
 
-def _dof_map(mesh: StructuredMesh, constraint: Constraint) -> tuple[np.ndarray, int]:
-    """node -> dof index (-1 if eliminated), plus the dof count."""
+def _dof_map(mesh: StructuredMesh, constraint: Constraint) -> np.ndarray:
+    """node -> dof index (-1 if eliminated), increasing over the kept nodes
+    and over the periodic masters."""
     node_to_dof = np.full(mesh.n_nodes, -1, dtype=int)
     if isinstance(constraint, Periodic):
         masters = periodic_node_map(mesh)
         unique = np.flatnonzero(masters == np.arange(mesh.n_nodes))
         compact = np.full(mesh.n_nodes, -1, dtype=int)
         compact[unique] = np.arange(len(unique))
-        return compact[masters], len(unique)
+        return compact[masters]
     present = active_nodes(mesh)
     if isinstance(constraint, Dirichlet):
         keep = np.ones(mesh.n_nodes, dtype=bool)
         keep[constraint.nodes] = False
         present = present[keep[present]]
     node_to_dof[present] = np.arange(len(present))
-    return node_to_dof, len(present)
+    return node_to_dof
 
 
 def _validate_samples(a: np.ndarray, dim: int) -> None:
-    scale = max(1.0, float(np.abs(a).max()))
-    if dim == 1:
-        if np.any(a[:, 0, 0] <= 0):
-            raise AssemblyError("sampler returned a non-elliptic (non-positive) value")
-        return
-    asym = np.abs(a[:, 0, 1] - a[:, 1, 0]).max()
-    if asym > 1e-10 * scale:
-        raise AssemblyError(f"sampler returned non-symmetric matrices (max dev {asym:.3e})")
-    mid = 0.5 * (a[:, 0, 0] + a[:, 1, 1])
-    rad = np.sqrt((0.5 * (a[:, 0, 0] - a[:, 1, 1])) ** 2 + (0.5 * (a[:, 0, 1] + a[:, 1, 0])) ** 2)
-    if np.any(mid - rad <= 0):
+    if dim == 2:
+        scale = max(1.0, float(np.abs(a).max()))
+        asym = np.abs(a[:, 0, 1] - a[:, 1, 0]).max()
+        if asym > 1e-10 * scale:
+            raise AssemblyError(f"sampler returned non-symmetric matrices (max dev {asym:.3e})")
+    if symmetric_part_eiglimits(a)[0] <= 0:
         raise AssemblyError("sampler returned a non-elliptic matrix (eigenvalue <= 0)")
+
+
+def _row_blocks(mesh: StructuredMesh):
+    """The active elements in blocks of whole element rows along the last
+    axis, at most ``CHUNK_ELEMENTS`` elements (or one row) per block.  Yields
+    ``(first row, active elements, activity of every element of the block)``;
+    the activity is None on a box mesh."""
+    rows, per_row = mesh.divisions[-1], mesh.n_elements // mesh.divisions[-1]
+    step = max(1, CHUNK_ELEMENTS // per_row)
+    for start in range(0, rows, step):
+        elems = np.arange(start * per_row, min(start + step, rows) * per_row)
+        if mesh.active_mask is None:
+            yield start, elems, None
+        elif (active := mesh.active_mask[elems]).any():
+            yield start, elems[active], active
+
+
+def _add_to_nodes(target: np.ndarray, values: np.ndarray, start: int, active, dim: int) -> None:
+    """Add per-corner, per-element ``values`` (2^n, E) of the element rows
+    from ``start`` (a ``_row_blocks`` block) onto the node grid ``target``,
+    whose axes run last mesh axis first so that it ravels in flat node order.
+
+    A nodal stencil ``target`` has a trailing (3,) * n offset axis per mesh
+    axis, again last axis first, and ``values`` are then (2^n, 2^n, E): the
+    coupling of corner a to corner b lands on offset b - a.  Each corner, or
+    pair of corners, is one array-slice add over the whole block.
+    """
+    if active is not None:
+        full = np.zeros(values.shape[:-1] + (len(active),), values.dtype)
+        full[..., active] = values
+        values = full
+    elements = tuple(m - 1 for m in target.shape[1:dim])
+    values = values.reshape(values.shape[:-1] + (-1,) + elements)
+    first = (start,) + (0,) * (dim - 1)
+    corners = [tuple((a >> k) & 1 for k in reversed(range(dim))) for a in range(2**dim)]
+    for a, ca in enumerate(corners):
+        nodes = tuple(slice(f + c, f + c + m) for f, c, m in zip(first, ca, values.shape[-dim:]))
+        if target.ndim == dim:
+            target[nodes] += values[a]
+            continue
+        for b, cb in enumerate(corners):
+            target[nodes + tuple(1 + q - c for q, c in zip(cb, ca))] += values[a, b]
+
+
+def _neighbours(padded: np.ndarray):
+    """For each stencil offset index t, the node grid padded by one on every
+    side and shifted by t - 1: the value at each node's neighbour there."""
+    shape = tuple(m - 2 for m in padded.shape)
+    for t in np.ndindex(*(3,) * padded.ndim):
+        yield t, padded[tuple(slice(o, o + m) for o, m in zip(t, shape))]
 
 
 def _assemble_matrix(
     mesh: StructuredMesh,
     sampler: Callable[[np.ndarray], np.ndarray],
+    constraint: Constraint,
     node_to_dof: np.ndarray,
-    ndof: int,
     rule: QuadratureRule,
     validate: bool,
 ) -> sp.csr_matrix:
+    """The constrained Q1 matrix of a coefficient sampler, built as a nodal
+    (3,) * n stencil and read out row by row into compressed-row storage.
+
+    Element matrices come from one product of the samples with a fixed
+    quadrature table per block of element rows.  Rows and columns of
+    eliminated nodes are dropped, and so are couplings between nodes that
+    share no active element, so the sparsity pattern is exactly the element
+    connectivity.  ``node_to_dof`` is increasing over the kept nodes, so the
+    rows come out sorted; periodic slave rows fold onto their masters, whose
+    wrapped columns need one sort and duplicate sum per row.
+    """
     dim = mesh.dim
-    vol = float(np.prod(mesh.h))
     grads = shape_gradients(rule.points) / mesh.h  # (Q, 2^n, n)
-    elems = mesh.active_elements()
-    rows_all, cols_all, vals_all = [], [], []
     nloc = grads.shape[1]
-    for start in range(0, len(elems), CHUNK_ELEMENTS):
-        chunk = elems[start : start + CHUNK_ELEMENTS]
-        pts = element_quadrature_points(mesh, rule, chunk).reshape(-1, dim)
-        a = np.asarray(sampler(pts), dtype=float).reshape(len(chunk), len(rule.weights), dim, dim)
+    table = float(np.prod(mesh.h)) * np.einsum(
+        "q,qai,qbj->qijab", rule.weights, grads, grads
+    ).reshape(-1, nloc * nloc)  # (Q n n, 2^n 2^n)
+    nodes = mesh.nodes_per_axis[::-1]
+    stencil = np.zeros(nodes + (3,) * dim)
+    # on a box mesh every in-range neighbour shares an active element
+    shared = None if mesh.active_mask is None else np.zeros(stencil.shape, dtype=bool)
+    for start, elems, active in _row_blocks(mesh):
+        pts = element_quadrature_points(mesh, rule, elems).reshape(-1, dim)
+        a = np.asarray(sampler(pts), dtype=float).reshape(len(elems), len(rule.weights), dim, dim)
         if validate:
             _validate_samples(a.reshape(-1, dim, dim), dim)
-        ke = vol * np.einsum("q,qai,eqij,qbj->eab", rule.weights, grads, a, grads, optimize=True)
-        dofs = node_to_dof[mesh.element_nodes(chunk)]  # (E, 2^n)
-        rows = np.broadcast_to(dofs[:, :, None], (len(chunk), nloc, nloc))
-        cols = np.broadcast_to(dofs[:, None, :], (len(chunk), nloc, nloc))
-        keep = (rows >= 0) & (cols >= 0)
-        rows_all.append(rows[keep].astype(np.int64))
-        cols_all.append(cols[keep].astype(np.int64))
-        vals_all.append(ke[keep])
-    mat = sp.coo_matrix(
-        (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-        shape=(ndof, ndof),
-    ).tocsr()
-    mat.sum_duplicates()
-    return mat
+        ke = (table.T @ a.reshape(len(elems), -1).T).reshape(nloc, nloc, len(elems))
+        _add_to_nodes(stencil, ke, start, active, dim)
+        if shared is not None:
+            _add_to_nodes(shared, np.ones(ke.shape, dtype=bool), start, active, dim)
+    dofs = node_to_dof.reshape(nodes)
+    periodic = isinstance(constraint, Periodic)
+    if periodic:
+        # the last node along an axis is the slave of the first
+        for axis in range(dim):
+            before = (slice(None),) * axis
+            stencil[before + (0,)] += stencil[before + (-1,)]
+        masters = (slice(-1),) * dim
+        stencil, dofs = stencil[masters], dofs[masters]
+        padded = np.pad(dofs, 1, mode="wrap")
+    else:
+        padded = np.pad(dofs, 1, constant_values=-1)
+    keep = np.empty(stencil.shape, dtype=bool)
+    for t, present in _neighbours(padded >= 0):
+        keep[(...,) + t] = present
+    keep &= (dofs >= 0)[(...,) + (None,) * dim]
+    if shared is not None:
+        keep &= shared
+    data = stencil[keep]
+    del stencil
+    index = np.int32 if keep.size < 2**31 else np.int64
+    cols = np.empty(keep.shape, dtype=index)
+    for t, neighbour in _neighbours(padded.astype(index)):
+        cols[(...,) + t] = neighbour
+    indices = cols[keep]
+    del cols
+    counts = keep.reshape(dofs.size, -1).sum(axis=1)[dofs.ravel() >= 0]
+    indptr = np.zeros(len(counts) + 1, dtype=index)
+    np.cumsum(counts, out=indptr[1:])
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(len(counts), len(counts)))
+    if periodic:
+        matrix.sum_duplicates()
+    return matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,8 +308,8 @@ def assemble_stiffness(
     """
     if rule is None:
         rule = gauss_rule(mesh.dim)
-    node_to_dof, ndof = _dof_map(mesh, constraint)
-    matrix = _assemble_matrix(mesh, matrix_sampler, node_to_dof, ndof, rule, validate=True)
+    node_to_dof = _dof_map(mesh, constraint)
+    matrix = _assemble_matrix(mesh, matrix_sampler, constraint, node_to_dof, rule, validate=True)
     return SparseSystem(matrix, constraint, node_to_dof, mesh.n_nodes, mesh.divisions)
 
 
@@ -231,21 +321,17 @@ def assemble_load(
     """Full-size nodal load vector ``b[a] = integral of f N_a``."""
     if rule is None:
         rule = gauss_rule(mesh.dim)
-    vol = float(np.prod(mesh.h))
-    shp = shape_values(rule.points)  # (Q, 2^n)
-    elems = mesh.active_elements()
-    b = np.zeros(mesh.n_nodes)
-    for start in range(0, len(elems), CHUNK_ELEMENTS):
-        chunk = elems[start : start + CHUNK_ELEMENTS]
-        pts = element_quadrature_points(mesh, rule, chunk).reshape(-1, mesh.dim)
+    table = float(np.prod(mesh.h)) * rule.weights[:, None] * shape_values(rule.points)  # (Q, 2^n)
+    b = np.zeros(mesh.nodes_per_axis[::-1])
+    for start, elems, active in _row_blocks(mesh):
+        pts = element_quadrature_points(mesh, rule, elems).reshape(-1, mesh.dim)
         if isinstance(f, ScalarField):
             fv = eval_field_batch(f, pts)
         else:
             fv = np.asarray(f(pts), dtype=float)
-        fv = fv.reshape(len(chunk), len(rule.weights))
-        contrib = vol * np.einsum("q,qa,eq->ea", rule.weights, shp, fv)
-        np.add.at(b, mesh.element_nodes(chunk).ravel(), contrib.ravel())
-    return b
+        fv = fv.reshape(len(elems), len(rule.weights))
+        _add_to_nodes(b, table.T @ fv.T, start, active, mesh.dim)
+    return b.ravel()
 
 
 def assemble_gradient_load(
@@ -256,19 +342,15 @@ def assemble_gradient_load(
     """Full-size load ``b[a] = integral of V . grad N_a`` for a vector field V."""
     if rule is None:
         rule = gauss_rule(mesh.dim)
-    vol = float(np.prod(mesh.h))
     grads = shape_gradients(rule.points) / mesh.h  # (Q, 2^n, n)
-    elems = mesh.active_elements()
-    b = np.zeros(mesh.n_nodes)
-    for start in range(0, len(elems), CHUNK_ELEMENTS):
-        chunk = elems[start : start + CHUNK_ELEMENTS]
-        pts = element_quadrature_points(mesh, rule, chunk).reshape(-1, mesh.dim)
-        v = np.asarray(vector_sampler(pts), dtype=float).reshape(
-            len(chunk), len(rule.weights), mesh.dim
-        )
-        contrib = vol * np.einsum("q,qad,eqd->ea", rule.weights, grads, v)
-        np.add.at(b, mesh.element_nodes(chunk).ravel(), contrib.ravel())
-    return b
+    table = float(np.prod(mesh.h)) * np.einsum("q,qad->qda", rule.weights, grads)
+    table = table.reshape(-1, grads.shape[1])  # (Q n, 2^n)
+    b = np.zeros(mesh.nodes_per_axis[::-1])
+    for start, elems, active in _row_blocks(mesh):
+        pts = element_quadrature_points(mesh, rule, elems).reshape(-1, mesh.dim)
+        v = np.asarray(vector_sampler(pts), dtype=float).reshape(len(elems), -1)  # (E, Q n)
+        _add_to_nodes(b, table.T @ v.T, start, active, mesh.dim)
+    return b.ravel()
 
 
 def default_max_iter(dimension: int) -> int:

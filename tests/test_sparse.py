@@ -1,10 +1,11 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from homog.coeff import Checkerboard, GridTable, ScalarCosine
-from homog.grid import boundary_nodes, build_mesh, gauss_rule
+from homog.grid import boundary_nodes, build_mesh, gauss_rule, shape_gradients
 from homog.sparse import (
     AssemblyError,
     Dirichlet,
@@ -56,6 +57,117 @@ def test_symmetry_of_assembled_matrix():
     diff = (sys.matrix - sys.matrix.T).tocoo()
     scale = np.abs(sys.matrix.data).max()
     assert np.abs(diff.data).max() if diff.nnz else 0.0 <= 1e-13 * scale
+
+
+def _symmetric_sampler(p):
+    n = p.shape[1]
+    out = np.zeros((len(p), n, n))
+    out[:, 0, 0] = 2.0 + np.sin(2 * np.pi * p[:, 0]) + 0.3 * p[:, -1]
+    if n == 2:
+        out[:, 1, 1] = 1.5 + np.cos(2 * np.pi * p[:, 1]) * 0.4
+        out[:, 0, 1] = out[:, 1, 0] = 0.3 * np.sin(2 * np.pi * (p[:, 0] + p[:, 1]))
+    return out
+
+
+def _skew_part_sampler(p):
+    """The skew part of a non-symmetric table, as ``cell.solve_correctors``
+    assembles it; zero in 1D."""
+    if p.shape[1] == 1:
+        return np.zeros((len(p), 1, 1))
+    a = _skew_checkerboard(2.0)(p) + 0.5 * _symmetric_sampler(p)
+    return 0.5 * (a - np.swapaxes(a, 1, 2))
+
+
+def _dense_reference(mesh, sampler, node_to_dof):
+    """Element-by-element dense assembly onto the dofs, the dof pairs that
+    share an active element, and the roundoff scale: the largest element
+    entry of the quadrature sum taken in absolute values."""
+    rule = gauss_rule(mesh.dim)
+    grads = shape_gradients(rule.points) / mesh.h
+    ndof = node_to_dof.max() + 1
+    matrix = np.zeros((ndof, ndof))
+    coupled = np.zeros((ndof, ndof), dtype=bool)
+    scale = 0.0
+    for e in mesh.active_elements():
+        pts = mesh.element_origin([e])[0] + rule.points * mesh.h
+        a = sampler(pts)
+        ke, bound = (
+            np.prod(mesh.h) * sum(w * f(grads[q]) @ f(a[q]) @ f(grads[q]).T
+                                  for q, w in enumerate(rule.weights))
+            for f in (np.asarray, np.abs)
+        )
+        scale = max(scale, bound.max())
+        dofs = node_to_dof[mesh.element_nodes([e])[0]]
+        for i, r in enumerate(dofs):
+            for j, c in enumerate(dofs):
+                if r >= 0 and c >= 0:
+                    matrix[r, c] += ke[i, j]
+                    coupled[r, c] = True
+    return matrix, coupled, scale
+
+
+ASSEMBLY_MESHES = {
+    "1d_box_7": build_mesh(0.0, 1.0, [7]),
+    "1d_box_1": build_mesh(0.0, 2.0, [1]),
+    "1d_box_2": build_mesh(0.0, 1.0, [2]),
+    "1d_box_3": build_mesh(0.5, 1.0, [3]),
+    "2d_box_5x4": build_mesh((0, 0), (1, 1.5), (5, 4)),
+    "2d_box_1x1": build_mesh((0, 0), (1, 1), (1, 1)),
+    "2d_box_2x2": build_mesh((0, 0), (1, 1), (2, 2)),
+    "2d_box_3x3": build_mesh((0, 0), (1, 1), (3, 3)),
+    "2d_box_1x3": build_mesh((0, 0), (1, 1), (1, 3)),
+    "2d_box_2x5": build_mesh((0, 0), (2, 1), (2, 5)),
+    "2d_l_shape_4x4": build_mesh((0, 0), (1, 1), (4, 4), "l_shape"),
+    "2d_l_shape_6x8": build_mesh((0, 0), (1, 2), (6, 8), "l_shape"),
+}
+ASSEMBLY_CONSTRAINTS = {
+    "none": lambda m: NoConstraint(),
+    "zero_mean": lambda m: ZeroMean(),
+    "dirichlet": lambda m: Dirichlet(boundary_nodes(m)),
+    "periodic": lambda m: Periodic(),
+}
+ASSEMBLY_CASES = [
+    (m, c) for m in ASSEMBLY_MESHES for c in ASSEMBLY_CONSTRAINTS
+    if not (c == "periodic" and "l_shape" in m)
+    and (c == "periodic" or m in ("1d_box_7", "2d_box_5x4") or "l_shape" in m)
+]
+
+
+@pytest.mark.parametrize("sampler", ["symmetric", "skew"])
+@pytest.mark.parametrize("mesh_name,constraint_name", ASSEMBLY_CASES)
+def test_assembly_matches_dense_element_reference(mesh_name, constraint_name, sampler):
+    mesh = ASSEMBLY_MESHES[mesh_name]
+    constraint = ASSEMBLY_CONSTRAINTS[constraint_name](mesh)
+    system = assemble_stiffness(mesh, _symmetric_sampler, constraint)
+    if sampler == "symmetric":
+        sample, matrix = _symmetric_sampler, system.matrix
+    else:
+        sample = _skew_part_sampler
+        matrix = _assemble_matrix(mesh, sample, constraint, system.node_to_dof,
+                                  gauss_rule(mesh.dim), validate=False)
+    expected, coupled, scale = _dense_reference(mesh, sample, system.node_to_dof)
+    assert matrix.shape == expected.shape
+    assert matrix.has_canonical_format
+    assert np.abs(matrix.toarray() - expected).max() <= 1e-14 * scale
+    # exactly the pairs that share an active element are stored, zeros included
+    assert matrix.nnz == coupled.sum()
+    stored = np.zeros_like(coupled)
+    stored[np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr)), matrix.indices] = True
+    np.testing.assert_array_equal(stored, coupled)
+
+
+def test_stiffness_assembly_memory_peak():
+    # a triplet (COO) assembly peaks near 83 MB here, to return a 7 MB matrix
+    mesh = build_mesh((0, 0), (1, 1), (256, 256))
+    sampler, constraint = _cosine_sampler(1 / 16), _dirichlet(mesh)
+    tracemalloc.start()
+    try:
+        system = assemble_stiffness(mesh, sampler, constraint)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert system.matrix.nnz == (3 * 255 - 2) ** 2  # 9-point rows, cut at the boundary
+    assert peak <= 48e6
 
 
 def test_periodic_dimension_counts():
@@ -191,7 +303,7 @@ def _assemble(mesh, sampler, constraint):
         return 0.5 * (a - np.swapaxes(a, 1, 2))
 
     sym = assemble_stiffness(mesh, sym_sampler, constraint)
-    skew = _assemble_matrix(mesh, skew_sampler, sym.node_to_dof, sym.dimension,
+    skew = _assemble_matrix(mesh, skew_sampler, constraint, sym.node_to_dof,
                             gauss_rule(mesh.dim), validate=False)
     if skew.count_nonzero() == 0:
         return sym
