@@ -31,7 +31,7 @@ from .grid import (
     QuadratureRule,
     ScalarField,
     StructuredMesh,
-    element_gradients_at,
+    element_blocks,
     gauss_rule,
 )
 from .sparse import (
@@ -138,14 +138,14 @@ def homogenized_tensor(field: CoefficientField, correctors: CorrectorSet) -> Hom
         raise ValueError("mesh dimension mismatch between correctors and coefficient")
     n = field.dim
     rule = gauss_rule(n)
-    elems = mesh.active_elements()
-    pts = mesh.element_origin(elems)[:, None, :] + rule.points[None, :, :] * mesh.h
-    a = field.sample_batch(pts.reshape(-1, n)).reshape(len(elems), len(rule.weights), n, n)
-    grads = np.empty((n, len(elems), len(rule.weights), n))
-    for i in range(n):
-        grads[i] = element_gradients_at(correctors.chi[i], rule, elems)
-        grads[i, :, :, i] += 1.0
-    vol = float(np.prod(mesh.h))
-    mat = vol * np.einsum("ieqk,eqkl,jeql,q->ij", grads, a, grads, rule.weights, optimize=True)
+    mat = np.zeros((n, n))
+    for block in element_blocks(mesh):
+        pts = block.points(rule).reshape(-1, n)
+        a = field.sample_batch(pts).reshape(block.size, len(rule.weights), n, n)
+        grads = np.stack([block.gradients(chi.values, rule) for chi in correctors.chi])
+        for i in range(n):
+            grads[i, :, :, i] += 1.0
+        mat += np.einsum("ieqk,eqkl,jeql,q->ij", grads, a, grads, rule.weights, optimize=True)
+    mat *= float(np.prod(mesh.h))
     c, big_c = validate_ellipticity(field)
     return HomogenizedTensor(mat, (c, big_c))

@@ -6,6 +6,15 @@ coordinates are never stored: node ``(i0, i1)`` sits at
 ``i0 + (d0+1)*i1`` (axis 0 varies fastest).  Element ``(e0, e1)`` has the
 flat index ``e0 + d0*e1``.  An optional per-element activity mask supports
 L-shaped domains (upper-right quadrant removed).
+
+A nodal array reshaped to the node grid, last axis first, keeps the flat node
+order, and on it each local corner of all elements in a range of element
+rows is one shifted slice.  Every element quadrature in the package walks
+the mesh through ``element_blocks``: blocks of whole element rows along the
+last axis, at most ``CHUNK_ELEMENTS`` elements each.  A block reads nodal
+arrays by those slices, gives their values and gradients and the global
+points at the quadrature points, and adds per-corner values back onto the
+node grid; ``quadrature`` reduces integrands over all blocks.
 """
 
 from __future__ import annotations
@@ -14,6 +23,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+CHUNK_ELEMENTS = 65536  # largest block of the element walk, unless one row is longer
 
 
 class OutsideDomainError(ValueError):
@@ -110,11 +121,7 @@ class StructuredMesh:
 
     def element_multi_index(self, elems: np.ndarray) -> np.ndarray:
         """Flat element index -> (E, dim) integer multi-index."""
-        elems = np.asarray(elems)
-        if self.dim == 1:
-            return elems[:, None]
-        d0 = self.divisions[0]
-        return np.stack([elems % d0, elems // d0], axis=1)
+        return np.stack(np.unravel_index(elems, self.divisions, order="F"), axis=1)
 
     def element_flat_index(self, multi: np.ndarray) -> np.ndarray:
         multi = np.asarray(multi)
@@ -129,11 +136,7 @@ class StructuredMesh:
         return multi[..., 0] + (self.divisions[0] + 1) * multi[..., 1]
 
     def node_multi_index(self, nodes: np.ndarray) -> np.ndarray:
-        nodes = np.asarray(nodes)
-        if self.dim == 1:
-            return nodes[:, None]
-        n0 = self.divisions[0] + 1
-        return np.stack([nodes % n0, nodes // n0], axis=1)
+        return np.stack(np.unravel_index(nodes, self.nodes_per_axis, order="F"), axis=1)
 
     def node_coordinates(self, nodes: np.ndarray | None = None) -> np.ndarray:
         """Coordinates of the given flat node indices (all nodes if None)."""
@@ -147,13 +150,8 @@ class StructuredMesh:
 
         2D local order: (0,0), (1,0), (0,1), (1,1).
         """
-        multi = self.element_multi_index(np.asarray(elems))
-        if self.dim == 1:
-            base = multi[:, 0]
-            return np.stack([base, base + 1], axis=1)
-        n0 = self.divisions[0] + 1
-        base = multi[:, 0] + n0 * multi[:, 1]
-        return np.stack([base, base + 1, base + n0, base + n0 + 1], axis=1)
+        multi = self.element_multi_index(elems)
+        return np.stack([self.node_flat_index(multi + c) for c in _corner_offsets(self.dim)], axis=1)
 
     def element_origin(self, elems: np.ndarray) -> np.ndarray:
         multi = self.element_multi_index(np.asarray(elems))
@@ -164,8 +162,9 @@ class StructuredMesh:
 
         Points on element faces resolve to the forward element (half-open
         convention); the far domain boundary clamps to the last element.  If
-        the resolved element is inactive, a containing active neighbour is
-        substituted when one exists.  Raises OutsideDomainError otherwise.
+        the resolved element is inactive, the active element behind a face
+        the point lies on is taken instead, axis 0 first.  Raises
+        OutsideDomainError otherwise.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         h = self.h
@@ -176,35 +175,20 @@ class StructuredMesh:
             raise OutsideDomainError("point outside mesh bounding box")
         emulti = np.clip(np.floor(rel).astype(int), 0, div - 1)
         local = rel - emulti
-        elems = self.element_flat_index(emulti)
         if self.active_mask is not None:
-            bad = ~self.active_mask[elems]
-            for k in np.flatnonzero(bad):
-                elems[k], emulti[k], local[k] = self._active_neighbour(emulti[k], local[k])
-        return elems, local
-
-    def _active_neighbour(self, emulti, local):
-        # a point on a face of an inactive element may belong to an active one
-        for shift in _face_shifts(self.dim):
-            cand = emulti + shift
-            if np.any(cand < 0) or np.any(cand >= np.asarray(self.divisions)):
-                continue
-            loc = local - shift
-            if loc.min() < -1e-12 or loc.max() > 1.0 + 1e-12:
-                continue
-            flat = int(self.element_flat_index(cand[None])[0])
-            if self.active_mask[flat]:
-                return flat, cand, np.clip(loc, 0.0, 1.0)
-        raise OutsideDomainError("point outside the active region")
-
-
-def _face_shifts(dim: int):
-    if dim == 1:
-        return [np.array([-1]), np.array([1])]
-    return [
-        np.array(s)
-        for s in [(-1, 0), (0, -1), (1, 0), (0, 1), (-1, -1), (1, -1), (-1, 1), (1, 1)]
-    ]
+            bad = np.flatnonzero(~self.active_mask[self.element_flat_index(emulti)])
+            for k in range(self.dim):
+                cand, loc = emulti[bad], local[bad]
+                cand[:, k] -= 1
+                loc[:, k] += 1.0
+                take = (cand[:, k] >= 0) & np.all((loc >= -1e-12) & (loc <= 1.0 + 1e-12), axis=1)
+                take[take] = self.active_mask[self.element_flat_index(cand[take])]
+                emulti[bad[take]] = cand[take]
+                local[bad[take]] = np.clip(loc[take], 0.0, 1.0)
+                bad = bad[~take]
+            if len(bad):
+                raise OutsideDomainError("point outside the active region")
+        return self.element_flat_index(emulti), local
 
 
 def same_mesh(a: StructuredMesh, b: StructuredMesh) -> bool:
@@ -286,6 +270,132 @@ def shape_gradients(local: np.ndarray) -> np.ndarray:
     return g
 
 
+def _corner_offsets(dim: int) -> list[tuple[int, ...]]:
+    """Node offset of each local element corner, axis 0 varying fastest."""
+    return [tuple((a >> k) & 1 for k in range(dim)) for a in range(2**dim)]
+
+
+@dataclass(frozen=True, eq=False)
+class ElementBlock:
+    """Element rows ``start`` to ``stop`` along the last mesh axis; ``active``
+    flags each of their elements (None on a box mesh).  Per-element arrays
+    run over the active elements in flat order: (E, ...), or (2^n, E) for
+    corner values."""
+
+    mesh: StructuredMesh
+    start: int
+    stop: int
+    active: np.ndarray | None
+    elems: np.ndarray  # flat indices of the active elements
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Elements per axis, last axis first."""
+        return (self.stop - self.start,) + self.mesh.divisions[-2::-1]
+
+    @property
+    def size(self) -> int:
+        return len(self.elems)
+
+    def _select(self, full: np.ndarray) -> np.ndarray:
+        """The active elements of a (block shape, ...) array: (E, ...)."""
+        if self.active is None:
+            return full.reshape((-1,) + full.shape[self.mesh.dim:])
+        return full[self.active.reshape(self.shape)]
+
+    def _corner_slices(self):
+        """Per local corner (``shape_values`` order), its node offset and
+        the node-grid slices at that corner of every element."""
+        first = (self.start,) + (0,) * (self.mesh.dim - 1)
+        for offset in _corner_offsets(self.mesh.dim):
+            offset = offset[::-1]
+            yield offset, tuple(slice(f + c, f + c + m) for f, c, m in zip(first, offset, self.shape))
+
+    def points(self, rule: QuadratureRule) -> np.ndarray:
+        """Global coordinates of the quadrature points: (E, Q, n), broadcast
+        from the per-axis element indices."""
+        mesh, dim = self.mesh, self.mesh.dim
+        out = np.empty((self.size, len(rule.weights), dim))
+        for k in range(dim):
+            axis = dim - 1 - k  # of mesh axis k in the block shape
+            index = np.arange(self.shape[axis]) + (self.start if axis == 0 else 0)
+            coord = (mesh.origin[k] + index * mesh.h[k])[:, None] + rule.points[:, k] * mesh.h[k]
+            coord = coord.reshape(coord.shape[:1] + (1,) * k + coord.shape[1:])
+            out[:, :, k] = self._select(np.broadcast_to(coord, self.shape + coord.shape[-1:]))
+        return out
+
+    def corners(self, nodal: np.ndarray) -> np.ndarray:
+        """Values of a nodal array at the element corners: (2^n, E)."""
+        grid = np.asarray(nodal).reshape(self.mesh.nodes_per_axis[::-1])
+        return np.stack([self._select(grid[nodes]) for _, nodes in self._corner_slices()])
+
+    def values(self, nodal: np.ndarray, rule: QuadratureRule) -> np.ndarray:
+        """Q1 values of a nodal array at the quadrature points: (E, Q)."""
+        return self.corners(nodal).T @ shape_values(rule.points).T
+
+    def gradients(self, nodal: np.ndarray, rule: QuadratureRule) -> np.ndarray:
+        """Q1 gradients of a nodal array at the quadrature points: (E, Q, n).
+
+        An einsum with the (Q, 2^n, n) gradient table rather than a BLAS
+        product, so that the corner terms are added in order and the rounding
+        does not depend on the BLAS kernel."""
+        grads = shape_gradients(rule.points) / self.mesh.h
+        return np.einsum("qad,ae->eqd", grads, self.corners(nodal))
+
+    def times_periodic(self, factor: np.ndarray, pattern: np.ndarray, period) -> np.ndarray:
+        """``factor`` (E, ...) times a per-element pattern that repeats every
+        ``period`` elements along each axis from element 0, given on one
+        period in flat element order.  The pattern's rows are picked by row
+        index mod period and broadcast along the block, not tiled."""
+        m = tuple(period)[::-1]
+        rows = pattern.reshape(m + pattern.shape[1:])[np.arange(self.start, self.stop) % m[0]]
+        tiles = self.shape[:1]
+        if len(m) == 2:
+            tiles, rows = tiles + (self.shape[1] // m[1], m[1]), rows[:, None]
+        if self.active is not None:
+            rows = np.broadcast_to(rows, tiles + rows.shape[len(tiles):])
+            return factor * rows[self.active.reshape(tiles)]
+        product = factor.reshape(tiles + factor.shape[1:]) * rows
+        return product.reshape((self.size,) + product.shape[len(tiles):])
+
+    def add_to_nodes(self, target: np.ndarray, values: np.ndarray) -> None:
+        """Add per-corner values (2^n, E) onto the node grid ``target``.
+
+        A nodal stencil ``target`` has a trailing (3,) * n offset axis per
+        mesh axis, again last axis first, and ``values`` are then
+        (2^n, 2^n, E): the coupling of corner a to corner b lands on offset
+        b - a.  Each corner, or pair of corners, is one array-slice add.
+        """
+        if self.active is not None:
+            full = np.zeros(values.shape[:-1] + (len(self.active),), values.dtype)
+            full[..., self.active] = values
+            values = full
+        values = values.reshape(values.shape[:-1] + self.shape)
+        corners = list(self._corner_slices())
+        for a, (ca, nodes) in enumerate(corners):
+            if target.ndim == self.mesh.dim:
+                target[nodes] += values[a]
+                continue
+            for b, (cb, _) in enumerate(corners):
+                target[nodes + tuple(1 + q - c for q, c in zip(cb, ca))] += values[a, b]
+
+
+def element_blocks(mesh: StructuredMesh):
+    """Walk the active elements in blocks of whole element rows along the
+    last axis, at most ``CHUNK_ELEMENTS`` elements (or one row) per block,
+    skipping blocks with no active element."""
+    rows = mesh.divisions[-1]
+    per_row = mesh.n_elements // rows
+    step = max(1, CHUNK_ELEMENTS // per_row)
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        elems = np.arange(start * per_row, stop * per_row)
+        if mesh.active_mask is None:
+            yield ElementBlock(mesh, start, stop, None, elems)
+        elif (active := mesh.active_mask[elems]).any():
+            yield ElementBlock(mesh, start, stop, active, elems[active])
+
+
 def eval_field_batch(field: ScalarField, points: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of nodal values at many points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -313,14 +423,12 @@ def eval_gradient(field: ScalarField, point) -> np.ndarray:
     return eval_gradient_batch(field, np.atleast_2d(point))[0]
 
 
-def element_quadrature_points(
-    mesh: StructuredMesh, rule: QuadratureRule, elems: np.ndarray | None = None
-) -> np.ndarray:
-    """Global coordinates of quadrature points: (E, Q, n)."""
-    if elems is None:
-        elems = mesh.active_elements()
-    orig = mesh.element_origin(elems)
-    return orig[:, None, :] + rule.points[None, :, :] * mesh.h
+def quadrature(mesh: StructuredMesh, rule: QuadratureRule,
+               sample: Callable[[ElementBlock], np.ndarray]) -> float:
+    """Quadrature over the active region of the integrand values
+    ``sample(block)``, (E, Q), at each block's quadrature points."""
+    total = sum(float(np.sum(sample(block) @ rule.weights)) for block in element_blocks(mesh))
+    return float(np.prod(mesh.h)) * total
 
 
 def integrate(
@@ -330,69 +438,52 @@ def integrate(
 ) -> float:
     """Quadrature of ``integrand`` over the active region.
 
-    The integrand receives an (P, n) array of points and must return (P,)
-    values; each sample must be finite.
+    The integrand receives an (P, n) array of points, one block of elements
+    at a time, and must return (P,) values; each sample must be finite.
     """
     if rule is None:
         rule = gauss_rule(mesh.dim)
-    elems = mesh.active_elements()
-    vol = float(np.prod(mesh.h))
-    pts = element_quadrature_points(mesh, rule, elems)
-    vals = np.asarray(integrand(pts.reshape(-1, mesh.dim)), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("integrand returned a non-finite sample")
-    vals = vals.reshape(len(elems), len(rule.weights))
-    return float(vol * np.sum(vals @ rule.weights))
+
+    def sample(block):
+        vals = np.asarray(integrand(block.points(rule).reshape(-1, mesh.dim)), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("integrand returned a non-finite sample")
+        return vals.reshape(block.size, -1)
+
+    return quadrature(mesh, rule, sample)
 
 
 def integrate_field(field: ScalarField, rule: QuadratureRule | None = None) -> float:
     """Exact integral of the Q1 field over the active region."""
-    mesh = field.mesh
     if rule is None:
-        rule = gauss_rule(mesh.dim)
-    elems = mesh.active_elements()
-    corner = field.values[mesh.element_nodes(elems)]
-    vol = float(np.prod(mesh.h))
-    weights = rule.weights @ shape_values(rule.points)  # (2^n,)
-    return float(vol * np.sum(corner @ weights))
+        rule = gauss_rule(field.mesh.dim)
+    return quadrature(field.mesh, rule, lambda block: block.values(field.values, rule))
 
 
-def element_values_at(field: ScalarField, rule: QuadratureRule, elems: np.ndarray) -> np.ndarray:
-    """Field values at each element's quadrature points: (E, Q)."""
-    corner = field.values[field.mesh.element_nodes(elems)]
-    return corner @ shape_values(rule.points).T
+def h1_seminorm_sq(field: ScalarField, rule: QuadratureRule | None = None) -> float:
+    """Squared L2 norm of the gradient of the Q1 field over the active region."""
+    if rule is None:
+        rule = gauss_rule(field.mesh.dim)
+    return quadrature(field.mesh, rule,
+                      lambda block: (block.gradients(field.values, rule) ** 2).sum(axis=2))
 
 
-def element_gradients_at(field: ScalarField, rule: QuadratureRule, elems: np.ndarray) -> np.ndarray:
-    """Field gradients at each element's quadrature points: (E, Q, n)."""
-    corner = field.values[field.mesh.element_nodes(elems)]
-    grads = shape_gradients(rule.points) / field.mesh.h  # (Q, 2^n, n)
-    return np.einsum("qad,ea->eqd", grads, corner)
+def element_counts(mesh: StructuredMesh) -> np.ndarray:
+    """Number of active elements that touch each node."""
+    counts = np.zeros(mesh.nodes_per_axis[::-1])
+    for block in element_blocks(mesh):
+        block.add_to_nodes(counts, np.ones((2**mesh.dim, block.size)))
+    return counts.ravel()
 
 
 def boundary_nodes(mesh: StructuredMesh) -> np.ndarray:
     """Nodes on the boundary of the active region (outer box and, for
-    L-shaped meshes, the reentrant edges)."""
-    if mesh.dim == 1:
-        return np.array([0, mesh.divisions[0]])
-    n0, n1 = mesh.nodes_per_axis
-    nodes = np.arange(mesh.n_nodes)
-    i0, i1 = nodes % n0, nodes // n0
-    if mesh.active_mask is None:
-        on = (i0 == 0) | (i0 == n0 - 1) | (i1 == 0) | (i1 == n1 - 1)
-        return nodes[on]
-    # node counts of adjacent active elements: interior active nodes touch 4
-    counts = np.zeros(mesh.n_nodes, dtype=int)
-    conn = mesh.element_nodes(mesh.active_elements())
-    np.add.at(counts, conn.ravel(), 1)
-    return nodes[(counts > 0) & (counts < 4)]
+    L-shaped meshes, the reentrant edges): those touched by fewer than 2^n
+    active elements."""
+    counts = element_counts(mesh)
+    return np.flatnonzero((counts > 0) & (counts < 2**mesh.dim))
 
 
 def active_nodes(mesh: StructuredMesh) -> np.ndarray:
     """Nodes belonging to at least one active element."""
-    if mesh.active_mask is None:
-        return np.arange(mesh.n_nodes)
-    conn = mesh.element_nodes(mesh.active_elements())
-    present = np.zeros(mesh.n_nodes, dtype=bool)
-    present[conn.ravel()] = True
-    return np.flatnonzero(present)
+    return np.flatnonzero(element_counts(mesh))

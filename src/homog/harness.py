@@ -22,7 +22,7 @@ from . import __version__
 from .cell import CorrectorSet, HomogenizedTensor, homogenized_tensor, solve_correctors, unit_cell_mesh
 from .coeff import from_config as coeff_from_config
 from .coeff import validate_ellipticity
-from .grid import ScalarField, StructuredMesh, build_mesh, eval_field_batch, eval_gradient_batch, gauss_rule, integrate, integrate_field
+from .grid import ScalarField, StructuredMesh, build_mesh, eval_field_batch, eval_gradient_batch, gauss_rule, h1_seminorm_sq, integrate, integrate_field, quadrature
 from .metrics import CSV_HEADER, error_report, fit_rate
 from .solve import BoundaryCondition, ProblemInstance, reconstruct, solve_fine, solve_homogenized
 from .unfold import AlignmentError, build_cell_map, layer_indicator, scale_split, unfold, average
@@ -414,11 +414,10 @@ def run_operator_checks(divisions: int = 256, epsilons=(4, 8, 16, 32)) -> CheckR
         m = cmap.m[0]
         uf = unfold(smooth, cmap, m)
         ymesh = build_mesh((0.0, 0.0), (1.0, 1.0), (m, m), "box")
-        idx = np.arange((m + 1) ** 2)
-        reorder = (idx % (m + 1)) * (m + 1) + idx // (m + 1)
         total = 0.0
         for k in range(len(cmap.cells)):
-            yfield = ScalarField(ymesh, uf.values[k].reshape(-1)[reorder])
+            # Y-grid [i0, i1] ravels to the node index i0 + (m+1)*i1 in F order
+            yfield = ScalarField(ymesh, uf.values[k].ravel(order="F"))
             total += cmap.epsilon**2 * integrate_field(yfield, rule)
         worst = max(worst, abs(total - direct))
     add("unfold_integration_identity", worst, "<= 1e-12", worst <= 1e-12)
@@ -437,11 +436,9 @@ def run_operator_checks(divisions: int = 256, epsilons=(4, 8, 16, 32)) -> CheckR
     mloc = cmap.m[0]
     uf = unfold(smooth, cmap, mloc)
     ymesh = build_mesh((0.0, 0.0), (1.0, 1.0), (mloc, mloc), "box")
-    idx = np.arange((mloc + 1) ** 2)
-    reorder = (idx % (mloc + 1)) * (mloc + 1) + idx // (mloc + 1)
     probe = np.array([[0.31, 0.47], [0.11, 0.83], [0.67, 0.23]])
     for k in range(0, len(cmap.cells), max(1, len(cmap.cells) // 7)):
-        yfield = ScalarField(ymesh, uf.values[k].reshape(-1)[reorder])
+        yfield = ScalarField(ymesh, uf.values[k].ravel(order="F"))
         gy = eval_gradient_batch(yfield, probe)
         gx = eval_gradient_batch(smooth, cmap.epsilon * (cmap.cells[k] + probe))
         worst = max(worst, np.abs(gy - cmap.epsilon * gx).max())
@@ -458,14 +455,17 @@ def run_operator_checks(divisions: int = 256, epsilons=(4, 8, 16, 32)) -> CheckR
     add("q_affine_gradient", worst, "<= 1e-12", worst <= 1e-12)
 
     # stability and first-order decay of the splitting
-    h1 = np.sqrt(_h1_norm_sq(smooth, rule))
-    grad_l2 = np.sqrt(_h1_norm_sq(smooth, rule) - integrate(mesh, lambda p: eval_field_batch(smooth, p) ** 2))
+    def l2_sq(f):
+        return quadrature(mesh, rule, lambda block: block.values(f.values, rule) ** 2)
+
+    grad_l2 = np.sqrt(h1_seminorm_sq(smooth, rule))
+    h1 = np.sqrt(l2_sq(smooth) + grad_l2**2)
     q_ratios, r_consts, fit_pts = [], [], []
     for n in epsilons:
         cmap = build_cell_map(mesh, n)
         q, r = scale_split(smooth, cmap)
-        q_ratios.append(np.sqrt(_h1_norm_sq(q, rule)) / h1)
-        rnorm = np.sqrt(integrate(mesh, lambda p: eval_field_batch(r, p) ** 2))
+        q_ratios.append(np.sqrt(l2_sq(q) + h1_seminorm_sq(q, rule)) / h1)
+        rnorm = np.sqrt(l2_sq(r))
         r_consts.append(rnorm / (cmap.epsilon * grad_l2))
         fit_pts.append((cmap.epsilon, rnorm))
     add("q_h1_stability", max(q_ratios), "<= 1.5", max(q_ratios) <= 1.5)
@@ -496,13 +496,3 @@ def run_operator_checks(divisions: int = 256, epsilons=(4, 8, 16, 32)) -> CheckR
 
     return CheckReport(tuple(results))
 
-
-def _h1_norm_sq(field, rule):
-    mesh = field.mesh
-    from .grid import element_gradients_at, element_values_at
-
-    elems = mesh.active_elements()
-    vol = float(np.prod(mesh.h))
-    v = element_values_at(field, rule, elems)
-    g = element_gradients_at(field, rule, elems)
-    return vol * float(np.einsum("eq,q->", v**2 + (g**2).sum(axis=2), rule.weights))

@@ -1,10 +1,11 @@
 """Error functionals for homogenization studies and log-log rate fitting.
 
-All norms are element quadrature on the fine mesh.  The corrected gradient
-(slow gradient plus cell-scale corrector detail, without the eps-small
-interpolation-derivative terms) is used in every gradient functional; the
-weighted functional multiplies the pointwise mismatch by the exact boundary
-distance.
+All norms are element quadrature on the fine mesh, summed over the blocks
+of the element walk in ``grid``, which reads the fields off the node grid.
+The corrected gradient (slow gradient plus cell-scale corrector detail,
+without the eps-small interpolation-derivative terms) is used in every
+gradient functional; the weighted functional multiplies the pointwise
+mismatch by the exact boundary distance.
 """
 
 from __future__ import annotations
@@ -13,17 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    QuadratureRule,
-    ScalarField,
-    element_gradients_at,
-    element_quadrature_points,
-    element_values_at,
-    gauss_rule,
-    same_mesh,
-)
+from .grid import QuadratureRule, ScalarField, element_blocks, gauss_rule, same_mesh
 from .solve import Reconstruction
-from .sparse import CHUNK_ELEMENTS
 from .unfold import CellIndexMap, boundary_distance, layer_indicator
 
 CSV_HEADER = "epsilon,e_l2,e_h1_corr,e_weighted,e_interior,e_layer"
@@ -112,38 +104,33 @@ def error_report(
 
     if rule is None:
         rule = gauss_rule(mesh.dim)
-    elems = mesh.active_elements()
-    layer_mask = layer_indicator(cmap, 3)[elems]
-    centers = mesh.element_origin(elems) + mesh.h / 2.0
+    layer = layer_indicator(cmap, 3)
     lo = np.asarray([b[0] for b in interior_box])
     hi = np.asarray([b[1] for b in interior_box])
-    interior_mask = np.all((centers > lo) & (centers < hi), axis=1)
 
     vol = float(np.prod(mesh.h))
     acc = dict(l2=0.0, h1=0.0, weighted=0.0, interior=0.0, layer=0.0)
     max_rho = 0.0
-    for start in range(0, len(elems), CHUNK_ELEMENTS):
-        sel = slice(start, start + CHUNK_ELEMENTS)
-        chunk = elems[sel]
-        u = element_values_at(fine, rule, chunk)
-        gu = element_gradients_at(fine, rule, chunk)
-        base = element_values_at(recon.base, rule, chunk)
-        rv, rg = recon.eval_elements(chunk, rule)
-        pts = element_quadrature_points(mesh, rule, chunk)
-        rho = boundary_distance(mesh, pts.reshape(-1, mesh.dim)).reshape(u.shape)
+    for block in element_blocks(mesh):
+        # the distance first, while its temporaries are the only large arrays
+        rho = boundary_distance(mesh, block.points(rule).reshape(-1, mesh.dim))
+        rho = rho.reshape(block.size, -1)
         max_rho = max(max_rho, float(rho.max()))
+        centers = mesh.element_origin(block.elems) + mesh.h / 2.0
+        imask = np.all((centers > lo) & (centers < hi), axis=1)
+        lmask = layer[block.elems]
+        u = block.values(fine.values, rule)
+        gu = block.gradients(fine.values, rule)
+        base = block.values(recon.base.values, rule)
+        rv, rg = recon.eval_elements(block, rule)
         dgrad2 = ((gu - rg) ** 2).sum(axis=2)
         acc["l2"] += vol * float(np.einsum("eq,q->", (u - base) ** 2, rule.weights))
         acc["h1"] += vol * float(np.einsum("eq,q->", dgrad2, rule.weights))
         acc["weighted"] += vol * float(np.einsum("eq,q->", rho**2 * dgrad2, rule.weights))
-        imask = interior_mask[sel]
-        if imask.any():
-            idev = (u[imask] - rv[imask]) ** 2 + dgrad2[imask]
-            acc["interior"] += vol * float(np.einsum("eq,q->", idev, rule.weights))
-        lmask = layer_mask[sel]
-        if lmask.any():
-            gr2 = (gu[lmask] ** 2).sum(axis=2)
-            acc["layer"] += vol * float(np.einsum("eq,q->", gr2, rule.weights))
+        idev = (u[imask] - rv[imask]) ** 2 + dgrad2[imask]
+        acc["interior"] += vol * float(np.einsum("eq,q->", idev, rule.weights))
+        gr2 = (gu[lmask] ** 2).sum(axis=2)
+        acc["layer"] += vol * float(np.einsum("eq,q->", gr2, rule.weights))
 
     report = ErrorReport(
         epsilon=eps,

@@ -27,18 +27,19 @@ from .grid import (
     QuadratureRule,
     ScalarField,
     StructuredMesh,
+    ElementBlock,
     boundary_nodes,
-    element_gradients_at,
-    element_values_at,
+    element_blocks,
+    element_counts,
     eval_field_batch,
     eval_gradient_batch,
-    gauss_rule,
+    h1_seminorm_sq,
     integrate,
     integrate_field,
     same_mesh,
     shape_gradients,
 )
-from .sparse import CHUNK_ELEMENTS, Dirichlet, ZeroMean, assemble_load, assemble_stiffness, cg_solve
+from .sparse import Dirichlet, ZeroMean, assemble_load, assemble_stiffness, cg_solve
 from .unfold import CellIndexMap, build_cell_map, scale_split
 
 RhsLike = Callable[[np.ndarray], np.ndarray] | ScalarField
@@ -117,7 +118,7 @@ def _solve(mesh, sampler, rhs, bc, rel_tol, c_ell, rule=None):
     x = cg_solve(system, b, rel_tol=rel_tol)
     values = system.expand(x)
     field = ScalarField(mesh, values)
-    grad_norm2 = _h1_seminorm_sq(field)
+    grad_norm2 = h1_seminorm_sq(field)
     u_norm = np.sqrt(integrate_field(ScalarField(mesh, values * values)))
     f_norm = np.sqrt(integrate(mesh, lambda p: np.asarray(f(p)) ** 2))
     _check_solution(system, x, b, (grad_norm2, u_norm, f_norm), c_ell, rel_tol)
@@ -127,19 +128,6 @@ def _solve(mesh, sampler, rhs, bc, rel_tol, c_ell, rule=None):
         # eliminated never-active nodes stay at zero
         field = ScalarField(mesh, values)
     return field
-
-
-def _h1_seminorm_sq(field: ScalarField) -> float:
-    mesh = field.mesh
-    rule = gauss_rule(mesh.dim)
-    elems = mesh.active_elements()
-    vol = float(np.prod(mesh.h))
-    total = 0.0
-    for start in range(0, len(elems), CHUNK_ELEMENTS):
-        chunk = elems[start : start + CHUNK_ELEMENTS]
-        g = element_gradients_at(field, rule, chunk)
-        total += vol * float(np.einsum("eqd,eqd,q->", g, g, rule.weights))
-    return total
 
 
 def solve_fine(instance: ProblemInstance, points_per_period: int, rel_tol: float = 1e-10) -> ScalarField:
@@ -171,10 +159,15 @@ def solve_homogenized(
 ) -> ScalarField:
     """Q1 solution of the constant-coefficient effective problem.
 
-    With full Dirichlet or full Neumann data a constant skew part of the
-    tensor is invisible to the variational problem, so the symmetric part is
-    assembled.
+    The symmetric part of the tensor is assembled.  With full Dirichlet data
+    a constant skew part is invisible to the variational problem.  With full
+    Neumann data it is not, because the natural boundary condition carries
+    the skew flux, so a tensor whose skew part exceeds rounding is rejected
+    with ValueError there.
     """
+    skew = 0.5 * (tensor.matrix - tensor.matrix.T)
+    if bc.kind == NEUMANN_FULL and np.abs(skew).max() > 1e-10 * np.abs(tensor.matrix).max():
+        raise ValueError("neumann_full data with a non-symmetric effective tensor is not supported")
     sym = 0.5 * (tensor.matrix + tensor.matrix.T)
     coeff = Constant(tuple(map(tuple, sym)))
     c_ell, _ = validate_ellipticity(coeff)
@@ -189,20 +182,14 @@ def recovered_gradient_fields(phi: ScalarField) -> tuple[ScalarField, ...]:
     """Nodal derivative fields by volume-weighted averaging of the adjacent
     element-average gradients."""
     mesh = phi.mesh
-    center = np.full((1, mesh.dim), 0.5)
-    gref = shape_gradients(center)[0] / mesh.h  # (2^n, n)
-    elems = mesh.active_elements()
-    corner_vals = phi.values[mesh.element_nodes(elems)]
-    gcenter = corner_vals @ gref  # (E, n) element-average gradients
-    sums = np.zeros((mesh.n_nodes, mesh.dim))
-    counts = np.zeros(mesh.n_nodes)
-    conn = mesh.element_nodes(elems)
-    for a in range(conn.shape[1]):
-        np.add.at(sums, conn[:, a], gcenter)
-        np.add.at(counts, conn[:, a], 1.0)
-    counts[counts == 0] = 1.0
-    nodal = sums / counts[:, None]
-    return tuple(ScalarField(mesh, nodal[:, d]) for d in range(mesh.dim))
+    gref = shape_gradients(np.full((1, mesh.dim), 0.5))[0] / mesh.h  # (2^n, n)
+    sums = np.zeros((mesh.dim,) + mesh.nodes_per_axis[::-1])
+    for block in element_blocks(mesh):
+        gcenter = gref.T @ block.corners(phi.values)  # (n, E) element-average gradients
+        for d in range(mesh.dim):
+            block.add_to_nodes(sums[d], np.broadcast_to(gcenter[d], (len(gref), block.size)))
+    counts = np.maximum(element_counts(mesh), 1.0)
+    return tuple(ScalarField(mesh, s.ravel() / counts) for s in sums)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,24 +225,20 @@ class Reconstruction:
             out = out + eval_field_batch(q, points)[:, None] * eval_gradient_batch(chi, y)
         return out
 
-    def eval_elements(self, elems: np.ndarray, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-        """Values and corrected gradients at the quadrature points of fine
-        elements, via per-period gathers (cell mesh resolution matches the
-        fine mesh inside each cell)."""
-        mesh = self.base.mesh
-        m = np.asarray(self.cmap.m)
-        emulti = mesh.element_multi_index(elems)
-        local = emulti % m
-        cell_mesh = self.correctors.cell_mesh
-        cell_elem = cell_mesh.element_flat_index(local)
-        vals = element_values_at(self.base, rule, elems)
-        grads = element_gradients_at(self.base, rule, elems)
+    def eval_elements(self, block: ElementBlock, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+        """Values and corrected gradients at the quadrature points of a block
+        of fine elements: (E, Q) and (E, Q, n).  The correctors are evaluated
+        once on the cell mesh, whose resolution matches the fine mesh inside
+        each cell, and broadcast over the block."""
+        vals = block.values(self.base.values, rule)
+        grads = block.gradients(self.base.values, rule)
+        cells = list(element_blocks(self.correctors.cell_mesh))
         for q, chi in zip(self.q_derivatives, self.correctors.chi):
-            qv = element_values_at(q, rule, elems)
-            chiv = element_values_at(chi, rule, np.arange(cell_mesh.n_elements))
-            chig = element_gradients_at(chi, rule, np.arange(cell_mesh.n_elements))
-            vals = vals + self.epsilon * qv * chiv[cell_elem]
-            grads = grads + qv[:, :, None] * chig[cell_elem]
+            qv = block.values(q.values, rule)
+            chiv = np.concatenate([c.values(chi.values, rule) for c in cells])
+            chig = np.concatenate([c.gradients(chi.values, rule) for c in cells])
+            vals += block.times_periodic(self.epsilon * qv, chiv, self.cmap.m)
+            grads += block.times_periodic(qv[:, :, None], chig, self.cmap.m)
         return vals, grads
 
 

@@ -8,11 +8,12 @@ structurally: Dirichlet rows/columns are eliminated, periodic slave nodes are
 folded onto their masters, and pure-Neumann (zero-mean) systems are left
 singular with the constant mode projected out inside the solver.
 
-Assembly works on blocks of whole element rows.  A block's element matrices
-are one product of the coefficient samples with a fixed quadrature table,
-and they are added into a nodal 3^n-point stencil by one array-slice add per
-element corner; load vectors are scattered onto the nodes the same way.  The
-compressed-row matrix is read straight off the stencil, with no triplet list.
+Assembly takes its blocks of element rows from the element walk of
+``grid``.  A block's element matrices are one product of the coefficient
+samples with a fixed quadrature table, and the block adds them into a nodal
+3^n-point stencil by one array-slice add per pair of element corners; load
+vectors are scattered onto the nodes the same way.  The compressed-row
+matrix is read straight off the stencil, with no triplet list.
 
 The preconditioner is one symmetric geometric-multigrid V-cycle over the
 nested grids obtained by halving the mesh divisions: bilinear prolongation,
@@ -33,17 +34,13 @@ import scipy.sparse as sp
 from .coeff import symmetric_part_eiglimits
 from .grid import (
     QuadratureRule,
-    ScalarField,
     StructuredMesh,
     active_nodes,
-    element_quadrature_points,
-    eval_field_batch,
+    element_blocks,
     gauss_rule,
     shape_gradients,
     shape_values,
 )
-
-CHUNK_ELEMENTS = 65536
 
 SMOOTH_WEIGHT = 0.8  # damped Jacobi
 SMOOTH_SWEEPS = 2  # before and after the coarse correction
@@ -131,48 +128,6 @@ def _validate_samples(a: np.ndarray, dim: int) -> None:
         raise AssemblyError("sampler returned a non-elliptic matrix (eigenvalue <= 0)")
 
 
-def _row_blocks(mesh: StructuredMesh):
-    """The active elements in blocks of whole element rows along the last
-    axis, at most ``CHUNK_ELEMENTS`` elements (or one row) per block.  Yields
-    ``(first row, active elements, activity of every element of the block)``;
-    the activity is None on a box mesh."""
-    rows, per_row = mesh.divisions[-1], mesh.n_elements // mesh.divisions[-1]
-    step = max(1, CHUNK_ELEMENTS // per_row)
-    for start in range(0, rows, step):
-        elems = np.arange(start * per_row, min(start + step, rows) * per_row)
-        if mesh.active_mask is None:
-            yield start, elems, None
-        elif (active := mesh.active_mask[elems]).any():
-            yield start, elems[active], active
-
-
-def _add_to_nodes(target: np.ndarray, values: np.ndarray, start: int, active, dim: int) -> None:
-    """Add per-corner, per-element ``values`` (2^n, E) of the element rows
-    from ``start`` (a ``_row_blocks`` block) onto the node grid ``target``,
-    whose axes run last mesh axis first so that it ravels in flat node order.
-
-    A nodal stencil ``target`` has a trailing (3,) * n offset axis per mesh
-    axis, again last axis first, and ``values`` are then (2^n, 2^n, E): the
-    coupling of corner a to corner b lands on offset b - a.  Each corner, or
-    pair of corners, is one array-slice add over the whole block.
-    """
-    if active is not None:
-        full = np.zeros(values.shape[:-1] + (len(active),), values.dtype)
-        full[..., active] = values
-        values = full
-    elements = tuple(m - 1 for m in target.shape[1:dim])
-    values = values.reshape(values.shape[:-1] + (-1,) + elements)
-    first = (start,) + (0,) * (dim - 1)
-    corners = [tuple((a >> k) & 1 for k in reversed(range(dim))) for a in range(2**dim)]
-    for a, ca in enumerate(corners):
-        nodes = tuple(slice(f + c, f + c + m) for f, c, m in zip(first, ca, values.shape[-dim:]))
-        if target.ndim == dim:
-            target[nodes] += values[a]
-            continue
-        for b, cb in enumerate(corners):
-            target[nodes + tuple(1 + q - c for q, c in zip(cb, ca))] += values[a, b]
-
-
 def _neighbours(padded: np.ndarray):
     """For each stencil offset index t, the node grid padded by one on every
     side and shifted by t - 1: the value at each node's neighbour there."""
@@ -210,15 +165,15 @@ def _assemble_matrix(
     stencil = np.zeros(nodes + (3,) * dim)
     # on a box mesh every in-range neighbour shares an active element
     shared = None if mesh.active_mask is None else np.zeros(stencil.shape, dtype=bool)
-    for start, elems, active in _row_blocks(mesh):
-        pts = element_quadrature_points(mesh, rule, elems).reshape(-1, dim)
-        a = np.asarray(sampler(pts), dtype=float).reshape(len(elems), len(rule.weights), dim, dim)
+    for block in element_blocks(mesh):
+        pts = block.points(rule).reshape(-1, dim)
+        a = np.asarray(sampler(pts), dtype=float).reshape(block.size, len(rule.weights), dim, dim)
         if validate:
             _validate_samples(a.reshape(-1, dim, dim), dim)
-        ke = (table.T @ a.reshape(len(elems), -1).T).reshape(nloc, nloc, len(elems))
-        _add_to_nodes(stencil, ke, start, active, dim)
+        ke = (table.T @ a.reshape(block.size, -1).T).reshape(nloc, nloc, block.size)
+        block.add_to_nodes(stencil, ke)
         if shared is not None:
-            _add_to_nodes(shared, np.ones(ke.shape, dtype=bool), start, active, dim)
+            block.add_to_nodes(shared, np.ones(ke.shape, dtype=bool))
     dofs = node_to_dof.reshape(nodes)
     periodic = isinstance(constraint, Periodic)
     if periodic:
@@ -313,25 +268,26 @@ def assemble_stiffness(
     return SparseSystem(matrix, constraint, node_to_dof, mesh.n_nodes, mesh.divisions)
 
 
+def _scatter_load(mesh, sampler, table, rule) -> np.ndarray:
+    """Full-size nodal vector of ``table.T @`` the samples of each element,
+    one row of samples per element and one table row per sample."""
+    b = np.zeros(mesh.nodes_per_axis[::-1])
+    for block in element_blocks(mesh):
+        samples = np.asarray(sampler(block.points(rule).reshape(-1, mesh.dim)), dtype=float)
+        block.add_to_nodes(b, table.T @ samples.reshape(block.size, -1).T)
+    return b.ravel()
+
+
 def assemble_load(
     mesh: StructuredMesh,
-    f: Callable[[np.ndarray], np.ndarray] | ScalarField,
+    f: Callable[[np.ndarray], np.ndarray],
     rule: QuadratureRule | None = None,
 ) -> np.ndarray:
     """Full-size nodal load vector ``b[a] = integral of f N_a``."""
     if rule is None:
         rule = gauss_rule(mesh.dim)
     table = float(np.prod(mesh.h)) * rule.weights[:, None] * shape_values(rule.points)  # (Q, 2^n)
-    b = np.zeros(mesh.nodes_per_axis[::-1])
-    for start, elems, active in _row_blocks(mesh):
-        pts = element_quadrature_points(mesh, rule, elems).reshape(-1, mesh.dim)
-        if isinstance(f, ScalarField):
-            fv = eval_field_batch(f, pts)
-        else:
-            fv = np.asarray(f(pts), dtype=float)
-        fv = fv.reshape(len(elems), len(rule.weights))
-        _add_to_nodes(b, table.T @ fv.T, start, active, mesh.dim)
-    return b.ravel()
+    return _scatter_load(mesh, f, table, rule)
 
 
 def assemble_gradient_load(
@@ -344,13 +300,7 @@ def assemble_gradient_load(
         rule = gauss_rule(mesh.dim)
     grads = shape_gradients(rule.points) / mesh.h  # (Q, 2^n, n)
     table = float(np.prod(mesh.h)) * np.einsum("q,qad->qda", rule.weights, grads)
-    table = table.reshape(-1, grads.shape[1])  # (Q n, 2^n)
-    b = np.zeros(mesh.nodes_per_axis[::-1])
-    for start, elems, active in _row_blocks(mesh):
-        pts = element_quadrature_points(mesh, rule, elems).reshape(-1, mesh.dim)
-        v = np.asarray(vector_sampler(pts), dtype=float).reshape(len(elems), -1)  # (E, Q n)
-        _add_to_nodes(b, table.T @ v.T, start, active, mesh.dim)
-    return b.ravel()
+    return _scatter_load(mesh, vector_sampler, table.reshape(-1, grads.shape[1]), rule)
 
 
 def default_max_iter(dimension: int) -> int:

@@ -25,6 +25,7 @@ from .grid import (
     ScalarField,
     StructuredMesh,
     active_nodes,
+    element_blocks,
     same_mesh,
     shape_values,
 )
@@ -63,11 +64,8 @@ class CellIndexMap:
 
     def element_cell_position(self, elems: np.ndarray) -> np.ndarray:
         """Position in ``cells`` of the cell containing each fine element."""
-        multi = self.mesh.element_multi_index(elems)
-        local = multi // np.asarray(self.m)
-        if self.dim == 1:
-            return self.cell_lookup[local[:, 0]]
-        return self.cell_lookup[local[:, 0], local[:, 1]]
+        local = self.mesh.element_multi_index(elems) // np.asarray(self.m)
+        return self.cell_lookup[tuple(local.T)]
 
     def cell_position(self, cells: np.ndarray) -> np.ndarray:
         """Position in ``cells`` of absolute lattice indices (K, n); -1 where
@@ -242,13 +240,12 @@ def cell_means(field: ScalarField, cmap: CellIndexMap) -> np.ndarray:
     if not same_mesh(field.mesh, cmap.mesh):
         raise ValueError("field mesh does not match the cell map")
     mesh = cmap.mesh
-    elems = mesh.active_elements()
-    corner = field.values[mesh.element_nodes(elems)]
-    # the integral of a Q1 function over an element is vol * mean(corners)
-    elem_int = float(np.prod(mesh.h)) * corner.mean(axis=1)
-    pos = cmap.element_cell_position(elems)
     means = np.zeros(len(cmap.cells))
-    np.add.at(means, pos, elem_int)
+    for block in element_blocks(mesh):
+        # the integral of a Q1 function over an element is vol * mean(corners)
+        elem_int = float(np.prod(mesh.h)) * block.corners(field.values).mean(axis=0)
+        pos = cmap.element_cell_position(block.elems)
+        means += np.bincount(pos, weights=elem_int, minlength=len(means))
     return means / cmap.epsilon ** cmap.dim
 
 

@@ -107,12 +107,12 @@ def test_criterion_1_constant_degeneracy(constant_study):
     rule = gauss_rule(2)
     h1 = 0.0
     for chi in correctors.chi:
-        from homog.grid import element_gradients_at, element_values_at
+        from homog.grid import element_blocks
 
         mesh = correctors.cell_mesh
-        elems = mesh.active_elements()
-        v = element_values_at(chi, rule, elems)
-        g = element_gradients_at(chi, rule, elems)
+        (block,) = element_blocks(mesh)
+        v = block.values(chi.values, rule)
+        g = block.gradients(chi.values, rule)
         vol = float(np.prod(mesh.h))
         h1 = max(h1, np.sqrt(vol * float(
             np.einsum("eq,q->", v**2 + (g**2).sum(axis=2), rule.weights))))

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import homog.grid as grid
 from homog.grid import (
     OutsideDomainError,
     ScalarField,
     build_mesh,
+    element_blocks,
     eval_field,
     eval_field_batch,
     eval_gradient,
@@ -15,6 +17,8 @@ from homog.grid import (
     integrate,
     integrate_field,
     boundary_nodes,
+    shape_gradients,
+    shape_values,
 )
 
 
@@ -187,3 +191,131 @@ def test_affine_exactness_property(a, b, c, px, py):
         grad = eval_gradient_batch(f, pt)[0]
         assert abs(grad[0] - a) <= 1e-13 * scale
         assert abs(grad[1] - b) <= 1e-13 * scale
+
+
+# each mesh with the period of the pattern that ``times_periodic`` repeats
+WALK_MESHES = {
+    "1d_box": (build_mesh(0.5, 1.0, [7]), (3,)),
+    "2d_box": (build_mesh((0, -1), (1, 1.5), (5, 6)), (1, 4)),
+    "2d_l_shape": (build_mesh((0, 0), (1, 1), (8, 6), "l_shape"), (4, 4)),
+    "periodic_cell": (build_mesh((0, 0), (1, 1), (4, 4)), (2, 2)),
+}
+
+
+def _walk_reference(mesh, nodal, rule, period):
+    """Element-by-element points, values, gradients and periodic pattern
+    index, from the corner node gather."""
+    pts, vals, grads, cell = [], [], [], []
+    sv, sg = shape_values(rule.points), shape_gradients(rule.points) / mesh.h
+    for e in mesh.active_elements():
+        corner = nodal[mesh.element_nodes([e])[0]]
+        pts.append(mesh.element_origin([e])[0] + rule.points * mesh.h)
+        vals.append(sv @ corner)
+        grads.append(np.einsum("qad,a->qd", sg, corner))
+        local = mesh.element_multi_index([e])[0] % period
+        cell.append(local[0] + period[0] * local[-1] if mesh.dim == 2 else local[0])
+    return np.array(pts), np.array(vals), np.array(grads), np.array(cell)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3, 16])
+@pytest.mark.parametrize("points_per_axis", [2, 3])
+@pytest.mark.parametrize("mesh_name", sorted(WALK_MESHES))
+def test_element_walk_matches_dense_reference(mesh_name, points_per_axis, chunk, monkeypatch):
+    # chunk 1 gives one row per block, 3 several 1D blocks, and 16 L-shape
+    # blocks of a full and a half-active row and of two half-active rows
+    if chunk is not None:
+        monkeypatch.setattr(grid, "CHUNK_ELEMENTS", chunk)
+    mesh, period = WALK_MESHES[mesh_name]
+    rule = gauss_rule(mesh.dim, points_per_axis)
+    rng = np.random.default_rng(11)
+    nodal = rng.standard_normal(mesh.n_nodes)
+    if mesh_name == "periodic_cell":
+        nodal = nodal.reshape(5, 5)
+        nodal[-1], nodal[:, -1] = nodal[0], nodal[:, 0]
+        nodal = nodal.ravel()
+    pattern = rng.standard_normal((int(np.prod(period)), len(rule.weights), mesh.dim))
+    pts, vals, grads, cell = _walk_reference(mesh, nodal, rule, np.asarray(period))
+    blocks = list(element_blocks(mesh))
+    if chunk == 1:
+        assert len(blocks) == sum(block.shape[0] for block in blocks) > 1
+    got = {
+        "elems": np.concatenate([b.elems for b in blocks]),
+        "points": np.concatenate([b.points(rule) for b in blocks]),
+        "values": np.concatenate([b.values(nodal, rule) for b in blocks]),
+        "gradients": np.concatenate([b.gradients(nodal, rule) for b in blocks]),
+        "periodic": np.concatenate([
+            b.times_periodic(b.values(nodal, rule)[:, :, None], pattern, period) for b in blocks
+        ]),
+    }
+    np.testing.assert_array_equal(got["elems"], mesh.active_elements())
+    want = {"points": pts, "values": vals, "gradients": grads,
+            "periodic": vals[:, :, None] * pattern[cell]}
+    for name, ref in want.items():
+        assert got[name].shape == ref.shape, name
+        np.testing.assert_allclose(got[name], ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max(),
+                                   err_msg=name)
+
+
+def test_element_walk_scatter_matches_add_at(monkeypatch):
+    monkeypatch.setattr(grid, "CHUNK_ELEMENTS", 16)
+    mesh = WALK_MESHES["2d_l_shape"][0]
+    rng = np.random.default_rng(5)
+    target = np.zeros(mesh.nodes_per_axis[::-1])
+    ref = np.zeros(mesh.n_nodes)
+    for block in element_blocks(mesh):
+        values = rng.standard_normal((4, block.size))
+        block.add_to_nodes(target, values)
+        np.add.at(ref, mesh.element_nodes(block.elems).T, values)
+    np.testing.assert_allclose(target.ravel(), ref, rtol=1e-15, atol=1e-15)
+
+
+def _old_locate(mesh, point):
+    """The per-point search ``locate`` used before its vectorised face rule:
+    the half-open element, else the first active element among the eight
+    face and corner neighbours whose closed box holds the point."""
+    rel = (np.asarray(point, dtype=float) - np.asarray(mesh.origin)) / mesh.h
+    div = np.asarray(mesh.divisions)
+    tol = 1e-12 * max(1.0, np.abs(rel).max())
+    if np.any(rel < -tol) or np.any(rel > div + tol):
+        raise OutsideDomainError("point outside mesh bounding box")
+    emulti = np.clip(np.floor(rel).astype(int), 0, div - 1)
+    local = rel - emulti
+    if mesh.active_mask[mesh.element_flat_index(emulti)]:
+        return mesh.element_flat_index(emulti), local
+    for shift in [(-1, 0), (0, -1), (1, 0), (0, 1), (-1, -1), (1, -1), (-1, 1), (1, 1)]:
+        cand, loc = emulti + shift, local - np.asarray(shift)
+        if np.any(cand < 0) or np.any(cand >= div):
+            continue
+        if loc.min() < -1e-12 or loc.max() > 1.0 + 1e-12:
+            continue
+        if mesh.active_mask[mesh.element_flat_index(cand)]:
+            return mesh.element_flat_index(cand), np.clip(loc, 0.0, 1.0)
+    raise OutsideDomainError("point outside the active region")
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_locate_face_rule_matches_neighbour_search(n):
+    mesh = build_mesh((0, 0), (1, 1), (n, n), "l_shape")
+    ticks = np.arange(n + 1) / n
+    mids = (np.arange(n) + 0.5) / n
+    nodes = np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2)
+    faces = np.concatenate([
+        np.stack(np.meshgrid(mids, ticks), axis=-1).reshape(-1, 2),
+        np.stack(np.meshgrid(ticks, mids), axis=-1).reshape(-1, 2),
+    ])
+    interior = np.random.default_rng(n).uniform(0.0, 1.0, (100, 2))
+    shifts = np.array([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1]]) * 1e-13
+    perturbed = (np.concatenate([nodes, faces])[:, None, :] + shifts).reshape(-1, 2)
+    outside = 0
+    for p in np.concatenate([nodes, faces, interior, perturbed]):
+        try:
+            want = _old_locate(mesh, p)
+        except OutsideDomainError:
+            outside += 1
+            with pytest.raises(OutsideDomainError):
+                mesh.locate(p)
+            continue
+        elem, local = mesh.locate(p)
+        assert elem[0] == want[0]
+        np.testing.assert_array_equal(local[0], want[1])
+    assert outside > 0

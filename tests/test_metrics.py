@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from homog.cell import solve_correctors, unit_cell_mesh
+import homog.grid as grid
+from homog.cell import homogenized_tensor, solve_correctors, unit_cell_mesh
 from homog.coeff import Constant, ScalarCosine
 from homog.grid import ScalarField, build_mesh, gauss_rule, integrate_field
 from homog.metrics import CSV_HEADER, ErrorReport, InteriorBoxError, error_report, fit_rate
@@ -232,3 +235,46 @@ def test_1d_error_report_matches_independent_reference():
     ref_l2, ref_h1 = ref_1d_pipeline(n_eps, m)
     assert rep.e_l2 == pytest.approx(ref_l2, abs=1e-6)
     assert rep.e_h1_corr == pytest.approx(ref_h1, abs=1e-6)
+
+
+FUNCTIONALS = ("e_l2", "e_h1_corr", "e_weighted", "e_interior", "e_layer")
+INTERIOR_BOX = {"box": ((0.25, 0.75), (0.25, 0.75)), "l_shape": ((0.125, 0.375), (0.125, 0.375))}
+
+
+def cosine_rung(shape, m, n):
+    """Fine solution, reconstruction and cell map of one rung of the cosine
+    study (a0 = 2, a1 = 1, constant load, Dirichlet data)."""
+    coeff = ScalarCosine(2.0, 1.0, axis=0)
+    mesh = build_mesh((0, 0), (1, 1), (m * n, m * n), shape)
+    cmap = build_cell_map(mesh, n)
+    rhs = lambda p: np.ones(len(p))
+    fine = solve_fine(ProblemInstance(mesh, coeff, rhs, DIRICHLET, n), m)
+    correctors = solve_correctors(coeff, unit_cell_mesh(2, m))
+    phi = solve_homogenized(homogenized_tensor(coeff, correctors), rhs, DIRICHLET, mesh)
+    return fine, reconstruct(phi, correctors, cmap), cmap
+
+
+@pytest.mark.parametrize("chunk", [1, 100])
+@pytest.mark.parametrize("shape", ["box", "l_shape"])
+def test_error_report_independent_of_block_size(shape, chunk, monkeypatch):
+    fine, recon, cmap = cosine_rung(shape, 8, 4)
+    ref = error_report(fine, recon, cmap, INTERIOR_BOX[shape])
+    monkeypatch.setattr(grid, "CHUNK_ELEMENTS", chunk)
+    rep = error_report(fine, recon, cmap, INTERIOR_BOX[shape])
+    for name in FUNCTIONALS:
+        assert getattr(rep, name) == pytest.approx(getattr(ref, name), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("shape", ["box", "l_shape"])
+def test_error_report_memory_peak(shape):
+    # the 256^2 rung of the cosine study, m = 16 and N = 16; error_report
+    # peaked at 33.2e6 (box) and 31.2e6 bytes (L-shape) when it evaluated
+    # every field through per-element gathers
+    fine, recon, cmap = cosine_rung(shape, 16, 16)
+    tracemalloc.start()
+    try:
+        error_report(fine, recon, cmap, INTERIOR_BOX[shape])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 34e6

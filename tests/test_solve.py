@@ -245,7 +245,7 @@ def test_reconstruction_boundary_trace_order(shape):
 
 
 def test_eval_elements_matches_pointwise():
-    from homog.grid import gauss_rule, element_quadrature_points
+    from homog.grid import gauss_rule, element_blocks
 
     m, n = 8, 4
     mesh = build_mesh((0.0, 0.0), (1.0, 1.0), (m * n, m * n), "box")
@@ -256,8 +256,38 @@ def test_eval_elements_matches_pointwise():
     phi = ScalarField(mesh, x[:, 0] ** 2 + np.cos(np.pi * x[:, 1]))
     recon = reconstruct(phi, correctors, cmap)
     rule = gauss_rule(2)
-    elems = np.array([0, 5, 777, 1023])
-    vals, grads = recon.eval_elements(elems, rule)
-    pts = element_quadrature_points(mesh, rule, elems).reshape(-1, 2)
-    np.testing.assert_allclose(vals.ravel(), recon.values_at(pts), atol=1e-12)
-    np.testing.assert_allclose(grads.reshape(-1, 2), recon.gradients_at(pts), atol=1e-11)
+    for block in element_blocks(mesh):
+        vals, grads = recon.eval_elements(block, rule)
+        pts = block.points(rule).reshape(-1, 2)
+        np.testing.assert_allclose(vals.ravel(), recon.values_at(pts), atol=1e-12)
+        np.testing.assert_allclose(grads.reshape(-1, 2), recon.gradients_at(pts), atol=1e-11)
+
+
+def test_eval_elements_matches_pointwise_on_l_shape_blocks(monkeypatch):
+    import homog.grid as grid
+    from homog.grid import gauss_rule, element_blocks
+
+    m, n = 4, 4
+    mesh = build_mesh((0.0, 0.0), (1.0, 1.0), (m * n, m * n), "l_shape")
+    cmap = build_cell_map(mesh, n)
+    correctors = solve_correctors(ScalarCosine(2.0, 1.0, axis=0), unit_cell_mesh(2, m))
+    x = mesh.node_coordinates()
+    recon = reconstruct(ScalarField(mesh, x[:, 0] ** 2 + np.cos(np.pi * x[:, 1])), correctors, cmap)
+    rule = gauss_rule(2)
+    monkeypatch.setattr(grid, "CHUNK_ELEMENTS", 3 * m * n)  # three rows per block
+    for block in element_blocks(mesh):
+        vals, grads = recon.eval_elements(block, rule)
+        pts = block.points(rule).reshape(-1, 2)
+        np.testing.assert_allclose(vals.ravel(), recon.values_at(pts), atol=1e-12)
+        np.testing.assert_allclose(grads.reshape(-1, 2), recon.gradients_at(pts), atol=1e-11)
+
+
+def test_homogenized_skew_tensor_rejected_only_under_neumann():
+    mesh = build_mesh((0.0, 0.0), (1.0, 1.0), (16, 16), "box")
+    tensor = HomogenizedTensor(np.array([[2.0, 0.8], [-0.8, 1.0]]), (1.0, 2.0))
+    with pytest.raises(ValueError, match="non-symmetric"):
+        solve_homogenized(tensor, lambda p: np.cos(np.pi * p[:, 0]), NEUMANN, mesh)
+    u = solve_homogenized(tensor, lambda p: np.ones(len(p)), DIRICHLET, mesh)
+    symmetric = HomogenizedTensor(np.array([[2.0, 0.0], [0.0, 1.0]]), (1.0, 2.0))
+    np.testing.assert_array_equal(
+        u.values, solve_homogenized(symmetric, lambda p: np.ones(len(p)), DIRICHLET, mesh).values)
