@@ -123,7 +123,7 @@ def solve_correctors(
     skew = _assemble_matrix(cell_mesh, skew_sampler, system.constraint, system.node_to_dof, rule,
                             validate=False)
     # S^T = S and N^T = -N, so S - N is the adjoint matrix; replace() keeps the
-    # hierarchy list, which the first solve fills from S for both families
+    # multigrid levels that assembly built from S, for both families
     chi = solve_family(field, replace(system, matrix=s + skew, symmetric_part=s))
     chi_adj = solve_family(field.transposed(), replace(system, matrix=s - skew, symmetric_part=s))
     return CorrectorSet(cell_mesh, chi, chi_adj, field)

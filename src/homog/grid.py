@@ -361,7 +361,7 @@ class ElementBlock:
     def add_to_nodes(self, target: np.ndarray, values: np.ndarray) -> None:
         """Add per-corner values (2^n, E) onto the node grid ``target``.
 
-        A nodal stencil ``target`` has a trailing (3,) * n offset axis per
+        A nodal stencil ``target`` has a leading (3,) * n offset axis per
         mesh axis, again last axis first, and ``values`` are then
         (2^n, 2^n, E): the coupling of corner a to corner b lands on offset
         b - a.  Each corner, or pair of corners, is one array-slice add.
@@ -377,7 +377,7 @@ class ElementBlock:
                 target[nodes] += values[a]
                 continue
             for b, (cb, _) in enumerate(corners):
-                target[nodes + tuple(1 + q - c for q, c in zip(cb, ca))] += values[a, b]
+                target[tuple(1 + q - c for q, c in zip(cb, ca)) + nodes] += values[a, b]
 
 
 def element_blocks(mesh: StructuredMesh):

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .cell import CorrectorSet, HomogenizedTensor
-from .coeff import CoefficientField, Constant, fractional_part, validate_ellipticity
+from .coeff import CoefficientField, Constant, validate_ellipticity
 from .grid import (
     QuadratureRule,
     ScalarField,
@@ -32,7 +32,6 @@ from .grid import (
     element_blocks,
     element_counts,
     eval_field_batch,
-    eval_gradient_batch,
     h1_seminorm_sq,
     integrate,
     integrate_field,
@@ -205,25 +204,6 @@ class Reconstruction:
     @property
     def epsilon(self) -> float:
         return self.cmap.epsilon
-
-    def _cell_points(self, points: np.ndarray) -> np.ndarray:
-        return fractional_part(np.atleast_2d(points) / self.epsilon)
-
-    def values_at(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(points)
-        out = eval_field_batch(self.base, points)
-        y = self._cell_points(points)
-        for q, chi in zip(self.q_derivatives, self.correctors.chi):
-            out = out + self.epsilon * eval_field_batch(q, points) * eval_field_batch(chi, y)
-        return out
-
-    def gradients_at(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(points)
-        out = eval_gradient_batch(self.base, points)
-        y = self._cell_points(points)
-        for q, chi in zip(self.q_derivatives, self.correctors.chi):
-            out = out + eval_field_batch(q, points)[:, None] * eval_gradient_batch(chi, y)
-        return out
 
     def eval_elements(self, block: ElementBlock, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
         """Values and corrected gradients at the quadrature points of a block

@@ -18,9 +18,13 @@ matrix is read straight off the stencil, with no triplet list.
 The preconditioner is one symmetric geometric-multigrid V-cycle over the
 nested grids obtained by halving the mesh divisions: bilinear prolongation,
 Galerkin coarse operators ``P^T A P``, damped-Jacobi smoothing and a dense
-inverse on the coarsest level.  A non-symmetric system carries its symmetric
-part, which is positive (semi-)definite; the hierarchy is built from that part
-and its V-cycle right-preconditions GMRES.
+inverse on the coarsest level.  ``assemble_stiffness`` builds the levels
+while it holds the stencil: under bilinear prolongation a 3^n-point stencil
+has a 3^n-point Galerkin stencil, formed by one slice-arithmetic pass per
+axis and read into compressed rows like the fine one, and each restriction
+is read off the fine and coarse dof grids.  A non-symmetric system carries
+its symmetric part, which is positive (semi-)definite; its V-cycle, built
+from that part, right-preconditions GMRES.
 """
 
 from __future__ import annotations
@@ -128,32 +132,35 @@ def _validate_samples(a: np.ndarray, dim: int) -> None:
         raise AssemblyError("sampler returned a non-elliptic matrix (eigenvalue <= 0)")
 
 
-def _neighbours(padded: np.ndarray):
-    """For each stencil offset index t, the node grid padded by one on every
-    side and shifted by t - 1: the value at each node's neighbour there."""
-    shape = tuple(m - 2 for m in padded.shape)
-    for t in np.ndindex(*(3,) * padded.ndim):
-        yield t, padded[tuple(slice(o, o + m) for o, m in zip(t, shape))]
+def _neighbour_dofs(dofs: np.ndarray, periodic: bool, step: int = 1) -> np.ndarray:
+    """``cols[t][x]``: the dof of node ``step * x + t - 1`` for each stencil
+    offset index t and every ``step``-th node, -1 where there is none.
+    Neighbours wrap on a periodic grid."""
+    padded = np.pad(dofs, 1, mode="wrap") if periodic else np.pad(dofs, 1, constant_values=-1)
+    shape = tuple((m - 3) // step + 1 for m in padded.shape)
+    cols = np.empty((3,) * dofs.ndim + shape, dtype=np.int32 if dofs.size < 2**31 // 9 else np.int64)
+    for t in np.ndindex(*(3,) * dofs.ndim):
+        cols[t] = padded[tuple(slice(o, o + step * (m - 1) + 1, step) for o, m in zip(t, shape))]
+    return cols
 
 
-def _assemble_matrix(
+def _nodal_stencil(
     mesh: StructuredMesh,
     sampler: Callable[[np.ndarray], np.ndarray],
     constraint: Constraint,
     node_to_dof: np.ndarray,
     rule: QuadratureRule,
     validate: bool,
-) -> sp.csr_matrix:
-    """The constrained Q1 matrix of a coefficient sampler, built as a nodal
-    (3,) * n stencil and read out row by row into compressed-row storage.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The Q1 matrix of a coefficient sampler as a nodal stencil: entry
+    ``[t][x]`` couples node x to node x + t - 1, offsets first and both last
+    mesh axis first.  Returns the stencil, the node -> dof grid it lives on
+    and, on a masked mesh, which couplings share an active element.
 
     Element matrices come from one product of the samples with a fixed
-    quadrature table per block of element rows.  Rows and columns of
-    eliminated nodes are dropped, and so are couplings between nodes that
-    share no active element, so the sparsity pattern is exactly the element
-    connectivity.  ``node_to_dof`` is increasing over the kept nodes, so the
-    rows come out sorted; periodic slave rows fold onto their masters, whose
-    wrapped columns need one sort and duplicate sum per row.
+    quadrature table per block of element rows.  On a periodic mesh the slave
+    rows are folded onto their masters and the grids cut to the masters, whose
+    neighbours wrap.
     """
     dim = mesh.dim
     grads = shape_gradients(rule.points) / mesh.h  # (Q, 2^n, n)
@@ -162,7 +169,7 @@ def _assemble_matrix(
         "q,qai,qbj->qijab", rule.weights, grads, grads
     ).reshape(-1, nloc * nloc)  # (Q n n, 2^n 2^n)
     nodes = mesh.nodes_per_axis[::-1]
-    stencil = np.zeros(nodes + (3,) * dim)
+    stencil = np.zeros((3,) * dim + nodes)
     # on a box mesh every in-range neighbour shares an active element
     shared = None if mesh.active_mask is None else np.zeros(stencil.shape, dtype=bool)
     for block in element_blocks(mesh):
@@ -175,38 +182,65 @@ def _assemble_matrix(
         if shared is not None:
             block.add_to_nodes(shared, np.ones(ke.shape, dtype=bool))
     dofs = node_to_dof.reshape(nodes)
-    periodic = isinstance(constraint, Periodic)
-    if periodic:
+    if isinstance(constraint, Periodic):
         # the last node along an axis is the slave of the first
-        for axis in range(dim):
+        for axis in range(dim, 2 * dim):
             before = (slice(None),) * axis
             stencil[before + (0,)] += stencil[before + (-1,)]
         masters = (slice(-1),) * dim
-        stencil, dofs = stencil[masters], dofs[masters]
-        padded = np.pad(dofs, 1, mode="wrap")
-    else:
-        padded = np.pad(dofs, 1, constant_values=-1)
-    keep = np.empty(stencil.shape, dtype=bool)
-    for t, present in _neighbours(padded >= 0):
-        keep[(...,) + t] = present
-    keep &= (dofs >= 0)[(...,) + (None,) * dim]
-    if shared is not None:
-        keep &= shared
-    data = stencil[keep]
-    del stencil
-    index = np.int32 if keep.size < 2**31 else np.int64
-    cols = np.empty(keep.shape, dtype=index)
-    for t, neighbour in _neighbours(padded.astype(index)):
-        cols[(...,) + t] = neighbour
-    indices = cols[keep]
-    del cols
-    counts = keep.reshape(dofs.size, -1).sum(axis=1)[dofs.ravel() >= 0]
-    indptr = np.zeros(len(counts) + 1, dtype=index)
+        stencil, dofs = stencil[(...,) + masters], dofs[masters]
+    return stencil, dofs, shared
+
+
+def _grid_csr(values, cols, keep, dofs, n_cols: int, periodic: bool) -> sp.csr_matrix:
+    """Compressed rows from per-node entries: ``values[k][x]`` sits in column
+    ``cols[k][x]`` of the row of node x wherever ``keep[k][x]``, and the rows
+    are those of the nodes with a dof.  Columns increase with k except where a
+    periodic grid wraps; those rows get one sort and duplicate sum."""
+    rows = keep.reshape(-1, dofs.size).T  # one row per node
+    data = values.reshape(-1, dofs.size).T[rows]
+    indices = cols.reshape(-1, dofs.size).T[rows]
+    counts = rows.sum(axis=1)[dofs.ravel() >= 0]
+    indptr = np.zeros(len(counts) + 1, dtype=indices.dtype)
     np.cumsum(counts, out=indptr[1:])
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(len(counts), len(counts)))
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(len(counts), n_cols))
     if periodic:
         matrix.sum_duplicates()
     return matrix
+
+
+def _read_csr(
+    stencil: np.ndarray, dofs: np.ndarray, periodic: bool, shared: np.ndarray | None = None
+) -> sp.csr_matrix:
+    """The compressed-row matrix of a nodal stencil over a node -> dof grid.
+
+    Couplings from or to a node without a dof, and those outside ``shared``,
+    are dropped, and zeroed in the stencil in place so that it stays the
+    operator of the matrix.  ``dofs`` is increasing over the kept nodes, so
+    the rows come out sorted.
+    """
+    cols = _neighbour_dofs(dofs, periodic)
+    keep = (cols >= 0) & (dofs >= 0)
+    if shared is not None:
+        keep &= shared
+    stencil[~keep] = 0.0
+    return _grid_csr(stencil, cols, keep, dofs, int(dofs.max()) + 1, periodic)
+
+
+def _assemble_matrix(
+    mesh: StructuredMesh,
+    sampler: Callable[[np.ndarray], np.ndarray],
+    constraint: Constraint,
+    node_to_dof: np.ndarray,
+    rule: QuadratureRule,
+    validate: bool,
+) -> sp.csr_matrix:
+    """The constrained Q1 matrix of a coefficient sampler.  Rows and columns
+    of eliminated nodes are dropped, and so are couplings between nodes that
+    share no active element, so the sparsity pattern is exactly the element
+    connectivity."""
+    stencil, dofs, shared = _nodal_stencil(mesh, sampler, constraint, node_to_dof, rule, validate)
+    return _read_csr(stencil, dofs, isinstance(constraint, Periodic), shared)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,13 +251,17 @@ class SparseSystem:
     constraint: Constraint
     node_to_dof: np.ndarray
     n_nodes: int
-    divisions: tuple[int, ...] = ()  # of the mesh; () gives a single-level preconditioner
     # (matrix + matrix.T) / 2 when the matrix is not symmetric, else None; the
     # preconditioner is built from it and the solver is GMRES instead of CG
     symmetric_part: sp.csr_matrix | None = None
-    # levels of the multigrid preconditioner, built by the first solve and
-    # reused by later ones
-    hierarchy: list[_Level] = field(default_factory=list, repr=False)
+    # levels of the multigrid preconditioner, finest first; assembly builds
+    # them, and a system given none gets the coarsest level alone
+    hierarchy: tuple[_Level, ...] = field(default=(), repr=False)
+
+    def __post_init__(self):
+        if not self.hierarchy:
+            part = self.matrix if self.symmetric_part is None else self.symmetric_part
+            object.__setattr__(self, "hierarchy", (_coarsest_level(part, self.needs_projection),))
 
     @property
     def dimension(self) -> int:
@@ -264,8 +302,14 @@ def assemble_stiffness(
     if rule is None:
         rule = gauss_rule(mesh.dim)
     node_to_dof = _dof_map(mesh, constraint)
-    matrix = _assemble_matrix(mesh, matrix_sampler, constraint, node_to_dof, rule, validate=True)
-    return SparseSystem(matrix, constraint, node_to_dof, mesh.n_nodes, mesh.divisions)
+    periodic = isinstance(constraint, Periodic)
+    stencil, dofs, shared = _nodal_stencil(mesh, matrix_sampler, constraint, node_to_dof, rule,
+                                           validate=True)
+    matrix = _read_csr(stencil, dofs, periodic, shared)
+    # only Dirichlet elimination removes the constant mode from the kernel
+    singular = not isinstance(constraint, Dirichlet)
+    hierarchy = _build_hierarchy(matrix, stencil, dofs, periodic, singular)
+    return SparseSystem(matrix, constraint, node_to_dof, mesh.n_nodes, hierarchy=hierarchy)
 
 
 def _scatter_load(mesh, sampler, table, rule) -> np.ndarray:
@@ -317,50 +361,9 @@ class _Level:
 
     weights: np.ndarray | None = None
     prolong: sp.csr_matrix | None = None
-    restrict: sp.csr_matrix | None = None  # prolong.T as CSR; transposing per call is slower
+    restrict: sp.csr_matrix | None = None  # prolong.T, also CSR; transposing per call is slower
     coarse: sp.csr_matrix | None = None
     inverse: np.ndarray | None = None
-
-
-def _prolongation_1d(n: int) -> sp.csr_matrix:
-    """Linear interpolation from the n/2 + 1 coarse to the n + 1 fine nodes."""
-    fine = np.arange(n + 1)
-    odd = fine[1::2]  # midway between coarse nodes odd // 2 and odd // 2 + 1
-    rows = np.concatenate([fine, odd])
-    cols = np.concatenate([fine // 2, odd // 2 + 1])
-    vals = np.concatenate([np.where(fine % 2, 0.5, 1.0), np.full(len(odd), 0.5)])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n + 1, n // 2 + 1))
-
-
-def _prolongation(divisions: tuple[int, ...], node_to_dof: np.ndarray):
-    """Bilinear prolongation between the dof spaces of a mesh and of the mesh
-    with halved divisions, and the coarse node -> dof map.
-
-    A coarse node is a dof exactly when the fine node it coincides with is
-    one, and shares that node's dof; so eliminated Dirichlet nodes and inactive
-    nodes drop out and periodic slaves fold onto their masters.
-    """
-    coarse_div = tuple(d // 2 for d in divisions)
-    nodes = sp.csr_matrix(np.ones((1, 1)))
-    for d in divisions:  # axis 0 varies fastest, so it is the innermost factor
-        nodes = sp.kron(_prolongation_1d(d), nodes, format="csr")
-    coinciding = np.ravel_multi_index(
-        np.meshgrid(*[2 * np.arange(c + 1) for c in coarse_div], indexing="ij"),
-        tuple(d + 1 for d in divisions),
-        order="F",
-    ).ravel(order="F")
-    fine_dof = node_to_dof[coinciding]
-    keep = fine_dof >= 0
-    coarse_to_dof = np.full(len(coinciding), -1, dtype=int)
-    _, coarse_to_dof[keep] = np.unique(fine_dof[keep], return_inverse=True)
-    ncoarse = int(coarse_to_dof.max()) + 1
-    fold = sp.csr_matrix(
-        (np.ones(keep.sum()), (np.flatnonzero(keep), coarse_to_dof[keep])),
-        shape=(len(coinciding), ncoarse),
-    )
-    dofs, first = np.unique(node_to_dof, return_index=True)
-    rows = first[dofs >= 0]  # one node per fine dof: the lowest, i.e. the periodic master
-    return (nodes[rows] @ fold).tocsr(), coarse_to_dof
 
 
 def _dense_inverse(matrix: sp.csr_matrix, singular: bool) -> np.ndarray:
@@ -386,30 +389,120 @@ def _jacobi_weights(matrix: sp.csr_matrix) -> np.ndarray:
     ``diag(d)^-1 A`` by 2, so a sweep still contracts and the V-cycle stays
     positive definite (anisotropic tensors would otherwise make it indefinite).
     """
-    row_sum = np.asarray(abs(matrix).sum(axis=1)).ravel()
+    # |A| shares the index arrays of A; only the values are copied
+    magnitude = sp.csr_matrix((np.abs(matrix.data), matrix.indices, matrix.indptr), shape=matrix.shape)
+    row_sum = magnitude @ np.ones(matrix.shape[1])
     return SMOOTH_WEIGHT / np.maximum(matrix.diagonal(), 0.5 * row_sum)
 
 
-def _build_hierarchy(system: SparseSystem) -> list[_Level]:
-    levels = []
-    matrix = system.matrix if system.symmetric_part is None else system.symmetric_part
-    node_to_dof, divisions = system.node_to_dof, system.divisions
-    while matrix.shape[0] > COARSEN_ABOVE and divisions and all(d % 2 == 0 for d in divisions):
-        prolong, node_to_dof = _prolongation(divisions, node_to_dof)
-        if prolong.shape[1] == 0:
-            break
-        restrict = prolong.T.tocsr()
-        coarse = (restrict @ (matrix @ prolong)).tocsr()
-        levels.append(_Level(_jacobi_weights(matrix), prolong, restrict, coarse))
-        matrix, divisions = coarse, tuple(d // 2 for d in divisions)
+def _galerkin_pass(stencil: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
+    """``P^T A P`` along one axis of a nodal stencil, P the linear
+    interpolation from every second node; the other axes go along unchanged,
+    so one pass per axis gives the bilinear Galerkin operator.
+
+    With l, d, u the couplings of a node to its left neighbour, itself and its
+    right neighbour, a coarse node I at fine node 2I couples to I - 1, I and
+    I + 1 by
+
+        L = l/2 + q[I-1],  D = d + (l + u)/2 + p[I-1] + q[I],  U = u/2 + p[I]
+
+    (l, d, u at node 2I), where p = d/4 + u/2 and q = d/4 + l/2 at the odd
+    node 2I + 1.  Odd nodes beyond the grid are absent, or wrap on a periodic
+    grid.
+    """
+    node = stencil.ndim // 2 + axis
+
+    def view(array, offset, nodes):
+        index = [slice(None)] * array.ndim
+        index[axis], index[node] = slice(offset, offset + 1), nodes
+        return array[tuple(index)]
+
+    even, odd = slice(0, None, 2), slice(1, None, 2)
+    shape = list(stencil.shape)
+    shape[node] = view(stencil, 0, even).shape[node]
+    coarse = np.empty(shape)
+    low, mid, high = (view(coarse, offset, slice(None)) for offset in range(3))
+    np.multiply(view(stencil, 0, even), 0.5, out=low)
+    np.multiply(view(stencil, 2, even), 0.5, out=high)
+    np.add(low, high, out=mid)
+    mid += view(stencil, 1, even)
+    # p = d/4 + u/2 and q = d/4 + l/2, scaled by powers of two exactly
+    p = view(stencil, 2, odd) * 2.0
+    p += view(stencil, 1, odd)
+    p *= 0.25
+    q = view(stencil, 0, odd) * 2.0
+    q += view(stencil, 1, odd)
+    q *= 0.25
+    n_odd = p.shape[node]
+
+    def add(target, values, shift):
+        # target[I] += values[I - shift]
+        if periodic:
+            target += np.roll(values, shift, axis=node)
+        else:
+            index = [slice(None)] * target.ndim
+            index[node] = slice(shift, shift + n_odd)
+            target[tuple(index)] += values
+
+    add(low, q, 1)
+    add(mid, p, 1)
+    add(mid, q, 0)
+    add(high, p, 0)
+    return coarse
+
+
+def _coarse_dofs(dofs: np.ndarray) -> np.ndarray:
+    """The dof grid of the mesh with halved divisions: a coarse node is a dof
+    exactly when the fine node it coincides with is one, numbered in node
+    order, so eliminated and inactive nodes carry down."""
+    present = dofs[(slice(None, None, 2),) * dofs.ndim] >= 0
+    coarse = np.full(present.shape, -1, dtype=dofs.dtype)
+    coarse[present] = np.arange(np.count_nonzero(present))
+    return coarse
+
+
+def _restriction(dofs: np.ndarray, coarse: np.ndarray, periodic: bool) -> sp.csr_matrix:
+    """Full weighting from the fine dofs onto the coarse ones, the transpose
+    of bilinear interpolation, read off the two dof grids: coarse node I
+    gathers fine node 2I + t - 1 with weight 1/2 per axis where t - 1 is not
+    zero.  Fine nodes without a dof drop out; on a periodic grid the fine
+    neighbours wrap."""
+    cols = _neighbour_dofs(dofs, periodic, step=2)
+    weights = np.empty(cols.shape)
+    for t in np.ndindex(*(3,) * dofs.ndim):
+        weights[t] = 0.5 ** sum(o != 1 for o in t)
+    keep = (cols >= 0) & (coarse >= 0)
+    return _grid_csr(weights, cols, keep, coarse, int(dofs.max()) + 1, periodic)
+
+
+def _coarsest_level(matrix: sp.csr_matrix, singular: bool) -> _Level:
     if matrix.shape[0] <= DENSE_MAX:
-        levels.append(_Level(inverse=_dense_inverse(matrix, system.needs_projection)))
-    else:
-        levels.append(_Level(_jacobi_weights(matrix)))
-    return levels
+        return _Level(inverse=_dense_inverse(matrix, singular))
+    return _Level(_jacobi_weights(matrix))
 
 
-def _vcycle(matrix: sp.csr_matrix, levels: list[_Level], r: np.ndarray) -> np.ndarray:
+def _build_hierarchy(
+    matrix: sp.csr_matrix, stencil: np.ndarray, dofs: np.ndarray, periodic: bool, singular: bool
+) -> tuple[_Level, ...]:
+    """The V-cycle levels of ``matrix``, finest first, from its stencil
+    (zeroed outside the dofs, as ``_read_csr`` leaves it) and its dof grid:
+    coarsen while every axis has an even number of divisions and the level
+    has more than ``COARSEN_ABOVE`` dofs."""
+    levels = []
+    while matrix.shape[0] > COARSEN_ABOVE and all((n - (not periodic)) % 2 == 0 for n in dofs.shape):
+        coarse_dofs = _coarse_dofs(dofs)
+        if coarse_dofs.max() < 0:
+            break
+        restrict = _restriction(dofs, coarse_dofs, periodic)
+        for axis in range(dofs.ndim):
+            stencil = _galerkin_pass(stencil, axis, periodic)
+        coarse = _read_csr(stencil, coarse_dofs, periodic)
+        levels.append(_Level(_jacobi_weights(matrix), restrict.T.tocsr(), restrict, coarse))
+        matrix, dofs = coarse, coarse_dofs
+    return tuple(levels) + (_coarsest_level(matrix, singular),)
+
+
+def _vcycle(matrix: sp.csr_matrix, levels: tuple[_Level, ...], r: np.ndarray) -> np.ndarray:
     """One symmetric V-cycle from a zero initial guess: the same number of
     Jacobi sweeps before and after the coarse correction."""
     level = levels[0]
@@ -456,8 +549,6 @@ def cg_solve(
     x = np.zeros_like(b)
     if norm_b == 0.0:
         return x
-    if not system.hierarchy:
-        system.hierarchy.extend(_build_hierarchy(system))
     if system.symmetric_part is not None:
         return _gmres(system, b, norm_b, rel_tol, max_iter)
     levels = system.hierarchy

@@ -338,23 +338,24 @@ def boundary_distance(mesh: StructuredMesh, points: np.ndarray) -> np.ndarray:
     if mesh.active_mask is None:
         sides = np.minimum(points - o, o + e - points)
         return sides.min(axis=1)
-    corner = o + e / 2.0
-    far = o + e
+    # the six axis-aligned edges of the L-shape, as (axis along the edge,
+    # its range along that axis, its position on the other axis)
+    x0, y0 = o
+    x1, y1 = o + e
+    xc, yc = o + e / 2.0
     segments = [
-        (np.array([o[0], o[1]]), np.array([far[0], o[1]])),  # bottom
-        (np.array([o[0], o[1]]), np.array([o[0], far[1]])),  # left
-        (np.array([o[0], far[1]]), np.array([corner[0], far[1]])),  # top (kept half)
-        (np.array([far[0], o[1]]), np.array([far[0], corner[1]])),  # right (kept half)
-        (np.array([corner[0], corner[1]]), np.array([corner[0], far[1]])),  # reentrant v
-        (np.array([corner[0], corner[1]]), np.array([far[0], corner[1]])),  # reentrant h
+        (0, x0, x1, y0),  # bottom
+        (1, y0, y1, x0),  # left
+        (0, x0, xc, y1),  # top (kept half)
+        (1, y0, yc, x1),  # right (kept half)
+        (1, yc, y1, xc),  # reentrant vertical
+        (0, xc, x1, yc),  # reentrant horizontal
     ]
-    dist = np.full(len(points), np.inf)
-    for a, b in segments:
-        ab = b - a
-        t = np.clip((points - a) @ ab / (ab @ ab), 0.0, 1.0)
-        proj = a + t[:, None] * ab
-        dist = np.minimum(dist, np.linalg.norm(points - proj, axis=1))
-    return dist
+    dist2 = np.full(len(points), np.inf)
+    for axis, lo, hi, level in segments:
+        along, across = points[:, axis], points[:, 1 - axis]
+        np.minimum(dist2, (along - np.clip(along, lo, hi)) ** 2 + (across - level) ** 2, out=dist2)
+    return np.sqrt(dist2)
 
 
 def layer_indicator(cmap: CellIndexMap, k: int) -> np.ndarray:

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from homog.coeff import Checkerboard, GridTable, ScalarCosine
 from homog.grid import boundary_nodes, build_mesh, gauss_rule, shape_gradients
@@ -14,6 +15,9 @@ from homog.sparse import (
     SolverError,
     ZeroMean,
     _assemble_matrix,
+    _galerkin_pass,
+    _nodal_stencil,
+    _read_csr,
     assemble_load,
     assemble_stiffness,
     cg_solve,
@@ -205,8 +209,6 @@ def test_cg_identity_system():
     sys = assemble_stiffness(mesh, identity_sampler, Dirichlet(boundary_nodes(mesh)))
     rng = np.random.default_rng(1)
     # replace matrix by identity to exercise the solver contract directly
-    import scipy.sparse as sp
-
     from homog.sparse import SparseSystem
 
     ident = SparseSystem(sp.identity(3, format="csr"), sys.constraint, sys.node_to_dof, sys.n_nodes)
@@ -410,3 +412,124 @@ def test_expand_roundtrip_periodic():
     grid = full.reshape(5, 5)  # [i1, i0]
     np.testing.assert_array_equal(grid[:, 0], grid[:, 4])
     np.testing.assert_array_equal(grid[0, :], grid[4, :])
+
+
+def _kron_prolongation(divisions, node_to_dof):
+    """Bilinear prolongation between the dofs of a mesh and of the mesh with
+    halved divisions, and the coarse node -> dof map: the 1D interpolations'
+    Kronecker product over every node, cut to the dof rows (one node per
+    dof, the periodic master) and folded onto the coarse dofs, where a coarse
+    node takes the dof of the fine node it coincides with."""
+    nodes = sp.csr_matrix(np.ones((1, 1)))
+    for d in divisions:  # axis 0 varies fastest, so it is the innermost factor
+        fine = np.arange(d + 1)
+        odd = fine[1::2]
+        interp = sp.csr_matrix(
+            (np.concatenate([np.where(fine % 2, 0.5, 1.0), np.full(len(odd), 0.5)]),
+             (np.concatenate([fine, odd]), np.concatenate([fine // 2, odd // 2 + 1]))),
+            shape=(d + 1, d // 2 + 1))
+        nodes = sp.kron(interp, nodes, format="csr")
+    coinciding = np.ravel_multi_index(
+        np.meshgrid(*[np.arange(0, d + 1, 2) for d in divisions], indexing="ij"),
+        tuple(d + 1 for d in divisions), order="F").ravel(order="F")
+    fine_dof = node_to_dof[coinciding]
+    keep = fine_dof >= 0
+    coarse_to_dof = np.full(len(coinciding), -1)
+    _, coarse_to_dof[keep] = np.unique(fine_dof[keep], return_inverse=True)
+    fold = sp.csr_matrix((np.ones(keep.sum()), (np.flatnonzero(keep), coarse_to_dof[keep])),
+                         shape=(len(coinciding), coarse_to_dof.max() + 1))
+    dofs, first = np.unique(node_to_dof, return_index=True)
+    return (nodes[first[dofs >= 0]] @ fold).tocsr(), coarse_to_dof
+
+
+def _gap(a, b):
+    return np.abs((sp.csr_matrix(a) - sp.csr_matrix(b)).toarray()).max() if a.shape == b.shape else np.inf
+
+
+def _constant_sampler(tensor):
+    tensor = np.atleast_2d(tensor)
+    return lambda p: np.broadcast_to(tensor, (len(p),) + tensor.shape)
+
+
+@pytest.mark.parametrize("shape", ["box", "l_shape"])
+@pytest.mark.parametrize("constraint", ["dirichlet", "zero_mean"])
+def test_constant_tensor_levels_equal_halved_mesh_assembly(shape, constraint):
+    # Q1 spaces are nested and 2-point Gauss is exact for constant tensors,
+    # so each Galerkin level is the stiffness of the halved mesh
+    sampler = _constant_sampler([[2.0, 0.3], [0.3, 1.0]])
+    make = ASSEMBLY_CONSTRAINTS[constraint]
+    mesh = build_mesh((0, 0), (1, 2), (64, 64), shape)
+    levels = assemble_stiffness(mesh, sampler, make(mesh)).hierarchy
+    assert len(levels) == 3
+    for k, level in enumerate(levels[:-1], start=1):
+        coarse_mesh = build_mesh((0, 0), (1, 2), (64 >> k, 64 >> k), shape)
+        expected = assemble_stiffness(coarse_mesh, sampler, make(coarse_mesh)).matrix
+        assert _gap(level.coarse, expected) <= 1e-14 * np.abs(expected.data).max()
+
+
+HIERARCHY_CASES = {
+    # name: (mesh, sampler, constraint of the mesh)
+    "dirichlet_cosine": (build_mesh((0, 0), (1, 1), (64, 64)), _cosine_sampler(1 / 4), _dirichlet),
+    "dirichlet_l_shape_cosine": (build_mesh((0, 0), (1, 1), (64, 64), "l_shape"),
+                                 _cosine_sampler(1 / 4), _dirichlet),
+    "zero_mean_l_shape_checkerboard": (build_mesh((0, 0), (1, 1), (64, 64), "l_shape"),
+                                       Checkerboard(1.0, 100.0).sample_batch,
+                                       lambda m: ZeroMean()),
+    # 68 -> 34 -> 17 divisions: the reentrant corner sits at an odd node of
+    # the middle level, so coarse hats there reach eliminated and inactive nodes
+    "dirichlet_l_shape_offset_corner": (build_mesh((0, 0), (1, 1), (68, 68), "l_shape"),
+                                        _cosine_sampler(1 / 4), _dirichlet),
+    "zero_mean_l_shape_offset_corner": (build_mesh((0, 0), (1, 1), (68, 68), "l_shape"),
+                                        Checkerboard(1.0, 100.0).sample_batch,
+                                        lambda m: ZeroMean()),
+    "periodic_checkerboard": (build_mesh((0, 0), (1, 1), (64, 64)),
+                              Checkerboard(1.0, 100.0).sample_batch, lambda m: Periodic()),
+    "periodic_skew_checkerboard": (build_mesh((0, 0), (1, 1), (64, 64)), _skew_checkerboard(2.0),
+                                   lambda m: Periodic()),
+    "dirichlet_1d_cosine": (build_mesh(0.0, 1.0, [2048]),
+                            lambda p: ScalarCosine(2.0, 1.0, 0, 1).sample_batch(8 * p), _dirichlet),
+    "periodic_1d_symmetric": (build_mesh(0.0, 1.0, [1024]), _symmetric_sampler, lambda m: Periodic()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HIERARCHY_CASES))
+def test_levels_equal_kron_galerkin_product(name):
+    mesh, sampler, constraint = HIERARCHY_CASES[name]
+    system = _assemble(mesh, sampler, constraint(mesh))
+    matrix = system.matrix if system.symmetric_part is None else system.symmetric_part
+    divisions, node_to_dof = mesh.divisions, system.node_to_dof
+    assert len(system.hierarchy) >= 3
+    for level in system.hierarchy[:-1]:
+        prolong, node_to_dof = _kron_prolongation(divisions, node_to_dof)
+        assert _gap(level.prolong, prolong) == 0.0
+        assert _gap(level.restrict, prolong.T) == 0.0
+        expected = prolong.T @ matrix @ prolong
+        assert _gap(level.coarse, expected) <= 1e-14 * np.abs(expected.data).max()
+        matrix, divisions = level.coarse, tuple(d // 2 for d in divisions)
+    assert system.hierarchy[-1].coarse is None
+
+
+@pytest.mark.parametrize("divisions", [(4, 4), (2, 2), (4,), (2,)])
+def test_periodic_galerkin_pass_with_coinciding_neighbours(divisions):
+    # on 4 and 2 nodes per axis a node's left and right neighbours, or the
+    # coarse ones, are the same node
+    dim = len(divisions)
+    mesh = build_mesh((0,) * dim, (1,) * dim, divisions)
+    sampler = Checkerboard(1.0, 100.0).sample_batch if dim == 2 else _symmetric_sampler
+    system = assemble_stiffness(mesh, sampler, Periodic())
+    stencil, dofs, _ = _nodal_stencil(mesh, sampler, Periodic(), system.node_to_dof,
+                                      gauss_rule(dim), validate=False)
+    matrix = _read_csr(stencil, dofs, periodic=True)
+    assert _gap(matrix, system.matrix) == 0.0
+    node_to_dof = system.node_to_dof
+    while divisions[0] > 1:
+        prolong, node_to_dof = _kron_prolongation(divisions, node_to_dof)
+        for axis in range(dim):
+            stencil = _galerkin_pass(stencil, axis, periodic=True)
+        dofs = dofs[(slice(None, None, 2),) * dim]
+        coarse = _read_csr(stencil, np.arange(dofs.size).reshape(dofs.shape), periodic=True)
+        expected = prolong.T @ matrix @ prolong
+        # one coarse node holds only the constant mode: the level is zero up
+        # to the rounding of the fine entries
+        assert _gap(coarse, expected) <= 1e-14 * np.abs(matrix.data).max()
+        matrix, divisions = coarse, tuple(d // 2 for d in divisions)

@@ -299,6 +299,46 @@ def test_distance_weight_l_shape():
     assert d[3] == pytest.approx(np.hypot(0.1, 0.1), abs=1e-14)
 
 
+def _segment_distance(mesh, points):
+    """Distance to the L-shape boundary by projecting every point onto each
+    of its six edges, the general point-to-segment formula."""
+    o, e = np.asarray(mesh.origin), np.asarray(mesh.extent)
+    c, far = o + e / 2.0, o + e
+    segments = [
+        ((o[0], o[1]), (far[0], o[1])),
+        ((o[0], o[1]), (o[0], far[1])),
+        ((o[0], far[1]), (c[0], far[1])),
+        ((far[0], o[1]), (far[0], c[1])),
+        ((c[0], c[1]), (c[0], far[1])),
+        ((c[0], c[1]), (far[0], c[1])),
+    ]
+    dist = np.full(len(points), np.inf)
+    for a, b in segments:
+        a, ab = np.asarray(a), np.asarray(b) - np.asarray(a)
+        t = np.clip((points - a) @ ab / (ab @ ab), 0.0, 1.0)
+        dist = np.minimum(dist, np.linalg.norm(points - (a + t[:, None] * ab), axis=1))
+    return dist
+
+
+@pytest.mark.parametrize("origin,extent", [((0.0, 0.0), (1.0, 1.0)), ((-1.5, 0.25), (3.0, 0.8))])
+def test_l_shape_boundary_distance_matches_segment_projection(origin, extent):
+    mesh = build_mesh(origin, extent, (16, 16), "l_shape")
+    o, e = np.asarray(origin), np.asarray(extent)
+    c = o + e / 2.0
+    rng = np.random.default_rng(11)
+    t = np.linspace(0.0, 1.0, 41)[:, None]
+    pts = np.concatenate([
+        o + rng.uniform(-0.1, 1.1, size=(2000, 2)) * e,  # inside, in the notch and outside
+        mesh.node_coordinates(),
+        np.column_stack([np.full(41, c[0]), c[1] + t[:, 0] * e[1] / 2]),  # reentrant vertical
+        np.column_stack([c[0] + t[:, 0] * e[0] / 2, np.full(41, c[1])]),  # reentrant horizontal
+        c + rng.uniform(-1e-3, 1e-3, size=(400, 2)) * e,  # around the corner
+        c[None, :],
+    ])
+    np.testing.assert_allclose(boundary_distance(mesh, pts), _segment_distance(mesh, pts),
+                               rtol=0, atol=1e-15)
+
+
 def test_smooth_remainder_rate():
     # || phi - Q(phi) || shrinks linearly in eps for smooth phi
     mesh = unit_mesh(256)
