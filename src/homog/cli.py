@@ -23,7 +23,6 @@ from .harness import (
     run_study,
 )
 from .solve import BoundaryCondition, ProblemInstance, solve_fine
-from .unfold import build_cell_map
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -56,7 +55,6 @@ def _cmd_solve(args) -> int:
     config = load_config(args.config)
     n_eps = _parse_epsilon(args.epsilon)
     mesh = config.fine_mesh(n_eps)
-    build_cell_map(mesh, n_eps)
     field = coeff_from_config(config.coefficient)
     inst = ProblemInstance(mesh, field, _rhs_for(config.rhs, config.dim),
                            BoundaryCondition(config.bc), n_eps)

@@ -339,12 +339,11 @@ def run_study(config: StudyConfig, out_dir=None, progress=None, dump_fields=Fals
         t1 = time.perf_counter()
         say(f"epsilon = 1/{n_eps}")
         mesh = config.fine_mesh(n_eps)
-        cmap = build_cell_map(mesh, n_eps)
         instance = ProblemInstance(mesh, field, rhs, bc, n_eps)
         fine = solve_fine(instance, m, rel_tol=config.cg_tol)
         phi = solve_homogenized(tensor, rhs, bc, mesh, rel_tol=config.cg_tol)
-        recon = reconstruct(phi, recon_correctors, cmap)
-        reports.append(error_report(fine, recon, cmap, config.interior_box))
+        recon = reconstruct(phi, recon_correctors, instance.cell_map)
+        reports.append(error_report(fine, recon, instance.cell_map, config.interior_box))
         if dump_fields and out_dir is not None:
             _dump_field(fine, out_dir, f"fine_eps_1_{n_eps}", {"epsilon": 1.0 / n_eps})
             _dump_field(phi, out_dir, f"homogenized_eps_1_{n_eps}", {"epsilon": 1.0 / n_eps})

@@ -16,7 +16,7 @@ gradient surrogate deliberately omits the eps * grad(Q_i) * chi_i terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
 import numpy as np
@@ -65,10 +65,12 @@ class ProblemInstance:
     rhs: RhsLike
     bc: BoundaryCondition
     n_per_unit: int  # epsilon = 1 / n_per_unit
+    cell_map: CellIndexMap = dataclass_field(init=False)  # also the alignment check
+    ellipticity: tuple[float, float] = dataclass_field(init=False)
 
     def __post_init__(self):
-        build_cell_map(self.domain_mesh, self.n_per_unit)  # alignment check
-        validate_ellipticity(self.coefficient)
+        object.__setattr__(self, "cell_map", build_cell_map(self.domain_mesh, self.n_per_unit))
+        object.__setattr__(self, "ellipticity", validate_ellipticity(self.coefficient))
 
     @property
     def epsilon(self) -> float:
@@ -132,7 +134,7 @@ def _solve(mesh, sampler, rhs, bc, rel_tol, c_ell, rule=None):
 def solve_fine(instance: ProblemInstance, points_per_period: int, rel_tol: float = 1e-10) -> ScalarField:
     """Q1 solution of the oscillating problem with A sampled through x/eps."""
     mesh = instance.domain_mesh
-    cmap = build_cell_map(mesh, instance.n_per_unit)
+    cmap = instance.cell_map
     if points_per_period < 4:
         raise ValueError("points_per_period must be at least 4")
     if any(mk != points_per_period for mk in cmap.m):
@@ -145,8 +147,7 @@ def solve_fine(instance: ProblemInstance, points_per_period: int, rel_tol: float
     def sampler(pts):
         return field.sample_batch(pts / eps)
 
-    c_ell, _ = validate_ellipticity(field)
-    return _solve(mesh, sampler, instance.rhs, instance.bc, rel_tol, c_ell)
+    return _solve(mesh, sampler, instance.rhs, instance.bc, rel_tol, instance.ellipticity[0])
 
 
 def solve_homogenized(

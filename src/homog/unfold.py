@@ -2,7 +2,10 @@
 
 For epsilon = 1/N the domain is tiled by cells ``eps*(xi + (0,1)^n)`` with
 integer lattice indices xi, and every fine-mesh element lies inside exactly
-one cell.  The module provides
+one cell: the epsilon-lattice is nested in the fine node grid, ``m`` elements
+per cell per axis.  The operators read it off that grid by index arithmetic,
+and a point on a face between cells belongs to the cell that ``locate``
+gives its element.  The module provides
 
 * ``split_point``        -- x = eps*xi + eps*y with y in [0,1)^n,
 * ``unfold``             -- T(phi)(xi, y) = phi(eps*(xi + y)),
@@ -26,6 +29,7 @@ from .grid import (
     StructuredMesh,
     active_nodes,
     element_blocks,
+    eval_field_batch,
     same_mesh,
     shape_values,
 )
@@ -67,15 +71,6 @@ class CellIndexMap:
         local = self.mesh.element_multi_index(elems) // np.asarray(self.m)
         return self.cell_lookup[tuple(local.T)]
 
-    def cell_position(self, cells: np.ndarray) -> np.ndarray:
-        """Position in ``cells`` of absolute lattice indices (K, n); -1 where
-        the cell lies outside the domain or is inactive."""
-        rel = np.asarray(cells) - np.asarray(self.lo)
-        inside = np.all((rel >= 0) & (rel < np.asarray(self.counts)), axis=1)
-        pos = np.full(len(rel), -1)
-        pos[inside] = self.cell_lookup[tuple(rel[inside].T)]
-        return pos
-
 
 def build_cell_map(mesh: StructuredMesh, n_per_unit: int) -> CellIndexMap:
     """Validate epsilon-alignment and enumerate the cells meeting the domain."""
@@ -92,32 +87,20 @@ def build_cell_map(mesh: StructuredMesh, n_per_unit: int) -> CellIndexMap:
                 f"fine divisions {mesh.divisions[k]} are not nested in {counts[-1]} cells"
             )
         m.append(mesh.divisions[k] // counts[-1])
-    if dim == 1:
-        multis = np.arange(counts[0])[:, None]
-    else:
-        g0, g1 = np.meshgrid(np.arange(counts[0]), np.arange(counts[1]), indexing="ij")
-        multis = np.stack([g0.ravel(), g1.ravel()], axis=1)
-    active = np.ones(len(multis), dtype=bool)
+    active = np.ones(counts, dtype=bool)
     if mesh.active_mask is not None:
-        # with an aligned reentrant corner every element block is uniformly
-        # active or inactive; count active elements per block to verify
-        emulti = mesh.element_multi_index(np.arange(mesh.n_elements))
-        local = emulti // np.asarray(m)
-        flat = local[:, 0] if dim == 1 else local[:, 0] * counts[1] + local[:, 1]
-        per_cell = np.bincount(flat, weights=mesh.active_mask.astype(float),
-                               minlength=len(multis))
-        block = int(np.prod(m))
-        if np.any((per_cell > 0) & (per_cell < block)):
+        # with an aligned reentrant corner every cell's block of elements is
+        # uniformly active or inactive; the element grid, last axis first,
+        # splits into (cells, m) per axis
+        split = [v for c, mk in zip(counts[::-1], m[::-1]) for v in (c, mk)]
+        blocks = mesh.active_mask.reshape(split)
+        within = tuple(range(1, 2 * dim, 2))
+        active = blocks.all(axis=within).T
+        if np.any(blocks.any(axis=within).T != active):
             raise AlignmentError("the reentrant corner is not aligned with the cell lattice")
-        key = multis[:, 0] if dim == 1 else multis[:, 0] * counts[1] + multis[:, 1]
-        active = per_cell[key] == block
-    cells = multis[active] + np.asarray(lo)
+    cells = np.argwhere(active) + np.asarray(lo)
     lookup = np.full(tuple(counts), -1, dtype=int)
-    pos = np.arange(len(cells))
-    if dim == 1:
-        lookup[cells[:, 0] - lo[0]] = pos
-    else:
-        lookup[cells[:, 0] - lo[0], cells[:, 1] - lo[1]] = pos
+    lookup[active] = np.arange(len(cells))
     return CellIndexMap(mesh, n, tuple(lo), tuple(counts), tuple(m), cells, lookup)
 
 
@@ -154,84 +137,38 @@ def unfold(field: ScalarField, cmap: CellIndexMap, y_resolution: int) -> Unfolde
     if not same_mesh(field.mesh, cmap.mesh):
         raise ValueError("field mesh does not match the cell map")
     r = int(y_resolution)
-    eps = cmap.epsilon
     dim = cmap.dim
-    axes = [np.arange(r + 1) / r] * dim
-    if dim == 1:
-        ygrid = axes[0][:, None]
-    else:
-        g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
-        ygrid = np.stack([g0.ravel(), g1.ravel()], axis=1)
-    pts = eps * (cmap.cells[:, None, :] + ygrid[None, :, :])
-    from .grid import eval_field_batch
-
+    axes = np.meshgrid(*[np.arange(r + 1) / r] * dim, indexing="ij")
+    ygrid = np.stack([a.ravel() for a in axes], axis=1)
+    pts = cmap.epsilon * (cmap.cells[:, None, :] + ygrid[None, :, :])
     vals = eval_field_batch(field, pts.reshape(-1, dim))
     shape = (len(cmap.cells),) + (r + 1,) * dim
     return UnfoldedField(cmap, r, vals.reshape(shape))
-
-
-def _containing_cell(cmap: CellIndexMap, rel: np.ndarray) -> np.ndarray:
-    """Cell multi-index (absolute) containing points given as x/eps.
-
-    The far domain boundary is closed (clamped to the last cell).  When the
-    half-open cell of a point is inactive, a neighbouring containing cell is
-    preferred: the active cell behind a face the point lies on, axis 0
-    first.  (The cell behind two faces at once is active only when one
-    behind a single face is, because the removed quadrant is the upper-right
-    one.)  Points genuinely inside the removed quadrant resolve to the
-    nearest fully interior cell by clamping the axis closest to it.
-    """
-    lo = np.asarray(cmap.lo)
-    cell = np.clip(np.floor(rel).astype(int), lo, lo + np.asarray(cmap.counts) - 1)
-    if cmap.mesh.active_mask is None:
-        return cell
-    bad = np.flatnonzero(cmap.cell_position(cell) < 0)
-    on_face = rel[bad] == cell[bad]
-    resolved = np.zeros(len(bad), dtype=bool)
-    for k in range(cmap.dim):
-        cand = cell[bad]
-        cand[:, k] -= 1
-        take = ~resolved & on_face[:, k] & (cmap.cell_position(cand) >= 0)
-        cell[bad[take]] = cand[take]
-        resolved |= take
-    # interior of the removed quadrant: clamp the axis closest to it
-    rest = bad[~resolved]
-    edge = lo + np.asarray(cmap.counts) // 2 - 1
-    axis = np.argmin(cell[rest] - edge, axis=1)
-    cell[rest, axis] = edge[axis]
-    return cell
 
 
 def average(ufield: UnfoldedField) -> ScalarField:
     """Map an unfolded field back to the fine mesh.
 
     The value at node x is the Y-grid interpolation at y = {x/eps} in the
-    cell containing x; composed with ``unfold`` this is the identity.
+    cell of the element that ``locate`` gives x; composed with ``unfold`` this
+    is the identity.
     """
     cmap = ufield.map
     mesh = cmap.mesh
-    eps = cmap.epsilon
     r = ufield.y_resolution
     nodes = active_nodes(mesh)
-    x = mesh.node_coordinates(nodes)
-    rel = x / eps
-    cell = _containing_cell(cmap, rel)
-    y = rel - cell
-    pos = cmap.cell_position(cell)
+    elems, local = mesh.locate(mesh.node_coordinates(nodes))
+    pos = cmap.element_cell_position(elems)
+    m = np.asarray(cmap.m)
+    y = (mesh.element_multi_index(elems) % m + local) / m
     s = y * r
     sub = np.clip(np.floor(s).astype(int), 0, r - 1)
     loc = s - sub
-    w = shape_values(loc)  # (P, 2^n)
-    flat = ufield.values.reshape(len(cmap.cells), -1)
+    # local corner a sits at offset bit k of a along axis k (shape_values order)
+    corners = [tuple(sub[:, k] + ((a >> k) & 1) for k in range(cmap.dim)) for a in range(2**cmap.dim)]
+    vals = np.stack([ufield.values[(pos,) + c] for c in corners], axis=1)
     out = np.zeros(mesh.n_nodes)
-    if cmap.dim == 1:
-        corners = np.stack([sub[:, 0], sub[:, 0] + 1], axis=1)
-    else:
-        # flat Y-grid index is i0*(r+1) + i1; order matches shape_values
-        base = sub[:, 0] * (r + 1) + sub[:, 1]
-        corners = np.stack([base, base + (r + 1), base + 1, base + r + 2], axis=1)
-    vals = flat[pos[:, None], corners]
-    out[nodes] = np.einsum("pa,pa->p", w, vals)
+    out[nodes] = np.einsum("pa,pa->p", shape_values(loc), vals)
     return ScalarField(mesh, out)
 
 
@@ -263,13 +200,9 @@ def _lattice_values(cmap: CellIndexMap, means: np.ndarray) -> np.ndarray:
     shape = tuple(counts + 1)
     vals = np.full(shape, np.nan)
     filled = np.zeros(shape, dtype=bool)
-    cells_rel = cmap.cells - lo
-    if cmap.dim == 1:
-        vals[cells_rel[:, 0]] = means
-        filled[cells_rel[:, 0]] = True
-    else:
-        vals[cells_rel[:, 0], cells_rel[:, 1]] = means
-        filled[cells_rel[:, 0], cells_rel[:, 1]] = True
+    cells_rel = tuple((cmap.cells - lo).T)
+    vals[cells_rel] = means
+    filled[cells_rel] = True
     half = counts // 2
     missing = np.argwhere(~filled)
     for node in missing[np.lexsort(missing.T[::-1])]:
@@ -299,32 +232,19 @@ def scale_split(field: ScalarField, cmap: CellIndexMap) -> tuple[ScalarField, Sc
     Q(phi) is the Q1 interpolation, over the epsilon-lattice, of the nodal
     data ``lattice node xi -> mean of phi over the forward cell``; its
     restriction to the fine mesh is exact because a multilinear function on a
-    cell restricts to Q1 data on the nested fine nodes.
+    cell restricts to Q1 data on the nested fine nodes.  Fine node i of an
+    axis lies in lattice interval ``left = min(i // m, cells - 1)`` at weight
+    ``(i - left*m)/m``, so Q is one 1-D linear interpolation per axis of the
+    lattice values, laid out like the node grid (last axis first).
     """
-    means = cell_means(field, cmap)
-    lattice = _lattice_values(cmap, means)
     mesh = cmap.mesh
-    lo = np.asarray(cmap.lo)
-    nodes = np.arange(mesh.n_nodes)
-    x = mesh.node_coordinates(nodes)
-    rel = x / cmap.epsilon
-    cell = _containing_cell(cmap, rel)
-    t = rel - cell
-    w = shape_values(t)
-    base = cell - lo
-    if cmap.dim == 1:
-        corners = np.stack([lattice[base[:, 0]], lattice[base[:, 0] + 1]], axis=1)
-    else:
-        corners = np.stack(
-            [
-                lattice[base[:, 0], base[:, 1]],
-                lattice[base[:, 0] + 1, base[:, 1]],
-                lattice[base[:, 0], base[:, 1] + 1],
-                lattice[base[:, 0] + 1, base[:, 1] + 1],
-            ],
-            axis=1,
-        )
-    qvals = np.einsum("pa,pa->p", w, corners)
+    q = _lattice_values(cmap, cell_means(field, cmap)).T
+    for axis, (m, count) in enumerate(zip(cmap.m[::-1], cmap.counts[::-1])):
+        i = np.arange(count * m + 1)
+        left = np.minimum(i // m, count - 1)
+        t = ((i - left * m) / m).reshape((-1,) + (1,) * (q.ndim - 1 - axis))
+        q = (1.0 - t) * np.take(q, left, axis=axis) + t * np.take(q, left + 1, axis=axis)
+    qvals = q.ravel()
     q_part = ScalarField(mesh, qvals)
     r_part = ScalarField(mesh, field.values - qvals)
     return q_part, r_part

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homog.grid import ScalarField, build_mesh, gauss_rule, integrate_field
+from homog.grid import ScalarField, active_nodes, build_mesh, eval_field_batch, gauss_rule, integrate_field
 from homog.unfold import (
     AlignmentError,
-    _containing_cell,
+    UnfoldedField,
+    _lattice_values,
     boundary_distance,
     build_cell_map,
     cell_means,
@@ -50,8 +51,9 @@ def test_split_point_reconstructs(num, nexp):
 
 
 def _containing_cell_oracle(cmap, point):
-    """Point-by-point statement of the containing-cell rule, including the
-    cell behind two faces at once, which the vectorised rule leaves out."""
+    """Point-by-point statement of the containing-cell rule for x/eps,
+    including the cell behind two faces at once, which ``locate`` leaves out
+    (it is never needed on an L-shape)."""
     lo, counts = np.asarray(cmap.lo), np.asarray(cmap.counts)
     active = {tuple(c) for c in cmap.cells}
     cell = np.clip(np.floor(point).astype(int), lo, lo + counts - 1)
@@ -71,12 +73,36 @@ def _containing_cell_oracle(cmap, point):
 
 
 @pytest.mark.parametrize("n", [4, 8])
-def test_containing_cell_matches_pointwise_rule_on_l_shape(n):
+def test_average_reads_the_containing_cell_on_l_shape(n):
+    # a distinct constant per cell: every active node reads the constant of
+    # the cell that the pointwise rule assigns it
     mesh = unit_mesh(4 * n, "l_shape")
     cmap = build_cell_map(mesh, n)
-    rel = mesh.node_coordinates() * n
-    expected = np.array([_containing_cell_oracle(cmap, p) for p in rel])
-    np.testing.assert_array_equal(_containing_cell(cmap, rel), expected)
+    r = cmap.m[0]
+    consts = np.arange(1.0, len(cmap.cells) + 1.0)
+    out = average(UnfoldedField(cmap, r, np.repeat(consts, (r + 1) ** 2).reshape(-1, r + 1, r + 1)))
+    nodes = active_nodes(mesh)
+    owner = np.array([_containing_cell_oracle(cmap, p) for p in mesh.node_coordinates(nodes) * n])
+    expected = consts[cmap.cell_lookup[tuple((owner - np.asarray(cmap.lo)).T)]]
+    np.testing.assert_array_equal(out.values[nodes], expected)
+
+
+def _cell_map_reference(mesh, n):
+    """cells and cell_lookup by a loop over the elements: a cell is active
+    unless one of its elements is inactive; cells in lattice order."""
+    lo = np.rint(np.asarray(mesh.origin) * n).astype(int)
+    counts = np.rint(np.asarray(mesh.extent) * n).astype(int)
+    m = np.asarray(mesh.divisions) // counts
+    inactive = set()
+    for e in range(mesh.n_elements):
+        if mesh.active_mask is not None and not mesh.active_mask[e]:
+            multi = np.unravel_index(e, mesh.divisions, order="F")
+            inactive.add(tuple(int(i) // int(mk) for i, mk in zip(multi, m)))
+    cells = [c for c in np.ndindex(*counts) if c not in inactive]
+    lookup = np.full(tuple(counts), -1)
+    for k, c in enumerate(cells):
+        lookup[c] = k
+    return np.array(cells) + lo, lookup
 
 
 def test_cell_map_counts_and_alignment():
@@ -91,6 +117,16 @@ def test_cell_map_counts_and_alignment():
     with pytest.raises(AlignmentError):
         # odd cell count: the reentrant corner falls mid-cell
         build_cell_map(build_mesh((0, 0), (1, 1), (12, 12), "l_shape"), 3)
+    for mesh, n in [
+        (build_mesh((0.0,), (1.0,), (16,)), 4),
+        (unit_mesh(16), 4),
+        (lmesh, 4),
+        (build_mesh((-0.5, 0.25), (1.0, 0.5), (32, 16), "l_shape"), 8),
+    ]:
+        cmap = build_cell_map(mesh, n)
+        cells, lookup = _cell_map_reference(mesh, n)
+        np.testing.assert_array_equal(cmap.cells, cells)
+        np.testing.assert_array_equal(cmap.cell_lookup, lookup)
 
 
 def test_unfold_constant_and_affine():
@@ -160,8 +196,6 @@ def test_average_of_pure_oscillation():
     g0, g1 = np.meshgrid(axes, axes, indexing="ij")
     ygrid = np.stack([g0, g1], axis=-1)
     vals = np.broadcast_to(g(ygrid), (len(cmap.cells), r + 1, r + 1))
-    from homog.unfold import UnfoldedField
-
     uf = UnfoldedField(cmap, r, np.array(vals))
     out = average(uf)
     x = mesh.node_coordinates()
@@ -219,6 +253,26 @@ def test_scale_split_constant_and_affine():
     interior = np.all(coords <= 1.0 - eps, axis=1)
     dev = np.abs(r.values[interior] - (-(2.0 - 0.5) * eps / 2)).max()
     assert dev <= 1e-12
+
+
+@pytest.mark.parametrize("origin,extent,divisions,n,shape", [
+    ((0.0,), (1.0,), (32,), 8, "box"),
+    ((0.0, 0.0), (1.0, 1.0), (32, 32), 4, "box"),
+    ((0.0, 0.0), (1.0, 1.0), (32, 32), 4, "l_shape"),
+    ((-0.5, 0.25), (1.0, 0.5), (32, 16), 8, "l_shape"),
+])
+def test_scale_split_is_the_lattice_interpolant(origin, extent, divisions, n, shape):
+    # Q at every node is the Q1 field on the lattice box mesh (one element per
+    # cell) holding the lattice values, evaluated by point location
+    mesh = build_mesh(origin, extent, divisions, shape)
+    cmap = build_cell_map(mesh, n)
+    field = ScalarField(mesh, np.random.default_rng(5).standard_normal(mesh.n_nodes))
+    q, r = scale_split(field, cmap)
+    lattice = _lattice_values(cmap, cell_means(field, cmap))
+    lattice_field = ScalarField(build_mesh(origin, extent, cmap.counts), lattice.ravel(order="F"))
+    expected = eval_field_batch(lattice_field, mesh.node_coordinates())
+    assert np.abs(q.values - expected).max() <= 1e-14 * np.abs(expected).max()
+    np.testing.assert_array_equal(r.values, field.values - q.values)
 
 
 def test_gradient_exchange():
