@@ -30,7 +30,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from homog import sparse  # noqa: E402
 from homog.coeff import from_config as coeff_from_config  # noqa: E402
-from homog.grid import ScalarField, gauss_rule, h1_seminorm_sq  # noqa: E402
+from homog.grid import ScalarField, h1_seminorm_sq  # noqa: E402
 from homog.harness import StudyConfig, _rhs_for, compute_tensor, load_config  # noqa: E402
 from homog.metrics import error_report  # noqa: E402
 from homog.solve import BoundaryCondition, _constraint_for, reconstruct, solve_homogenized  # noqa: E402
@@ -60,7 +60,7 @@ def rung_stages(name, repeats):
     bc = BoundaryCondition(config.bc)
     mesh = config.fine_mesh(N_EPS)
     cmap = build_cell_map(mesh, N_EPS)
-    constraint = _constraint_for(mesh, bc)
+    constraint = _constraint_for(bc)
 
     def sampler(pts):
         return field.sample_batch(pts * N_EPS)
@@ -70,7 +70,7 @@ def rung_stages(name, repeats):
         repeats, lambda: sparse.assemble_stiffness(mesh, sampler, constraint))
     periodic = isinstance(constraint, sparse.Periodic)
     stencil, dofs, shared = sparse._nodal_stencil(mesh, sampler, constraint, system.node_to_dof,
-                                                  gauss_rule(mesh.dim), validate=False)
+                                                  validate=False)
     matrix = sparse._read_csr(stencil, dofs, periodic, shared)
     times["hierarchy"], _ = best_of(repeats, lambda: sparse._build_hierarchy(
         matrix, stencil, dofs, periodic, system.needs_projection))

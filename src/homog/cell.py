@@ -27,13 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coeff import CoefficientField, validate_ellipticity
-from .grid import (
-    QuadratureRule,
-    ScalarField,
-    StructuredMesh,
-    element_blocks,
-    gauss_rule,
-)
+from .grid import ScalarField, StructuredMesh, element_blocks
 from .sparse import (
     Periodic,
     SparseSystem,
@@ -90,13 +84,12 @@ def solve_correctors(
     validate_ellipticity(field)
     _check_cell_mesh(field, cell_mesh)
     n = field.dim
-    rule = gauss_rule(n)
 
     def sym_sampler(pts):
         a = field.sample_batch(pts)
         return 0.5 * (a + np.swapaxes(a, 1, 2))
 
-    system = assemble_stiffness(cell_mesh, sym_sampler, Periodic(), rule)
+    system = assemble_stiffness(cell_mesh, sym_sampler, Periodic())
 
     def solve_family(coeff: CoefficientField, stiffness: SparseSystem) -> tuple[ScalarField, ...]:
         out = []
@@ -105,7 +98,7 @@ def solve_correctors(
             def rhs_sampler(pts, i=i):
                 return -coeff.sample_batch(pts)[:, :, i]
 
-            b = stiffness.reduce(assemble_gradient_load(cell_mesh, rhs_sampler, rule))
+            b = stiffness.reduce(assemble_gradient_load(cell_mesh, rhs_sampler))
             x = cg_solve(stiffness, b, rel_tol=rel_tol)
             x = x - x.mean()  # zero mean over the periodic torus
             out.append(ScalarField(cell_mesh, stiffness.expand(x)))
@@ -120,7 +113,7 @@ def solve_correctors(
         return 0.5 * (a - np.swapaxes(a, 1, 2))
 
     s = system.matrix
-    skew = _assemble_matrix(cell_mesh, skew_sampler, system.constraint, system.node_to_dof, rule,
+    skew = _assemble_matrix(cell_mesh, skew_sampler, system.constraint, system.node_to_dof,
                             validate=False)
     # S^T = S and N^T = -N, so S - N is the adjoint matrix; replace() keeps the
     # multigrid levels that assembly built from S, for both families
@@ -137,12 +130,12 @@ def homogenized_tensor(field: CoefficientField, correctors: CorrectorSet) -> Hom
     if mesh.dim != field.dim:
         raise ValueError("mesh dimension mismatch between correctors and coefficient")
     n = field.dim
-    rule = gauss_rule(n)
     mat = np.zeros((n, n))
     for block in element_blocks(mesh):
-        pts = block.points(rule).reshape(-1, n)
+        rule = block.rule
+        pts = block.points().reshape(-1, n)
         a = field.sample_batch(pts).reshape(block.size, len(rule.weights), n, n)
-        grads = np.stack([block.gradients(chi.values, rule) for chi in correctors.chi])
+        grads = np.stack([block.gradients(chi.values) for chi in correctors.chi])
         for i in range(n):
             grads[i, :, :, i] += 1.0
         mat += np.einsum("ieqk,eqkl,jeql,q->ij", grads, a, grads, rule.weights, optimize=True)

@@ -14,17 +14,21 @@ the mesh through ``element_blocks``: blocks of whole element rows along the
 last axis, at most ``CHUNK_ELEMENTS`` elements each.  A block reads nodal
 arrays by those slices, gives their values and gradients and the global
 points at the quadrature points, and adds per-corner values back onto the
-node grid; ``quadrature`` reduces integrands over all blocks.
+node grid; ``quadrature`` reduces integrands over all blocks.  Every element
+quadrature uses the one rule ``gauss_rule(dim)``, ``GAUSS_POINTS`` per axis,
+which the walk hands each block as ``block.rule``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
 CHUNK_ELEMENTS = 65536  # largest block of the element walk, unless one row is longer
+GAUSS_POINTS = 2  # Gauss-Legendre points per axis of the element quadrature rule
 
 
 class OutsideDomainError(ValueError):
@@ -38,34 +42,29 @@ class QuadratureRule:
     points: np.ndarray  # (Q, n)
     weights: np.ndarray  # (Q,)
 
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
-        if abs(w.sum() - 1.0) > 1e-14:
-            raise ValueError(f"quadrature weights sum to {w.sum()!r}, expected 1")
-        if np.any(w <= 0):
-            raise ValueError("quadrature weights must be positive")
-        if pts.min() < 0.0 or pts.max() > 1.0:
-            raise ValueError("quadrature points must lie in the closed reference element")
+
+def gauss_rule(dim: int) -> QuadratureRule:
+    """The element quadrature rule: tensor-product Gauss-Legendre on [0,1]^dim
+    with ``GAUSS_POINTS`` per axis, read at call time.  Two points per axis
+    integrate per-axis cubics exactly."""
+    return _gauss_rule(dim, GAUSS_POINTS)
 
 
-def gauss_rule(dim: int, points_per_axis: int = 2) -> QuadratureRule:
-    """Tensor-product Gauss-Legendre rule on [0,1]^dim.
-
-    The default two points per axis integrate per-axis cubics exactly.
-    """
+@cache
+def _gauss_rule(dim: int, points_per_axis: int) -> QuadratureRule:
     nodes, weights = np.polynomial.legendre.leggauss(points_per_axis)
     nodes = 0.5 * (nodes + 1.0)
     weights = 0.5 * weights
     if dim == 1:
-        return QuadratureRule(nodes[:, None], weights)
-    # axis 0 fastest, matching the node ordering convention
-    p0, p1 = np.meshgrid(nodes, nodes, indexing="ij")
-    w0, w1 = np.meshgrid(weights, weights, indexing="ij")
-    pts = np.stack([p0.ravel(order="F"), p1.ravel(order="F")], axis=1)
-    return QuadratureRule(pts, (w0 * w1).ravel(order="F"))
+        pts, w = nodes[:, None], weights
+    else:
+        # axis 0 fastest, matching the node ordering convention
+        p0, p1 = np.meshgrid(nodes, nodes, indexing="ij")
+        w0, w1 = np.meshgrid(weights, weights, indexing="ij")
+        pts = np.stack([p0.ravel(order="F"), p1.ravel(order="F")], axis=1)
+        w = (w0 * w1).ravel(order="F")
+    pts.flags.writeable = w.flags.writeable = False
+    return QuadratureRule(pts, w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,13 +279,14 @@ class ElementBlock:
     """Element rows ``start`` to ``stop`` along the last mesh axis; ``active``
     flags each of their elements (None on a box mesh).  Per-element arrays
     run over the active elements in flat order: (E, ...), or (2^n, E) for
-    corner values."""
+    corner values, and per-point arrays over the points of ``rule``."""
 
     mesh: StructuredMesh
     start: int
     stop: int
     active: np.ndarray | None
     elems: np.ndarray  # flat indices of the active elements
+    rule: QuadratureRule
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -311,10 +311,10 @@ class ElementBlock:
             offset = offset[::-1]
             yield offset, tuple(slice(f + c, f + c + m) for f, c, m in zip(first, offset, self.shape))
 
-    def points(self, rule: QuadratureRule) -> np.ndarray:
+    def points(self) -> np.ndarray:
         """Global coordinates of the quadrature points: (E, Q, n), broadcast
         from the per-axis element indices."""
-        mesh, dim = self.mesh, self.mesh.dim
+        mesh, dim, rule = self.mesh, self.mesh.dim, self.rule
         out = np.empty((self.size, len(rule.weights), dim))
         for k in range(dim):
             axis = dim - 1 - k  # of mesh axis k in the block shape
@@ -329,17 +329,17 @@ class ElementBlock:
         grid = np.asarray(nodal).reshape(self.mesh.nodes_per_axis[::-1])
         return np.stack([self._select(grid[nodes]) for _, nodes in self._corner_slices()])
 
-    def values(self, nodal: np.ndarray, rule: QuadratureRule) -> np.ndarray:
+    def values(self, nodal: np.ndarray) -> np.ndarray:
         """Q1 values of a nodal array at the quadrature points: (E, Q)."""
-        return self.corners(nodal).T @ shape_values(rule.points).T
+        return self.corners(nodal).T @ shape_values(self.rule.points).T
 
-    def gradients(self, nodal: np.ndarray, rule: QuadratureRule) -> np.ndarray:
+    def gradients(self, nodal: np.ndarray) -> np.ndarray:
         """Q1 gradients of a nodal array at the quadrature points: (E, Q, n).
 
         An einsum with the (Q, 2^n, n) gradient table rather than a BLAS
         product, so that the corner terms are added in order and the rounding
         does not depend on the BLAS kernel."""
-        grads = shape_gradients(rule.points) / self.mesh.h
+        grads = shape_gradients(self.rule.points) / self.mesh.h
         return np.einsum("qad,ae->eqd", grads, self.corners(nodal))
 
     def times_periodic(self, factor: np.ndarray, pattern: np.ndarray, period) -> np.ndarray:
@@ -387,13 +387,14 @@ def element_blocks(mesh: StructuredMesh):
     rows = mesh.divisions[-1]
     per_row = mesh.n_elements // rows
     step = max(1, CHUNK_ELEMENTS // per_row)
+    rule = gauss_rule(mesh.dim)
     for start in range(0, rows, step):
         stop = min(start + step, rows)
         elems = np.arange(start * per_row, stop * per_row)
         if mesh.active_mask is None:
-            yield ElementBlock(mesh, start, stop, None, elems)
+            yield ElementBlock(mesh, start, stop, None, elems, rule)
         elif (active := mesh.active_mask[elems]).any():
-            yield ElementBlock(mesh, start, stop, active, elems[active])
+            yield ElementBlock(mesh, start, stop, active, elems[active], rule)
 
 
 def eval_field_batch(field: ScalarField, points: np.ndarray) -> np.ndarray:
@@ -423,49 +424,37 @@ def eval_gradient(field: ScalarField, point) -> np.ndarray:
     return eval_gradient_batch(field, np.atleast_2d(point))[0]
 
 
-def quadrature(mesh: StructuredMesh, rule: QuadratureRule,
-               sample: Callable[[ElementBlock], np.ndarray]) -> float:
+def quadrature(mesh: StructuredMesh, sample: Callable[[ElementBlock], np.ndarray]) -> float:
     """Quadrature over the active region of the integrand values
     ``sample(block)``, (E, Q), at each block's quadrature points."""
-    total = sum(float(np.sum(sample(block) @ rule.weights)) for block in element_blocks(mesh))
+    total = sum(float(np.sum(sample(block) @ block.rule.weights)) for block in element_blocks(mesh))
     return float(np.prod(mesh.h)) * total
 
 
-def integrate(
-    mesh: StructuredMesh,
-    integrand: Callable[[np.ndarray], np.ndarray],
-    rule: QuadratureRule | None = None,
-) -> float:
+def integrate(mesh: StructuredMesh, integrand: Callable[[np.ndarray], np.ndarray]) -> float:
     """Quadrature of ``integrand`` over the active region.
 
     The integrand receives an (P, n) array of points, one block of elements
     at a time, and must return (P,) values; each sample must be finite.
     """
-    if rule is None:
-        rule = gauss_rule(mesh.dim)
 
     def sample(block):
-        vals = np.asarray(integrand(block.points(rule).reshape(-1, mesh.dim)), dtype=float)
+        vals = np.asarray(integrand(block.points().reshape(-1, mesh.dim)), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValueError("integrand returned a non-finite sample")
         return vals.reshape(block.size, -1)
 
-    return quadrature(mesh, rule, sample)
+    return quadrature(mesh, sample)
 
 
-def integrate_field(field: ScalarField, rule: QuadratureRule | None = None) -> float:
+def integrate_field(field: ScalarField) -> float:
     """Exact integral of the Q1 field over the active region."""
-    if rule is None:
-        rule = gauss_rule(field.mesh.dim)
-    return quadrature(field.mesh, rule, lambda block: block.values(field.values, rule))
+    return quadrature(field.mesh, lambda block: block.values(field.values))
 
 
-def h1_seminorm_sq(field: ScalarField, rule: QuadratureRule | None = None) -> float:
+def h1_seminorm_sq(field: ScalarField) -> float:
     """Squared L2 norm of the gradient of the Q1 field over the active region."""
-    if rule is None:
-        rule = gauss_rule(field.mesh.dim)
-    return quadrature(field.mesh, rule,
-                      lambda block: (block.gradients(field.values, rule) ** 2).sum(axis=2))
+    return quadrature(field.mesh, lambda block: (block.gradients(field.values) ** 2).sum(axis=2))
 
 
 def element_counts(mesh: StructuredMesh) -> np.ndarray:

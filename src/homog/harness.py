@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from . import __version__
 from .cell import CorrectorSet, HomogenizedTensor, homogenized_tensor, solve_correctors, unit_cell_mesh
 from .coeff import from_config as coeff_from_config
 from .coeff import validate_ellipticity
-from .grid import ScalarField, StructuredMesh, build_mesh, eval_field_batch, eval_gradient_batch, gauss_rule, h1_seminorm_sq, integrate, integrate_field, quadrature
+from .grid import ScalarField, StructuredMesh, build_mesh, eval_field_batch, eval_gradient_batch, h1_seminorm_sq, integrate, integrate_field, quadrature
 from .metrics import CSV_HEADER, error_report, fit_rate
 from .solve import BoundaryCondition, ProblemInstance, reconstruct, solve_fine, solve_homogenized
 from .unfold import AlignmentError, build_cell_map, layer_indicator, scale_split, unfold, average
@@ -125,20 +125,7 @@ class StudyConfig:
         return self._mesh(self.points_per_period * n_eps)
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "domain": self.domain,
-            "coefficient": self.coefficient,
-            "bc": self.bc,
-            "rhs": self.rhs,
-            "epsilons": list(self.epsilons),
-            "points_per_period": self.points_per_period,
-            "cell_divisions": self.cell_divisions,
-            "interior_box": [list(b) for b in self.interior_box],
-            "expected_rates": self.expected_rates,
-            "max_nodes": self.max_nodes,
-            "cg_tol": self.cg_tol,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "StudyConfig":
@@ -400,14 +387,13 @@ def run_operator_checks(divisions: int = 256, epsilons=(4, 8, 16, 32)) -> CheckR
     x = mesh.node_coordinates()
     smooth = ScalarField(mesh, np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]))
     affine = ScalarField(mesh, 1.7 * x[:, 0] - 0.6 * x[:, 1] + 0.2)
-    rule = gauss_rule(2)
 
     def add(name, measured, bound_desc, passed):
         results.append(CheckResult(name, float(measured), bound_desc, bool(passed)))
 
     # unfolding integration identity, exact for aligned epsilon
     worst = 0.0
-    direct = integrate_field(smooth, rule)
+    direct = integrate_field(smooth)
     for n in epsilons:
         cmap = build_cell_map(mesh, n)
         m = cmap.m[0]
@@ -417,7 +403,7 @@ def run_operator_checks(divisions: int = 256, epsilons=(4, 8, 16, 32)) -> CheckR
         for k in range(len(cmap.cells)):
             # Y-grid [i0, i1] ravels to the node index i0 + (m+1)*i1 in F order
             yfield = ScalarField(ymesh, uf.values[k].ravel(order="F"))
-            total += cmap.epsilon**2 * integrate_field(yfield, rule)
+            total += cmap.epsilon**2 * integrate_field(yfield)
         worst = max(worst, abs(total - direct))
     add("unfold_integration_identity", worst, "<= 1e-12", worst <= 1e-12)
 
@@ -455,15 +441,15 @@ def run_operator_checks(divisions: int = 256, epsilons=(4, 8, 16, 32)) -> CheckR
 
     # stability and first-order decay of the splitting
     def l2_sq(f):
-        return quadrature(mesh, rule, lambda block: block.values(f.values, rule) ** 2)
+        return quadrature(mesh, lambda block: block.values(f.values) ** 2)
 
-    grad_l2 = np.sqrt(h1_seminorm_sq(smooth, rule))
+    grad_l2 = np.sqrt(h1_seminorm_sq(smooth))
     h1 = np.sqrt(l2_sq(smooth) + grad_l2**2)
     q_ratios, r_consts, fit_pts = [], [], []
     for n in epsilons:
         cmap = build_cell_map(mesh, n)
         q, r = scale_split(smooth, cmap)
-        q_ratios.append(np.sqrt(l2_sq(q) + h1_seminorm_sq(q, rule)) / h1)
+        q_ratios.append(np.sqrt(l2_sq(q) + h1_seminorm_sq(q)) / h1)
         rnorm = np.sqrt(l2_sq(r))
         r_consts.append(rnorm / (cmap.epsilon * grad_l2))
         fit_pts.append((cmap.epsilon, rnorm))

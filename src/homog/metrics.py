@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import QuadratureRule, ScalarField, element_blocks, gauss_rule, same_mesh
+from .grid import ScalarField, element_blocks, same_mesh
 from .solve import Reconstruction
 from .unfold import CellIndexMap, boundary_distance, layer_indicator
 
@@ -83,7 +83,6 @@ def error_report(
     recon: Reconstruction,
     cmap: CellIndexMap,
     interior_box,
-    rule: QuadratureRule | None = None,
 ) -> ErrorReport:
     """Evaluate every error functional for one epsilon.
 
@@ -102,8 +101,6 @@ def error_report(
     margin = _interior_margin(mesh, interior_box)
     eps = cmap.epsilon
 
-    if rule is None:
-        rule = gauss_rule(mesh.dim)
     layer = layer_indicator(cmap, 3)
     lo = np.asarray([b[0] for b in interior_box])
     hi = np.asarray([b[1] for b in interior_box])
@@ -113,17 +110,18 @@ def error_report(
     max_rho = 0.0
     for block in element_blocks(mesh):
         # the distance first, while its temporaries are the only large arrays
-        rho = boundary_distance(mesh, block.points(rule).reshape(-1, mesh.dim))
+        rho = boundary_distance(mesh, block.points().reshape(-1, mesh.dim))
         rho = rho.reshape(block.size, -1)
         max_rho = max(max_rho, float(rho.max()))
         centers = mesh.element_origin(block.elems) + mesh.h / 2.0
         imask = np.all((centers > lo) & (centers < hi), axis=1)
         lmask = layer[block.elems]
-        u = block.values(fine.values, rule)
-        gu = block.gradients(fine.values, rule)
-        base = block.values(recon.base.values, rule)
-        rv, rg = recon.eval_elements(block, rule)
+        u = block.values(fine.values)
+        gu = block.gradients(fine.values)
+        base = block.values(recon.base.values)
+        rv, rg = recon.eval_elements(block)
         dgrad2 = ((gu - rg) ** 2).sum(axis=2)
+        rule = block.rule
         acc["l2"] += vol * float(np.einsum("eq,q->", (u - base) ** 2, rule.weights))
         acc["h1"] += vol * float(np.einsum("eq,q->", dgrad2, rule.weights))
         acc["weighted"] += vol * float(np.einsum("eq,q->", rho**2 * dgrad2, rule.weights))

@@ -24,11 +24,9 @@ import numpy as np
 from .cell import CorrectorSet, HomogenizedTensor
 from .coeff import CoefficientField, Constant, validate_ellipticity
 from .grid import (
-    QuadratureRule,
     ScalarField,
     StructuredMesh,
     ElementBlock,
-    boundary_nodes,
     element_blocks,
     element_counts,
     eval_field_batch,
@@ -77,10 +75,8 @@ class ProblemInstance:
         return 1.0 / self.n_per_unit
 
 
-def _constraint_for(mesh: StructuredMesh, bc: BoundaryCondition):
-    if bc.kind == DIRICHLET_FULL:
-        return Dirichlet(boundary_nodes(mesh))
-    return ZeroMean()
+def _constraint_for(bc: BoundaryCondition):
+    return Dirichlet() if bc.kind == DIRICHLET_FULL else ZeroMean()
 
 
 def _rhs_values(mesh: StructuredMesh, rhs: RhsLike):
@@ -107,15 +103,14 @@ def _check_solution(system, x, b, field_norms, c_ell, rel_tol):
         raise RuntimeError("Cauchy-Schwarz load bound violated")
 
 
-def _solve(mesh, sampler, rhs, bc, rel_tol, c_ell, rule=None):
-    constraint = _constraint_for(mesh, bc)
-    system = assemble_stiffness(mesh, sampler, constraint, rule)
+def _solve(mesh, sampler, rhs, bc, rel_tol, c_ell):
+    system = assemble_stiffness(mesh, sampler, _constraint_for(bc))
     f = _rhs_values(mesh, rhs)
     if bc.kind == NEUMANN_FULL:
         total = integrate(mesh, f)
         if abs(total) > 1e-10:
             raise ValueError(f"Neumann problem needs a zero-mean rhs, got integral {total:.3e}")
-    b = system.reduce(assemble_load(mesh, f, rule))
+    b = system.reduce(assemble_load(mesh, f))
     x = cg_solve(system, b, rel_tol=rel_tol)
     values = system.expand(x)
     field = ScalarField(mesh, values)
@@ -206,18 +201,18 @@ class Reconstruction:
     def epsilon(self) -> float:
         return self.cmap.epsilon
 
-    def eval_elements(self, block: ElementBlock, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    def eval_elements(self, block: ElementBlock) -> tuple[np.ndarray, np.ndarray]:
         """Values and corrected gradients at the quadrature points of a block
         of fine elements: (E, Q) and (E, Q, n).  The correctors are evaluated
         once on the cell mesh, whose resolution matches the fine mesh inside
         each cell, and broadcast over the block."""
-        vals = block.values(self.base.values, rule)
-        grads = block.gradients(self.base.values, rule)
+        vals = block.values(self.base.values)
+        grads = block.gradients(self.base.values)
         cells = list(element_blocks(self.correctors.cell_mesh))
         for q, chi in zip(self.q_derivatives, self.correctors.chi):
-            qv = block.values(q.values, rule)
-            chiv = np.concatenate([c.values(chi.values, rule) for c in cells])
-            chig = np.concatenate([c.gradients(chi.values, rule) for c in cells])
+            qv = block.values(q.values)
+            chiv = np.concatenate([c.values(chi.values) for c in cells])
+            chig = np.concatenate([c.gradients(chi.values) for c in cells])
             vals += block.times_periodic(self.epsilon * qv, chiv, self.cmap.m)
             grads += block.times_periodic(qv[:, :, None], chig, self.cmap.m)
         return vals, grads

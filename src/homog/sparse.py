@@ -37,10 +37,9 @@ import scipy.sparse as sp
 
 from .coeff import symmetric_part_eiglimits
 from .grid import (
-    QuadratureRule,
     StructuredMesh,
-    active_nodes,
     element_blocks,
+    element_counts,
     gauss_rule,
     shape_gradients,
     shape_values,
@@ -66,59 +65,39 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class NoConstraint:
-    kind = "none"
+class ZeroMean:
+    """Keep every node of the active region; the system is singular with the
+    constant mode in its kernel."""
 
 
 @dataclass(frozen=True)
-class ZeroMean:
-    kind = "zero_mean"
-
-
-@dataclass(frozen=True, eq=False)
 class Dirichlet:
-    kind = "dirichlet"
-    nodes: np.ndarray  # node indices eliminated (homogeneous)
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=int))
+    """Eliminate the boundary nodes of the active region (homogeneous)."""
 
 
 @dataclass(frozen=True)
 class Periodic:
     """Identify opposite-face nodes of a box mesh (slave -> master folding)."""
 
-    kind = "periodic"
 
-
-Constraint = NoConstraint | ZeroMean | Dirichlet | Periodic
-
-
-def periodic_node_map(mesh: StructuredMesh) -> np.ndarray:
-    """Map every node to its master under opposite-face identification."""
-    if mesh.active_mask is not None:
-        raise ValueError("periodic constraints require a full box mesh")
-    multi = mesh.node_multi_index(np.arange(mesh.n_nodes))
-    folded = multi % np.asarray(mesh.divisions)
-    return mesh.node_flat_index(folded)
+Constraint = ZeroMean | Dirichlet | Periodic
 
 
 def _dof_map(mesh: StructuredMesh, constraint: Constraint) -> np.ndarray:
     """node -> dof index (-1 if eliminated), increasing over the kept nodes
-    and over the periodic masters."""
-    node_to_dof = np.full(mesh.n_nodes, -1, dtype=int)
+    and over the periodic masters, read off the node grid.  A node is kept
+    when an active element touches it, and under Dirichlet when all 2^n of
+    its elements are active.  The periodic masters are the nodes before the
+    last along each axis, numbered like the elements; the last node wraps."""
     if isinstance(constraint, Periodic):
-        masters = periodic_node_map(mesh)
-        unique = np.flatnonzero(masters == np.arange(mesh.n_nodes))
-        compact = np.full(mesh.n_nodes, -1, dtype=int)
-        compact[unique] = np.arange(len(unique))
-        return compact[masters]
-    present = active_nodes(mesh)
-    if isinstance(constraint, Dirichlet):
-        keep = np.ones(mesh.n_nodes, dtype=bool)
-        keep[constraint.nodes] = False
-        present = present[keep[present]]
-    node_to_dof[present] = np.arange(len(present))
+        if mesh.active_mask is not None:
+            raise ValueError("periodic constraints require a full box mesh")
+        masters = np.arange(mesh.n_elements).reshape(mesh.divisions[::-1])
+        return np.pad(masters, (0, 1), mode="wrap").ravel()
+    counts = element_counts(mesh)
+    keep = counts == 2**mesh.dim if isinstance(constraint, Dirichlet) else counts > 0
+    node_to_dof = np.full(mesh.n_nodes, -1, dtype=int)
+    node_to_dof[keep] = np.arange(np.count_nonzero(keep))
     return node_to_dof
 
 
@@ -149,7 +128,6 @@ def _nodal_stencil(
     sampler: Callable[[np.ndarray], np.ndarray],
     constraint: Constraint,
     node_to_dof: np.ndarray,
-    rule: QuadratureRule,
     validate: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The Q1 matrix of a coefficient sampler as a nodal stencil: entry
@@ -162,7 +140,7 @@ def _nodal_stencil(
     rows are folded onto their masters and the grids cut to the masters, whose
     neighbours wrap.
     """
-    dim = mesh.dim
+    dim, rule = mesh.dim, gauss_rule(mesh.dim)
     grads = shape_gradients(rule.points) / mesh.h  # (Q, 2^n, n)
     nloc = grads.shape[1]
     table = float(np.prod(mesh.h)) * np.einsum(
@@ -173,7 +151,7 @@ def _nodal_stencil(
     # on a box mesh every in-range neighbour shares an active element
     shared = None if mesh.active_mask is None else np.zeros(stencil.shape, dtype=bool)
     for block in element_blocks(mesh):
-        pts = block.points(rule).reshape(-1, dim)
+        pts = block.points().reshape(-1, dim)
         a = np.asarray(sampler(pts), dtype=float).reshape(block.size, len(rule.weights), dim, dim)
         if validate:
             _validate_samples(a.reshape(-1, dim, dim), dim)
@@ -232,14 +210,13 @@ def _assemble_matrix(
     sampler: Callable[[np.ndarray], np.ndarray],
     constraint: Constraint,
     node_to_dof: np.ndarray,
-    rule: QuadratureRule,
     validate: bool,
 ) -> sp.csr_matrix:
     """The constrained Q1 matrix of a coefficient sampler.  Rows and columns
     of eliminated nodes are dropped, and so are couplings between nodes that
     share no active element, so the sparsity pattern is exactly the element
     connectivity."""
-    stencil, dofs, shared = _nodal_stencil(mesh, sampler, constraint, node_to_dof, rule, validate)
+    stencil, dofs, shared = _nodal_stencil(mesh, sampler, constraint, node_to_dof, validate)
     return _read_csr(stencil, dofs, isinstance(constraint, Periodic), shared)
 
 
@@ -290,7 +267,6 @@ def assemble_stiffness(
     mesh: StructuredMesh,
     matrix_sampler: Callable[[np.ndarray], np.ndarray],
     constraint: Constraint,
-    rule: QuadratureRule | None = None,
 ) -> SparseSystem:
     """Assemble the Q1 stiffness of ``(A grad u, grad v)`` under a constraint.
 
@@ -299,11 +275,9 @@ def assemble_stiffness(
     AssemblyError.  Entry (a, b) couples test function a with trial
     function b.
     """
-    if rule is None:
-        rule = gauss_rule(mesh.dim)
     node_to_dof = _dof_map(mesh, constraint)
     periodic = isinstance(constraint, Periodic)
-    stencil, dofs, shared = _nodal_stencil(mesh, matrix_sampler, constraint, node_to_dof, rule,
+    stencil, dofs, shared = _nodal_stencil(mesh, matrix_sampler, constraint, node_to_dof,
                                            validate=True)
     matrix = _read_csr(stencil, dofs, periodic, shared)
     # only Dirichlet elimination removes the constant mode from the kernel
@@ -312,39 +286,31 @@ def assemble_stiffness(
     return SparseSystem(matrix, constraint, node_to_dof, mesh.n_nodes, hierarchy=hierarchy)
 
 
-def _scatter_load(mesh, sampler, table, rule) -> np.ndarray:
+def _scatter_load(mesh, sampler, table) -> np.ndarray:
     """Full-size nodal vector of ``table.T @`` the samples of each element,
     one row of samples per element and one table row per sample."""
     b = np.zeros(mesh.nodes_per_axis[::-1])
     for block in element_blocks(mesh):
-        samples = np.asarray(sampler(block.points(rule).reshape(-1, mesh.dim)), dtype=float)
+        samples = np.asarray(sampler(block.points().reshape(-1, mesh.dim)), dtype=float)
         block.add_to_nodes(b, table.T @ samples.reshape(block.size, -1).T)
     return b.ravel()
 
 
-def assemble_load(
-    mesh: StructuredMesh,
-    f: Callable[[np.ndarray], np.ndarray],
-    rule: QuadratureRule | None = None,
-) -> np.ndarray:
+def assemble_load(mesh: StructuredMesh, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Full-size nodal load vector ``b[a] = integral of f N_a``."""
-    if rule is None:
-        rule = gauss_rule(mesh.dim)
+    rule = gauss_rule(mesh.dim)
     table = float(np.prod(mesh.h)) * rule.weights[:, None] * shape_values(rule.points)  # (Q, 2^n)
-    return _scatter_load(mesh, f, table, rule)
+    return _scatter_load(mesh, f, table)
 
 
 def assemble_gradient_load(
-    mesh: StructuredMesh,
-    vector_sampler: Callable[[np.ndarray], np.ndarray],
-    rule: QuadratureRule | None = None,
+    mesh: StructuredMesh, vector_sampler: Callable[[np.ndarray], np.ndarray]
 ) -> np.ndarray:
     """Full-size load ``b[a] = integral of V . grad N_a`` for a vector field V."""
-    if rule is None:
-        rule = gauss_rule(mesh.dim)
+    rule = gauss_rule(mesh.dim)
     grads = shape_gradients(rule.points) / mesh.h  # (Q, 2^n, n)
     table = float(np.prod(mesh.h)) * np.einsum("q,qad->qda", rule.weights, grads)
-    return _scatter_load(mesh, vector_sampler, table.reshape(-1, grads.shape[1]), rule)
+    return _scatter_load(mesh, vector_sampler, table.reshape(-1, grads.shape[1]))
 
 
 def default_max_iter(dimension: int) -> int:

@@ -193,36 +193,27 @@ def _lattice_values(cmap: CellIndexMap, means: np.ndarray) -> np.ndarray:
     removed quadrant of an L-shape) take a first-order extrapolation from the
     two nearest cells along the axis that exits the domain soonest; a bare
     clamp would perturb the slow part at first order in the boundary ring.
-    Processing in ascending index order keeps every stencil already filled.
+    A node reads only nodes of smaller index sum, so the missing nodes are
+    filled in one vectorised sweep per index sum, in ascending order.
     """
     lo = np.asarray(cmap.lo)
     counts = np.asarray(cmap.counts)
-    shape = tuple(counts + 1)
-    vals = np.full(shape, np.nan)
-    filled = np.zeros(shape, dtype=bool)
-    cells_rel = tuple((cmap.cells - lo).T)
-    vals[cells_rel] = means
-    filled[cells_rel] = True
+    vals = np.full(tuple(counts + 1), np.nan)
+    vals[tuple((cmap.cells - lo).T)] = means  # finite, so the rest stays NaN until filled
     half = counts // 2
-    missing = np.argwhere(~filled)
-    for node in missing[np.lexsort(missing.T[::-1])]:
-        excess = np.full(cmap.dim, np.inf)
-        for k in range(cmap.dim):
-            if node[k] >= counts[k]:
-                excess[k] = node[k] - (counts[k] - 1)
-            elif cmap.mesh.active_mask is not None and np.all(node >= half):
-                excess[k] = node[k] - (half[k] - 1)
-        axis = int(np.argmin(excess))
-        idx = tuple(node)
-        below = list(node)
-        below[axis] -= 1
-        below2 = list(node)
-        below2[axis] -= 2
-        if below2[axis] >= 0:
-            vals[idx] = 2.0 * vals[tuple(below)] - vals[tuple(below2)]
-        else:
-            vals[idx] = vals[tuple(below)]
-        filled[idx] = True
+    missing = np.argwhere(np.isnan(vals))
+    sums = missing.sum(axis=1)
+    for total in np.unique(sums):
+        node = missing[sums == total]
+        corner = np.all(node >= half, axis=1, keepdims=True) & (cmap.mesh.active_mask is not None)
+        excess = np.where(node >= counts, node - (counts - 1),
+                          np.where(corner, node - (half - 1), np.inf))
+        step = np.eye(cmap.dim, dtype=int)[np.argmin(excess, axis=1)]
+        below, below2 = node - step, node - 2 * step
+        far = np.all(below2 >= 0, axis=1)
+        below2[~far] = below[~far]
+        vals[tuple(node.T)] = np.where(far, 2.0 * vals[tuple(below.T)] - vals[tuple(below2.T)],
+                                       vals[tuple(below.T)])
     return vals
 
 

@@ -23,7 +23,7 @@ import pytest
 
 from homog.cell import homogenized_tensor, solve_correctors, unit_cell_mesh
 from homog.coeff import Checkerboard, Laminate, ScalarCosine, from_config
-from homog.grid import build_mesh, gauss_rule, integrate_field
+from homog.grid import build_mesh, integrate_field
 from homog.harness import load_config, run_operator_checks, run_study
 from homog.metrics import error_report
 from homog.solve import (
@@ -104,18 +104,17 @@ def test_criterion_1_constant_degeneracy(constant_study):
     result, wall = constant_study
     coeff = from_config(result.config.coefficient)
     correctors = solve_correctors(coeff, unit_cell_mesh(2, result.config.cell_divisions))
-    rule = gauss_rule(2)
     h1 = 0.0
     for chi in correctors.chi:
         from homog.grid import element_blocks
 
         mesh = correctors.cell_mesh
         (block,) = element_blocks(mesh)
-        v = block.values(chi.values, rule)
-        g = block.gradients(chi.values, rule)
+        v = block.values(chi.values)
+        g = block.gradients(chi.values)
         vol = float(np.prod(mesh.h))
         h1 = max(h1, np.sqrt(vol * float(
-            np.einsum("eq,q->", v**2 + (g**2).sum(axis=2), rule.weights))))
+            np.einsum("eq,q->", v**2 + (g**2).sum(axis=2), block.rule.weights))))
     tensor_dev = np.abs(result.tensor - np.asarray(result.config.coefficient["matrix"])).max()
     worst = max(
         getattr(rep, name) for rep in result.reports for name in ERROR_FUNCTIONALS

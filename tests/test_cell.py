@@ -16,7 +16,7 @@ from homog.coeff import (
     symmetric_part_eiglimits,
     validate_ellipticity,
 )
-from homog.grid import gauss_rule, integrate_field
+from homog.grid import integrate_field
 
 SQRT3 = np.sqrt(3.0)
 
@@ -126,22 +126,22 @@ def test_energy_identity_and_first_order_form():
     # equivalent single-corrector form: A_ij = integral of e_i . A (e_j + grad chi_j)
     from homog.grid import element_blocks
 
-    rule = gauss_rule(2)
     (block,) = element_blocks(mesh)
+    rule = block.rule
     elems = mesh.active_elements()
     pts = mesh.element_origin(elems)[:, None, :] + rule.points[None, :, :] * mesh.h
     a = field.sample_batch(pts.reshape(-1, 2)).reshape(len(elems), 4, 2, 2)
     vol = float(np.prod(mesh.h))
     first_order = np.zeros((2, 2))
     for j in range(2):
-        g = block.gradients(cs.chi[j].values, rule)
+        g = block.gradients(cs.chi[j].values)
         g[:, :, j] += 1.0
         first_order[:, j] = vol * np.einsum("eqkl,eql,q->k", a, g, rule.weights)
     np.testing.assert_allclose(tensor.matrix, first_order, atol=1e-8)
 
     # diagonal energy identity holds by construction of the formula
     for i in range(2):
-        g = block.gradients(cs.chi[i].values, rule)
+        g = block.gradients(cs.chi[i].values)
         g[:, :, i] += 1.0
         energy = vol * np.einsum("eqk,eqkl,eql,q->", g, a, g, rule.weights)
         assert tensor.matrix[i, i] == pytest.approx(energy, abs=1e-10)

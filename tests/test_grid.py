@@ -118,7 +118,7 @@ def test_integrate_nonfinite_rejected():
         integrate(mesh, lambda p: np.where(p[:, 0] > 0.5, np.inf, 1.0))
 
 
-def test_quadrature_consistency_bilinear_product():
+def test_quadrature_consistency_bilinear_product(monkeypatch):
     # integrate(f*g) for Q1 fields f, g is exact under the default rule:
     # compare against a 3-point Gauss evaluation
     rng = np.random.default_rng(7)
@@ -130,8 +130,24 @@ def test_quadrature_consistency_bilinear_product():
         return eval_field_batch(f, p) * eval_field_batch(g, p)
 
     v2 = integrate(mesh, prod)
-    v3 = integrate(mesh, prod, gauss_rule(2, 3))
+    monkeypatch.setattr(grid, "GAUSS_POINTS", 3)
+    v3 = integrate(mesh, prod)
     assert v2 == pytest.approx(v3, abs=1e-13)
+
+
+@pytest.mark.parametrize("points", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gauss_rule_is_built_once_per_dimension_and_point_count(dim, points, monkeypatch):
+    monkeypatch.setattr(grid, "GAUSS_POINTS", points)
+    rule = gauss_rule(dim)
+    assert gauss_rule(dim) is rule
+    assert rule.points.shape == (points**dim, dim) and rule.weights.shape == (points**dim,)
+    assert not rule.points.flags.writeable and not rule.weights.flags.writeable
+    assert abs(rule.weights.sum() - 1.0) <= 1e-14 and rule.weights.min() > 0
+    assert 0.0 < rule.points.min() and rule.points.max() < 1.0
+    # exact for per-axis polynomials of degree 2 * points - 1
+    monomial = np.prod(rule.points ** (2 * points - 1), axis=1)
+    assert rule.weights @ monomial == pytest.approx((1.0 / (2 * points)) ** dim, rel=1e-14)
 
 
 def test_integrate_field_matches_quadrature():
@@ -202,9 +218,10 @@ WALK_MESHES = {
 }
 
 
-def _walk_reference(mesh, nodal, rule, period):
+def _walk_reference(mesh, nodal, period):
     """Element-by-element points, values, gradients and periodic pattern
     index, from the corner node gather."""
+    rule = gauss_rule(mesh.dim)
     pts, vals, grads, cell = [], [], [], []
     sv, sg = shape_values(rule.points), shape_gradients(rule.points) / mesh.h
     for e in mesh.active_elements():
@@ -225,26 +242,26 @@ def test_element_walk_matches_dense_reference(mesh_name, points_per_axis, chunk,
     # blocks of a full and a half-active row and of two half-active rows
     if chunk is not None:
         monkeypatch.setattr(grid, "CHUNK_ELEMENTS", chunk)
+    monkeypatch.setattr(grid, "GAUSS_POINTS", points_per_axis)
     mesh, period = WALK_MESHES[mesh_name]
-    rule = gauss_rule(mesh.dim, points_per_axis)
     rng = np.random.default_rng(11)
     nodal = rng.standard_normal(mesh.n_nodes)
     if mesh_name == "periodic_cell":
         nodal = nodal.reshape(5, 5)
         nodal[-1], nodal[:, -1] = nodal[0], nodal[:, 0]
         nodal = nodal.ravel()
-    pattern = rng.standard_normal((int(np.prod(period)), len(rule.weights), mesh.dim))
-    pts, vals, grads, cell = _walk_reference(mesh, nodal, rule, np.asarray(period))
+    pattern = rng.standard_normal((int(np.prod(period)), points_per_axis**mesh.dim, mesh.dim))
+    pts, vals, grads, cell = _walk_reference(mesh, nodal, np.asarray(period))
     blocks = list(element_blocks(mesh))
     if chunk == 1:
         assert len(blocks) == sum(block.shape[0] for block in blocks) > 1
     got = {
         "elems": np.concatenate([b.elems for b in blocks]),
-        "points": np.concatenate([b.points(rule) for b in blocks]),
-        "values": np.concatenate([b.values(nodal, rule) for b in blocks]),
-        "gradients": np.concatenate([b.gradients(nodal, rule) for b in blocks]),
+        "points": np.concatenate([b.points() for b in blocks]),
+        "values": np.concatenate([b.values(nodal) for b in blocks]),
+        "gradients": np.concatenate([b.gradients(nodal) for b in blocks]),
         "periodic": np.concatenate([
-            b.times_periodic(b.values(nodal, rule)[:, :, None], pattern, period) for b in blocks
+            b.times_periodic(b.values(nodal)[:, :, None], pattern, period) for b in blocks
         ]),
     }
     np.testing.assert_array_equal(got["elems"], mesh.active_elements())

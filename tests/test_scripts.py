@@ -1,0 +1,30 @@
+"""The experiment scripts reach private helpers of the package, so each runs
+here once, small, as a subprocess."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+STAGES = {"assembly", "hierarchy", "load", "solve", "h1_guard", "reconstruct", "error_report"}
+
+
+def _run(name, *args):
+    done = subprocess.run([sys.executable, str(SCRIPTS / name), *args],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_stage_times_reports_every_stage_of_both_rungs():
+    report = json.loads(_run("stage_times.py", "--repeats", "1"))
+    assert set(report["rungs"]) == {"box", "l_shape"}
+    for rung in report["rungs"].values():
+        assert set(rung["seconds"]) == STAGES
+        assert all(t > 0 for t in rung["seconds"].values())
+
+
+def test_effective_tensors_runs():
+    out = _run("effective_tensors.py")
+    assert out.count("max dev from reference") == 3

@@ -264,7 +264,7 @@ def test_reconstruction_boundary_trace_order(shape):
 
 
 def test_eval_elements_matches_pointwise():
-    from homog.grid import gauss_rule, element_blocks
+    from homog.grid import element_blocks
 
     m, n = 8, 4
     mesh = build_mesh((0.0, 0.0), (1.0, 1.0), (m * n, m * n), "box")
@@ -274,17 +274,16 @@ def test_eval_elements_matches_pointwise():
     x = mesh.node_coordinates()
     phi = ScalarField(mesh, x[:, 0] ** 2 + np.cos(np.pi * x[:, 1]))
     recon = reconstruct(phi, correctors, cmap)
-    rule = gauss_rule(2)
     for block in element_blocks(mesh):
-        vals, grads = recon.eval_elements(block, rule)
-        pts = block.points(rule).reshape(-1, 2)
+        vals, grads = recon.eval_elements(block)
+        pts = block.points().reshape(-1, 2)
         np.testing.assert_allclose(vals.ravel(), values_at(recon, pts), atol=1e-12)
         np.testing.assert_allclose(grads.reshape(-1, 2), gradients_at(recon, pts), atol=1e-11)
 
 
 def test_eval_elements_matches_pointwise_on_l_shape_blocks(monkeypatch):
     import homog.grid as grid
-    from homog.grid import gauss_rule, element_blocks
+    from homog.grid import element_blocks
 
     m, n = 4, 4
     mesh = build_mesh((0.0, 0.0), (1.0, 1.0), (m * n, m * n), "l_shape")
@@ -292,11 +291,10 @@ def test_eval_elements_matches_pointwise_on_l_shape_blocks(monkeypatch):
     correctors = solve_correctors(ScalarCosine(2.0, 1.0, axis=0), unit_cell_mesh(2, m))
     x = mesh.node_coordinates()
     recon = reconstruct(ScalarField(mesh, x[:, 0] ** 2 + np.cos(np.pi * x[:, 1])), correctors, cmap)
-    rule = gauss_rule(2)
     monkeypatch.setattr(grid, "CHUNK_ELEMENTS", 3 * m * n)  # three rows per block
     for block in element_blocks(mesh):
-        vals, grads = recon.eval_elements(block, rule)
-        pts = block.points(rule).reshape(-1, 2)
+        vals, grads = recon.eval_elements(block)
+        pts = block.points().reshape(-1, 2)
         np.testing.assert_allclose(vals.ravel(), values_at(recon, pts), atol=1e-12)
         np.testing.assert_allclose(grads.reshape(-1, 2), gradients_at(recon, pts), atol=1e-11)
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homog.grid import ScalarField, active_nodes, build_mesh, eval_field_batch, gauss_rule, integrate_field
+from homog.grid import ScalarField, active_nodes, build_mesh, eval_field_batch, integrate_field
 from homog.unfold import (
     AlignmentError,
     UnfoldedField,
@@ -152,14 +152,13 @@ def test_unfolding_integration_identity(shape, n):
     m = cmap.m[0]
     uf = unfold(field, cmap, m)
     # per-cell Y-integral of the Q1 grid, then (1/|Y|) sum_cells eps^n * (...)
-    rule = gauss_rule(2)
     eps = cmap.epsilon
     total = 0.0
     ymesh = build_mesh((0, 0), (1, 1), (m, m), "box")
     for k in range(len(cmap.cells)):
         yfield = ScalarField(ymesh, uf.values[k].reshape(-1, order="C")[_flat_order(m)])
-        total += eps**2 * integrate_field(yfield, rule)
-    direct = integrate_field(field, rule)
+        total += eps**2 * integrate_field(yfield)
+    direct = integrate_field(field)
     assert total == pytest.approx(direct, abs=1e-12)
 
 
@@ -255,12 +254,49 @@ def test_scale_split_constant_and_affine():
     assert dev <= 1e-12
 
 
-@pytest.mark.parametrize("origin,extent,divisions,n,shape", [
+LATTICE_CASES = [
     ((0.0,), (1.0,), (32,), 8, "box"),
     ((0.0, 0.0), (1.0, 1.0), (32, 32), 4, "box"),
     ((0.0, 0.0), (1.0, 1.0), (32, 32), 4, "l_shape"),
     ((-0.5, 0.25), (1.0, 0.5), (32, 16), 8, "l_shape"),
-])
+    ((0.0, 0.0), (1.0, 1.0), (256, 256), 128, "l_shape"),
+]
+
+
+def _lattice_values_by_node(cmap, means):
+    """The node-by-node fill that ``_lattice_values`` vectorises: missing
+    nodes in lexicographic order (as ``argwhere`` lists them), each
+    extrapolated along the axis that exits the domain soonest."""
+    counts = np.asarray(cmap.counts)
+    vals = np.full(tuple(counts + 1), np.nan)
+    vals[tuple((cmap.cells - np.asarray(cmap.lo)).T)] = means
+    half = counts // 2
+    for node in np.argwhere(np.isnan(vals)):
+        excess = np.full(cmap.dim, np.inf)
+        for k in range(cmap.dim):
+            if node[k] >= counts[k]:
+                excess[k] = node[k] - (counts[k] - 1)
+            elif cmap.mesh.active_mask is not None and np.all(node >= half):
+                excess[k] = node[k] - (half[k] - 1)
+        axis = int(np.argmin(excess))
+        below, below2 = node.copy(), node.copy()
+        below[axis] -= 1
+        below2[axis] -= 2
+        if below2[axis] >= 0:
+            vals[tuple(node)] = 2.0 * vals[tuple(below)] - vals[tuple(below2)]
+        else:
+            vals[tuple(node)] = vals[tuple(below)]
+    return vals
+
+
+@pytest.mark.parametrize("origin,extent,divisions,n,shape", LATTICE_CASES)
+def test_lattice_values_match_the_node_by_node_fill(origin, extent, divisions, n, shape):
+    cmap = build_cell_map(build_mesh(origin, extent, divisions, shape), n)
+    means = np.random.default_rng(2).standard_normal(len(cmap.cells))
+    np.testing.assert_array_equal(_lattice_values(cmap, means), _lattice_values_by_node(cmap, means))
+
+
+@pytest.mark.parametrize("origin,extent,divisions,n,shape", LATTICE_CASES)
 def test_scale_split_is_the_lattice_interpolant(origin, extent, divisions, n, shape):
     # Q at every node is the Q1 field on the lattice box mesh (one element per
     # cell) holding the lattice values, evaluated by point location
