@@ -37,10 +37,13 @@ class OutsideDomainError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Reference-element quadrature: points in [0,1]^n, weights summing to 1."""
+    """Reference-element quadrature: points in [0,1]^n, weights summing to 1,
+    and the Q1 shape values and gradients at the points."""
 
     points: np.ndarray  # (Q, n)
     weights: np.ndarray  # (Q,)
+    values: np.ndarray  # (Q, 2^n)
+    gradients: np.ndarray  # (Q, 2^n, n)
 
 
 def gauss_rule(dim: int) -> QuadratureRule:
@@ -63,8 +66,10 @@ def _gauss_rule(dim: int, points_per_axis: int) -> QuadratureRule:
         w0, w1 = np.meshgrid(weights, weights, indexing="ij")
         pts = np.stack([p0.ravel(order="F"), p1.ravel(order="F")], axis=1)
         w = (w0 * w1).ravel(order="F")
-    pts.flags.writeable = w.flags.writeable = False
-    return QuadratureRule(pts, w)
+    rule = QuadratureRule(pts, w, shape_values(pts), shape_gradients(pts))
+    for table in vars(rule).values():
+        table.flags.writeable = False
+    return rule
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,16 +336,23 @@ class ElementBlock:
 
     def values(self, nodal: np.ndarray) -> np.ndarray:
         """Q1 values of a nodal array at the quadrature points: (E, Q)."""
-        return self.corners(nodal).T @ shape_values(self.rule.points).T
+        return self.corners(nodal).T @ self.rule.values.T
 
     def gradients(self, nodal: np.ndarray) -> np.ndarray:
         """Q1 gradients of a nodal array at the quadrature points: (E, Q, n).
 
-        An einsum with the (Q, 2^n, n) gradient table rather than a BLAS
-        product, so that the corner terms are added in order and the rounding
-        does not depend on the BLAS kernel."""
-        grads = shape_gradients(self.rule.points) / self.mesh.h
-        return np.einsum("qad,ae->eqd", grads, self.corners(nodal))
+        Per point and axis the corner terms are added in corner order on flat
+        (E,) vectors: bitwise the einsum ``"qad,ae->eqd"``, and no BLAS kernel."""
+        corners = self.corners(nodal)
+        table = self.rule.gradients / self.mesh.h
+        out = np.empty((self.size,) + table.shape[::2])
+        acc, term = np.empty((2, self.size))
+        for q, d in np.ndindex(out.shape[1:]):
+            np.multiply(table[q, 0, d], corners[0], out=acc)
+            for a in range(1, len(corners)):
+                acc += np.multiply(table[q, a, d], corners[a], out=term)
+            out[:, q, d] = acc
+        return out
 
     def times_periodic(self, factor: np.ndarray, pattern: np.ndarray, period) -> np.ndarray:
         """``factor`` (E, ...) times a per-element pattern that repeats every
@@ -452,9 +464,22 @@ def integrate_field(field: ScalarField) -> float:
     return quadrature(field.mesh, lambda block: block.values(field.values))
 
 
+def l2_norm_sq(field: ScalarField) -> float:
+    """Squared L2 norm of the Q1 field over the active region."""
+    return quadrature(field.mesh, lambda block: block.values(field.values) ** 2)
+
+
 def h1_seminorm_sq(field: ScalarField) -> float:
     """Squared L2 norm of the gradient of the Q1 field over the active region."""
-    return quadrature(field.mesh, lambda block: (block.gradients(field.values) ** 2).sum(axis=2))
+    return quadrature(field.mesh, lambda block: squared_lengths(block.gradients(field.values)))
+
+
+def squared_lengths(vectors: np.ndarray) -> np.ndarray:
+    """Squared Euclidean lengths over the last axis, components added in order."""
+    total = vectors[..., 0] ** 2
+    for d in range(1, vectors.shape[-1]):
+        total += vectors[..., d] ** 2
+    return total
 
 
 def element_counts(mesh: StructuredMesh) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ScalarField, element_blocks, same_mesh
+from .grid import ScalarField, element_blocks, same_mesh, squared_lengths
 from .solve import Reconstruction
 from .unfold import CellIndexMap, boundary_distance, layer_indicator
 
@@ -120,14 +120,14 @@ def error_report(
         gu = block.gradients(fine.values)
         base = block.values(recon.base.values)
         rv, rg = recon.eval_elements(block)
-        dgrad2 = ((gu - rg) ** 2).sum(axis=2)
+        dgrad2 = squared_lengths(gu - rg)
         rule = block.rule
         acc["l2"] += vol * float(np.einsum("eq,q->", (u - base) ** 2, rule.weights))
         acc["h1"] += vol * float(np.einsum("eq,q->", dgrad2, rule.weights))
         acc["weighted"] += vol * float(np.einsum("eq,q->", rho**2 * dgrad2, rule.weights))
         idev = (u[imask] - rv[imask]) ** 2 + dgrad2[imask]
         acc["interior"] += vol * float(np.einsum("eq,q->", idev, rule.weights))
-        gr2 = (gu[lmask] ** 2).sum(axis=2)
+        gr2 = squared_lengths(gu[lmask])
         acc["layer"] += vol * float(np.einsum("eq,q->", gr2, rule.weights))
 
     report = ErrorReport(

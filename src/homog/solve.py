@@ -33,6 +33,7 @@ from .grid import (
     h1_seminorm_sq,
     integrate,
     integrate_field,
+    l2_norm_sq,
     same_mesh,
     shape_gradients,
 )
@@ -115,7 +116,7 @@ def _solve(mesh, sampler, rhs, bc, rel_tol, c_ell):
     values = system.expand(x)
     field = ScalarField(mesh, values)
     grad_norm2 = h1_seminorm_sq(field)
-    u_norm = np.sqrt(integrate_field(ScalarField(mesh, values * values)))
+    u_norm = np.sqrt(l2_norm_sq(field))
     f_norm = np.sqrt(integrate(mesh, lambda p: np.asarray(f(p)) ** 2))
     _check_solution(system, x, b, (grad_norm2, u_norm, f_norm), c_ell, rel_tol)
     if bc.kind == NEUMANN_FULL:

@@ -40,9 +40,6 @@ from .grid import (
     StructuredMesh,
     element_blocks,
     element_counts,
-    gauss_rule,
-    shape_gradients,
-    shape_values,
 )
 
 SMOOTH_WEIGHT = 0.8  # damped Jacobi
@@ -140,17 +137,17 @@ def _nodal_stencil(
     rows are folded onto their masters and the grids cut to the masters, whose
     neighbours wrap.
     """
-    dim, rule = mesh.dim, gauss_rule(mesh.dim)
-    grads = shape_gradients(rule.points) / mesh.h  # (Q, 2^n, n)
-    nloc = grads.shape[1]
-    table = float(np.prod(mesh.h)) * np.einsum(
-        "q,qai,qbj->qijab", rule.weights, grads, grads
-    ).reshape(-1, nloc * nloc)  # (Q n n, 2^n 2^n)
+    dim, nloc = mesh.dim, 2**mesh.dim
     nodes = mesh.nodes_per_axis[::-1]
     stencil = np.zeros((3,) * dim + nodes)
     # on a box mesh every in-range neighbour shares an active element
     shared = None if mesh.active_mask is None else np.zeros(stencil.shape, dtype=bool)
     for block in element_blocks(mesh):
+        rule = block.rule
+        grads = rule.gradients / mesh.h  # (Q, 2^n, n)
+        table = float(np.prod(mesh.h)) * np.einsum(
+            "q,qai,qbj->qijab", rule.weights, grads, grads
+        ).reshape(-1, nloc * nloc)  # (Q n n, 2^n 2^n)
         pts = block.points().reshape(-1, dim)
         a = np.asarray(sampler(pts), dtype=float).reshape(block.size, len(rule.weights), dim, dim)
         if validate:
@@ -286,31 +283,31 @@ def assemble_stiffness(
     return SparseSystem(matrix, constraint, node_to_dof, mesh.n_nodes, hierarchy=hierarchy)
 
 
-def _scatter_load(mesh, sampler, table) -> np.ndarray:
+def _scatter_load(mesh, sampler, table_of) -> np.ndarray:
     """Full-size nodal vector of ``table.T @`` the samples of each element,
-    one row of samples per element and one table row per sample."""
+    one row of samples per element and one table row per sample; ``table``
+    is ``table_of(block.rule)`` with its leading axes flattened."""
     b = np.zeros(mesh.nodes_per_axis[::-1])
     for block in element_blocks(mesh):
         samples = np.asarray(sampler(block.points().reshape(-1, mesh.dim)), dtype=float)
+        table = table_of(block.rule).reshape(-1, 2**mesh.dim)
         block.add_to_nodes(b, table.T @ samples.reshape(block.size, -1).T)
     return b.ravel()
 
 
 def assemble_load(mesh: StructuredMesh, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Full-size nodal load vector ``b[a] = integral of f N_a``."""
-    rule = gauss_rule(mesh.dim)
-    table = float(np.prod(mesh.h)) * rule.weights[:, None] * shape_values(rule.points)  # (Q, 2^n)
-    return _scatter_load(mesh, f, table)
+    vol = float(np.prod(mesh.h))
+    return _scatter_load(mesh, f, lambda rule: vol * rule.weights[:, None] * rule.values)
 
 
 def assemble_gradient_load(
     mesh: StructuredMesh, vector_sampler: Callable[[np.ndarray], np.ndarray]
 ) -> np.ndarray:
     """Full-size load ``b[a] = integral of V . grad N_a`` for a vector field V."""
-    rule = gauss_rule(mesh.dim)
-    grads = shape_gradients(rule.points) / mesh.h  # (Q, 2^n, n)
-    table = float(np.prod(mesh.h)) * np.einsum("q,qad->qda", rule.weights, grads)
-    return _scatter_load(mesh, vector_sampler, table.reshape(-1, grads.shape[1]))
+    vol = float(np.prod(mesh.h))
+    return _scatter_load(mesh, vector_sampler,
+                         lambda rule: vol * np.einsum("q,qad->qda", rule.weights, rule.gradients / mesh.h))
 
 
 def default_max_iter(dimension: int) -> int:

@@ -247,8 +247,10 @@ def boundary_distance(mesh: StructuredMesh, points: np.ndarray) -> np.ndarray:
     o = np.asarray(mesh.origin)
     e = np.asarray(mesh.extent)
     if mesh.active_mask is None:
-        sides = np.minimum(points - o, o + e - points)
-        return sides.min(axis=1)
+        dist = np.full(len(points), np.inf)
+        for k, x in enumerate(points.T):
+            np.minimum(dist, np.minimum(x - o[k], o[k] + e[k] - x), out=dist)
+        return dist
     # the six axis-aligned edges of the L-shape, as (axis along the edge,
     # its range along that axis, its position on the other axis)
     x0, y0 = o

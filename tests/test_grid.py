@@ -14,9 +14,12 @@ from homog.grid import (
     eval_gradient,
     eval_gradient_batch,
     gauss_rule,
+    h1_seminorm_sq,
     integrate,
     integrate_field,
     boundary_nodes,
+    l2_norm_sq,
+    quadrature,
     shape_gradients,
     shape_values,
 )
@@ -143,6 +146,9 @@ def test_gauss_rule_is_built_once_per_dimension_and_point_count(dim, points, mon
     assert gauss_rule(dim) is rule
     assert rule.points.shape == (points**dim, dim) and rule.weights.shape == (points**dim,)
     assert not rule.points.flags.writeable and not rule.weights.flags.writeable
+    assert not rule.values.flags.writeable and not rule.gradients.flags.writeable
+    np.testing.assert_array_equal(rule.values, shape_values(rule.points))
+    np.testing.assert_array_equal(rule.gradients, shape_gradients(rule.points))
     assert abs(rule.weights.sum() - 1.0) <= 1e-14 and rule.weights.min() > 0
     assert 0.0 < rule.points.min() and rule.points.max() < 1.0
     # exact for per-axis polynomials of degree 2 * points - 1
@@ -271,6 +277,56 @@ def test_element_walk_matches_dense_reference(mesh_name, points_per_axis, chunk,
         assert got[name].shape == ref.shape, name
         np.testing.assert_allclose(got[name], ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max(),
                                    err_msg=name)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3])
+@pytest.mark.parametrize("mesh_name", sorted(WALK_MESHES))
+def test_block_gradients_equal_einsum_reference(mesh_name, chunk, monkeypatch):
+    # the einsum adds the corner terms in corner order; the block kernel
+    # must give the same bits, whatever the block size
+    if chunk is not None:
+        monkeypatch.setattr(grid, "CHUNK_ELEMENTS", chunk)
+    mesh = WALK_MESHES[mesh_name][0]
+    nodal = np.random.default_rng(12).standard_normal(mesh.n_nodes)
+    for block in element_blocks(mesh):
+        table = shape_gradients(block.rule.points) / mesh.h
+        got = block.gradients(nodal)
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got, np.einsum("qad,ae->eqd", table, block.corners(nodal)))
+
+
+@pytest.mark.parametrize("mesh_name", sorted(WALK_MESHES))
+def test_h1_seminorm_sq_equals_axis_sum_reference(mesh_name):
+    mesh = WALK_MESHES[mesh_name][0]
+    nodal = np.random.default_rng(13).standard_normal(mesh.n_nodes)
+    want = quadrature(mesh, lambda block: (block.gradients(nodal) ** 2).sum(axis=2))
+    assert h1_seminorm_sq(ScalarField(mesh, nodal)) == want
+
+
+def _rectangle_integral(f, lo, hi, points=5):
+    """Tensor Gauss-Legendre quadrature of ``f`` over a box, exact for
+    per-axis polynomials of degree 2 * points - 1."""
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    axes = [lo[k] + (hi[k] - lo[k]) * (nodes + 1) / 2 for k in range(len(lo))]
+    pts = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)
+    w = np.prod(np.meshgrid(*[weights] * len(lo), indexing="ij"), axis=0).ravel()
+    return float(np.prod((hi - lo) / 2) * (w @ f(pts)))
+
+
+@pytest.mark.parametrize("shape", ["1d", "box", "l_shape"])
+def test_l2_norm_sq_is_exact_on_a_bilinear_field(shape):
+    if shape == "1d":
+        mesh = build_mesh(0.5, 1.0, [7])
+        u = lambda p: 1.0 + 2.0 * p[:, 0]
+        exact = _rectangle_integral(lambda p: u(p) ** 2, [0.5], [1.5])
+    else:
+        mesh = build_mesh((0, 0), (2, 2), (6, 4), "l_shape" if shape == "l_shape" else "box")
+        u = lambda p: 1.0 + 2.0 * p[:, 0] - p[:, 1] + 3.0 * p[:, 0] * p[:, 1]
+        exact = _rectangle_integral(lambda p: u(p) ** 2, [0, 0], [2, 2])
+        if shape == "l_shape":
+            exact -= _rectangle_integral(lambda p: u(p) ** 2, [1, 1], [2, 2])
+    assert l2_norm_sq(nodal(mesh, u)) == pytest.approx(exact, rel=1e-13)
 
 
 def test_element_walk_scatter_matches_add_at(monkeypatch):

@@ -28,3 +28,9 @@ def test_stage_times_reports_every_stage_of_both_rungs():
 def test_effective_tensors_runs():
     out = _run("effective_tensors.py")
     assert out.count("max dev from reference") == 3
+
+
+def test_run_convergence_studies_writes_the_study_outputs(tmp_path):
+    _run("run_convergence_studies.py", "--only", "cosine_1d", "--out", str(tmp_path))
+    assert (tmp_path / "cosine_1d" / "errors.csv").is_file()
+    assert (tmp_path / "cosine_1d" / "rates.json").is_file()

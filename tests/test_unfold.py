@@ -429,6 +429,21 @@ def test_l_shape_boundary_distance_matches_segment_projection(origin, extent):
                                rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_box_boundary_distance_equals_axis_min_reference(dim):
+    o, e = np.array([-0.5, 0.25])[:dim], np.array([1.5, 0.75])[:dim]
+    mesh = build_mesh(tuple(o), tuple(e), (6, 4)[:dim])
+    rng = np.random.default_rng(dim)
+    inside = o + e * rng.random((200, dim))
+    # one coordinate of each of these on a face of the box
+    faces = o + e * rng.random((40, dim))
+    axis = rng.integers(dim, size=40)
+    faces[np.arange(40), axis] = np.where(rng.random(40) < 0.5, o[axis], (o + e)[axis])
+    pts = np.concatenate([inside, faces, [o, o + e]])
+    want = np.minimum(pts - o, o + e - pts).min(axis=1)
+    np.testing.assert_array_equal(boundary_distance(mesh, pts), want)
+
+
 def test_smooth_remainder_rate():
     # || phi - Q(phi) || shrinks linearly in eps for smooth phi
     mesh = unit_mesh(256)
