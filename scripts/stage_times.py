@@ -6,8 +6,10 @@ The rung is epsilon = 1/16 at 16 points per period, with the configs'
 coefficient, right-hand side and boundary condition.  The stages are the
 fine stiffness assembly (multigrid levels included), the multigrid levels
 alone, the load, the solve, the H1 guard of the solve, the reconstruction
-and the error report.  BLAS and OpenMP threads are pinned to 1 before numpy
-is imported.
+and the error report.  Each rung also reports the dofs of the coarsest
+multigrid level and the V-cycles of one solve, counted by wrapping
+``sparse._vcycle`` outside the timed calls.  BLAS and OpenMP threads are
+pinned to 1 before numpy is imported.
 
     python3 scripts/stage_times.py [--repeats K]
 """
@@ -50,6 +52,24 @@ def best_of(repeats, call):
     return best, result
 
 
+def count_vcycles(system, call):
+    """The V-cycles over the whole hierarchy of ``system`` made by ``call()``,
+    not counting the cycle's own recursion onto the coarser levels."""
+    vcycle, count = sparse._vcycle, 0
+
+    def counted(matrix, levels, *args):
+        nonlocal count
+        count += levels is system.hierarchy
+        return vcycle(matrix, levels, *args)
+
+    sparse._vcycle = counted
+    try:
+        call()
+    finally:
+        sparse._vcycle = vcycle
+    return count
+
+
 def rung_stages(name, repeats):
     config = load_config(REPO / "configs" / CONFIGS[name])
     config = StudyConfig.from_dict({**config.to_dict(), "epsilons": [N_EPS // 4, N_EPS // 2, N_EPS],
@@ -76,6 +96,8 @@ def rung_stages(name, repeats):
         matrix, stencil, dofs, periodic, system.needs_projection))
     times["load"], b = best_of(repeats, lambda: system.reduce(sparse.assemble_load(mesh, rhs)))
     times["solve"], x = best_of(repeats, lambda: sparse.cg_solve(system, b, rel_tol=config.cg_tol))
+    vcycles = count_vcycles(system, lambda: sparse.cg_solve(system, b, rel_tol=config.cg_tol))
+    coarsest = system.hierarchy[-2].coarse.shape[0] if len(system.hierarchy) > 1 else system.dimension
     fine = ScalarField(mesh, system.expand(x))
     times["h1_guard"], _ = best_of(repeats, lambda: h1_seminorm_sq(fine))
     tensor, correctors = compute_tensor(config)
@@ -84,7 +106,8 @@ def rung_stages(name, repeats):
     times["error_report"], _ = best_of(
         repeats, lambda: error_report(fine, recon, cmap, config.interior_box))
     return {"dofs": system.dimension, "nnz": int(system.matrix.nnz),
-            "levels": len(system.hierarchy), "seconds": times}
+            "levels": len(system.hierarchy), "coarsest_dofs": coarsest, "vcycles": vcycles,
+            "seconds": times}
 
 
 def main():

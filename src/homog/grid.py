@@ -330,9 +330,16 @@ class ElementBlock:
         return out
 
     def corners(self, nodal: np.ndarray) -> np.ndarray:
-        """Values of a nodal array at the element corners: (2^n, E)."""
+        """Values of a nodal array at the element corners: (2^n, E), each
+        corner's node-grid slice copied once into its row."""
         grid = np.asarray(nodal).reshape(self.mesh.nodes_per_axis[::-1])
-        return np.stack([self._select(grid[nodes]) for _, nodes in self._corner_slices()])
+        out = np.empty((2**self.mesh.dim, self.size), dtype=grid.dtype)
+        for row, (_, nodes) in zip(out, self._corner_slices()):
+            if self.active is None:
+                row.reshape(self.shape)[...] = grid[nodes]
+            else:
+                row[...] = grid[nodes][self.active.reshape(self.shape)]
+        return out
 
     def values(self, nodal: np.ndarray) -> np.ndarray:
         """Q1 values of a nodal array at the quadrature points: (E, Q)."""

@@ -17,14 +17,18 @@ matrix is read straight off the stencil, with no triplet list.
 
 The preconditioner is one symmetric geometric-multigrid V-cycle over the
 nested grids obtained by halving the mesh divisions: bilinear prolongation,
-Galerkin coarse operators ``P^T A P``, damped-Jacobi smoothing and a dense
-inverse on the coarsest level.  ``assemble_stiffness`` builds the levels
-while it holds the stencil: under bilinear prolongation a 3^n-point stencil
-has a 3^n-point Galerkin stencil, formed by one slice-arithmetic pass per
-axis and read into compressed rows like the fine one, and each restriction
-is read off the fine and coarse dof grids.  A non-symmetric system carries
-its symmetric part, which is positive (semi-)definite; its V-cycle, built
-from that part, right-preconditions GMRES.
+Galerkin coarse operators ``P^T A P``, one damped-Jacobi sweep before and one
+after the coarse correction, and a dense inverse on the coarsest level,
+which has at most ``COARSEN_ABOVE`` dofs unless the divisions stop halving
+first.  A solve allocates one iterate buffer per level,
+and every V-cycle writes its sweeps into them.  ``assemble_stiffness`` builds
+the levels while it holds the stencil: under bilinear prolongation a
+3^n-point stencil has a 3^n-point Galerkin stencil, formed by one
+slice-arithmetic pass per axis and read into compressed rows like the fine
+one, and each restriction is read off the fine and coarse dof grids.  A
+non-symmetric system carries its symmetric part, which is positive
+(semi-)definite; its V-cycle, built from that part, right-preconditions
+GMRES.
 """
 
 from __future__ import annotations
@@ -43,8 +47,8 @@ from .grid import (
 )
 
 SMOOTH_WEIGHT = 0.8  # damped Jacobi
-SMOOTH_SWEEPS = 2  # before and after the coarse correction
-COARSEN_ABOVE = 300  # coarsen while a level has more dofs than this
+SMOOTH_SWEEPS = 1  # before, and again after, the coarse correction
+COARSEN_ABOVE = 100  # coarsen while a level has more dofs than this
 DENSE_MAX = 1200  # largest coarsest level inverted densely; above, smoothing only
 GMRES_RESTART = 30  # Krylov vectors kept before GMRES restarts from the true residual
 
@@ -318,13 +322,16 @@ def default_max_iter(dimension: int) -> int:
 class _Level:
     """One level of the V-cycle.  ``weights`` scale the residual in a Jacobi
     sweep; ``prolong`` maps the next coarser level's dofs onto this level's,
-    and ``coarse`` is that level's Galerkin operator.  The coarsest level
-    carries a dense ``inverse`` instead, or only its smoother when it is too
-    large for one."""
+    and ``coarse`` is that level's Galerkin operator.  The coarsest level,
+    at most ``COARSEN_ABOVE`` dofs unless coarsening stopped early, carries a
+    dense ``inverse`` instead, or only its smoother when it is too large for
+    one."""
 
     weights: np.ndarray | None = None
+    # both transfers are stored as CSR: applying restrict.T instead of a
+    # stored prolong measured slower end to end, for a few MB less memory
     prolong: sp.csr_matrix | None = None
-    restrict: sp.csr_matrix | None = None  # prolong.T, also CSR; transposing per call is slower
+    restrict: sp.csr_matrix | None = None  # prolong.T
     coarse: sp.csr_matrix | None = None
     inverse: np.ndarray | None = None
 
@@ -465,20 +472,45 @@ def _build_hierarchy(
     return tuple(levels) + (_coarsest_level(matrix, singular),)
 
 
-def _vcycle(matrix: sp.csr_matrix, levels: tuple[_Level, ...], r: np.ndarray) -> np.ndarray:
-    """One symmetric V-cycle from a zero initial guess: the same number of
-    Jacobi sweeps before and after the coarse correction."""
-    level = levels[0]
+def _cycle_buffers(matrix: sp.csr_matrix, levels: tuple[_Level, ...]) -> list[np.ndarray]:
+    """One iterate buffer per level of a V-cycle, finest first."""
+    return [np.empty(matrix.shape[0])] + [np.empty(level.coarse.shape[0]) for level in levels[:-1]]
+
+
+def _jacobi_sweep(matrix: sp.csr_matrix, weights: np.ndarray, r: np.ndarray, x: np.ndarray) -> None:
+    """``x += weights * (r - matrix @ x)``, reusing the product's array."""
+    t = matrix @ x
+    np.subtract(r, t, out=t)
+    t *= weights
+    x += t
+
+
+def _vcycle(
+    matrix: sp.csr_matrix,
+    levels: tuple[_Level, ...],
+    r: np.ndarray,
+    buffers: list[np.ndarray] | None = None,
+) -> np.ndarray:
+    """One symmetric V-cycle from a zero initial guess: the same
+    ``SMOOTH_SWEEPS`` Jacobi sweeps before and after the coarse correction.
+    Each level's iterate is written into its buffer from ``_cycle_buffers``,
+    fresh ones when none are given; the finest one is returned, so a solve
+    that passes its buffers must use the result before the next cycle."""
+    if buffers is None:
+        buffers = _cycle_buffers(matrix, levels)
+    level, x = levels[0], buffers[0]
     if level.inverse is not None:
-        return level.inverse @ r
-    x = level.weights * r
+        return np.matmul(level.inverse, r, out=x)
+    np.multiply(level.weights, r, out=x)
     for _ in range(SMOOTH_SWEEPS - 1):
-        x += level.weights * (r - matrix @ x)
+        _jacobi_sweep(matrix, level.weights, r, x)
     if level.coarse is not None:
-        coarse_r = level.restrict @ (r - matrix @ x)
-        x += level.prolong @ _vcycle(level.coarse, levels[1:], coarse_r)
+        residual = matrix @ x
+        np.subtract(r, residual, out=residual)
+        coarse_r = level.restrict @ residual
+        x += level.prolong @ _vcycle(level.coarse, levels[1:], coarse_r, buffers[1:])
     for _ in range(SMOOTH_SWEEPS):
-        x += level.weights * (r - matrix @ x)
+        _jacobi_sweep(matrix, level.weights, r, x)
     return x
 
 
@@ -515,8 +547,9 @@ def cg_solve(
     if system.symmetric_part is not None:
         return _gmres(system, b, norm_b, rel_tol, max_iter)
     levels = system.hierarchy
+    buffers = _cycle_buffers(a, levels)
     r = b.copy()
-    z = _vcycle(a, levels, r)
+    z = _vcycle(a, levels, r, buffers)
     p = z.copy()
     rz = float(r @ z)
     for _ in range(max_iter):
@@ -535,13 +568,14 @@ def cg_solve(
                 r -= r.mean()
             if np.linalg.norm(r) <= rel_tol * norm_b:
                 return x
-            z = _vcycle(a, levels, r)
+            z = _vcycle(a, levels, r, buffers)
             p = z.copy()
             rz = float(r @ z)
             continue
-        z = _vcycle(a, levels, r)
+        z = _vcycle(a, levels, r, buffers)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     achieved = float(np.linalg.norm(b - a @ x) / norm_b)
     raise SolverError(f"CG did not converge in {max_iter} iterations", achieved)
@@ -559,9 +593,10 @@ def _gmres(
     classical Gram-Schmidt, and each cycle ends on the true residual."""
     a, levels = system.matrix, system.hierarchy
     project = system.needs_projection
+    buffers = _cycle_buffers(a, levels)
 
     def precondition(v):
-        z = _vcycle(system.symmetric_part, levels, v)
+        z = _vcycle(system.symmetric_part, levels, v, buffers)
         if project:
             z -= z.mean()
         return z

@@ -23,6 +23,7 @@ def test_stage_times_reports_every_stage_of_both_rungs():
     for rung in report["rungs"].values():
         assert set(rung["seconds"]) == STAGES
         assert all(t > 0 for t in rung["seconds"].values())
+        assert rung["coarsest_dofs"] > 0 and rung["vcycles"] > 0
 
 
 def test_effective_tensors_runs():

@@ -18,6 +18,7 @@ from homog.sparse import (
     _galerkin_pass,
     _nodal_stencil,
     _read_csr,
+    _vcycle,
     assemble_load,
     assemble_stiffness,
     cg_solve,
@@ -351,19 +352,19 @@ def _cosine_sampler(epsilon):
 
 SOLVER_CASES = {
     # name: (mesh, sampler, constraint, levels of the preconditioner)
-    "dirichlet_box": (build_mesh((0, 0), (1, 1), (32, 32)), identity_sampler, Dirichlet(), 2),
+    "dirichlet_box": (build_mesh((0, 0), (1, 1), (32, 32)), identity_sampler, Dirichlet(), 3),
     "dirichlet_l_shape": (build_mesh((0, 0), (1, 1), (32, 32), "l_shape"), identity_sampler,
-                          Dirichlet(), 2),
+                          Dirichlet(), 3),
     "zero_mean_l_shape": (build_mesh((0, 0), (1, 1), (32, 32), "l_shape"), identity_sampler,
-                          ZeroMean(), 2),
+                          ZeroMean(), 3),
     "periodic_cosine": (build_mesh((0, 0), (1, 1), (32, 32)), _cosine_sampler(1.0),
-                        Periodic(), 2),
+                        Periodic(), 3),
     "periodic_checkerboard": (build_mesh((0, 0), (1, 1), (32, 32)),
-                              Checkerboard(1.0, 100.0).sample_batch, Periodic(), 2),
-    "dirichlet_1d": (build_mesh(0.0, 1.0, [1024]), identity_sampler, Dirichlet(), 3),
+                              Checkerboard(1.0, 100.0).sample_batch, Periodic(), 3),
+    "dirichlet_1d": (build_mesh(0.0, 1.0, [1024]), identity_sampler, Dirichlet(), 5),
     "odd_divisions": (build_mesh((0, 0), (1, 1), (45, 45)), identity_sampler, Dirichlet(), 1),
     "periodic_skew_checkerboard": (build_mesh((0, 0), (1, 1), (32, 32)), _skew_checkerboard(2.0),
-                                   Periodic(), 2),
+                                   Periodic(), 3),
 }
 
 
@@ -383,6 +384,24 @@ def test_cg_matches_dense_solve(name):
     x = cg_solve(sys, b)
     assert len(sys.hierarchy) == levels
     assert np.linalg.norm(x - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in SOLVER_CASES if "skew" not in n))
+def test_vcycle_symmetric_positive_definite(name):
+    # PCG needs a symmetric positive definite preconditioner; on singular
+    # systems it only ever sees zero-mean vectors
+    mesh, sampler, constraint, _ = SOLVER_CASES[name]
+    sys = _assemble(mesh, sampler, constraint)
+    u, v = np.random.default_rng(5).standard_normal((2, sys.dimension))
+    if sys.needs_projection:
+        u -= u.mean()
+        v -= v.mean()
+    vu = _vcycle(sys.matrix, sys.hierarchy, u)
+    vv = _vcycle(sys.matrix, sys.hierarchy, v)
+    assert u @ vu > 0 and v @ vv > 0
+    # |<u, V v>| is at most this scale when V is positive definite
+    scale = np.sqrt((u @ vu) * (v @ vv))
+    assert abs(u @ vv - vu @ v) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("divisions", [128, 256])
@@ -490,7 +509,7 @@ def test_constant_tensor_levels_equal_halved_mesh_assembly(shape, constraint):
     sampler = _constant_sampler([[2.0, 0.3], [0.3, 1.0]])
     mesh = build_mesh((0, 0), (1, 2), (64, 64), shape)
     levels = assemble_stiffness(mesh, sampler, ASSEMBLY_CONSTRAINTS[constraint]).hierarchy
-    assert len(levels) == 3
+    assert len(levels) == 4
     for k, level in enumerate(levels[:-1], start=1):
         coarse_mesh = build_mesh((0, 0), (1, 2), (64 >> k, 64 >> k), shape)
         expected = assemble_stiffness(coarse_mesh, sampler, ASSEMBLY_CONSTRAINTS[constraint]).matrix
