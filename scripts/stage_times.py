@@ -89,8 +89,7 @@ def rung_stages(name, repeats):
     times["assembly"], system = best_of(
         repeats, lambda: sparse.assemble_stiffness(mesh, sampler, constraint))
     periodic = isinstance(constraint, sparse.Periodic)
-    stencil, dofs, shared = sparse._nodal_stencil(mesh, sampler, constraint, system.node_to_dof,
-                                                  validate=False)
+    stencil, dofs, shared, _ = sparse._nodal_stencil(mesh, sampler, constraint, system.node_to_dof)
     matrix = sparse._read_csr(stencil, dofs, periodic, shared)
     times["hierarchy"], _ = best_of(repeats, lambda: sparse._build_hierarchy(
         matrix, stencil, dofs, periodic, system.needs_projection))

@@ -11,9 +11,9 @@ The homogenized tensor is the cell quadrature of
 
     A_ij = integral over Y of  grad(y_i + chi_i) . A grad(y_j + chi_j).
 
-The stiffness is assembled as its symmetric part S, whose sampler is
-validated for ellipticity, plus, for a non-symmetric coefficient, its skew
-part N.  A symmetric coefficient is solved by CG on S.  Otherwise the
+The stiffness is assembled as its symmetric part S, from a symmetric field's
+raw samples, which assembly checks, plus, for a non-symmetric coefficient,
+its skew part N.  A symmetric coefficient is solved by CG on S.  Otherwise the
 correctors solve K = S + N and the adjoints K^T = S - N, each with GMRES
 preconditioned by the V-cycle of S; both families share that one multigrid
 hierarchy.  Every solve meets the requested tolerance on the true residual of
@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coeff import CoefficientField, validate_ellipticity
+from .coeff import CoefficientField
 from .grid import ScalarField, StructuredMesh, element_blocks
 from .sparse import (
     Periodic,
@@ -51,7 +51,6 @@ class CorrectorSet:
 @dataclass(frozen=True, eq=False)
 class HomogenizedTensor:
     matrix: np.ndarray
-    ellipticity: tuple[float, float]
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.atleast_2d(np.asarray(self.matrix, dtype=float)))
@@ -81,7 +80,6 @@ def solve_correctors(
     rel_tol: float = 1e-10,
 ) -> CorrectorSet:
     """Solve the n periodic cell problems and their adjoints."""
-    validate_ellipticity(field)
     _check_cell_mesh(field, cell_mesh)
     n = field.dim
 
@@ -89,7 +87,9 @@ def solve_correctors(
         a = field.sample_batch(pts)
         return 0.5 * (a + np.swapaxes(a, 1, 2))
 
-    system = assemble_stiffness(cell_mesh, sym_sampler, Periodic())
+    # a symmetric field's samples go raw, so assembly rejects any that are not
+    system = assemble_stiffness(cell_mesh, field.sample_batch if field.symmetric else sym_sampler,
+                                Periodic())
 
     def solve_family(coeff: CoefficientField, stiffness: SparseSystem) -> tuple[ScalarField, ...]:
         out = []
@@ -113,8 +113,7 @@ def solve_correctors(
         return 0.5 * (a - np.swapaxes(a, 1, 2))
 
     s = system.matrix
-    skew = _assemble_matrix(cell_mesh, skew_sampler, system.constraint, system.node_to_dof,
-                            validate=False)
+    skew = _assemble_matrix(cell_mesh, skew_sampler, system.constraint, system.node_to_dof)
     # S^T = S and N^T = -N, so S - N is the adjoint matrix; replace() keeps the
     # multigrid levels that assembly built from S, for both families
     chi = solve_family(field, replace(system, matrix=s + skew, symmetric_part=s))
@@ -140,5 +139,4 @@ def homogenized_tensor(field: CoefficientField, correctors: CorrectorSet) -> Hom
             grads[i, :, :, i] += 1.0
         mat += np.einsum("ieqk,eqkl,jeql,q->ij", grads, a, grads, rule.weights, optimize=True)
     mat *= float(np.prod(mesh.h))
-    c, big_c = validate_ellipticity(field)
-    return HomogenizedTensor(mat, (c, big_c))
+    return HomogenizedTensor(mat)

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from .coeff import from_config as coeff_from_config
+from .coeff import validate_ellipticity
 from .harness import (
     ConfigError,
     StudyConfig,
@@ -44,8 +45,9 @@ def _cmd_tensor(args) -> int:
     if args.cell_divisions:
         config = StudyConfig.from_dict({**config.to_dict(), "cell_divisions": args.cell_divisions})
     tensor, _ = compute_tensor(config)
+    ellipticity = validate_ellipticity(coeff_from_config(config.coefficient))
     print(json.dumps({"tensor": tensor.matrix.tolist(),
-                      "ellipticity": list(tensor.ellipticity)}, indent=2))
+                      "ellipticity": list(ellipticity)}, indent=2))
     return EXIT_OK
 
 
@@ -58,7 +60,7 @@ def _cmd_solve(args) -> int:
     field = coeff_from_config(config.coefficient)
     inst = ProblemInstance(mesh, field, _rhs_for(config.rhs, config.dim),
                            BoundaryCondition(config.bc), n_eps)
-    u = solve_fine(inst, config.points_per_period, rel_tol=config.cg_tol)
+    u = solve_fine(inst, rel_tol=config.cg_tol)
     _dump_field(u, args.out, f"solution_eps_1_{n_eps}", {"epsilon": 1.0 / n_eps})
     print(f"wrote {Path(args.out) / 'fields' / f'solution_eps_1_{n_eps}.bin'} ({mesh.n_nodes} nodes)")
     return EXIT_OK

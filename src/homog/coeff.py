@@ -1,4 +1,4 @@
-"""Y-periodic matrix coefficient fields with ellipticity validation.
+"""Y-periodic matrix coefficient fields and a lattice ellipticity screen.
 
 Every field is sampled through the componentwise fractional part, so it is
 1-periodic in each coordinate by construction.  Piecewise-constant kinds use
@@ -203,11 +203,14 @@ def symmetric_part_eiglimits(a: np.ndarray) -> tuple[float, float]:
 
 
 def validate_ellipticity(field: CoefficientField, samples_per_axis: int = 64) -> tuple[float, float]:
-    """Min/max eigenvalue of the symmetric part over a sample lattice.
+    """Min/max eigenvalue of the symmetric part over a sample lattice: the
+    screen of a config's coefficient, and the bounds ``homog tensor`` prints.
 
     Samples cell midpoints of a uniform lattice; raises EllipticityError when
     the minimum eigenvalue is non-positive, and when a field declared
-    symmetric produces asymmetric samples.
+    symmetric produces asymmetric samples.  It can miss features thinner
+    than the lattice spacing, 1/64 by default; the authoritative check is
+    assembly's, of every quadrature sample it reads.
     """
     if samples_per_axis < 2:
         raise ValueError("samples_per_axis must be >= 2")

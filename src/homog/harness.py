@@ -327,7 +327,7 @@ def run_study(config: StudyConfig, out_dir=None, progress=None, dump_fields=Fals
         say(f"epsilon = 1/{n_eps}")
         mesh = config.fine_mesh(n_eps)
         instance = ProblemInstance(mesh, field, rhs, bc, n_eps)
-        fine = solve_fine(instance, m, rel_tol=config.cg_tol)
+        fine = solve_fine(instance, rel_tol=config.cg_tol)
         phi = solve_homogenized(tensor, rhs, bc, mesh, rel_tol=config.cg_tol)
         recon = reconstruct(phi, recon_correctors, instance.cell_map)
         reports.append(error_report(fine, recon, instance.cell_map, config.interior_box))

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .cell import CorrectorSet, HomogenizedTensor
-from .coeff import CoefficientField, Constant, validate_ellipticity
+from .coeff import CoefficientField
 from .grid import (
     ScalarField,
     StructuredMesh,
@@ -65,11 +65,9 @@ class ProblemInstance:
     bc: BoundaryCondition
     n_per_unit: int  # epsilon = 1 / n_per_unit
     cell_map: CellIndexMap = dataclass_field(init=False)  # also the alignment check
-    ellipticity: tuple[float, float] = dataclass_field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "cell_map", build_cell_map(self.domain_mesh, self.n_per_unit))
-        object.__setattr__(self, "ellipticity", validate_ellipticity(self.coefficient))
 
     @property
     def epsilon(self) -> float:
@@ -80,14 +78,15 @@ def _constraint_for(bc: BoundaryCondition):
     return Dirichlet() if bc.kind == DIRICHLET_FULL else ZeroMean()
 
 
-def _rhs_values(mesh: StructuredMesh, rhs: RhsLike):
+def _rhs_values(rhs: RhsLike):
     if isinstance(rhs, ScalarField):
         return lambda pts: eval_field_batch(rhs, pts)
     return rhs
 
 
 def _check_solution(system, x, b, field_norms, c_ell, rel_tol):
-    """Galerkin residual and discrete energy bounds, asserted per solve."""
+    """Galerkin residual and discrete energy bounds, asserted per solve;
+    ``c_ell`` is the least eigenvalue of the assembled coefficient samples."""
     bnorm = np.linalg.norm(b)
     if bnorm > 0:
         res = np.linalg.norm(b - system.matrix @ x) / bnorm
@@ -104,9 +103,9 @@ def _check_solution(system, x, b, field_norms, c_ell, rel_tol):
         raise RuntimeError("Cauchy-Schwarz load bound violated")
 
 
-def _solve(mesh, sampler, rhs, bc, rel_tol, c_ell):
+def _solve(mesh, sampler, rhs, bc, rel_tol):
     system = assemble_stiffness(mesh, sampler, _constraint_for(bc))
-    f = _rhs_values(mesh, rhs)
+    f = _rhs_values(rhs)
     if bc.kind == NEUMANN_FULL:
         total = integrate(mesh, f)
         if abs(total) > 1e-10:
@@ -118,7 +117,7 @@ def _solve(mesh, sampler, rhs, bc, rel_tol, c_ell):
     grad_norm2 = h1_seminorm_sq(field)
     u_norm = np.sqrt(l2_norm_sq(field))
     f_norm = np.sqrt(integrate(mesh, lambda p: np.asarray(f(p)) ** 2))
-    _check_solution(system, x, b, (grad_norm2, u_norm, f_norm), c_ell, rel_tol)
+    _check_solution(system, x, b, (grad_norm2, u_norm, f_norm), system.ellipticity[0], rel_tol)
     if bc.kind == NEUMANN_FULL:
         area = integrate(mesh, lambda p: np.ones(len(p)))
         values = values - integrate_field(field) / area
@@ -127,23 +126,16 @@ def _solve(mesh, sampler, rhs, bc, rel_tol, c_ell):
     return field
 
 
-def solve_fine(instance: ProblemInstance, points_per_period: int, rel_tol: float = 1e-10) -> ScalarField:
-    """Q1 solution of the oscillating problem with A sampled through x/eps."""
-    mesh = instance.domain_mesh
-    cmap = instance.cell_map
-    if points_per_period < 4:
-        raise ValueError("points_per_period must be at least 4")
-    if any(mk != points_per_period for mk in cmap.m):
-        raise ValueError(
-            f"fine mesh has {cmap.m} elements per cell, expected {points_per_period}"
-        )
+def solve_fine(instance: ProblemInstance, *, rel_tol: float = 1e-10) -> ScalarField:
+    """Q1 solution of the oscillating problem with A sampled through x/eps;
+    the instance's cell map fixes the elements per cell."""
     eps = instance.epsilon
     field = instance.coefficient
 
     def sampler(pts):
         return field.sample_batch(pts / eps)
 
-    return _solve(mesh, sampler, instance.rhs, instance.bc, rel_tol, instance.ellipticity[0])
+    return _solve(instance.domain_mesh, sampler, instance.rhs, instance.bc, rel_tol)
 
 
 def solve_homogenized(
@@ -165,13 +157,11 @@ def solve_homogenized(
     if bc.kind == NEUMANN_FULL and np.abs(skew).max() > 1e-10 * np.abs(tensor.matrix).max():
         raise ValueError("neumann_full data with a non-symmetric effective tensor is not supported")
     sym = 0.5 * (tensor.matrix + tensor.matrix.T)
-    coeff = Constant(tuple(map(tuple, sym)))
-    c_ell, _ = validate_ellipticity(coeff)
 
     def sampler(pts):
-        return coeff.sample_batch(pts)
+        return np.broadcast_to(sym, (len(pts), *sym.shape))
 
-    return _solve(mesh, sampler, rhs, bc, rel_tol, c_ell)
+    return _solve(mesh, sampler, rhs, bc, rel_tol)
 
 
 def recovered_gradient_fields(phi: ScalarField) -> tuple[ScalarField, ...]:

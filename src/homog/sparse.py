@@ -13,7 +13,9 @@ Assembly takes its blocks of element rows from the element walk of
 samples with a fixed quadrature table, and the block adds them into a nodal
 3^n-point stencil by one array-slice add per pair of element corners; load
 vectors are scattered onto the nodes the same way.  The compressed-row
-matrix is read straight off the stencil, with no triplet list.
+matrix is read straight off the stencil, with no triplet list.  The walk
+also bounds the samples' eigenvalues and asymmetry; ``assemble_stiffness``
+checks every sample by these figures and records the bounds on its system.
 
 The preconditioner is one symmetric geometric-multigrid V-cycle over the
 nested grids obtained by halving the mesh divisions: bilinear prolongation,
@@ -102,16 +104,6 @@ def _dof_map(mesh: StructuredMesh, constraint: Constraint) -> np.ndarray:
     return node_to_dof
 
 
-def _validate_samples(a: np.ndarray, dim: int) -> None:
-    if dim == 2:
-        scale = max(1.0, float(np.abs(a).max()))
-        asym = np.abs(a[:, 0, 1] - a[:, 1, 0]).max()
-        if asym > 1e-10 * scale:
-            raise AssemblyError(f"sampler returned non-symmetric matrices (max dev {asym:.3e})")
-    if symmetric_part_eiglimits(a)[0] <= 0:
-        raise AssemblyError("sampler returned a non-elliptic matrix (eigenvalue <= 0)")
-
-
 def _neighbour_dofs(dofs: np.ndarray, periodic: bool, step: int = 1) -> np.ndarray:
     """``cols[t][x]``: the dof of node ``step * x + t - 1`` for each stencil
     offset index t and every ``step``-th node, -1 where there is none.
@@ -129,12 +121,13 @@ def _nodal_stencil(
     sampler: Callable[[np.ndarray], np.ndarray],
     constraint: Constraint,
     node_to_dof: np.ndarray,
-    validate: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, tuple[float, float, float]]:
     """The Q1 matrix of a coefficient sampler as a nodal stencil: entry
     ``[t][x]`` couples node x to node x + t - 1, offsets first and both last
-    mesh axis first.  Returns the stencil, the node -> dof grid it lives on
-    and, on a masked mesh, which couplings share an active element.
+    mesh axis first.  Returns the stencil, the node -> dof grid it lives on,
+    on a masked mesh which couplings share an active element, and the
+    samples' (min, max) eigenvalue of sym(A) and largest ``|a_ij - a_ji|``
+    relative to ``max(1, |a|)`` in its block.
 
     Element matrices come from one product of the samples with a fixed
     quadrature table per block of element rows.  On a periodic mesh the slave
@@ -146,6 +139,7 @@ def _nodal_stencil(
     stencil = np.zeros((3,) * dim + nodes)
     # on a box mesh every in-range neighbour shares an active element
     shared = None if mesh.active_mask is None else np.zeros(stencil.shape, dtype=bool)
+    low, high, asym = np.inf, -np.inf, 0.0
     for block in element_blocks(mesh):
         rule = block.rule
         grads = rule.gradients / mesh.h  # (Q, 2^n, n)
@@ -154,8 +148,12 @@ def _nodal_stencil(
         ).reshape(-1, nloc * nloc)  # (Q n n, 2^n 2^n)
         pts = block.points().reshape(-1, dim)
         a = np.asarray(sampler(pts), dtype=float).reshape(block.size, len(rule.weights), dim, dim)
-        if validate:
-            _validate_samples(a.reshape(-1, dim, dim), dim)
+        samples = a.reshape(-1, dim, dim)
+        block_low, block_high = symmetric_part_eiglimits(samples)
+        low, high = min(low, block_low), max(high, block_high)
+        if dim == 2:
+            dev = float(np.abs(samples[:, 0, 1] - samples[:, 1, 0]).max())
+            asym = max(asym, dev / max(1.0, float(np.abs(samples).max())))
         ke = (table.T @ a.reshape(block.size, -1).T).reshape(nloc, nloc, block.size)
         block.add_to_nodes(stencil, ke)
         if shared is not None:
@@ -168,7 +166,7 @@ def _nodal_stencil(
             stencil[before + (0,)] += stencil[before + (-1,)]
         masters = (slice(-1),) * dim
         stencil, dofs = stencil[(...,) + masters], dofs[masters]
-    return stencil, dofs, shared
+    return stencil, dofs, shared, (low, high, asym)
 
 
 def _grid_csr(values, cols, keep, dofs, n_cols: int, periodic: bool) -> sp.csr_matrix:
@@ -211,13 +209,12 @@ def _assemble_matrix(
     sampler: Callable[[np.ndarray], np.ndarray],
     constraint: Constraint,
     node_to_dof: np.ndarray,
-    validate: bool,
 ) -> sp.csr_matrix:
-    """The constrained Q1 matrix of a coefficient sampler.  Rows and columns
+    """The constrained Q1 matrix of an unchecked sampler.  Rows and columns
     of eliminated nodes are dropped, and so are couplings between nodes that
     share no active element, so the sparsity pattern is exactly the element
     connectivity."""
-    stencil, dofs, shared = _nodal_stencil(mesh, sampler, constraint, node_to_dof, validate)
+    stencil, dofs, shared, _ = _nodal_stencil(mesh, sampler, constraint, node_to_dof)
     return _read_csr(stencil, dofs, isinstance(constraint, Periodic), shared)
 
 
@@ -235,6 +232,8 @@ class SparseSystem:
     # levels of the multigrid preconditioner, finest first; assembly builds
     # them, and a system given none gets the coarsest level alone
     hierarchy: tuple[_Level, ...] = field(default=(), repr=False)
+    # (min, max) eigenvalue of sym(A) over the samples that assembly read
+    ellipticity: tuple[float, float] | None = None
 
     def __post_init__(self):
         if not self.hierarchy:
@@ -273,18 +272,23 @@ def assemble_stiffness(
 
     ``matrix_sampler`` receives an (P, n) array of points and must return
     (P, n, n) symmetric matrices with positive eigenvalues; violations raise
-    AssemblyError.  Entry (a, b) couples test function a with trial
-    function b.
+    AssemblyError, else the samples' bounds become the ``ellipticity`` of
+    the system.  Entry (a, b) couples test function a with trial function b.
     """
     node_to_dof = _dof_map(mesh, constraint)
     periodic = isinstance(constraint, Periodic)
-    stencil, dofs, shared = _nodal_stencil(mesh, matrix_sampler, constraint, node_to_dof,
-                                           validate=True)
+    stencil, dofs, shared, (low, high, asym) = _nodal_stencil(
+        mesh, matrix_sampler, constraint, node_to_dof)
+    if asym > 1e-10:
+        raise AssemblyError(f"sampler returned non-symmetric matrices (relative dev {asym:.3e})")
+    if low <= 0:
+        raise AssemblyError("sampler returned a non-elliptic matrix (eigenvalue <= 0)")
     matrix = _read_csr(stencil, dofs, periodic, shared)
     # only Dirichlet elimination removes the constant mode from the kernel
     singular = not isinstance(constraint, Dirichlet)
     hierarchy = _build_hierarchy(matrix, stencil, dofs, periodic, singular)
-    return SparseSystem(matrix, constraint, node_to_dof, mesh.n_nodes, hierarchy=hierarchy)
+    return SparseSystem(matrix, constraint, node_to_dof, mesh.n_nodes, hierarchy=hierarchy,
+                        ellipticity=(low, high))
 
 
 def _scatter_load(mesh, sampler, table_of) -> np.ndarray:

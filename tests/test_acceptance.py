@@ -89,7 +89,7 @@ def richardson_reports():
         mesh = build_mesh((0, 0), (1, 1), (16 * m, 16 * m), "box")
         cmap = build_cell_map(mesh, 16)
         corr = solve_correctors(coeff, unit_cell_mesh(2, m))
-        fine = solve_fine(ProblemInstance(mesh, coeff, rhs, bc, 16), m)
+        fine = solve_fine(ProblemInstance(mesh, coeff, rhs, bc, 16))
         phi = solve_homogenized(tensor, rhs, bc, mesh)
         out[m] = error_report(fine, reconstruct(phi, corr, cmap), cmap,
                               ((0.25, 0.75), (0.25, 0.75)))

@@ -219,3 +219,17 @@ def test_mesh_convergence_monotone():
         tensors[div] = homogenized_tensor(field, cs).matrix
     gaps = [np.abs(tensors[d] - tensors[2 * d]).max() for d in (16, 32, 64)]
     assert gaps[0] > gaps[1] > gaps[2]
+
+
+class _DeclaredSymmetric(ScalarCosine):
+    """Claims the default ``symmetric`` but samples a skew part."""
+
+    def sample_batch(self, y):
+        a = super().sample_batch(y)
+        a[:, 0, 1] += 0.5
+        return a
+
+
+def test_declared_symmetric_field_with_skew_samples_rejected():
+    with pytest.raises(ValueError, match="symmetric"):
+        solve_correctors(_DeclaredSymmetric(2.0, 1.0), unit_cell_mesh(2, 8))

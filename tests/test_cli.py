@@ -33,6 +33,7 @@ def test_tensor_command(tmp_path, capsys):
     assert main(["tensor", "--config", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
     np.testing.assert_allclose(out["tensor"], [[1.6, 0.0], [0.0, 2.5]], atol=1e-8)
+    assert out["ellipticity"] == [1.0, 4.0]
 
 
 def test_solve_command_writes_field(tmp_path, capsys):

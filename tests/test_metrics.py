@@ -27,9 +27,9 @@ def constant_setup(m=8, n=4):
     mesh = build_mesh((0, 0), (1, 1), (m * n, m * n), "box")
     cmap = build_cell_map(mesh, n)
     rhs = lambda p: np.ones(len(p))
-    fine = solve_fine(ProblemInstance(mesh, coeff, rhs, DIRICHLET, n), m)
+    fine = solve_fine(ProblemInstance(mesh, coeff, rhs, DIRICHLET, n))
     correctors = solve_correctors(coeff, unit_cell_mesh(2, m))
-    tensor = HomogenizedTensor(np.asarray(coeff.matrix), (1.0, 3.0))
+    tensor = HomogenizedTensor(np.asarray(coeff.matrix))
     phi = solve_homogenized(tensor, rhs, DIRICHLET, mesh)
     recon = reconstruct(phi, correctors, cmap)
     return mesh, cmap, fine, recon
@@ -97,7 +97,7 @@ def test_quadrature_agreement_refined_rule(monkeypatch):
     mesh = build_mesh((0, 0), (1, 1), (m * n, m * n), "box")
     cmap = build_cell_map(mesh, n)
     rhs = lambda p: np.ones(len(p))
-    fine = solve_fine(ProblemInstance(mesh, coeff, rhs, DIRICHLET, n), m)
+    fine = solve_fine(ProblemInstance(mesh, coeff, rhs, DIRICHLET, n))
     correctors = solve_correctors(coeff, unit_cell_mesh(2, m))
     from homog.cell import homogenized_tensor
 
@@ -225,7 +225,7 @@ def test_1d_error_report_matches_independent_reference():
     coeff = ScalarCosine(2.0, 1.0, axis=0, ndim=1)
     cmap = build_cell_map(mesh, n_eps)
     rhs = lambda p: np.ones(len(p))
-    fine = solve_fine(ProblemInstance(mesh, coeff, rhs, DIRICHLET, n_eps), m)
+    fine = solve_fine(ProblemInstance(mesh, coeff, rhs, DIRICHLET, n_eps))
     correctors = solve_correctors(coeff, unit_cell_mesh(1, m))
     from homog.cell import homogenized_tensor
 
@@ -249,7 +249,7 @@ def cosine_rung(shape, m, n):
     mesh = build_mesh((0, 0), (1, 1), (m * n, m * n), shape)
     cmap = build_cell_map(mesh, n)
     rhs = lambda p: np.ones(len(p))
-    fine = solve_fine(ProblemInstance(mesh, coeff, rhs, DIRICHLET, n), m)
+    fine = solve_fine(ProblemInstance(mesh, coeff, rhs, DIRICHLET, n))
     correctors = solve_correctors(coeff, unit_cell_mesh(2, m))
     phi = solve_homogenized(homogenized_tensor(coeff, correctors), rhs, DIRICHLET, mesh)
     return fine, reconstruct(phi, correctors, cmap), cmap

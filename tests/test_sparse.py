@@ -5,8 +5,22 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from homog.coeff import Checkerboard, GridTable, ScalarCosine
-from homog.grid import active_nodes, boundary_nodes, build_mesh, gauss_rule, shape_gradients
+from homog.coeff import (
+    Checkerboard,
+    Constant,
+    GridTable,
+    ScalarCosine,
+    symmetric_part_eiglimits,
+    validate_ellipticity,
+)
+from homog.grid import (
+    active_nodes,
+    boundary_nodes,
+    build_mesh,
+    element_blocks,
+    gauss_rule,
+    shape_gradients,
+)
 from homog.sparse import (
     AssemblyError,
     Dirichlet,
@@ -148,7 +162,7 @@ def test_assembly_matches_dense_element_reference(mesh_name, constraint_name, sa
         sample, matrix = _symmetric_sampler, system.matrix
     else:
         sample = _skew_part_sampler
-        matrix = _assemble_matrix(mesh, sample, constraint, system.node_to_dof, validate=False)
+        matrix = _assemble_matrix(mesh, sample, constraint, system.node_to_dof)
     expected, coupled, scale = _dense_reference(mesh, sample, system.node_to_dof)
     assert matrix.shape == expected.shape
     assert matrix.has_canonical_format
@@ -240,6 +254,28 @@ def test_nonelliptic_sampler_rejected():
 
     with pytest.raises(AssemblyError):
         assemble_stiffness(mesh, bad, ZeroMean())
+
+
+@pytest.mark.parametrize("shape", ["box", "l_shape"])
+def test_recorded_ellipticity_is_that_of_every_quadrature_sample(shape):
+    # the fine cosine sampler at eps = 1/4 on 8 elements per cell
+    mesh = build_mesh((0, 0), (1, 1), (32, 32), shape)
+    field = ScalarCosine(2.0, 1.0, axis=0)
+
+    def sampler(pts):
+        return field.sample_batch(pts * 4)
+
+    system = assemble_stiffness(mesh, sampler, Dirichlet())
+    points = np.concatenate([b.points().reshape(-1, 2) for b in element_blocks(mesh)])
+    assert system.ellipticity == symmetric_part_eiglimits(sampler(points))
+
+
+@pytest.mark.parametrize("constraint", [Dirichlet(), ZeroMean(), Periodic()])
+def test_recorded_ellipticity_of_a_constant_tensor(constraint):
+    field = Constant(((2.0, 0.3), (0.3, 1.0)))
+    mesh = build_mesh((0, 0), (1, 1), (8, 8), "box")
+    system = assemble_stiffness(mesh, field.sample_batch, constraint)
+    assert system.ellipticity == validate_ellipticity(field)
 
 
 def test_cg_identity_system():
@@ -339,7 +375,7 @@ def _assemble(mesh, sampler, constraint):
         return 0.5 * (a - np.swapaxes(a, 1, 2))
 
     sym = assemble_stiffness(mesh, sym_sampler, constraint)
-    skew = _assemble_matrix(mesh, skew_sampler, constraint, sym.node_to_dof, validate=False)
+    skew = _assemble_matrix(mesh, skew_sampler, constraint, sym.node_to_dof)
     if skew.count_nonzero() == 0:
         return sym
     return replace(sym, matrix=sym.matrix + skew, symmetric_part=sym.matrix)
@@ -566,7 +602,7 @@ def test_periodic_galerkin_pass_with_coinciding_neighbours(divisions):
     mesh = build_mesh((0,) * dim, (1,) * dim, divisions)
     sampler = Checkerboard(1.0, 100.0).sample_batch if dim == 2 else _symmetric_sampler
     system = assemble_stiffness(mesh, sampler, Periodic())
-    stencil, dofs, _ = _nodal_stencil(mesh, sampler, Periodic(), system.node_to_dof, validate=False)
+    stencil, dofs, _, _ = _nodal_stencil(mesh, sampler, Periodic(), system.node_to_dof)
     matrix = _read_csr(stencil, dofs, periodic=True)
     assert _gap(matrix, system.matrix) == 0.0
     node_to_dof = system.node_to_dof
