@@ -76,7 +76,7 @@ def rung_stages(name, repeats):
                                     "points_per_period": POINTS_PER_PERIOD,
                                     "cell_divisions": POINTS_PER_PERIOD})
     field = coeff_from_config(config.coefficient)
-    rhs = _rhs_for(config.rhs, config.dim)
+    rhs = _rhs_for(config.rhs)
     bc = BoundaryCondition(config.bc)
     mesh = config.fine_mesh(N_EPS)
     cmap = build_cell_map(mesh, N_EPS)

@@ -40,12 +40,15 @@ from .sparse import (
 
 @dataclass(frozen=True, eq=False)
 class CorrectorSet:
-    """Zero-mean periodic correctors (and adjoints) on the cell mesh."""
+    """Zero-mean periodic correctors (and adjoints) on the cell mesh, and
+    the (min, max) eigenvalues of the symmetric part of the coefficient over
+    the cell assembly's quadrature samples."""
 
     cell_mesh: StructuredMesh
     chi: tuple[ScalarField, ...]
     chi_adjoint: tuple[ScalarField, ...]
     coefficient: CoefficientField
+    ellipticity: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +109,7 @@ def solve_correctors(
 
     if field.symmetric:
         chi = solve_family(field, system)
-        return CorrectorSet(cell_mesh, chi, chi, field)
+        return CorrectorSet(cell_mesh, chi, chi, field, system.ellipticity)
 
     def skew_sampler(pts):
         a = field.sample_batch(pts)
@@ -118,7 +121,7 @@ def solve_correctors(
     # multigrid levels that assembly built from S, for both families
     chi = solve_family(field, replace(system, matrix=s + skew, symmetric_part=s))
     chi_adj = solve_family(field.transposed(), replace(system, matrix=s - skew, symmetric_part=s))
-    return CorrectorSet(cell_mesh, chi, chi_adj, field)
+    return CorrectorSet(cell_mesh, chi, chi_adj, field, system.ellipticity)
 
 
 def homogenized_tensor(field: CoefficientField, correctors: CorrectorSet) -> HomogenizedTensor:

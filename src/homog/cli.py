@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 from .coeff import from_config as coeff_from_config
-from .coeff import validate_ellipticity
 from .harness import (
     ConfigError,
     StudyConfig,
@@ -44,13 +43,10 @@ def _cmd_tensor(args) -> int:
     config = load_config(args.config)
     if args.cell_divisions:
         config = StudyConfig.from_dict({**config.to_dict(), "cell_divisions": args.cell_divisions})
-    tensor, _ = compute_tensor(config)
-    ellipticity = validate_ellipticity(coeff_from_config(config.coefficient))
+    tensor, correctors = compute_tensor(config)
     print(json.dumps({"tensor": tensor.matrix.tolist(),
-                      "ellipticity": list(ellipticity)}, indent=2))
+                      "ellipticity": list(correctors.ellipticity)}, indent=2))
     return EXIT_OK
-
-
 
 
 def _cmd_solve(args) -> int:
@@ -58,7 +54,7 @@ def _cmd_solve(args) -> int:
     n_eps = _parse_epsilon(args.epsilon)
     mesh = config.fine_mesh(n_eps)
     field = coeff_from_config(config.coefficient)
-    inst = ProblemInstance(mesh, field, _rhs_for(config.rhs, config.dim),
+    inst = ProblemInstance(mesh, field, _rhs_for(config.rhs),
                            BoundaryCondition(config.bc), n_eps)
     u = solve_fine(inst, rel_tol=config.cg_tol)
     _dump_field(u, args.out, f"solution_eps_1_{n_eps}", {"epsilon": 1.0 / n_eps})

@@ -46,6 +46,14 @@ def sample(field: CoefficientField, y) -> np.ndarray:
     return field.sample_batch(np.atleast_2d(np.asarray(y, dtype=float)))[0]
 
 
+def _times_identity(scalars: np.ndarray, n: int) -> np.ndarray:
+    """(P,) scalars times the n x n identity: (P, n, n)."""
+    out = np.zeros((len(scalars), n, n))
+    for d in range(n):
+        out[:, d, d] = scalars
+    return out
+
+
 @dataclass(frozen=True)
 class Constant(CoefficientField):
     matrix: tuple  # (n, n) nested tuple
@@ -90,11 +98,7 @@ class Laminate(CoefficientField):
 
     def sample_batch(self, y: np.ndarray) -> np.ndarray:
         frac = fractional_part(y[:, self.axis])
-        scal = np.where(frac < self.fraction, self.alpha, self.beta)
-        out = np.zeros((len(y), self.ndim, self.ndim))
-        for d in range(self.ndim):
-            out[:, d, d] = scal
-        return out
+        return _times_identity(np.where(frac < self.fraction, self.alpha, self.beta), self.ndim)
 
 
 @dataclass(frozen=True)
@@ -112,11 +116,7 @@ class Checkerboard(CoefficientField):
         cells = np.floor(2.0 * fractional_part(y)).astype(int)
         cells = np.minimum(cells, 1)
         even = (cells[:, 0] + cells[:, 1]) % 2 == 0
-        scal = np.where(even, self.alpha, self.beta)
-        out = np.zeros((len(y), 2, 2))
-        out[:, 0, 0] = scal
-        out[:, 1, 1] = scal
-        return out
+        return _times_identity(np.where(even, self.alpha, self.beta), 2)
 
 
 @dataclass(frozen=True)
@@ -138,10 +138,7 @@ class ScalarCosine(CoefficientField):
 
     def sample_batch(self, y: np.ndarray) -> np.ndarray:
         scal = self.a0 + self.a1 * np.cos(2.0 * np.pi * fractional_part(y[:, self.axis]))
-        out = np.zeros((len(y), self.ndim, self.ndim))
-        for d in range(self.ndim):
-            out[:, d, d] = scal
-        return out
+        return _times_identity(scal, self.ndim)
 
 
 @dataclass(frozen=True)
@@ -168,7 +165,7 @@ class GridTable(CoefficientField):
     @property
     def symmetric(self) -> bool:
         v = self._array
-        return bool(np.allclose(v, np.swapaxes(v, 2, 3), rtol=0, atol=0))
+        return bool(np.array_equal(v, np.swapaxes(v, 2, 3)))
 
     def sample_batch(self, y: np.ndarray) -> np.ndarray:
         k = self.k
@@ -204,7 +201,7 @@ def symmetric_part_eiglimits(a: np.ndarray) -> tuple[float, float]:
 
 def validate_ellipticity(field: CoefficientField, samples_per_axis: int = 64) -> tuple[float, float]:
     """Min/max eigenvalue of the symmetric part over a sample lattice: the
-    screen of a config's coefficient, and the bounds ``homog tensor`` prints.
+    screen of a config's coefficient on entry.
 
     Samples cell midpoints of a uniform lattice; raises EllipticityError when
     the minimum eigenvalue is non-positive, and when a field declared
@@ -214,14 +211,9 @@ def validate_ellipticity(field: CoefficientField, samples_per_axis: int = 64) ->
     """
     if samples_per_axis < 2:
         raise ValueError("samples_per_axis must be >= 2")
-    n = field.dim
-    axes = [(np.arange(samples_per_axis) + 0.5) / samples_per_axis] * n
-    if n == 1:
-        pts = axes[0][:, None]
-    else:
-        g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
-        pts = np.stack([g0.ravel(), g1.ravel()], axis=1)
-    a = field.sample_batch(pts)
+    mids = (np.arange(samples_per_axis) + 0.5) / samples_per_axis
+    grids = np.meshgrid(*[mids] * field.dim, indexing="ij")
+    a = field.sample_batch(np.stack([g.ravel() for g in grids], axis=1))
     if field.symmetric:
         dev = np.abs(a - np.swapaxes(a, 1, 2)).max()
         if dev > 1e-12 * max(1.0, np.abs(a).max()):

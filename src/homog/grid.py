@@ -21,6 +21,7 @@ which the walk hands each block as ``block.rule``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable
@@ -56,16 +57,11 @@ def gauss_rule(dim: int) -> QuadratureRule:
 @cache
 def _gauss_rule(dim: int, points_per_axis: int) -> QuadratureRule:
     nodes, weights = np.polynomial.legendre.leggauss(points_per_axis)
-    nodes = 0.5 * (nodes + 1.0)
-    weights = 0.5 * weights
-    if dim == 1:
-        pts, w = nodes[:, None], weights
-    else:
-        # axis 0 fastest, matching the node ordering convention
-        p0, p1 = np.meshgrid(nodes, nodes, indexing="ij")
-        w0, w1 = np.meshgrid(weights, weights, indexing="ij")
-        pts = np.stack([p0.ravel(order="F"), p1.ravel(order="F")], axis=1)
-        w = (w0 * w1).ravel(order="F")
+    # per-axis point indices, axis 0 fastest, matching the node ordering
+    grids = np.meshgrid(*[np.arange(points_per_axis)] * dim, indexing="ij")
+    index = np.stack([g.ravel(order="F") for g in grids], axis=1)
+    pts = 0.5 * (nodes + 1.0)[index]
+    w = np.prod((0.5 * weights)[index], axis=1)
     rule = QuadratureRule(pts, w, shape_values(pts), shape_gradients(pts))
     for table in vars(rule).values():
         table.flags.writeable = False
@@ -128,16 +124,11 @@ class StructuredMesh:
         return np.stack(np.unravel_index(elems, self.divisions, order="F"), axis=1)
 
     def element_flat_index(self, multi: np.ndarray) -> np.ndarray:
-        multi = np.asarray(multi)
-        if self.dim == 1:
-            return multi[..., 0]
-        return multi[..., 0] + self.divisions[0] * multi[..., 1]
+        """(..., dim) integer multi-index -> flat element index."""
+        return np.ravel_multi_index(np.moveaxis(np.asarray(multi), -1, 0), self.divisions, order="F")
 
     def node_flat_index(self, multi: np.ndarray) -> np.ndarray:
-        multi = np.asarray(multi)
-        if self.dim == 1:
-            return multi[..., 0]
-        return multi[..., 0] + (self.divisions[0] + 1) * multi[..., 1]
+        return np.ravel_multi_index(np.moveaxis(np.asarray(multi), -1, 0), self.nodes_per_axis, order="F")
 
     def node_multi_index(self, nodes: np.ndarray) -> np.ndarray:
         return np.stack(np.unravel_index(nodes, self.nodes_per_axis, order="F"), axis=1)
@@ -243,35 +234,28 @@ class ScalarField:
 
 
 def shape_values(local: np.ndarray) -> np.ndarray:
-    """Q1 shape functions at local coordinates: (P, n) -> (P, 2^n)."""
-    local = np.atleast_2d(local)
-    if local.shape[1] == 1:
-        t = local[:, 0]
-        return np.stack([1.0 - t, t], axis=1)
-    s, t = local[:, 0], local[:, 1]
-    return np.stack([(1 - s) * (1 - t), s * (1 - t), (1 - s) * t, s * t], axis=1)
+    """Q1 shape functions at local coordinates: (P, n) -> (P, 2^n).
+
+    Corner a (``_corner_offsets`` order) is the product, over the axes k in
+    order, of t_k where bit k of a is set and 1 - t_k elsewhere."""
+    return _corner_products(np.atleast_2d(local))
 
 
 def shape_gradients(local: np.ndarray) -> np.ndarray:
-    """Q1 shape gradients w.r.t. local coordinates: (P, n) -> (P, 2^n, n)."""
+    """Q1 shape gradients w.r.t. local coordinates: (P, n) -> (P, 2^n, n).
+    Along axis d the factor of axis d is -1 or +1 instead."""
     local = np.atleast_2d(local)
-    if local.shape[1] == 1:
-        p = local.shape[0]
-        g = np.empty((p, 2, 1))
-        g[:, 0, 0] = -1.0
-        g[:, 1, 0] = 1.0
-        return g
-    s, t = local[:, 0], local[:, 1]
-    g = np.empty((local.shape[0], 4, 2))
-    g[:, 0, 0] = -(1 - t)
-    g[:, 1, 0] = 1 - t
-    g[:, 2, 0] = -t
-    g[:, 3, 0] = t
-    g[:, 0, 1] = -(1 - s)
-    g[:, 1, 1] = -s
-    g[:, 2, 1] = 1 - s
-    g[:, 3, 1] = s
-    return g
+    return np.stack([_corner_products(local, d) for d in range(local.shape[1])], axis=2)
+
+
+def _corner_products(local: np.ndarray, derivative: int | None = None) -> np.ndarray:
+    """(P, 2^n) corner products of ``shape_values``, differentiated along
+    axis ``derivative`` if given."""
+    factors = [(1.0 - t, t) for t in local.T]  # per axis: bit clear, bit set
+    if derivative is not None:
+        factors[derivative] = (np.full(len(local), -1.0), np.ones(len(local)))
+    return np.stack([math.prod(f[bit] for f, bit in zip(factors, offset))
+                     for offset in _corner_offsets(local.shape[1])], axis=1)
 
 
 def _corner_offsets(dim: int) -> list[tuple[int, ...]]:

@@ -23,11 +23,10 @@ from .cell import CorrectorSet, HomogenizedTensor, homogenized_tensor, solve_cor
 from .coeff import from_config as coeff_from_config
 from .coeff import validate_ellipticity
 from .grid import ScalarField, StructuredMesh, build_mesh, eval_field_batch, eval_gradient_batch, h1_seminorm_sq, integrate, integrate_field, l2_norm_sq
-from .metrics import CSV_HEADER, error_report, fit_rate
+from .metrics import CSV_HEADER, FUNCTIONALS, error_report, fit_rate
 from .solve import BoundaryCondition, ProblemInstance, reconstruct, solve_fine, solve_homogenized
 from .unfold import AlignmentError, build_cell_map, layer_indicator, scale_split, unfold, average
 
-FUNCTIONALS = ("e_l2", "e_h1_corr", "e_weighted", "e_interior", "e_layer")
 BELOW_TOLERANCE = 1e-11
 
 
@@ -35,13 +34,11 @@ class ConfigError(ValueError):
     """The study configuration is inconsistent."""
 
 
-def _rhs_for(name, dim):
+def _rhs_for(name):
     if name == "constant_one":
         return lambda p: np.ones(len(p))
     if name == "sine_product":
-        if dim == 1:
-            return lambda p: np.sin(np.pi * p[:, 0])
-        return lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
+        return lambda p: np.prod(np.sin(np.pi * p), axis=1)
     if isinstance(name, dict) and name.get("kind") == "table":
         mesh = build_mesh(name["origin"], name["extent"], name["divisions"])
         table = ScalarField(mesh, np.asarray(name["values"], dtype=float))
@@ -113,13 +110,12 @@ class StudyConfig:
         validate_ellipticity(field)
         if bc.kind == "neumann_full":
             mesh = self._mesh(max(64, 4 * max(self.epsilons)))
-            total = integrate(mesh, _rhs_for(self.rhs, self.dim))
+            total = integrate(mesh, _rhs_for(self.rhs))
             if abs(total) > 1e-10:
                 raise ConfigError(f"neumann_full requires a zero-mean rhs, got {total:.3e}")
 
     def _mesh(self, divisions: int) -> StructuredMesh:
-        shape = self.domain if self.dim == 2 else "box"
-        return build_mesh((0.0,) * self.dim, (1.0,) * self.dim, (divisions,) * self.dim, shape)
+        return build_mesh((0.0,) * self.dim, (1.0,) * self.dim, (divisions,) * self.dim, self.domain)
 
     def fine_mesh(self, n_eps: int) -> StructuredMesh:
         return self._mesh(self.points_per_period * n_eps)
@@ -131,7 +127,7 @@ class StudyConfig:
     def from_dict(cls, data: dict) -> "StudyConfig":
         data = dict(data)
         known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(data) - {n for n in known}
+        unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
         return cls(**data)
@@ -200,41 +196,19 @@ class StudyResult:
             "version": __version__,
             "tensor": self.tensor.tolist(),
             "reports": [r.as_dict() for r in self.reports],
-            "rates": {
-                name: None
-                if fit is None
-                else {
-                    "slope": fit.slope,
-                    "intercept": fit.intercept,
-                    "r_squared": fit.r_squared,
-                    "points": [list(p) for p in fit.points],
-                }
-                for name, fit in self.fits.items()
-            },
-            "checks": [
-                {
-                    "functional": c.functional,
-                    "status": c.status,
-                    "slope": c.slope,
-                    "expected": c.expected,
-                    "points_used": c.points_used,
-                }
-                for c in self.checks
-            ],
+            "rates": {name: None if fit is None else asdict(fit) for name, fit in self.fits.items()},
+            "checks": [asdict(c) for c in self.checks],
             "status": self.status,
         }
 
     def rates_json(self) -> dict:
+        checks = {c.functional: c for c in self.checks}
         out = {}
         for name, fit in self.fits.items():
             entry = {"functional": name}
-            if fit is None:
-                entry.update({"slope": None, "intercept": None, "r_squared": None})
-            else:
-                entry.update(
-                    {"slope": fit.slope, "intercept": fit.intercept, "r_squared": fit.r_squared}
-                )
-            check = next((c for c in self.checks if c.functional == name), None)
+            for key in ("slope", "intercept", "r_squared"):
+                entry[key] = None if fit is None else getattr(fit, key)
+            check = checks.get(name)
             entry["status"] = check.status if check else "unchecked"
             if check:
                 entry["expected"] = check.expected
@@ -306,7 +280,7 @@ def run_study(config: StudyConfig, out_dir=None, progress=None, dump_fields=Fals
     t0 = time.perf_counter()
     field = coeff_from_config(config.coefficient)
     bc = BoundaryCondition(config.bc)
-    rhs = _rhs_for(config.rhs, config.dim)
+    rhs = _rhs_for(config.rhs)
     m = config.points_per_period
 
     say("solving cell problems")
@@ -371,13 +345,7 @@ class CheckReport:
         return all(r.passed for r in self.results)
 
     def as_dict(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "checks": [
-                {"name": r.name, "measured": r.measured, "bound": r.bound, "passed": r.passed}
-                for r in self.results
-            ],
-        }
+        return {"all_passed": self.all_passed, "checks": [asdict(r) for r in self.results]}
 
 
 def run_operator_checks(divisions: int = 256, epsilons=(4, 8, 16, 32)) -> CheckReport:

@@ -10,7 +10,7 @@ mismatch by the exact boundary distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -18,7 +18,8 @@ from .grid import ScalarField, element_blocks, same_mesh, squared_lengths
 from .solve import Reconstruction
 from .unfold import CellIndexMap, boundary_distance, layer_indicator
 
-CSV_HEADER = "epsilon,e_l2,e_h1_corr,e_weighted,e_interior,e_layer"
+FUNCTIONALS = ("e_l2", "e_h1_corr", "e_weighted", "e_interior", "e_layer")
+CSV_HEADER = ",".join(("epsilon", *FUNCTIONALS))
 
 
 class InteriorBoxError(ValueError):
@@ -39,23 +40,10 @@ class ErrorReport:
     margin_clears_layers: bool  # margin >= 4*sqrt(n)*eps
 
     def csv_row(self) -> str:
-        return ",".join(
-            repr(v)
-            for v in (self.epsilon, self.e_l2, self.e_h1_corr, self.e_weighted,
-                      self.e_interior, self.e_layer)
-        )
+        return ",".join(repr(getattr(self, name)) for name in ("epsilon", *FUNCTIONALS))
 
     def as_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "e_l2": self.e_l2,
-            "e_h1_corr": self.e_h1_corr,
-            "e_weighted": self.e_weighted,
-            "e_interior": self.e_interior,
-            "e_layer": self.e_layer,
-            "interior_margin": self.interior_margin,
-            "margin_clears_layers": self.margin_clears_layers,
-        }
+        return asdict(self)
 
 
 def _interior_margin(mesh, box) -> float:
@@ -106,7 +94,7 @@ def error_report(
     hi = np.asarray([b[1] for b in interior_box])
 
     vol = float(np.prod(mesh.h))
-    acc = dict(l2=0.0, h1=0.0, weighted=0.0, interior=0.0, layer=0.0)
+    acc = dict.fromkeys(FUNCTIONALS, 0.0)
     max_rho = 0.0
     for block in element_blocks(mesh):
         # the distance first, while its temporaries are the only large arrays
@@ -121,22 +109,14 @@ def error_report(
         base = block.values(recon.base.values)
         rv, rg = recon.eval_elements(block)
         dgrad2 = squared_lengths(gu - rg)
-        rule = block.rule
-        acc["l2"] += vol * float(np.einsum("eq,q->", (u - base) ** 2, rule.weights))
-        acc["h1"] += vol * float(np.einsum("eq,q->", dgrad2, rule.weights))
-        acc["weighted"] += vol * float(np.einsum("eq,q->", rho**2 * dgrad2, rule.weights))
         idev = (u[imask] - rv[imask]) ** 2 + dgrad2[imask]
-        acc["interior"] += vol * float(np.einsum("eq,q->", idev, rule.weights))
-        gr2 = squared_lengths(gu[lmask])
-        acc["layer"] += vol * float(np.einsum("eq,q->", gr2, rule.weights))
+        integrands = ((u - base) ** 2, dgrad2, rho**2 * dgrad2, idev, squared_lengths(gu[lmask]))
+        for name, integrand in zip(FUNCTIONALS, integrands):
+            acc[name] += vol * float(np.einsum("eq,q->", integrand, block.rule.weights))
 
     report = ErrorReport(
         epsilon=eps,
-        e_l2=float(np.sqrt(acc["l2"])),
-        e_h1_corr=float(np.sqrt(acc["h1"])),
-        e_weighted=float(np.sqrt(acc["weighted"])),
-        e_interior=float(np.sqrt(acc["interior"])),
-        e_layer=float(np.sqrt(acc["layer"])),
+        **{name: float(np.sqrt(total)) for name, total in acc.items()},
         interior_margin=margin,
         margin_clears_layers=bool(margin >= 4 * np.sqrt(mesh.dim) * eps),
     )

@@ -29,7 +29,6 @@ from .grid import (
     ElementBlock,
     element_blocks,
     element_counts,
-    eval_field_batch,
     h1_seminorm_sq,
     integrate,
     integrate_field,
@@ -40,7 +39,7 @@ from .grid import (
 from .sparse import Dirichlet, ZeroMean, assemble_load, assemble_stiffness, cg_solve
 from .unfold import CellIndexMap, build_cell_map, scale_split
 
-RhsLike = Callable[[np.ndarray], np.ndarray] | ScalarField
+RhsLike = Callable[[np.ndarray], np.ndarray]
 
 DIRICHLET_FULL = "dirichlet_full"
 NEUMANN_FULL = "neumann_full"
@@ -78,12 +77,6 @@ def _constraint_for(bc: BoundaryCondition):
     return Dirichlet() if bc.kind == DIRICHLET_FULL else ZeroMean()
 
 
-def _rhs_values(rhs: RhsLike):
-    if isinstance(rhs, ScalarField):
-        return lambda pts: eval_field_batch(rhs, pts)
-    return rhs
-
-
 def _check_solution(system, x, b, field_norms, c_ell, rel_tol):
     """Galerkin residual and discrete energy bounds, asserted per solve;
     ``c_ell`` is the least eigenvalue of the assembled coefficient samples."""
@@ -105,18 +98,17 @@ def _check_solution(system, x, b, field_norms, c_ell, rel_tol):
 
 def _solve(mesh, sampler, rhs, bc, rel_tol):
     system = assemble_stiffness(mesh, sampler, _constraint_for(bc))
-    f = _rhs_values(rhs)
     if bc.kind == NEUMANN_FULL:
-        total = integrate(mesh, f)
+        total = integrate(mesh, rhs)
         if abs(total) > 1e-10:
             raise ValueError(f"Neumann problem needs a zero-mean rhs, got integral {total:.3e}")
-    b = system.reduce(assemble_load(mesh, f))
+    b = system.reduce(assemble_load(mesh, rhs))
     x = cg_solve(system, b, rel_tol=rel_tol)
     values = system.expand(x)
     field = ScalarField(mesh, values)
     grad_norm2 = h1_seminorm_sq(field)
     u_norm = np.sqrt(l2_norm_sq(field))
-    f_norm = np.sqrt(integrate(mesh, lambda p: np.asarray(f(p)) ** 2))
+    f_norm = np.sqrt(integrate(mesh, lambda p: np.asarray(rhs(p)) ** 2))
     _check_solution(system, x, b, (grad_norm2, u_norm, f_norm), system.ellipticity[0], rel_tol)
     if bc.kind == NEUMANN_FULL:
         area = integrate(mesh, lambda p: np.ones(len(p)))

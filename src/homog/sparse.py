@@ -19,12 +19,12 @@ checks every sample by these figures and records the bounds on its system.
 
 The preconditioner is one symmetric geometric-multigrid V-cycle over the
 nested grids obtained by halving the mesh divisions: bilinear prolongation,
-Galerkin coarse operators ``P^T A P``, one damped-Jacobi sweep before and one
-after the coarse correction, and a dense inverse on the coarsest level,
-which has at most ``COARSEN_ABOVE`` dofs unless the divisions stop halving
-first.  A solve allocates one iterate buffer per level,
-and every V-cycle writes its sweeps into them.  ``assemble_stiffness`` builds
-the levels while it holds the stencil: under bilinear prolongation a
+Galerkin coarse operators ``P^T A P``, a fixed single damped-Jacobi sweep
+from zero before the coarse correction and one after it, and a dense inverse
+on the coarsest level, which has at most ``COARSEN_ABOVE`` dofs unless the
+divisions stop halving first.  A solve allocates one iterate buffer per
+level, and every V-cycle writes its sweeps into them.  ``assemble_stiffness``
+builds the levels while it holds the stencil: under bilinear prolongation a
 3^n-point stencil has a 3^n-point Galerkin stencil, formed by one
 slice-arithmetic pass per axis and read into compressed rows like the fine
 one, and each restriction is read off the fine and coarse dof grids.  A
@@ -49,7 +49,6 @@ from .grid import (
 )
 
 SMOOTH_WEIGHT = 0.8  # damped Jacobi
-SMOOTH_SWEEPS = 1  # before, and again after, the coarse correction
 COARSEN_ABOVE = 100  # coarsen while a level has more dofs than this
 DENSE_MAX = 1200  # largest coarsest level inverted densely; above, smoothing only
 GMRES_RESTART = 30  # Krylov vectors kept before GMRES restarts from the true residual
@@ -495,8 +494,8 @@ def _vcycle(
     r: np.ndarray,
     buffers: list[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """One symmetric V-cycle from a zero initial guess: the same
-    ``SMOOTH_SWEEPS`` Jacobi sweeps before and after the coarse correction.
+    """One symmetric V-cycle from a zero initial guess: one damped-Jacobi
+    sweep before the coarse correction and one after it.
     Each level's iterate is written into its buffer from ``_cycle_buffers``,
     fresh ones when none are given; the finest one is returned, so a solve
     that passes its buffers must use the result before the next cycle."""
@@ -505,16 +504,13 @@ def _vcycle(
     level, x = levels[0], buffers[0]
     if level.inverse is not None:
         return np.matmul(level.inverse, r, out=x)
-    np.multiply(level.weights, r, out=x)
-    for _ in range(SMOOTH_SWEEPS - 1):
-        _jacobi_sweep(matrix, level.weights, r, x)
+    np.multiply(level.weights, r, out=x)  # the sweep from zero
     if level.coarse is not None:
         residual = matrix @ x
         np.subtract(r, residual, out=residual)
         coarse_r = level.restrict @ residual
         x += level.prolong @ _vcycle(level.coarse, levels[1:], coarse_r, buffers[1:])
-    for _ in range(SMOOTH_SWEEPS):
-        _jacobi_sweep(matrix, level.weights, r, x)
+    _jacobi_sweep(matrix, level.weights, r, x)
     return x
 
 

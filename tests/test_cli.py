@@ -36,6 +36,18 @@ def test_tensor_command(tmp_path, capsys):
     assert out["ellipticity"] == [1.0, 4.0]
 
 
+def test_tensor_command_ellipticity_sees_a_thin_layer(tmp_path, capsys):
+    # the layer is thinner than the 1/64 spacing of the config-entry lattice,
+    # but the cell assembly's quadrature samples reach into it
+    path = write_config(tmp_path, coefficient={"kind": "laminate", "axis": 0, "alpha": 0.01,
+                                               "beta": 1.0, "fraction": 0.005, "dim": 2})
+    assert main(["tensor", "--config", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    tensor = np.asarray(out["tensor"])
+    assert out["ellipticity"] == [0.01, 1.0]
+    assert out["ellipticity"][0] <= np.linalg.eigvalsh(0.5 * (tensor + tensor.T)).min()
+
+
 def test_solve_command_writes_field(tmp_path, capsys):
     path = write_config(tmp_path, cell_divisions=8)
     out_dir = tmp_path / "run"

@@ -156,6 +156,72 @@ def test_gauss_rule_is_built_once_per_dimension_and_point_count(dim, points, mon
     assert rule.weights @ monomial == pytest.approx((1.0 / (2 * points)) ** dim, rel=1e-14)
 
 
+def _closed_form_values(local):
+    """The hand-written 1D and 2D Q1 shape functions."""
+    if local.shape[1] == 1:
+        t = local[:, 0]
+        return np.stack([1.0 - t, t], axis=1)
+    s, t = local[:, 0], local[:, 1]
+    return np.stack([(1 - s) * (1 - t), s * (1 - t), (1 - s) * t, s * t], axis=1)
+
+
+def _closed_form_gradients(local):
+    """The hand-written 1D and 2D Q1 shape gradients."""
+    if local.shape[1] == 1:
+        g = np.empty((len(local), 2, 1))
+        g[:, 0, 0] = -1.0
+        g[:, 1, 0] = 1.0
+        return g
+    s, t = local[:, 0], local[:, 1]
+    g = np.empty((len(local), 4, 2))
+    g[:, 0, 0] = -(1 - t)
+    g[:, 1, 0] = 1 - t
+    g[:, 2, 0] = -t
+    g[:, 3, 0] = t
+    g[:, 0, 1] = -(1 - s)
+    g[:, 1, 1] = -s
+    g[:, 2, 1] = 1 - s
+    g[:, 3, 1] = s
+    return g
+
+
+def _assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # signed zeros too
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_corner_bit_tables_equal_closed_forms(dim, monkeypatch):
+    # face and corner coordinates give the signed zeros of -(1 - t) at t = 1
+    ticks = np.array([0.0, 0.25, 0.5, 1.0])
+    lattice = np.stack([g.ravel() for g in np.meshgrid(*[ticks] * dim, indexing="ij")], axis=1)
+    random = np.random.default_rng(17).uniform(0.0, 1.0, (200, dim))
+    for local in (lattice, random):
+        _assert_bitwise(shape_values(local), _closed_form_values(local))
+        _assert_bitwise(shape_gradients(local), _closed_form_gradients(local))
+    for points in (1, 2, 3, 4):
+        monkeypatch.setattr(grid, "GAUSS_POINTS", points)
+        rule = gauss_rule(dim)
+        _assert_bitwise(rule.values, _closed_form_values(rule.points))
+        _assert_bitwise(rule.gradients, _closed_form_gradients(rule.points))
+
+
+@pytest.mark.parametrize("mesh_name", ["1d_box", "2d_box", "2d_l_shape"])
+def test_flat_indices_round_trip_through_multi_indices(mesh_name):
+    mesh = WALK_MESHES[mesh_name][0]
+    elems, nodes = np.arange(mesh.n_elements), np.arange(mesh.n_nodes)
+    np.testing.assert_array_equal(mesh.element_flat_index(mesh.element_multi_index(elems)), elems)
+    np.testing.assert_array_equal(mesh.node_flat_index(mesh.node_multi_index(nodes)), nodes)
+    # axis 0 fastest: the documented strides
+    e_multi, n_multi = mesh.element_multi_index(elems), mesh.node_multi_index(nodes)
+    np.testing.assert_array_equal(e_multi @ [1, mesh.divisions[0]][: mesh.dim], elems)
+    np.testing.assert_array_equal(n_multi @ [1, mesh.divisions[0] + 1][: mesh.dim], nodes)
+    # a block of multi-indices keeps its leading shape
+    block = e_multi.reshape(-1, 1, mesh.dim)
+    np.testing.assert_array_equal(mesh.element_flat_index(block), elems.reshape(-1, 1))
+
+
 def test_integrate_field_matches_quadrature():
     rng = np.random.default_rng(3)
     mesh = build_mesh((0, 0), (1, 1), (6, 6), "l_shape")

@@ -6,6 +6,7 @@ import pytest
 from homog.harness import (
     ConfigError,
     StudyConfig,
+    _rhs_for,
     convex_expected_rates,
     l_shape_expected_rates,
     load_config,
@@ -84,6 +85,25 @@ def test_study_persistence(tmp_path):
     assert rates["e_l2"]["status"] == "inconclusive"
     payload = json.loads((tmp_path / "out" / "study.json").read_text())
     assert payload["config_digest"] == cfg.digest()
+    # the file format: renaming a dataclass field must not change it silently
+    assert set(payload) == {"config_digest", "version", "tensor", "reports", "rates", "checks",
+                            "status"}
+    assert len(payload["reports"]) == len(cfg.epsilons)
+    for report in payload["reports"]:
+        assert set(report) == {"epsilon", "e_l2", "e_h1_corr", "e_weighted", "e_interior",
+                               "e_layer", "interior_margin", "margin_clears_layers"}
+    assert set(payload["rates"]) == set(rates)
+    fitted = [fit for fit in payload["rates"].values() if fit is not None]
+    assert fitted  # e_layer measures the layer's energy, not an error, so it fits
+    for fit in fitted:
+        assert set(fit) == {"slope", "intercept", "r_squared", "points"}
+        assert all(len(point) == 2 for point in fit["points"])
+    assert [check["functional"] for check in payload["checks"]] == ["e_l2"]
+    for check in payload["checks"]:
+        assert set(check) == {"functional", "status", "slope", "expected", "points_used"}
+    for entry in rates.values():
+        assert set(entry) - {"expected"} == {"functional", "slope", "intercept", "r_squared",
+                                            "status"}
     for n in cfg.epsilons:
         bin_path = tmp_path / "out" / "fields" / f"fine_eps_1_{n}.bin"
         sidecar = json.loads(bin_path.with_suffix(".json").read_text())
@@ -155,3 +175,14 @@ def test_expected_rate_helpers():
     assert conv["e_l2"] == {"target": 1.0, "tol": 0.25}
     lsh = l_shape_expected_rates()
     assert lsh["e_l2"]["interval"] == [0.5, 1.05]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sine_product_rhs_is_the_product_of_axis_sines(dim):
+    p = np.random.default_rng(dim).uniform(-0.5, 1.5, (257, dim))
+    want = np.sin(np.pi * p[:, 0])
+    if dim == 2:
+        want = want * np.sin(np.pi * p[:, 1])
+    got = _rhs_for("sine_product")(p)
+    assert got.shape == (257,)
+    assert np.array_equal(got, want)
