@@ -63,7 +63,7 @@ class HomogenizedTensor:
         return self.matrix.shape[0]
 
 
-def unit_cell_mesh(dim: int, divisions: int = 64) -> StructuredMesh:
+def unit_cell_mesh(dim: int, divisions: int) -> StructuredMesh:
     """The reference cell (0,1)^dim with uniform divisions."""
     return StructuredMesh((0.0,) * dim, (1.0,) * dim, (divisions,) * dim)
 

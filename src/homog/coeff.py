@@ -241,19 +241,3 @@ def from_config(spec: dict) -> CoefficientField:
     if kind == "grid_table":
         return GridTable(tuple(spec["values"]))
     raise ValueError(f"unknown coefficient kind {kind!r}")
-
-
-def to_config(field: CoefficientField) -> dict:
-    if isinstance(field, Constant):
-        return {"kind": "constant", "matrix": [list(r) for r in field.matrix], "dim": field.dim}
-    if isinstance(field, Laminate):
-        return {"kind": "laminate", "axis": field.axis, "alpha": field.alpha,
-                "beta": field.beta, "fraction": field.fraction, "dim": field.ndim}
-    if isinstance(field, Checkerboard):
-        return {"kind": "checkerboard", "alpha": field.alpha, "beta": field.beta, "dim": 2}
-    if isinstance(field, ScalarCosine):
-        return {"kind": "scalar_cosine", "a0": field.a0, "a1": field.a1,
-                "axis": field.axis, "dim": field.ndim}
-    if isinstance(field, GridTable):
-        return {"kind": "grid_table", "values": np.asarray(field._array).tolist(), "dim": 2}
-    raise ValueError(f"cannot serialize coefficient {type(field).__name__}")

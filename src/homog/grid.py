@@ -156,10 +156,9 @@ class StructuredMesh:
         """Containing element and local [0,1]^n coordinate for each point.
 
         Points on element faces resolve to the forward element (half-open
-        convention); the far domain boundary clamps to the last element.  If
-        the resolved element is inactive, the active element behind a face
-        the point lies on is taken instead, axis 0 first.  Raises
-        OutsideDomainError otherwise.
+        convention); the far domain boundary clamps to the last element.  The
+        floored element then goes through ``face_rule``.  Raises
+        OutsideDomainError outside the bounding box.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         h = self.h
@@ -169,21 +168,31 @@ class StructuredMesh:
         if np.any(rel < -tol) or np.any(rel > div + tol):
             raise OutsideDomainError("point outside mesh bounding box")
         emulti = np.clip(np.floor(rel).astype(int), 0, div - 1)
-        local = rel - emulti
-        if self.active_mask is not None:
-            bad = np.flatnonzero(~self.active_mask[self.element_flat_index(emulti)])
-            for k in range(self.dim):
-                cand, loc = emulti[bad], local[bad]
-                cand[:, k] -= 1
-                loc[:, k] += 1.0
-                take = (cand[:, k] >= 0) & np.all((loc >= -1e-12) & (loc <= 1.0 + 1e-12), axis=1)
-                take[take] = self.active_mask[self.element_flat_index(cand[take])]
-                emulti[bad[take]] = cand[take]
-                local[bad[take]] = np.clip(loc[take], 0.0, 1.0)
-                bad = bad[~take]
-            if len(bad):
-                raise OutsideDomainError("point outside the active region")
+        emulti, local = self.face_rule(emulti, rel - emulti)
         return self.element_flat_index(emulti), local
+
+    def face_rule(self, emulti: np.ndarray, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The one rule for which active element a point on a face belongs to:
+        where the element of a (P, n) element multi-index is inactive, take
+        the active one behind a face that the point at ``local`` lies on, axis
+        0 first, or raise OutsideDomainError.  Updates both arrays in place;
+        integer local coordinates, as ``unfold.average`` passes for nodes,
+        stay exact."""
+        if self.active_mask is None:
+            return emulti, local
+        bad = np.flatnonzero(~self.active_mask[self.element_flat_index(emulti)])
+        for k in range(self.dim):
+            cand, loc = emulti[bad], local[bad]
+            cand[:, k] -= 1
+            loc[:, k] += 1
+            take = (cand[:, k] >= 0) & np.all((loc >= -1e-12) & (loc <= 1.0 + 1e-12), axis=1)
+            take[take] = self.active_mask[self.element_flat_index(cand[take])]
+            emulti[bad[take]] = cand[take]
+            local[bad[take]] = np.clip(loc[take], 0, 1)
+            bad = bad[~take]
+        if len(bad):
+            raise OutsideDomainError("point outside the active region")
+        return emulti, local
 
 
 def same_mesh(a: StructuredMesh, b: StructuredMesh) -> bool:
@@ -353,8 +362,9 @@ class ElementBlock:
         m = tuple(period)[::-1]
         rows = pattern.reshape(m + pattern.shape[1:])[np.arange(self.start, self.stop) % m[0]]
         tiles = self.shape[:1]
-        if len(m) == 2:
-            tiles, rows = tiles + (self.shape[1] // m[1], m[1]), rows[:, None]
+        for count, period_k in zip(self.shape[1:], m[1:]):
+            rows = np.expand_dims(rows, len(tiles))
+            tiles += (count // period_k, period_k)
         if self.active is not None:
             rows = np.broadcast_to(rows, tiles + rows.shape[len(tiles):])
             return factor * rows[self.active.reshape(tiles)]

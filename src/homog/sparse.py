@@ -150,9 +150,9 @@ def _nodal_stencil(
         samples = a.reshape(-1, dim, dim)
         block_low, block_high = symmetric_part_eiglimits(samples)
         low, high = min(low, block_low), max(high, block_high)
-        if dim == 2:
-            dev = float(np.abs(samples[:, 0, 1] - samples[:, 1, 0]).max())
-            asym = max(asym, dev / max(1.0, float(np.abs(samples).max())))
+        dev = max((float(np.abs(samples[:, i, j] - samples[:, j, i]).max())
+                   for i, j in zip(*np.triu_indices(dim, 1))), default=0.0)
+        asym = max(asym, dev / max(1.0, float(np.abs(samples).max())))
         ke = (table.T @ a.reshape(block.size, -1).T).reshape(nloc, nloc, block.size)
         block.add_to_nodes(stencil, ke)
         if shared is not None:
@@ -225,19 +225,13 @@ class SparseSystem:
     constraint: Constraint
     node_to_dof: np.ndarray
     n_nodes: int
+    # levels of the multigrid preconditioner, finest first, built by assembly
+    hierarchy: tuple[_Level, ...] = field(repr=False)
     # (matrix + matrix.T) / 2 when the matrix is not symmetric, else None; the
     # preconditioner is built from it and the solver is GMRES instead of CG
     symmetric_part: sp.csr_matrix | None = None
-    # levels of the multigrid preconditioner, finest first; assembly builds
-    # them, and a system given none gets the coarsest level alone
-    hierarchy: tuple[_Level, ...] = field(default=(), repr=False)
     # (min, max) eigenvalue of sym(A) over the samples that assembly read
     ellipticity: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if not self.hierarchy:
-            part = self.matrix if self.symmetric_part is None else self.symmetric_part
-            object.__setattr__(self, "hierarchy", (_coarsest_level(part, self.needs_projection),))
 
     @property
     def dimension(self) -> int:
@@ -286,7 +280,7 @@ def assemble_stiffness(
     # only Dirichlet elimination removes the constant mode from the kernel
     singular = not isinstance(constraint, Dirichlet)
     hierarchy = _build_hierarchy(matrix, stencil, dofs, periodic, singular)
-    return SparseSystem(matrix, constraint, node_to_dof, mesh.n_nodes, hierarchy=hierarchy,
+    return SparseSystem(matrix, constraint, node_to_dof, mesh.n_nodes, hierarchy,
                         ellipticity=(low, high))
 
 

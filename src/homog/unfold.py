@@ -3,12 +3,14 @@
 For epsilon = 1/N the domain is tiled by cells ``eps*(xi + (0,1)^n)`` with
 integer lattice indices xi, and every fine-mesh element lies inside exactly
 one cell: the epsilon-lattice is nested in the fine node grid, ``m`` elements
-per cell per axis.  The operators read it off that grid by index arithmetic,
-and a point on a face between cells belongs to the cell that ``locate``
-gives its element.  The module provides
+per cell per axis.  The operators read it off that grid by index arithmetic:
+T(phi) on cell xi is phi on the cell's block of (m0+1) x (m1+1) fine nodes,
+and a node on a face between cells belongs to the cell of the element that
+``StructuredMesh.face_rule`` gives it.  The module provides
 
 * ``split_point``        -- x = eps*xi + eps*y with y in [0,1)^n,
-* ``unfold``             -- T(phi)(xi, y) = phi(eps*(xi + y)),
+* ``unfold``             -- T(phi)(xi, y) = phi(eps*(xi + y)) at the nodes
+                            y = i/m of the cell,
 * ``average``            -- the inverse-direction map (left inverse of T),
 * ``cell_means``         -- exact Q1 cell averages M(phi)(xi),
 * ``scale_split``        -- slow part Q(phi) (Q1 interpolation over the
@@ -23,15 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import (
     ScalarField,
     StructuredMesh,
     active_nodes,
     element_blocks,
-    eval_field_batch,
     same_mesh,
-    shape_values,
 )
 
 
@@ -115,16 +116,15 @@ def split_point(x, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class UnfoldedField:
-    """Per-cell Y-grids of values: (x-cell, y) -> value."""
+    """Per-cell Y-grids of values: (x-cell, y) -> value.  The Y-grid of a
+    cell is its block of (m0+1) x (m1+1) fine nodes."""
 
     map: CellIndexMap
-    y_resolution: int
-    values: np.ndarray  # (K, r+1) in 1D, (K, r+1, r+1) in 2D, [cell, i0(, i1)]
+    values: np.ndarray  # (K, m0+1) in 1D, (K, m0+1, m1+1) in 2D, [cell, i0(, i1)]
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        r = self.y_resolution
-        expected = (len(self.map.cells),) + (r + 1,) * self.map.dim
+        expected = (len(self.map.cells),) + tuple(mk + 1 for mk in self.map.m)
         if vals.shape != expected:
             raise ValueError(f"values shape {vals.shape}, expected {expected}")
         if not np.all(np.isfinite(vals)):
@@ -132,43 +132,36 @@ class UnfoldedField:
         object.__setattr__(self, "values", vals)
 
 
-def unfold(field: ScalarField, cmap: CellIndexMap, y_resolution: int) -> UnfoldedField:
-    """Two-scale unfolding sampled on a uniform Y-grid per cell."""
+def unfold(field: ScalarField, cmap: CellIndexMap) -> UnfoldedField:
+    """Two-scale unfolding: cell xi's Y-grid holds the nodal values of its
+    block of fine nodes, gathered off the node grid by index arithmetic."""
     if not same_mesh(field.mesh, cmap.mesh):
         raise ValueError("field mesh does not match the cell map")
-    r = int(y_resolution)
-    dim = cmap.dim
-    axes = np.meshgrid(*[np.arange(r + 1) / r] * dim, indexing="ij")
-    ygrid = np.stack([a.ravel() for a in axes], axis=1)
-    pts = cmap.epsilon * (cmap.cells[:, None, :] + ygrid[None, :, :])
-    vals = eval_field_batch(field, pts.reshape(-1, dim))
-    shape = (len(cmap.cells),) + (r + 1,) * dim
-    return UnfoldedField(cmap, r, vals.reshape(shape))
+    grid = field.values.reshape(cmap.mesh.nodes_per_axis, order="F")  # [i0, i1]
+    # a view of every lattice cell's node block, [xi0, xi1, i0, i1]
+    window = sliding_window_view(grid, tuple(mk + 1 for mk in cmap.m))
+    blocks = window[tuple(slice(None, None, mk) for mk in cmap.m)]
+    return UnfoldedField(cmap, blocks[tuple((cmap.cells - np.asarray(cmap.lo)).T)])
 
 
 def average(ufield: UnfoldedField) -> ScalarField:
     """Map an unfolded field back to the fine mesh.
 
-    The value at node x is the Y-grid interpolation at y = {x/eps} in the
-    cell of the element that ``locate`` gives x; composed with ``unfold`` this
-    is the identity.
+    Active node i reads the Y-grid of its owner cell at its integer offset in
+    that cell.  The owner is the cell of the node's forward element
+    ``min(i, d - 1)``, taken through ``face_rule`` at local coordinate
+    ``i - min(i, d - 1)``; composed with ``unfold`` this is the identity.
     """
     cmap = ufield.map
     mesh = cmap.mesh
-    r = ufield.y_resolution
     nodes = active_nodes(mesh)
-    elems, local = mesh.locate(mesh.node_coordinates(nodes))
-    pos = cmap.element_cell_position(elems)
+    multi = mesh.node_multi_index(nodes)
+    forward = np.minimum(multi, np.asarray(mesh.divisions) - 1)
+    emulti, local = mesh.face_rule(forward, multi - forward)
     m = np.asarray(cmap.m)
-    y = (mesh.element_multi_index(elems) % m + local) / m
-    s = y * r
-    sub = np.clip(np.floor(s).astype(int), 0, r - 1)
-    loc = s - sub
-    # local corner a sits at offset bit k of a along axis k (shape_values order)
-    corners = [tuple(sub[:, k] + ((a >> k) & 1) for k in range(cmap.dim)) for a in range(2**cmap.dim)]
-    vals = np.stack([ufield.values[(pos,) + c] for c in corners], axis=1)
+    pos = cmap.cell_lookup[tuple((emulti // m).T)]
     out = np.zeros(mesh.n_nodes)
-    out[nodes] = np.einsum("pa,pa->p", shape_values(loc), vals)
+    out[nodes] = ufield.values[(pos,) + tuple((emulti % m + local).T)]
     return ScalarField(mesh, out)
 
 

@@ -100,6 +100,17 @@ def test_check_operators_command(capsys):
     assert out["all_passed"] is True
 
 
+def test_check_operators_command_off_powers_of_two(capsys):
+    assert main(["check-operators", "--divisions", "96"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_passed"] is True
+
+
+def test_check_operators_help_states_the_divisions_constraint(capsys):
+    with pytest.raises(SystemExit):
+        main(["check-operators", "--help"])
+    assert "multiple of 32" in " ".join(capsys.readouterr().out.split())
+
+
 def test_runtime_error_exit_code(tmp_path, capsys):
     assert main(["tensor", "--config", str(tmp_path / "missing.json")]) == 1
     bad = write_config(tmp_path, epsilons=[4])

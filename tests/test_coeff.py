@@ -10,9 +10,7 @@ from homog.coeff import (
     GridTable,
     Laminate,
     ScalarCosine,
-    from_config,
     sample,
-    to_config,
     validate_ellipticity,
 )
 
@@ -106,18 +104,3 @@ def test_transposed_field():
     np.testing.assert_array_equal(sample(t, (0.1, 0.2)), sample(field, (0.1, 0.2)).T)
     sym = ScalarCosine(2.0, 1.0, 0)
     assert sym.transposed() is sym
-
-
-@pytest.mark.parametrize(
-    "field",
-    [
-        Constant(((2.0, 0.5), (0.5, 1.0))),
-        Laminate(0, 1.0, 4.0, 0.5),
-        Checkerboard(1.0, 4.0),
-        ScalarCosine(2.0, 1.0, 0, 1),
-    ],
-)
-def test_config_roundtrip(field):
-    rebuilt = from_config(to_config(field))
-    pts = np.array([[0.3, 0.6], [0.9, 0.2]])[:, : field.dim]
-    np.testing.assert_array_equal(field.sample_batch(pts), rebuilt.sample_batch(pts))

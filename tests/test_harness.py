@@ -7,8 +7,6 @@ from homog.harness import (
     ConfigError,
     StudyConfig,
     _rhs_for,
-    convex_expected_rates,
-    l_shape_expected_rates,
     load_config,
     run_operator_checks,
     run_study,
@@ -33,7 +31,13 @@ def small_config(**overrides):
 
 
 def test_config_roundtrip(tmp_path):
-    cfg = small_config(expected_rates=convex_expected_rates())
+    cfg = small_config(expected_rates={
+        "e_l2": {"target": 1.0, "tol": 0.25},
+        "e_weighted": {"target": 1.0, "tol": 0.25},
+        "e_interior": {"target": 1.0, "tol": 0.25},
+        "e_h1_corr": {"target": 0.5, "tol": 0.2},
+        "e_layer": {"target": 0.5, "tol": 0.2},
+    })
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg.to_dict()))
     again = load_config(path)
@@ -170,11 +174,12 @@ def test_operator_checks_pass_and_serialize():
     }
 
 
-def test_expected_rate_helpers():
-    conv = convex_expected_rates()
-    assert conv["e_l2"] == {"target": 1.0, "tol": 0.25}
-    lsh = l_shape_expected_rates()
-    assert lsh["e_l2"]["interval"] == [0.5, 1.05]
+@pytest.mark.parametrize("divisions", [96, 160])
+def test_operator_checks_pass_off_powers_of_two(divisions):
+    # 96 is divisible by 3, so the misaligned N is 5; at 160 a layer covering
+    # the whole square must measure exactly 1
+    report = run_operator_checks(divisions=divisions)
+    assert report.all_passed, [c for c in report.results if not c.passed]
 
 
 @pytest.mark.parametrize("dim", [1, 2])

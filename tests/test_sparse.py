@@ -283,9 +283,11 @@ def test_cg_identity_system():
     sys = assemble_stiffness(mesh, identity_sampler, Dirichlet())
     rng = np.random.default_rng(1)
     # replace matrix by identity to exercise the solver contract directly
-    from homog.sparse import SparseSystem
+    from homog.sparse import SparseSystem, _coarsest_level
 
-    ident = SparseSystem(sp.identity(3, format="csr"), sys.constraint, sys.node_to_dof, sys.n_nodes)
+    matrix = sp.identity(3, format="csr")
+    ident = SparseSystem(matrix, sys.constraint, sys.node_to_dof, sys.n_nodes,
+                         (_coarsest_level(matrix, False),))
     r = rng.standard_normal(3)
     np.testing.assert_allclose(cg_solve(ident, r), r, atol=1e-12)
 

@@ -80,11 +80,70 @@ def test_average_reads_the_containing_cell_on_l_shape(n):
     cmap = build_cell_map(mesh, n)
     r = cmap.m[0]
     consts = np.arange(1.0, len(cmap.cells) + 1.0)
-    out = average(UnfoldedField(cmap, r, np.repeat(consts, (r + 1) ** 2).reshape(-1, r + 1, r + 1)))
+    out = average(UnfoldedField(cmap, np.repeat(consts, (r + 1) ** 2).reshape(-1, r + 1, r + 1)))
     nodes = active_nodes(mesh)
     owner = np.array([_containing_cell_oracle(cmap, p) for p in mesh.node_coordinates(nodes) * n])
     expected = consts[cmap.cell_lookup[tuple((owner - np.asarray(cmap.lo)).T)]]
     np.testing.assert_array_equal(out.values[nodes], expected)
+
+
+# non-dyadic meshes, where i*h/h rounds below i for some node indices i
+NODE_CASES = [(18, 8, "box"), (18, 8, "l_shape"), (6, 31, "box"), (6, 31, "l_shape")]
+
+
+def _integer_owner(cmap, node):
+    """The owner cell of a node, from its integer multi-index alone: the
+    forward cell, clamped at the far side; if that cell is inactive, the
+    active cell behind a face the node lies on, axis 0 first."""
+    m, counts = cmap.m, cmap.counts
+    forward = [min(i // mk, c - 1) for i, mk, c in zip(node, m, counts)]
+    if cmap.cell_lookup[tuple(forward)] >= 0:
+        return cmap.cell_lookup[tuple(forward)]
+    for k in range(cmap.dim):
+        behind = list(forward)
+        behind[k] -= 1
+        if node[k] == forward[k] * m[k] and behind[k] >= 0 and cmap.cell_lookup[tuple(behind)] >= 0:
+            return cmap.cell_lookup[tuple(behind)]
+    raise AssertionError(f"active node {node} has no active owner cell")
+
+
+@pytest.mark.parametrize("n,m,shape", NODE_CASES)
+def test_average_reads_the_integer_owner_cell(n, m, shape):
+    # a distinct constant per cell: every active node reads the constant of
+    # the cell that its integer multi-index assigns it
+    mesh = unit_mesh(n * m, shape)
+    cmap = build_cell_map(mesh, n)
+    consts = np.arange(1.0, len(cmap.cells) + 1.0)
+    out = average(UnfoldedField(cmap, np.repeat(consts, (m + 1) ** 2).reshape(-1, m + 1, m + 1)))
+    nodes = active_nodes(mesh)
+    owner = [_integer_owner(cmap, node) for node in mesh.node_multi_index(nodes).tolist()]
+    np.testing.assert_array_equal(out.values[nodes], consts[owner])
+
+
+@pytest.mark.parametrize("n,m,shape", NODE_CASES)
+def test_unfold_is_the_cell_node_blocks(n, m, shape):
+    mesh = unit_mesh(n * m, shape)
+    cmap = build_cell_map(mesh, n)
+    field = ScalarField(mesh, np.random.default_rng(n).standard_normal(mesh.n_nodes))
+    values = unfold(field, cmap).values
+    assert values.shape == (len(cmap.cells), m + 1, m + 1)
+    offsets = np.stack(np.meshgrid(np.arange(m + 1), np.arange(m + 1), indexing="ij"), axis=-1)
+    for k, cell in enumerate(cmap.cells - np.asarray(cmap.lo)):
+        # [i0, i1] -> the value at node cell * m + (i0, i1)
+        np.testing.assert_array_equal(values[k], field.values[mesh.node_flat_index(cell * m + offsets)])
+
+
+@pytest.mark.parametrize("n,m,shape", NODE_CASES + [(6, 31, "interval")])
+def test_average_of_unfold_is_bitwise_the_field(n, m, shape):
+    if shape == "interval":
+        mesh = build_mesh((0.0,), (1.0,), (n * m,))
+    else:
+        mesh = unit_mesh(n * m, shape)
+    cmap = build_cell_map(mesh, n)
+    field = ScalarField(mesh, np.random.default_rng(m).standard_normal(mesh.n_nodes))
+    nodes = active_nodes(mesh)
+    back = average(unfold(field, cmap))
+    np.testing.assert_array_equal(back.values[nodes], field.values[nodes])
 
 
 def _cell_map_reference(mesh, n):
@@ -133,11 +192,11 @@ def test_unfold_constant_and_affine():
     mesh = unit_mesh(8)
     cmap = build_cell_map(mesh, 2)
     const = ScalarField(mesh, np.full(mesh.n_nodes, 2.5))
-    uf = unfold(const, cmap, 4)
+    uf = unfold(const, cmap)
     assert np.all(uf.values == 2.5)
 
     f = nodal(mesh, lambda x: x[:, 0])
-    uf = unfold(f, cmap, 4)
+    uf = unfold(f, cmap)
     # cell xi=(1,0), y=(0.5, anything) -> eps*(1+0.5) = 0.75
     pos = int(cmap.cell_lookup[1, 0])
     np.testing.assert_allclose(uf.values[pos][2, :], 0.75, atol=1e-13)
@@ -150,7 +209,7 @@ def test_unfolding_integration_identity(shape, n):
     cmap = build_cell_map(mesh, n)
     field = ScalarField(mesh, rng.standard_normal(mesh.n_nodes))
     m = cmap.m[0]
-    uf = unfold(field, cmap, m)
+    uf = unfold(field, cmap)
     # per-cell Y-integral of the Q1 grid, then (1/|Y|) sum_cells eps^n * (...)
     eps = cmap.epsilon
     total = 0.0
@@ -182,7 +241,7 @@ def test_average_unfold_identity(shape):
         act = active_nodes(mesh)
         vals[act] = field.values[act]
         field = ScalarField(mesh, vals)
-    back = average(unfold(field, cmap, cmap.m[0]))
+    back = average(unfold(field, cmap))
     assert np.abs(back.values - field.values).max() <= 1e-13
 
 
@@ -195,7 +254,7 @@ def test_average_of_pure_oscillation():
     g0, g1 = np.meshgrid(axes, axes, indexing="ij")
     ygrid = np.stack([g0, g1], axis=-1)
     vals = np.broadcast_to(g(ygrid), (len(cmap.cells), r + 1, r + 1))
-    uf = UnfoldedField(cmap, r, np.array(vals))
+    uf = UnfoldedField(cmap, np.array(vals))
     out = average(uf)
     x = mesh.node_coordinates()
     _, y = split_point(x, cmap.epsilon)
@@ -317,7 +376,7 @@ def test_gradient_exchange():
     cmap = build_cell_map(mesh, 8)
     f = nodal(mesh, lambda x: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]))
     m = cmap.m[0]
-    uf = unfold(f, cmap, m)
+    uf = unfold(f, cmap)
     eps = cmap.epsilon
     ymesh = build_mesh((0, 0), (1, 1), (m, m), "box")
     from homog.grid import eval_gradient_batch
