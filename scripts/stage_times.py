@@ -8,8 +8,12 @@ fine stiffness assembly (multigrid levels included), the multigrid levels
 alone, the load, the solve, the H1 guard of the solve, the reconstruction
 and the error report.  Each rung also reports the dofs of the coarsest
 multigrid level and the V-cycles of one solve, counted by wrapping
-``sparse._vcycle`` outside the timed calls.  BLAS and OpenMP threads are
-pinned to 1 before numpy is imported.
+``sparse._vcycle`` outside the timed calls, and, per stage, the tracemalloc
+peak and the bytes still held when the call returns, both above the call's
+start and per fine-mesh node, from one more call that is not timed.  The
+hierarchy stage is given a stencil that the script keeps, so its peak
+includes no freeing of the fine stencil.  BLAS and OpenMP threads are pinned
+to 1 before numpy is imported.
 
     python3 scripts/stage_times.py [--repeats K]
 """
@@ -20,6 +24,7 @@ import os
 import platform
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -50,6 +55,20 @@ def best_of(repeats, call):
         result = call()
         best = min(best, time.perf_counter() - start)
     return best, result
+
+
+def traced_bytes(call, nodes):
+    """The tracemalloc peak and kept bytes per node of one call, above its
+    start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return {"peak": (peak - start) / nodes, "kept": (kept - start) / nodes}
 
 
 def count_vcycles(system, call):
@@ -85,28 +104,32 @@ def rung_stages(name, repeats):
     def sampler(pts):
         return field.sample_batch(pts * N_EPS)
 
-    times = {}
-    times["assembly"], system = best_of(
-        repeats, lambda: sparse.assemble_stiffness(mesh, sampler, constraint))
+    times, memory = {}, {}
+
+    def stage(name, call):
+        times[name], result = best_of(repeats, call)
+        memory[name] = traced_bytes(call, mesh.n_nodes)
+        return result
+
+    system = stage("assembly", lambda: sparse.assemble_stiffness(mesh, sampler, constraint))
     periodic = isinstance(constraint, sparse.Periodic)
-    stencil, dofs, shared, _ = sparse._nodal_stencil(mesh, sampler, constraint, system.node_to_dof)
-    matrix = sparse._read_csr(stencil, dofs, periodic, shared)
-    times["hierarchy"], _ = best_of(repeats, lambda: sparse._build_hierarchy(
-        matrix, stencil, dofs, periodic, system.needs_projection))
-    times["load"], b = best_of(repeats, lambda: system.reduce(sparse.assemble_load(mesh, rhs)))
-    times["solve"], x = best_of(repeats, lambda: sparse.cg_solve(system, b, rel_tol=config.cg_tol))
+    stencil, dofs, _ = sparse._nodal_stencil(mesh, sampler, constraint, system.node_to_dof)
+    matrix = sparse._read_csr(stencil, dofs, periodic, mesh.active_mask)
+    stage("hierarchy", lambda: sparse._build_hierarchy(
+        matrix, [stencil], dofs, periodic, system.needs_projection))
+    b = stage("load", lambda: system.reduce(sparse.assemble_load(mesh, rhs)))
+    x = stage("solve", lambda: sparse.cg_solve(system, b, rel_tol=config.cg_tol))
     vcycles = count_vcycles(system, lambda: sparse.cg_solve(system, b, rel_tol=config.cg_tol))
     coarsest = system.hierarchy[-2].coarse.shape[0] if len(system.hierarchy) > 1 else system.dimension
     fine = ScalarField(mesh, system.expand(x))
-    times["h1_guard"], _ = best_of(repeats, lambda: h1_seminorm_sq(fine))
+    stage("h1_guard", lambda: h1_seminorm_sq(fine))
     tensor, correctors = compute_tensor(config)
     phi = solve_homogenized(tensor, rhs, bc, mesh, rel_tol=config.cg_tol)
-    times["reconstruct"], recon = best_of(repeats, lambda: reconstruct(phi, correctors, cmap))
-    times["error_report"], _ = best_of(
-        repeats, lambda: error_report(fine, recon, cmap, config.interior_box))
+    recon = stage("reconstruct", lambda: reconstruct(phi, correctors, cmap))
+    stage("error_report", lambda: error_report(fine, recon, cmap, config.interior_box))
     return {"dofs": system.dimension, "nnz": int(system.matrix.nnz),
             "levels": len(system.hierarchy), "coarsest_dofs": coarsest, "vcycles": vcycles,
-            "seconds": times}
+            "seconds": times, "bytes_per_node": memory}
 
 
 def main():

@@ -28,7 +28,9 @@ from typing import Callable
 
 import numpy as np
 
-CHUNK_ELEMENTS = 65536  # largest block of the element walk, unless one row is longer
+# largest block of the element walk, unless one row is longer, and of the slabs
+# of nodes that sparse reads compressed rows in; it bounds their temporaries
+CHUNK_ELEMENTS = 16384
 GAUSS_POINTS = 2  # Gauss-Legendre points per axis of the element quadrature rule
 
 

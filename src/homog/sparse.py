@@ -13,7 +13,8 @@ Assembly takes its blocks of element rows from the element walk of
 samples with a fixed quadrature table, and the block adds them into a nodal
 3^n-point stencil by one array-slice add per pair of element corners; load
 vectors are scattered onto the nodes the same way.  The compressed-row
-matrix is read straight off the stencil, with no triplet list.  The walk
+matrix is read straight off the stencil, with no triplet list, in slabs of
+node rows as large as the walk's blocks.  The walk
 also bounds the samples' eigenvalues and asymmetry; ``assemble_stiffness``
 checks every sample by these figures and records the bounds on its system.
 
@@ -35,12 +36,14 @@ GMRES.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
+from . import grid
 from .coeff import symmetric_part_eiglimits
 from .grid import (
     StructuredMesh,
@@ -103,16 +106,38 @@ def _dof_map(mesh: StructuredMesh, constraint: Constraint) -> np.ndarray:
     return node_to_dof
 
 
-def _neighbour_dofs(dofs: np.ndarray, periodic: bool, step: int = 1) -> np.ndarray:
-    """``cols[t][x]``: the dof of node ``step * x + t - 1`` for each stencil
-    offset index t and every ``step``-th node, -1 where there is none.
-    Neighbours wrap on a periodic grid."""
+def _neighbour_dofs(dofs: np.ndarray, periodic: bool, step: int = 1) -> list[np.ndarray]:
+    """Per stencil offset index t, in flat order: the dofs of nodes
+    ``step * x + t - 1`` for every ``step``-th node x, -1 where there is none,
+    as views of one padded copy of ``dofs``.  Neighbours wrap on a periodic
+    grid."""
+    dofs = dofs.astype(np.int32 if dofs.size < 2**31 else np.int64, copy=False)
     padded = np.pad(dofs, 1, mode="wrap") if periodic else np.pad(dofs, 1, constant_values=-1)
     shape = tuple((m - 3) // step + 1 for m in padded.shape)
-    cols = np.empty((3,) * dofs.ndim + shape, dtype=np.int32 if dofs.size < 2**31 // 9 else np.int64)
-    for t in np.ndindex(*(3,) * dofs.ndim):
-        cols[t] = padded[tuple(slice(o, o + step * (m - 1) + 1, step) for o, m in zip(t, shape))]
-    return cols
+    return [padded[tuple(slice(o, o + step * (m - 1) + 1, step) for o, m in zip(t, shape))]
+            for t in np.ndindex(*(3,) * dofs.ndim)]
+
+
+def _present(columns: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """(offsets, node grid): whether each node has a row and its neighbour
+    in each of ``columns`` a column."""
+    keep = np.empty((len(columns),) + rows.shape, dtype=bool)
+    for k, cols in enumerate(columns):
+        np.greater_equal(cols, 0, out=keep[k])
+    keep &= rows >= 0
+    return keep
+
+
+def _shares_element(active: np.ndarray, t: tuple[int, ...]) -> np.ndarray:
+    """Whether each node and its neighbour at offset t - 1 share an active
+    element, read off the element mask grid ``active`` (last axis first)
+    padded by one inactive layer.  Along an axis the elements holding both
+    sit at padded index x, x or x + 1, or x + 1 for offset -1, 0 or +1."""
+    nodes = tuple(m - 1 for m in active.shape)
+    shared = np.zeros(nodes, dtype=bool)
+    for corner in itertools.product(*(((0,), (0, 1), (1,))[o] for o in t)):
+        shared |= active[tuple(slice(c, c + m) for c, m in zip(corner, nodes))]
+    return shared
 
 
 def _nodal_stencil(
@@ -120,13 +145,12 @@ def _nodal_stencil(
     sampler: Callable[[np.ndarray], np.ndarray],
     constraint: Constraint,
     node_to_dof: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, tuple[float, float, float]]:
+) -> tuple[np.ndarray, np.ndarray, tuple[float, float, float]]:
     """The Q1 matrix of a coefficient sampler as a nodal stencil: entry
     ``[t][x]`` couples node x to node x + t - 1, offsets first and both last
     mesh axis first.  Returns the stencil, the node -> dof grid it lives on,
-    on a masked mesh which couplings share an active element, and the
-    samples' (min, max) eigenvalue of sym(A) and largest ``|a_ij - a_ji|``
-    relative to ``max(1, |a|)`` in its block.
+    and the samples' (min, max) eigenvalue of sym(A) and largest
+    ``|a_ij - a_ji|`` relative to ``max(1, |a|)`` in its block.
 
     Element matrices come from one product of the samples with a fixed
     quadrature table per block of element rows.  On a periodic mesh the slave
@@ -136,8 +160,6 @@ def _nodal_stencil(
     dim, nloc = mesh.dim, 2**mesh.dim
     nodes = mesh.nodes_per_axis[::-1]
     stencil = np.zeros((3,) * dim + nodes)
-    # on a box mesh every in-range neighbour shares an active element
-    shared = None if mesh.active_mask is None else np.zeros(stencil.shape, dtype=bool)
     low, high, asym = np.inf, -np.inf, 0.0
     for block in element_blocks(mesh):
         rule = block.rule
@@ -155,8 +177,6 @@ def _nodal_stencil(
         asym = max(asym, dev / max(1.0, float(np.abs(samples).max())))
         ke = (table.T @ a.reshape(block.size, -1).T).reshape(nloc, nloc, block.size)
         block.add_to_nodes(stencil, ke)
-        if shared is not None:
-            block.add_to_nodes(shared, np.ones(ke.shape, dtype=bool))
     dofs = node_to_dof.reshape(nodes)
     if isinstance(constraint, Periodic):
         # the last node along an axis is the slave of the first
@@ -165,20 +185,37 @@ def _nodal_stencil(
             stencil[before + (0,)] += stencil[before + (-1,)]
         masters = (slice(-1),) * dim
         stencil, dofs = stencil[(...,) + masters], dofs[masters]
-    return stencil, dofs, shared, (low, high, asym)
+    return stencil, dofs, (low, high, asym)
 
 
-def _grid_csr(values, cols, keep, dofs, n_cols: int, periodic: bool) -> sp.csr_matrix:
+def _grid_csr(values, columns, keep, rows: np.ndarray, n_cols: int, periodic: bool) -> sp.csr_matrix:
     """Compressed rows from per-node entries: ``values[k][x]`` sits in column
-    ``cols[k][x]`` of the row of node x wherever ``keep[k][x]``, and the rows
-    are those of the nodes with a dof.  Columns increase with k except where a
-    periodic grid wraps; those rows get one sort and duplicate sum."""
-    rows = keep.reshape(-1, dofs.size).T  # one row per node
-    data = values.reshape(-1, dofs.size).T[rows]
-    indices = cols.reshape(-1, dofs.size).T[rows]
-    counts = rows.sum(axis=1)[dofs.ravel() >= 0]
-    indptr = np.zeros(len(counts) + 1, dtype=indices.dtype)
-    np.cumsum(counts, out=indptr[1:])
+    ``columns[k][x]`` of the row ``rows[x]`` of node x wherever
+    ``keep[k][x]``, which holds only where ``rows[x] >= 0``.  ``values`` and
+    ``keep`` are (offsets, node grid) arrays, ``columns`` a list of node-grid
+    arrays, one per offset, which are gathered in slabs of whole node rows
+    along the first grid axis, at most ``grid.CHUNK_ELEMENTS`` nodes (or one
+    row) each.  Columns increase with k except where a periodic grid wraps;
+    those rows get one sort and duplicate sum."""
+    n_offsets = len(keep)
+
+    def by_node(array):  # one row per node: a mask gathers the rows in order
+        return array.reshape(n_offsets, -1).T
+
+    data = by_node(values)[by_node(keep)]
+    index = np.int32 if max(len(data), n_cols) < 2**31 else np.int64
+    indices = np.empty(len(data), dtype=index)
+    step = max(1, grid.CHUNK_ELEMENTS // (rows.size // rows.shape[0]))
+    end = 0
+    for start in range(0, rows.shape[0], step):
+        slab = slice(start, start + step)
+        kept = by_node(keep[:, slab])
+        stop = end + np.count_nonzero(kept)
+        indices[end:stop] = by_node(np.stack([cols[slab] for cols in columns]))[kept]
+        end = stop
+    counts = keep.sum(axis=0, dtype=np.uint8)[rows >= 0]
+    indptr = np.zeros(len(counts) + 1, dtype=index)
+    np.cumsum(counts, dtype=index, out=indptr[1:])
     matrix = sp.csr_matrix((data, indices, indptr), shape=(len(counts), n_cols))
     if periodic:
         matrix.sum_duplicates()
@@ -186,21 +223,24 @@ def _grid_csr(values, cols, keep, dofs, n_cols: int, periodic: bool) -> sp.csr_m
 
 
 def _read_csr(
-    stencil: np.ndarray, dofs: np.ndarray, periodic: bool, shared: np.ndarray | None = None
+    stencil: np.ndarray, dofs: np.ndarray, periodic: bool, active_mask: np.ndarray | None = None
 ) -> sp.csr_matrix:
     """The compressed-row matrix of a nodal stencil over a node -> dof grid.
 
-    Couplings from or to a node without a dof, and those outside ``shared``,
-    are dropped, and zeroed in the stencil in place so that it stays the
-    operator of the matrix.  ``dofs`` is increasing over the kept nodes, so
-    the rows come out sorted.
+    Couplings from or to a node without a dof are dropped, and so are those
+    that share no active element of ``active_mask``, the flat element mask
+    of a masked mesh; they are zeroed in the stencil in place so that it
+    stays the operator of the matrix.  ``dofs`` is increasing over the kept
+    nodes, so the rows come out sorted.
     """
-    cols = _neighbour_dofs(dofs, periodic)
-    keep = (cols >= 0) & (dofs >= 0)
-    if shared is not None:
-        keep &= shared
-    stencil[~keep] = 0.0
-    return _grid_csr(stencil, cols, keep, dofs, int(dofs.max()) + 1, periodic)
+    columns = _neighbour_dofs(dofs, periodic)
+    keep = _present(columns, dofs)
+    if active_mask is not None:
+        active = np.pad(active_mask.reshape(tuple(m - 1 for m in dofs.shape)), 1)
+        for k, t in enumerate(np.ndindex(*(3,) * dofs.ndim)):
+            keep[k] &= _shares_element(active, t)
+    stencil[~keep.reshape(stencil.shape)] = 0.0
+    return _grid_csr(stencil.reshape(keep.shape), columns, keep, dofs, int(dofs.max()) + 1, periodic)
 
 
 def _assemble_matrix(
@@ -213,8 +253,8 @@ def _assemble_matrix(
     of eliminated nodes are dropped, and so are couplings between nodes that
     share no active element, so the sparsity pattern is exactly the element
     connectivity."""
-    stencil, dofs, shared, _ = _nodal_stencil(mesh, sampler, constraint, node_to_dof)
-    return _read_csr(stencil, dofs, isinstance(constraint, Periodic), shared)
+    stencil, dofs, _ = _nodal_stencil(mesh, sampler, constraint, node_to_dof)
+    return _read_csr(stencil, dofs, isinstance(constraint, Periodic), mesh.active_mask)
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,16 +310,19 @@ def assemble_stiffness(
     """
     node_to_dof = _dof_map(mesh, constraint)
     periodic = isinstance(constraint, Periodic)
-    stencil, dofs, shared, (low, high, asym) = _nodal_stencil(
-        mesh, matrix_sampler, constraint, node_to_dof)
+    stencil, dofs, (low, high, asym) = _nodal_stencil(mesh, matrix_sampler, constraint, node_to_dof)
     if asym > 1e-10:
         raise AssemblyError(f"sampler returned non-symmetric matrices (relative dev {asym:.3e})")
     if low <= 0:
         raise AssemblyError("sampler returned a non-elliptic matrix (eigenvalue <= 0)")
-    matrix = _read_csr(stencil, dofs, periodic, shared)
+    matrix = _read_csr(stencil, dofs, periodic, mesh.active_mask)
     # only Dirichlet elimination removes the constant mode from the kernel
     singular = not isinstance(constraint, Dirichlet)
-    hierarchy = _build_hierarchy(matrix, stencil, dofs, periodic, singular)
+    # the build takes the only reference to the stencil, so that it can drop
+    # it after the first Galerkin pass
+    fine = [stencil]
+    del stencil
+    hierarchy = _build_hierarchy(matrix, fine, dofs, periodic, singular)
     return SparseSystem(matrix, constraint, node_to_dof, mesh.n_nodes, hierarchy,
                         ellipticity=(low, high))
 
@@ -348,18 +391,27 @@ def _dense_inverse(matrix: sp.csr_matrix, singular: bool) -> np.ndarray:
     return 0.5 * (inverse + inverse.T)
 
 
-def _jacobi_weights(matrix: sp.csr_matrix) -> np.ndarray:
-    """Damped-Jacobi weights ``SMOOTH_WEIGHT / d`` with ``d`` the diagonal,
-    raised to half the absolute row sum where that is larger.  Rows with zero
-    sum and non-positive off-diagonals (isotropic Q1 stencils) keep their
-    diagonal; for any other stencil the raise bounds the spectrum of
-    ``diag(d)^-1 A`` by 2, so a sweep still contracts and the V-cycle stays
-    positive definite (anisotropic tensors would otherwise make it indefinite).
+def _jacobi_weights(stencil: np.ndarray, dofs: np.ndarray) -> np.ndarray:
+    """Damped-Jacobi weights ``SMOOTH_WEIGHT / d`` of the dofs of a nodal
+    stencil, zeroed outside its matrix as ``_read_csr`` leaves it: ``d`` is
+    the centre entry, raised to half the absolute sum of the node's entries
+    where that is larger.  Rows with zero sum and non-positive off-diagonals
+    (isotropic Q1 stencils) keep their diagonal; for any other stencil the
+    raise bounds the spectrum of ``diag(d)^-1 A`` by 2, so a sweep still
+    contracts and the V-cycle stays positive definite (anisotropic tensors
+    would otherwise make it indefinite).  The sum is the absolute row sum of
+    the matrix, added in column order, except where a periodic grid's
+    neighbours coincide: there it adds the magnitudes of the entries that the
+    matrix merges, so the weight is, up to rounding, never larger than the
+    row's.
     """
-    # |A| shares the index arrays of A; only the values are copied
-    magnitude = sp.csr_matrix((np.abs(matrix.data), matrix.indices, matrix.indptr), shape=matrix.shape)
-    row_sum = magnitude @ np.ones(matrix.shape[1])
-    return SMOOTH_WEIGHT / np.maximum(matrix.diagonal(), 0.5 * row_sum)
+    offsets = np.ndindex(*(3,) * dofs.ndim)
+    total = np.abs(stencil[next(offsets)])
+    term = np.empty_like(total)
+    for t in offsets:
+        total += np.abs(stencil[t], out=term)
+    row = dofs >= 0
+    return SMOOTH_WEIGHT / np.maximum(stencil[(1,) * dofs.ndim][row], 0.5 * total[row])
 
 
 def _galerkin_pass(stencil: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
@@ -434,39 +486,42 @@ def _restriction(dofs: np.ndarray, coarse: np.ndarray, periodic: bool) -> sp.csr
     gathers fine node 2I + t - 1 with weight 1/2 per axis where t - 1 is not
     zero.  Fine nodes without a dof drop out; on a periodic grid the fine
     neighbours wrap."""
-    cols = _neighbour_dofs(dofs, periodic, step=2)
-    weights = np.empty(cols.shape)
-    for t in np.ndindex(*(3,) * dofs.ndim):
-        weights[t] = 0.5 ** sum(o != 1 for o in t)
-    keep = (cols >= 0) & (coarse >= 0)
-    return _grid_csr(weights, cols, keep, coarse, int(dofs.max()) + 1, periodic)
+    columns = _neighbour_dofs(dofs, periodic, step=2)
+    keep = _present(columns, coarse)
+    weights = [0.5 ** sum(o != 1 for o in t) for t in np.ndindex(*(3,) * dofs.ndim)]
+    values = np.broadcast_to(np.reshape(weights, (-1,) + (1,) * dofs.ndim), keep.shape)
+    return _grid_csr(values, columns, keep, coarse, int(dofs.max()) + 1, periodic)
 
 
-def _coarsest_level(matrix: sp.csr_matrix, singular: bool) -> _Level:
+def _coarsest_level(matrix: sp.csr_matrix, stencil: np.ndarray, dofs: np.ndarray, singular: bool) -> _Level:
     if matrix.shape[0] <= DENSE_MAX:
         return _Level(inverse=_dense_inverse(matrix, singular))
-    return _Level(_jacobi_weights(matrix))
+    return _Level(_jacobi_weights(stencil, dofs))
 
 
 def _build_hierarchy(
-    matrix: sp.csr_matrix, stencil: np.ndarray, dofs: np.ndarray, periodic: bool, singular: bool
+    matrix: sp.csr_matrix, fine: list[np.ndarray], dofs: np.ndarray, periodic: bool, singular: bool
 ) -> tuple[_Level, ...]:
     """The V-cycle levels of ``matrix``, finest first, from its stencil
     (zeroed outside the dofs, as ``_read_csr`` leaves it) and its dof grid:
     coarsen while every axis has an even number of divisions and the level
-    has more than ``COARSEN_ABOVE`` dofs."""
+    has more than ``COARSEN_ABOVE`` dofs.  The stencil is popped from
+    ``fine`` and dropped after its first Galerkin pass, so that it is freed
+    there unless the caller keeps it."""
+    stencil = fine.pop()
     levels = []
     while matrix.shape[0] > COARSEN_ABOVE and all((n - (not periodic)) % 2 == 0 for n in dofs.shape):
         coarse_dofs = _coarse_dofs(dofs)
         if coarse_dofs.max() < 0:
             break
-        restrict = _restriction(dofs, coarse_dofs, periodic)
+        weights = _jacobi_weights(stencil, dofs)
         for axis in range(dofs.ndim):
             stencil = _galerkin_pass(stencil, axis, periodic)
+        restrict = _restriction(dofs, coarse_dofs, periodic)
         coarse = _read_csr(stencil, coarse_dofs, periodic)
-        levels.append(_Level(_jacobi_weights(matrix), restrict.T.tocsr(), restrict, coarse))
+        levels.append(_Level(weights, restrict.T.tocsr(), restrict, coarse))
         matrix, dofs = coarse, coarse_dofs
-    return tuple(levels) + (_coarsest_level(matrix, singular),)
+    return tuple(levels) + (_coarsest_level(matrix, stencil, dofs, singular),)
 
 
 def _cycle_buffers(matrix: sp.csr_matrix, levels: tuple[_Level, ...]) -> list[np.ndarray]:
@@ -503,6 +558,7 @@ def _vcycle(
         residual = matrix @ x
         np.subtract(r, residual, out=residual)
         coarse_r = level.restrict @ residual
+        del residual  # not alive through the coarse recursion
         x += level.prolong @ _vcycle(level.coarse, levels[1:], coarse_r, buffers[1:])
     _jacobi_sweep(matrix, level.weights, r, x)
     return x
@@ -549,8 +605,9 @@ def cg_solve(
     for _ in range(max_iter):
         ap = a @ p
         alpha = rz / float(p @ ap)
-        x += alpha * p
-        r -= alpha * ap
+        # both updates scale into the product's array, not a new temporary
+        r -= np.multiply(alpha, ap, out=ap)
+        x += np.multiply(alpha, p, out=ap)
         if project:
             r -= r.mean()
             x -= x.mean()

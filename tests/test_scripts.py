@@ -23,6 +23,10 @@ def test_stage_times_reports_every_stage_of_both_rungs():
     for rung in report["rungs"].values():
         assert set(rung["seconds"]) == STAGES
         assert all(t > 0 for t in rung["seconds"].values())
+        assert set(rung["bytes_per_node"]) == STAGES
+        for figures in rung["bytes_per_node"].values():
+            assert set(figures) == {"peak", "kept"}
+            assert 0 <= figures["kept"] <= figures["peak"]
         assert rung["coarsest_dofs"] > 0 and rung["vcycles"] > 0
 
 

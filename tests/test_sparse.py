@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import homog.grid as grid
 from homog.coeff import (
     Checkerboard,
     Constant,
@@ -22,6 +23,7 @@ from homog.grid import (
     shape_gradients,
 )
 from homog.sparse import (
+    SMOOTH_WEIGHT,
     AssemblyError,
     Dirichlet,
     Periodic,
@@ -155,8 +157,24 @@ ASSEMBLY_CASES = [
 @pytest.mark.parametrize("sampler", ["symmetric", "skew"])
 @pytest.mark.parametrize("mesh_name,constraint_name", ASSEMBLY_CASES)
 def test_assembly_matches_dense_element_reference(mesh_name, constraint_name, sampler):
-    mesh = ASSEMBLY_MESHES[mesh_name]
-    constraint = ASSEMBLY_CONSTRAINTS[constraint_name]
+    _check_against_dense_reference(ASSEMBLY_MESHES[mesh_name], ASSEMBLY_CONSTRAINTS[constraint_name],
+                                   sampler)
+
+
+@pytest.mark.parametrize("chunk", [1, 16])
+@pytest.mark.parametrize("mesh_name,constraint_name", [
+    ("1d_box_7", "dirichlet"), ("2d_box_5x4", "periodic"), ("2d_l_shape_6x8", "dirichlet"),
+    ("2d_l_shape_6x8", "zero_mean")])
+def test_assembly_in_small_blocks_matches_dense_element_reference(
+        mesh_name, constraint_name, chunk, monkeypatch):
+    # the walk's blocks and the compressed-row read's slabs of node rows both
+    # shrink to one or two rows
+    monkeypatch.setattr(grid, "CHUNK_ELEMENTS", chunk)
+    _check_against_dense_reference(ASSEMBLY_MESHES[mesh_name], ASSEMBLY_CONSTRAINTS[constraint_name],
+                                   "symmetric")
+
+
+def _check_against_dense_reference(mesh, constraint, sampler):
     system = assemble_stiffness(mesh, _symmetric_sampler, constraint)
     if sampler == "symmetric":
         sample, matrix = _symmetric_sampler, system.matrix
@@ -213,7 +231,10 @@ def test_periodic_dof_map_rejects_masked_mesh():
 
 
 def test_stiffness_assembly_memory_peak():
-    # a triplet (COO) assembly peaks near 83 MB here, to return a 7 MB matrix
+    # a triplet (COO) assembly peaks near 83 MB here, to return a 7 MB matrix;
+    # one 65536-element walk block, the neighbour columns of every offset at
+    # once and a fine stencil kept through the multigrid build peaked at 27 MB,
+    # and their removal at 17.2 MB
     mesh = build_mesh((0, 0), (1, 1), (256, 256))
     sampler, constraint = _cosine_sampler(1 / 16), Dirichlet()
     tracemalloc.start()
@@ -223,7 +244,7 @@ def test_stiffness_assembly_memory_peak():
     finally:
         tracemalloc.stop()
     assert system.matrix.nnz == (3 * 255 - 2) ** 2  # 9-point rows, cut at the boundary
-    assert peak <= 48e6
+    assert peak <= 22e6
 
 
 def test_periodic_dimension_counts():
@@ -283,11 +304,11 @@ def test_cg_identity_system():
     sys = assemble_stiffness(mesh, identity_sampler, Dirichlet())
     rng = np.random.default_rng(1)
     # replace matrix by identity to exercise the solver contract directly
-    from homog.sparse import SparseSystem, _coarsest_level
+    from homog.sparse import SparseSystem, _dense_inverse, _Level
 
     matrix = sp.identity(3, format="csr")
     ident = SparseSystem(matrix, sys.constraint, sys.node_to_dof, sys.n_nodes,
-                         (_coarsest_level(matrix, False),))
+                         (_Level(inverse=_dense_inverse(matrix, False)),))
     r = rng.standard_normal(3)
     np.testing.assert_allclose(cg_solve(ident, r), r, atol=1e-12)
 
@@ -442,6 +463,48 @@ def test_vcycle_symmetric_positive_definite(name):
     assert abs(u @ vv - vu @ v) <= 1e-12 * scale
 
 
+def _csr_jacobi_weights(matrix):
+    """``SMOOTH_WEIGHT / max(diag, |A| 1 / 2)`` from the compressed rows."""
+    return SMOOTH_WEIGHT / np.maximum(matrix.diagonal(), 0.5 * (abs(matrix) @ np.ones(matrix.shape[1])))
+
+
+def _smoothed_levels(system):
+    """Each level's Jacobi weights, read off its stencil, beside those of
+    its compressed rows."""
+    matrix = system.matrix if system.symmetric_part is None else system.symmetric_part
+    for level in system.hierarchy:
+        if level.weights is not None:
+            yield level.weights, _csr_jacobi_weights(matrix)
+        matrix = level.coarse
+
+
+@pytest.mark.parametrize("name", ["dirichlet_box", "dirichlet_l_shape", "zero_mean_l_shape",
+                                  "dirichlet_1d", "odd_divisions"])
+def test_jacobi_weights_from_the_stencil_equal_the_csr_rows(name):
+    # odd_divisions smooths on its one, too large, level instead of inverting it
+    mesh, sampler, constraint, _ = SOLVER_CASES[name]
+    levels = list(_smoothed_levels(_assemble(mesh, sampler, constraint)))
+    assert levels
+    for weights, expected in levels:
+        np.testing.assert_array_equal(weights, expected)
+
+
+@pytest.mark.parametrize("a12,smaller", [(0.3, False), (0.9, True)])
+@pytest.mark.parametrize("divisions", [(2, 256), (256, 2)])
+def test_jacobi_weights_never_exceed_the_csr_rows_where_periodic_neighbours_coincide(
+        divisions, a12, smaller):
+    # on a 2-wide periodic axis a node's left and right neighbours are one
+    # node: the matrix merges their couplings, the stencil adds both
+    # magnitudes; with a strong a12 the diagonal ones have opposite signs
+    mesh = build_mesh((0, 0), tuple(d / 256 for d in divisions), divisions)  # square elements
+    system = assemble_stiffness(mesh, _constant_sampler([[1.0, a12], [a12, 1.0]]), Periodic())
+    levels = list(_smoothed_levels(system))
+    assert levels
+    for weights, expected in levels:
+        assert np.all(weights <= expected * (1 + 4 * np.finfo(float).eps))
+        assert np.all(weights < expected) == smaller
+
+
 @pytest.mark.parametrize("divisions", [128, 256])
 def test_cg_iterations_bounded_on_cosine_fine_problem(divisions):
     # 16 elements per period; Jacobi-CG needs hundreds of iterations here
@@ -581,7 +644,18 @@ HIERARCHY_CASES = {
 
 @pytest.mark.parametrize("name", sorted(HIERARCHY_CASES))
 def test_levels_equal_kron_galerkin_product(name):
-    mesh, sampler, constraint = HIERARCHY_CASES[name]
+    _check_levels_against_kron_product(*HIERARCHY_CASES[name])
+
+
+@pytest.mark.parametrize("name", ["dirichlet_l_shape_offset_corner", "periodic_checkerboard"])
+def test_levels_in_small_blocks_equal_kron_galerkin_product(name, monkeypatch):
+    # one row of elements per walk block and one row of nodes per slab of
+    # every compressed-row read
+    monkeypatch.setattr(grid, "CHUNK_ELEMENTS", 64)
+    _check_levels_against_kron_product(*HIERARCHY_CASES[name])
+
+
+def _check_levels_against_kron_product(mesh, sampler, constraint):
     system = _assemble(mesh, sampler, constraint)
     matrix = system.matrix if system.symmetric_part is None else system.symmetric_part
     divisions, node_to_dof = mesh.divisions, system.node_to_dof
@@ -604,7 +678,7 @@ def test_periodic_galerkin_pass_with_coinciding_neighbours(divisions):
     mesh = build_mesh((0,) * dim, (1,) * dim, divisions)
     sampler = Checkerboard(1.0, 100.0).sample_batch if dim == 2 else _symmetric_sampler
     system = assemble_stiffness(mesh, sampler, Periodic())
-    stencil, dofs, _, _ = _nodal_stencil(mesh, sampler, Periodic(), system.node_to_dof)
+    stencil, dofs, _ = _nodal_stencil(mesh, sampler, Periodic(), system.node_to_dof)
     matrix = _read_csr(stencil, dofs, periodic=True)
     assert _gap(matrix, system.matrix) == 0.0
     node_to_dof = system.node_to_dof
