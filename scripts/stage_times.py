@@ -4,16 +4,17 @@ configs and print the best of k calls per stage as JSON.
 
 The rung is epsilon = 1/16 at 16 points per period, with the configs'
 coefficient, right-hand side and boundary condition.  The stages are the
-fine stiffness assembly (multigrid levels included), the multigrid levels
-alone, the load, the solve, the H1 guard of the solve, the reconstruction
-and the error report.  Each rung also reports the dofs of the coarsest
-multigrid level and the V-cycles of one solve, counted by wrapping
-``sparse._vcycle`` outside the timed calls, and, per stage, the tracemalloc
-peak and the bytes still held when the call returns, both above the call's
-start and per fine-mesh node, from one more call that is not timed.  The
-hierarchy stage is given a stencil that the script keeps, so its peak
-includes no freeing of the fine stencil.  BLAS and OpenMP threads are pinned
-to 1 before numpy is imported.
+fine stiffness assembly (multigrid levels included), the stored matrix and
+multigrid levels built from a given stencil, the load, the solve, the H1
+guard of the solve, the reconstruction and the error report.  Each rung
+also reports the unknowns, the stored diagonal entries of the fine matrix,
+the unknowns of the coarsest multigrid level and the V-cycles of one solve,
+counted by wrapping ``sparse._vcycle`` outside the timed calls, and, per
+stage, the tracemalloc peak and the bytes still held when the call returns,
+both above the call's start and per fine-mesh node, from one more call that
+is not timed.  The hierarchy stage is given a stencil that the script keeps,
+so its peak includes no freeing of the fine stencil.  BLAS and OpenMP
+threads are pinned to 1 before numpy is imported.
 
     python3 scripts/stage_times.py [--repeats K]
 """
@@ -112,15 +113,14 @@ def rung_stages(name, repeats):
         return result
 
     system = stage("assembly", lambda: sparse.assemble_stiffness(mesh, sampler, constraint))
-    periodic = isinstance(constraint, sparse.Periodic)
-    stencil, dofs, _ = sparse._nodal_stencil(mesh, sampler, constraint, system.node_to_dof)
-    matrix = sparse._read_csr(stencil, dofs, periodic, mesh.active_mask)
+    stencil, _ = sparse._nodal_stencil(mesh, sampler, constraint)
     stage("hierarchy", lambda: sparse._build_hierarchy(
-        matrix, [stencil], dofs, periodic, system.needs_projection))
+        [stencil], system.unknowns, isinstance(constraint, sparse.Periodic), system.needs_projection))
     b = stage("load", lambda: system.reduce(sparse.assemble_load(mesh, rhs)))
     x = stage("solve", lambda: sparse.cg_solve(system, b, rel_tol=config.cg_tol))
     vcycles = count_vcycles(system, lambda: sparse.cg_solve(system, b, rel_tol=config.cg_tol))
-    coarsest = system.hierarchy[-2].coarse.shape[0] if len(system.hierarchy) > 1 else system.dimension
+    # a coarse node is an unknown when the fine node it coincides with is one
+    coarsest = system.unknowns[(slice(None, None, 2 ** (len(system.hierarchy) - 1)),) * mesh.dim]
     fine = ScalarField(mesh, system.expand(x))
     stage("h1_guard", lambda: h1_seminorm_sq(fine))
     tensor, correctors = compute_tensor(config)
@@ -128,7 +128,7 @@ def rung_stages(name, repeats):
     recon = stage("reconstruct", lambda: reconstruct(phi, correctors, cmap))
     stage("error_report", lambda: error_report(fine, recon, cmap, config.interior_box))
     return {"dofs": system.dimension, "nnz": int(system.matrix.nnz),
-            "levels": len(system.hierarchy), "coarsest_dofs": coarsest, "vcycles": vcycles,
+            "levels": len(system.hierarchy), "coarsest_dofs": int(coarsest.sum()), "vcycles": vcycles,
             "seconds": times, "bytes_per_node": memory}
 
 

@@ -116,7 +116,7 @@ def solve_correctors(
         return 0.5 * (a - np.swapaxes(a, 1, 2))
 
     s = system.matrix
-    skew = _assemble_matrix(cell_mesh, skew_sampler, system.constraint, system.node_to_dof)
+    skew = _assemble_matrix(cell_mesh, skew_sampler, system.constraint)
     # S^T = S and N^T = -N, so S - N is the adjoint matrix; replace() keeps the
     # multigrid levels that assembly built from S, for both families
     chi = solve_family(field, replace(system, matrix=s + skew, symmetric_part=s))

@@ -28,8 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-# largest block of the element walk, unless one row is longer, and of the slabs
-# of nodes that sparse reads compressed rows in; it bounds their temporaries
+# largest block of the element walk, unless one row is longer; it bounds the
+# walk's temporaries
 CHUNK_ELEMENTS = 16384
 GAUSS_POINTS = 2  # Gauss-Legendre points per axis of the element quadrature rule
 
@@ -420,11 +420,6 @@ def eval_field_batch(field: ScalarField, points: np.ndarray) -> np.ndarray:
     return np.einsum("pa,pa->p", shape_values(local), corner)
 
 
-def eval_field(field: ScalarField, point) -> float:
-    """Value of the Q1 interpolant at one point inside the active region."""
-    return float(eval_field_batch(field, np.atleast_2d(point))[0])
-
-
 def eval_gradient_batch(field: ScalarField, points: np.ndarray) -> np.ndarray:
     """Gradient of the Q1 interpolant at many (element-interior) points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -432,11 +427,6 @@ def eval_gradient_batch(field: ScalarField, points: np.ndarray) -> np.ndarray:
     corner = field.values[field.mesh.element_nodes(elems)]
     grads = shape_gradients(local) / field.mesh.h
     return np.einsum("pad,pa->pd", grads, corner)
-
-
-def eval_gradient(field: ScalarField, point) -> np.ndarray:
-    """Gradient at one point (element-wise defined; point should be interior)."""
-    return eval_gradient_batch(field, np.atleast_2d(point))[0]
 
 
 def quadrature(mesh: StructuredMesh, sample: Callable[[ElementBlock], np.ndarray]) -> float:

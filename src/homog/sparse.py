@@ -3,32 +3,34 @@ multigrid-preconditioned Krylov solver: conjugate gradients for symmetric
 systems, restarted GMRES for non-symmetric ones.
 
 The bilinear form is ``(u, v) -> integral of (A grad u) . grad v`` with the
-matrix coefficient sampled at quadrature points.  Constraints are applied
-structurally: Dirichlet rows/columns are eliminated, periodic slave nodes are
-folded onto their masters, and pure-Neumann (zero-mean) systems are left
-singular with the constant mode projected out inside the solver.
+matrix coefficient sampled at quadrature points.  Every operator is its
+3^n-point nodal stencil, stored by diagonals in ascending order, so a row of
+a product adds in column order, with a row and a column per node of the
+system's grid: the mesh's node grid, or the periodic masters, whose wrapped
+neighbours get diagonals of their own.  A bool grid marks the unknowns;
+Dirichlet boundary nodes and nodes of no active element are none, and their
+rows, columns and solver entries are zero.  Periodic slave nodes are folded
+onto their masters, and pure-Neumann (zero-mean) systems are left singular
+with the constant mode projected out inside the solver.
 
 Assembly takes its blocks of element rows from the element walk of
 ``grid``.  A block's element matrices are one product of the coefficient
-samples with a fixed quadrature table, and the block adds them into a nodal
-3^n-point stencil by one array-slice add per pair of element corners; load
-vectors are scattered onto the nodes the same way.  The compressed-row
-matrix is read straight off the stencil, with no triplet list, in slabs of
-node rows as large as the walk's blocks.  The walk
-also bounds the samples' eigenvalues and asymmetry; ``assemble_stiffness``
-checks every sample by these figures and records the bounds on its system.
+samples with a fixed quadrature table, and the block adds them into the
+stencil by one array-slice add per pair of element corners; load vectors are
+scattered onto the nodes the same way.  The walk also bounds the samples'
+eigenvalues and asymmetry; ``assemble_stiffness`` checks every sample by
+these figures and records the bounds on its system.
 
 The preconditioner is one symmetric geometric-multigrid V-cycle over the
 nested grids obtained by halving the mesh divisions: bilinear prolongation,
 Galerkin coarse operators ``P^T A P``, a fixed single damped-Jacobi sweep
 from zero before the coarse correction and one after it, and a dense inverse
-on the coarsest level, which has at most ``COARSEN_ABOVE`` dofs unless the
-divisions stop halving first.  A solve allocates one iterate buffer per
+on the coarsest level, which has at most ``COARSEN_ABOVE`` unknowns unless
+the divisions stop halving first.  A solve allocates one iterate buffer per
 level, and every V-cycle writes its sweeps into them.  ``assemble_stiffness``
-builds the levels while it holds the stencil: under bilinear prolongation a
-3^n-point stencil has a 3^n-point Galerkin stencil, formed by one
-slice-arithmetic pass per axis and read into compressed rows like the fine
-one, and each restriction is read off the fine and coarse dof grids.  A
+builds the levels while it holds the stencil: a 3^n-point stencil has a
+3^n-point Galerkin stencil, one slice-arithmetic pass per axis, and each
+restriction is read off the two node grids in compressed rows.  A
 non-symmetric system carries its symmetric part, which is positive
 (semi-)definite; its V-cycle, built from that part, right-preconditions
 GMRES.
@@ -43,7 +45,6 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from . import grid
 from .coeff import symmetric_part_eiglimits
 from .grid import (
     StructuredMesh,
@@ -52,8 +53,8 @@ from .grid import (
 )
 
 SMOOTH_WEIGHT = 0.8  # damped Jacobi
-COARSEN_ABOVE = 100  # coarsen while a level has more dofs than this
-DENSE_MAX = 1200  # largest coarsest level inverted densely; above, smoothing only
+COARSEN_ABOVE = 100  # coarsen while a level has more unknowns than this
+DENSE_MAX = 1200  # most unknowns of a coarsest level inverted densely; above, smoothing only
 GMRES_RESTART = 30  # Krylov vectors kept before GMRES restarts from the true residual
 
 
@@ -88,78 +89,97 @@ class Periodic:
 Constraint = ZeroMean | Dirichlet | Periodic
 
 
-def _dof_map(mesh: StructuredMesh, constraint: Constraint) -> np.ndarray:
-    """node -> dof index (-1 if eliminated), increasing over the kept nodes
-    and over the periodic masters, read off the node grid.  A node is kept
-    when an active element touches it, and under Dirichlet when all 2^n of
-    its elements are active.  The periodic masters are the nodes before the
-    last along each axis, numbered like the elements; the last node wraps."""
+def _unknowns(mesh: StructuredMesh, constraint: Constraint) -> np.ndarray:
+    """The unknowns as a bool grid, last mesh axis first, over the mesh's
+    node grid, or under Periodic over the masters, the nodes before the last
+    along each axis, all unknowns.  A mesh node is one when an active element
+    touches it, under Dirichlet when all 2^n of its elements are active."""
     if isinstance(constraint, Periodic):
         if mesh.active_mask is not None:
             raise ValueError("periodic constraints require a full box mesh")
-        masters = np.arange(mesh.n_elements).reshape(mesh.divisions[::-1])
-        return np.pad(masters, (0, 1), mode="wrap").ravel()
-    counts = element_counts(mesh)
-    keep = counts == 2**mesh.dim if isinstance(constraint, Dirichlet) else counts > 0
-    node_to_dof = np.full(mesh.n_nodes, -1, dtype=int)
-    node_to_dof[keep] = np.arange(np.count_nonzero(keep))
-    return node_to_dof
+        return np.ones(mesh.divisions[::-1], dtype=bool)
+    counts = element_counts(mesh).reshape(mesh.nodes_per_axis[::-1])
+    return counts == 2**mesh.dim if isinstance(constraint, Dirichlet) else counts > 0
 
 
-def _neighbour_dofs(dofs: np.ndarray, periodic: bool, step: int = 1) -> list[np.ndarray]:
-    """Per stencil offset index t, in flat order: the dofs of nodes
-    ``step * x + t - 1`` for every ``step``-th node x, -1 where there is none,
-    as views of one padded copy of ``dofs``.  Neighbours wrap on a periodic
-    grid."""
-    dofs = dofs.astype(np.int32 if dofs.size < 2**31 else np.int64, copy=False)
-    padded = np.pad(dofs, 1, mode="wrap") if periodic else np.pad(dofs, 1, constant_values=-1)
-    shape = tuple((m - 3) // step + 1 for m in padded.shape)
-    return [padded[tuple(slice(o, o + step * (m - 1) + 1, step) for o, m in zip(t, shape))]
-            for t in np.ndindex(*(3,) * dofs.ndim)]
+def _fold(array: np.ndarray, axes: range) -> np.ndarray:
+    """Add the last node along each of ``axes``, in order, onto the first,
+    its periodic master, and return the view of the masters."""
+    for axis in axes:
+        before = (slice(None),) * axis
+        array[before + (0,)] += array[before + (-1,)]
+    return array[(slice(None),) * axes[0] + (slice(-1),) * len(axes)]
 
 
-def _present(columns: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
-    """(offsets, node grid): whether each node has a row and its neighbour
-    in each of ``columns`` a column."""
-    keep = np.empty((len(columns),) + rows.shape, dtype=bool)
-    for k, cols in enumerate(columns):
-        np.greater_equal(cols, 0, out=keep[k])
-    keep &= rows >= 0
-    return keep
+def _diagonal_parts(shape: tuple[int, ...], periodic: bool):
+    """Where the couplings of a nodal stencil on a node grid of ``shape`` lie
+    in its matrix.  Yields, per stencil offset index t in flat order, one
+    ``(t, diagonal, rows, columns)`` per part of the grid whose neighbours at
+    t - 1 are one flat distance ``diagonal`` away: ``rows`` are the node-grid
+    slices of those nodes and ``columns`` those of their neighbours.  On a
+    periodic grid the last node along an axis neighbours the first, which
+    gives an offset one more part per axis that it moves along."""
+    strides = [int(np.prod(shape[axis + 1:])) for axis in range(len(shape))]
+    per_axis = []
+    for m, stride in zip(shape, strides):
+        moves = []
+        for s in (-1, 0, 1):
+            parts = []
+            if m > abs(s):
+                parts.append((s * stride, slice(max(0, -s), m - max(0, s)),
+                              slice(max(0, s), m - max(0, -s))))
+            if periodic and s:
+                row = m - 1 if s > 0 else 0
+                col = m - 1 - row
+                parts.append(((col - row) * stride, slice(row, row + 1), slice(col, col + 1)))
+            moves.append(parts)
+        per_axis.append(moves)
+    for t in np.ndindex(*(3,) * len(shape)):
+        for part in itertools.product(*(moves[s] for moves, s in zip(per_axis, t))):
+            diagonal, rows, columns = zip(*part)
+            yield t, sum(diagonal), rows, columns
 
 
-def _shares_element(active: np.ndarray, t: tuple[int, ...]) -> np.ndarray:
-    """Whether each node and its neighbour at offset t - 1 share an active
-    element, read off the element mask grid ``active`` (last axis first)
-    padded by one inactive layer.  Along an axis the elements holding both
-    sit at padded index x, x or x + 1, or x + 1 for offset -1, 0 or +1."""
-    nodes = tuple(m - 1 for m in active.shape)
-    shared = np.zeros(nodes, dtype=bool)
-    for corner in itertools.product(*(((0,), (0, 1), (1,))[o] for o in t)):
-        shared |= active[tuple(slice(c, c + m) for c, m in zip(corner, nodes))]
-    return shared
+def _zero_off_unknowns(stencil: np.ndarray, unknowns: np.ndarray, periodic: bool) -> None:
+    """Zero, in place, the couplings of a nodal stencil from or to a node
+    that is not an unknown."""
+    for t, _, rows, columns in _diagonal_parts(unknowns.shape, periodic):
+        stencil[t][rows][~(unknowns[rows] & unknowns[columns])] = 0.0
+
+
+def _stencil_matrix(stencil: np.ndarray, periodic: bool) -> sp.dia_matrix:
+    """The matrix of a nodal stencil on its node grid, by diagonals in
+    ascending order.  A diagonal is indexed by column, so each part of an
+    offset is one slice copy onto its diagonal's node grid; couplings that
+    coincide on a narrow periodic grid are added in offset order."""
+    shape = stencil.shape[stencil.ndim // 2:]
+    parts = list(_diagonal_parts(shape, periodic))
+    diagonals = sorted({diagonal for _, diagonal, _, _ in parts})
+    n = int(np.prod(shape))
+    data = np.zeros((len(diagonals), n))
+    for t, diagonal, rows, columns in parts:
+        data[diagonals.index(diagonal)].reshape(shape)[columns] += stencil[t][rows]
+    return sp.dia_matrix((data, diagonals), shape=(n, n))
 
 
 def _nodal_stencil(
     mesh: StructuredMesh,
     sampler: Callable[[np.ndarray], np.ndarray],
     constraint: Constraint,
-    node_to_dof: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, tuple[float, float, float]]:
+) -> tuple[np.ndarray, tuple[float, float, float]]:
     """The Q1 matrix of a coefficient sampler as a nodal stencil: entry
     ``[t][x]`` couples node x to node x + t - 1, offsets first and both last
-    mesh axis first.  Returns the stencil, the node -> dof grid it lives on,
-    and the samples' (min, max) eigenvalue of sym(A) and largest
-    ``|a_ij - a_ji|`` relative to ``max(1, |a|)`` in its block.
+    mesh axis first.  Returns the stencil and the samples' (min, max)
+    eigenvalue of sym(A) and largest ``|a_ij - a_ji|`` relative to
+    ``max(1, |a|)`` in its block.
 
     Element matrices come from one product of the samples with a fixed
     quadrature table per block of element rows.  On a periodic mesh the slave
-    rows are folded onto their masters and the grids cut to the masters, whose
+    rows are folded onto their masters and the grid cut to the masters, whose
     neighbours wrap.
     """
     dim, nloc = mesh.dim, 2**mesh.dim
-    nodes = mesh.nodes_per_axis[::-1]
-    stencil = np.zeros((3,) * dim + nodes)
+    stencil = np.zeros((3,) * dim + mesh.nodes_per_axis[::-1])
     low, high, asym = np.inf, -np.inf, 0.0
     for block in element_blocks(mesh):
         rule = block.rule
@@ -177,123 +197,63 @@ def _nodal_stencil(
         asym = max(asym, dev / max(1.0, float(np.abs(samples).max())))
         ke = (table.T @ a.reshape(block.size, -1).T).reshape(nloc, nloc, block.size)
         block.add_to_nodes(stencil, ke)
-    dofs = node_to_dof.reshape(nodes)
     if isinstance(constraint, Periodic):
-        # the last node along an axis is the slave of the first
-        for axis in range(dim, 2 * dim):
-            before = (slice(None),) * axis
-            stencil[before + (0,)] += stencil[before + (-1,)]
-        masters = (slice(-1),) * dim
-        stencil, dofs = stencil[(...,) + masters], dofs[masters]
-    return stencil, dofs, (low, high, asym)
-
-
-def _grid_csr(values, columns, keep, rows: np.ndarray, n_cols: int, periodic: bool) -> sp.csr_matrix:
-    """Compressed rows from per-node entries: ``values[k][x]`` sits in column
-    ``columns[k][x]`` of the row ``rows[x]`` of node x wherever
-    ``keep[k][x]``, which holds only where ``rows[x] >= 0``.  ``values`` and
-    ``keep`` are (offsets, node grid) arrays, ``columns`` a list of node-grid
-    arrays, one per offset, which are gathered in slabs of whole node rows
-    along the first grid axis, at most ``grid.CHUNK_ELEMENTS`` nodes (or one
-    row) each.  Columns increase with k except where a periodic grid wraps;
-    those rows get one sort and duplicate sum."""
-    n_offsets = len(keep)
-
-    def by_node(array):  # one row per node: a mask gathers the rows in order
-        return array.reshape(n_offsets, -1).T
-
-    data = by_node(values)[by_node(keep)]
-    index = np.int32 if max(len(data), n_cols) < 2**31 else np.int64
-    indices = np.empty(len(data), dtype=index)
-    step = max(1, grid.CHUNK_ELEMENTS // (rows.size // rows.shape[0]))
-    end = 0
-    for start in range(0, rows.shape[0], step):
-        slab = slice(start, start + step)
-        kept = by_node(keep[:, slab])
-        stop = end + np.count_nonzero(kept)
-        indices[end:stop] = by_node(np.stack([cols[slab] for cols in columns]))[kept]
-        end = stop
-    counts = keep.sum(axis=0, dtype=np.uint8)[rows >= 0]
-    indptr = np.zeros(len(counts) + 1, dtype=index)
-    np.cumsum(counts, dtype=index, out=indptr[1:])
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(len(counts), n_cols))
-    if periodic:
-        matrix.sum_duplicates()
-    return matrix
-
-
-def _read_csr(
-    stencil: np.ndarray, dofs: np.ndarray, periodic: bool, active_mask: np.ndarray | None = None
-) -> sp.csr_matrix:
-    """The compressed-row matrix of a nodal stencil over a node -> dof grid.
-
-    Couplings from or to a node without a dof are dropped, and so are those
-    that share no active element of ``active_mask``, the flat element mask
-    of a masked mesh; they are zeroed in the stencil in place so that it
-    stays the operator of the matrix.  ``dofs`` is increasing over the kept
-    nodes, so the rows come out sorted.
-    """
-    columns = _neighbour_dofs(dofs, periodic)
-    keep = _present(columns, dofs)
-    if active_mask is not None:
-        active = np.pad(active_mask.reshape(tuple(m - 1 for m in dofs.shape)), 1)
-        for k, t in enumerate(np.ndindex(*(3,) * dofs.ndim)):
-            keep[k] &= _shares_element(active, t)
-    stencil[~keep.reshape(stencil.shape)] = 0.0
-    return _grid_csr(stencil.reshape(keep.shape), columns, keep, dofs, int(dofs.max()) + 1, periodic)
+        stencil = _fold(stencil, range(dim, 2 * dim))
+    return stencil, (low, high, asym)
 
 
 def _assemble_matrix(
     mesh: StructuredMesh,
     sampler: Callable[[np.ndarray], np.ndarray],
     constraint: Constraint,
-    node_to_dof: np.ndarray,
-) -> sp.csr_matrix:
-    """The constrained Q1 matrix of an unchecked sampler.  Rows and columns
-    of eliminated nodes are dropped, and so are couplings between nodes that
-    share no active element, so the sparsity pattern is exactly the element
-    connectivity."""
-    stencil, dofs, _ = _nodal_stencil(mesh, sampler, constraint, node_to_dof)
-    return _read_csr(stencil, dofs, isinstance(constraint, Periodic), mesh.active_mask)
+) -> sp.dia_matrix:
+    """The constrained Q1 matrix of an unchecked sampler, on the grid and
+    with the zero rows and columns of ``assemble_stiffness``."""
+    stencil, _ = _nodal_stencil(mesh, sampler, constraint)
+    unknowns, periodic = _unknowns(mesh, constraint), isinstance(constraint, Periodic)
+    _zero_off_unknowns(stencil, unknowns, periodic)
+    return _stencil_matrix(stencil, periodic)
 
 
 @dataclass(frozen=True, eq=False)
 class SparseSystem:
-    """A constrained stiffness system in compressed-row storage."""
+    """A constrained stiffness system, stored by diagonals on its node grid
+    (see the module docstring); rows and columns off the unknowns are zero."""
 
-    matrix: sp.csr_matrix
+    matrix: sp.dia_matrix
     constraint: Constraint
-    node_to_dof: np.ndarray
-    n_nodes: int
+    unknowns: np.ndarray  # bool node grid of the system, last mesh axis first
     # levels of the multigrid preconditioner, finest first, built by assembly
     hierarchy: tuple[_Level, ...] = field(repr=False)
     # (matrix + matrix.T) / 2 when the matrix is not symmetric, else None; the
     # preconditioner is built from it and the solver is GMRES instead of CG
-    symmetric_part: sp.csr_matrix | None = None
+    symmetric_part: sp.dia_matrix | None = None
     # (min, max) eigenvalue of sym(A) over the samples that assembly read
     ellipticity: tuple[float, float] | None = None
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        """The number of unknowns."""
+        return int(np.count_nonzero(self.unknowns))
 
     @property
     def needs_projection(self) -> bool:
         return isinstance(self.constraint, (ZeroMean, Periodic))
 
     def reduce(self, full: np.ndarray) -> np.ndarray:
-        """Fold a full nodal vector (e.g. a load) into dof space."""
-        out = np.zeros(self.dimension)
-        mask = self.node_to_dof >= 0
-        np.add.at(out, self.node_to_dof[mask], np.asarray(full)[mask])
-        return out
+        """Fold a full nodal vector (e.g. a load) onto the system grid, adding
+        periodic slaves to their masters and zeroing it off the unknowns."""
+        if not isinstance(self.constraint, Periodic):
+            return np.where(self.unknowns.ravel(), full, 0.0)
+        nodes = np.array(full, dtype=float).reshape(tuple(m + 1 for m in self.unknowns.shape))
+        return _fold(nodes, range(nodes.ndim)).ravel()
 
     def expand(self, x: np.ndarray) -> np.ndarray:
-        """Spread a dof vector back to all nodes (eliminated nodes get 0)."""
-        full = np.zeros(self.n_nodes)
-        mask = self.node_to_dof >= 0
-        full[mask] = np.asarray(x)[self.node_to_dof[mask]]
-        return full
+        """Spread a vector on the system grid back to all mesh nodes, wrapping
+        periodic masters onto their slaves; nodes off the unknowns get 0."""
+        if not isinstance(self.constraint, Periodic):
+            return np.where(self.unknowns.ravel(), x, 0.0)
+        return np.pad(np.reshape(x, self.unknowns.shape), (0, 1), mode="wrap").ravel()
 
 
 def assemble_stiffness(
@@ -308,23 +268,20 @@ def assemble_stiffness(
     AssemblyError, else the samples' bounds become the ``ellipticity`` of
     the system.  Entry (a, b) couples test function a with trial function b.
     """
-    node_to_dof = _dof_map(mesh, constraint)
-    periodic = isinstance(constraint, Periodic)
-    stencil, dofs, (low, high, asym) = _nodal_stencil(mesh, matrix_sampler, constraint, node_to_dof)
+    stencil, (low, high, asym) = _nodal_stencil(mesh, matrix_sampler, constraint)
     if asym > 1e-10:
         raise AssemblyError(f"sampler returned non-symmetric matrices (relative dev {asym:.3e})")
     if low <= 0:
         raise AssemblyError("sampler returned a non-elliptic matrix (eigenvalue <= 0)")
-    matrix = _read_csr(stencil, dofs, periodic, mesh.active_mask)
+    unknowns = _unknowns(mesh, constraint)
     # only Dirichlet elimination removes the constant mode from the kernel
     singular = not isinstance(constraint, Dirichlet)
     # the build takes the only reference to the stencil, so that it can drop
-    # it after the first Galerkin pass
+    # it once its matrix and first Galerkin pass are made
     fine = [stencil]
     del stencil
-    hierarchy = _build_hierarchy(matrix, fine, dofs, periodic, singular)
-    return SparseSystem(matrix, constraint, node_to_dof, mesh.n_nodes, hierarchy,
-                        ellipticity=(low, high))
+    matrix, hierarchy = _build_hierarchy(fine, unknowns, isinstance(constraint, Periodic), singular)
+    return SparseSystem(matrix, constraint, unknowns, hierarchy, ellipticity=(low, high))
 
 
 def _scatter_load(mesh, sampler, table_of) -> np.ndarray:
@@ -360,28 +317,27 @@ def default_max_iter(dimension: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class _Level:
-    """One level of the V-cycle.  ``weights`` scale the residual in a Jacobi
-    sweep; ``prolong`` maps the next coarser level's dofs onto this level's,
-    and ``coarse`` is that level's Galerkin operator.  The coarsest level,
-    at most ``COARSEN_ABOVE`` dofs unless coarsening stopped early, carries a
-    dense ``inverse`` instead, or only its smoother when it is too large for
-    one."""
+    """One level of the V-cycle, on its node grid.  ``weights`` scale the
+    residual in a Jacobi sweep; ``prolong`` maps the next coarser level's
+    grid onto this level's, and ``coarse`` is that level's Galerkin operator.
+    The coarsest level, at most ``COARSEN_ABOVE`` unknowns unless coarsening
+    stopped early, carries a dense ``inverse`` instead, or only its smoother
+    when it is too large for one."""
 
     weights: np.ndarray | None = None
     # both transfers are stored as CSR: applying restrict.T instead of a
     # stored prolong measured slower end to end, for a few MB less memory
     prolong: sp.csr_matrix | None = None
     restrict: sp.csr_matrix | None = None  # prolong.T
-    coarse: sp.csr_matrix | None = None
+    coarse: sp.dia_matrix | None = None
     inverse: np.ndarray | None = None
 
 
-def _dense_inverse(matrix: sp.csr_matrix, singular: bool) -> np.ndarray:
-    dense = matrix.toarray()
+def _dense_inverse(dense: np.ndarray, singular: bool) -> np.ndarray:
     if not singular:
         inverse = np.linalg.inv(dense)
     else:
-        # pin the first dof and re-centre on both sides: the pseudo-inverse
+        # pin the first unknown and re-centre on both sides: the pseudo-inverse
         # when the kernel is the constant mode
         n = len(dense)
         inverse = np.zeros_like(dense)
@@ -391,10 +347,10 @@ def _dense_inverse(matrix: sp.csr_matrix, singular: bool) -> np.ndarray:
     return 0.5 * (inverse + inverse.T)
 
 
-def _jacobi_weights(stencil: np.ndarray, dofs: np.ndarray) -> np.ndarray:
-    """Damped-Jacobi weights ``SMOOTH_WEIGHT / d`` of the dofs of a nodal
-    stencil, zeroed outside its matrix as ``_read_csr`` leaves it: ``d`` is
-    the centre entry, raised to half the absolute sum of the node's entries
+def _jacobi_weights(stencil: np.ndarray, unknowns: np.ndarray) -> np.ndarray:
+    """Damped-Jacobi weights ``SMOOTH_WEIGHT / d`` on the node grid of a nodal
+    stencil that is zeroed off the unknowns, and zero off them: ``d`` is the
+    centre entry, raised to half the absolute sum of the node's entries
     where that is larger.  Rows with zero sum and non-positive off-diagonals
     (isotropic Q1 stencils) keep their diagonal; for any other stencil the
     raise bounds the spectrum of ``diag(d)^-1 A`` by 2, so a sweep still
@@ -405,13 +361,14 @@ def _jacobi_weights(stencil: np.ndarray, dofs: np.ndarray) -> np.ndarray:
     matrix merges, so the weight is, up to rounding, never larger than the
     row's.
     """
-    offsets = np.ndindex(*(3,) * dofs.ndim)
+    offsets = np.ndindex(*(3,) * unknowns.ndim)
     total = np.abs(stencil[next(offsets)])
     term = np.empty_like(total)
     for t in offsets:
         total += np.abs(stencil[t], out=term)
-    row = dofs >= 0
-    return SMOOTH_WEIGHT / np.maximum(stencil[(1,) * dofs.ndim][row], 0.5 * total[row])
+    total *= 0.5
+    np.maximum(stencil[(1,) * unknowns.ndim], total, out=total)
+    return np.divide(SMOOTH_WEIGHT, total, out=np.zeros_like(total), where=unknowns).ravel()
 
 
 def _galerkin_pass(stencil: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
@@ -470,66 +427,79 @@ def _galerkin_pass(stencil: np.ndarray, axis: int, periodic: bool) -> np.ndarray
     return coarse
 
 
-def _coarse_dofs(dofs: np.ndarray) -> np.ndarray:
-    """The dof grid of the mesh with halved divisions: a coarse node is a dof
-    exactly when the fine node it coincides with is one, numbered in node
-    order, so eliminated and inactive nodes carry down."""
-    present = dofs[(slice(None, None, 2),) * dofs.ndim] >= 0
-    coarse = np.full(present.shape, -1, dtype=dofs.dtype)
-    coarse[present] = np.arange(np.count_nonzero(present))
-    return coarse
+def _restriction(fine: np.ndarray, coarse: np.ndarray, periodic: bool) -> sp.csr_matrix:
+    """Full weighting from the unknowns of a fine node grid onto those of the
+    coarse one, the transpose of bilinear interpolation, read off the two
+    bool grids with a row per coarse node and a column per fine node: coarse
+    node I gathers fine node 2I + t - 1 with weight 1/2 per axis where t - 1
+    is not zero.  Nodes off the unknowns get no entries; on a periodic grid
+    the fine neighbours wrap, and coinciding ones add."""
+    nodes = np.where(fine, np.arange(fine.size, dtype=np.int32).reshape(fine.shape), -1)
+    padded = np.pad(nodes, 1, mode="wrap") if periodic else np.pad(nodes, 1, constant_values=-1)
+    offsets = list(np.ndindex(*(3,) * fine.ndim))
+    # per coarse node I and offset t, the column of fine node 2I + t - 1
+    columns = np.stack([padded[tuple(slice(o, o + 2 * m - 1, 2) for o, m in zip(t, coarse.shape))]
+                        for t in offsets], axis=-1).reshape(coarse.size, -1)
+    keep = (columns >= 0) & coarse.reshape(-1, 1)
+    weights = np.broadcast_to([0.5 ** sum(o != 1 for o in t) for t in offsets], keep.shape)
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    matrix = sp.csr_matrix((weights[keep], columns[keep], indptr), shape=(coarse.size, fine.size))
+    if periodic:
+        matrix.sum_duplicates()
+    return matrix
 
 
-def _restriction(dofs: np.ndarray, coarse: np.ndarray, periodic: bool) -> sp.csr_matrix:
-    """Full weighting from the fine dofs onto the coarse ones, the transpose
-    of bilinear interpolation, read off the two dof grids: coarse node I
-    gathers fine node 2I + t - 1 with weight 1/2 per axis where t - 1 is not
-    zero.  Fine nodes without a dof drop out; on a periodic grid the fine
-    neighbours wrap."""
-    columns = _neighbour_dofs(dofs, periodic, step=2)
-    keep = _present(columns, coarse)
-    weights = [0.5 ** sum(o != 1 for o in t) for t in np.ndindex(*(3,) * dofs.ndim)]
-    values = np.broadcast_to(np.reshape(weights, (-1,) + (1,) * dofs.ndim), keep.shape)
-    return _grid_csr(values, columns, keep, coarse, int(dofs.max()) + 1, periodic)
-
-
-def _coarsest_level(matrix: sp.csr_matrix, stencil: np.ndarray, dofs: np.ndarray, singular: bool) -> _Level:
-    if matrix.shape[0] <= DENSE_MAX:
-        return _Level(inverse=_dense_inverse(matrix, singular))
-    return _Level(_jacobi_weights(stencil, dofs))
+def _coarsest_level(matrix: sp.dia_matrix, stencil: np.ndarray, unknowns: np.ndarray,
+                    singular: bool) -> _Level:
+    """A dense inverse of the unknowns' block, zero in the other rows and
+    columns, or only a smoother when the block is too large for one."""
+    mask = unknowns.ravel()
+    if np.count_nonzero(mask) > DENSE_MAX:
+        return _Level(_jacobi_weights(stencil, unknowns))
+    inverse = np.zeros(matrix.shape)
+    inverse[np.ix_(mask, mask)] = _dense_inverse(matrix.tocsr()[mask][:, mask].toarray(), singular)
+    return _Level(inverse=inverse)
 
 
 def _build_hierarchy(
-    matrix: sp.csr_matrix, fine: list[np.ndarray], dofs: np.ndarray, periodic: bool, singular: bool
-) -> tuple[_Level, ...]:
-    """The V-cycle levels of ``matrix``, finest first, from its stencil
-    (zeroed outside the dofs, as ``_read_csr`` leaves it) and its dof grid:
-    coarsen while every axis has an even number of divisions and the level
-    has more than ``COARSEN_ABOVE`` dofs.  The stencil is popped from
-    ``fine`` and dropped after its first Galerkin pass, so that it is freed
-    there unless the caller keeps it."""
+    fine: list[np.ndarray], unknowns: np.ndarray, periodic: bool, singular: bool
+) -> tuple[sp.dia_matrix, tuple[_Level, ...]]:
+    """The matrix of a nodal stencil on the node grid of ``unknowns`` and its
+    V-cycle levels, finest first: coarsen while every axis has an even number
+    of divisions and the level has more than ``COARSEN_ABOVE`` unknowns.  A
+    coarse node is an unknown exactly when the fine node it coincides with
+    is one.  Each level's stencil is zeroed off its unknowns, in place, and
+    stored after its Galerkin pass; the fine one is popped from ``fine`` and
+    dropped then, so that it is freed there unless the caller keeps it."""
     stencil = fine.pop()
-    levels = []
-    while matrix.shape[0] > COARSEN_ABOVE and all((n - (not periodic)) % 2 == 0 for n in dofs.shape):
-        coarse_dofs = _coarse_dofs(dofs)
-        if coarse_dofs.max() < 0:
+    matrices, smoothers = [], []
+    while True:
+        _zero_off_unknowns(stencil, unknowns, periodic)
+        coarse = unknowns[(slice(None, None, 2),) * unknowns.ndim]
+        if (np.count_nonzero(unknowns) <= COARSEN_ABOVE or not coarse.any()
+                or any((n - (not periodic)) % 2 for n in unknowns.shape)):
             break
-        weights = _jacobi_weights(stencil, dofs)
-        for axis in range(dofs.ndim):
-            stencil = _galerkin_pass(stencil, axis, periodic)
-        restrict = _restriction(dofs, coarse_dofs, periodic)
-        coarse = _read_csr(stencil, coarse_dofs, periodic)
-        levels.append(_Level(weights, restrict.T.tocsr(), restrict, coarse))
-        matrix, dofs = coarse, coarse_dofs
-    return tuple(levels) + (_coarsest_level(matrix, stencil, dofs, singular),)
+        weights = _jacobi_weights(stencil, unknowns)
+        coarse_stencil = stencil
+        for axis in range(unknowns.ndim):
+            coarse_stencil = _galerkin_pass(coarse_stencil, axis, periodic)
+        matrices.append(_stencil_matrix(stencil, periodic))
+        stencil = coarse_stencil
+        smoothers.append((weights, _restriction(unknowns, coarse, periodic)))
+        unknowns = coarse
+    matrices.append(_stencil_matrix(stencil, periodic))
+    levels = [_Level(weights, restrict.T.tocsr(), restrict, operator)
+              for (weights, restrict), operator in zip(smoothers, matrices[1:])]
+    levels.append(_coarsest_level(matrices[-1], stencil, unknowns, singular))
+    return matrices[0], tuple(levels)
 
 
-def _cycle_buffers(matrix: sp.csr_matrix, levels: tuple[_Level, ...]) -> list[np.ndarray]:
+def _cycle_buffers(matrix: sp.dia_matrix, levels: tuple[_Level, ...]) -> list[np.ndarray]:
     """One iterate buffer per level of a V-cycle, finest first."""
     return [np.empty(matrix.shape[0])] + [np.empty(level.coarse.shape[0]) for level in levels[:-1]]
 
 
-def _jacobi_sweep(matrix: sp.csr_matrix, weights: np.ndarray, r: np.ndarray, x: np.ndarray) -> None:
+def _jacobi_sweep(matrix: sp.dia_matrix, weights: np.ndarray, r: np.ndarray, x: np.ndarray) -> None:
     """``x += weights * (r - matrix @ x)``, reusing the product's array."""
     t = matrix @ x
     np.subtract(r, t, out=t)
@@ -538,7 +508,7 @@ def _jacobi_sweep(matrix: sp.csr_matrix, weights: np.ndarray, r: np.ndarray, x: 
 
 
 def _vcycle(
-    matrix: sp.csr_matrix,
+    matrix: sp.dia_matrix,
     levels: tuple[_Level, ...],
     r: np.ndarray,
     buffers: list[np.ndarray] | None = None,
@@ -564,6 +534,18 @@ def _vcycle(
     return x
 
 
+def _projection(system: SparseSystem) -> Callable[[np.ndarray], None]:
+    """The in-place removal of the constant mode from a vector on the system
+    grid, which leaves it alone when the system is regular: the mean over the
+    unknowns is subtracted there, and the vector stays zero off them."""
+    if not system.needs_projection:
+        return lambda v: None
+    unknowns = system.unknowns.ravel()
+    if unknowns.all():
+        return lambda v: np.subtract(v, v.mean(), out=v)
+    return lambda v: np.subtract(v, v[unknowns].mean(), out=v, where=unknowns)
+
+
 def cg_solve(
     system: SparseSystem,
     rhs: np.ndarray,
@@ -575,27 +557,29 @@ def cg_solve(
     preconditioned by the V-cycle of the symmetric part, when the system
     carries a ``symmetric_part``.
 
-    Zero-mean and periodic systems are singular with the constant mode in the
-    kernel; the mode is removed from the right-hand side and from every
-    iterate, and the returned vector has zero algebraic mean.  Convergence is
-    accepted on the true residual.  Raises SolverError when the tolerance is
-    not met within ``max_iter`` iterations.
+    ``rhs`` and the solution live on the system grid; the rhs entries off
+    the unknowns are ignored and the solution is zero there.  Zero-mean and
+    periodic systems are singular with the constant mode in the kernel; the
+    mode is removed from the right-hand side and from every iterate, and the
+    returned vector has zero mean over the unknowns.  Convergence is accepted
+    on the true residual.  Raises SolverError when the tolerance is not met
+    within ``max_iter`` iterations.
     """
     a = system.matrix
-    b = np.array(rhs, dtype=float)
-    if b.shape != (system.dimension,):
-        raise ValueError(f"rhs length {b.shape} does not match dimension {system.dimension}")
+    if np.shape(rhs) != (a.shape[0],):
+        raise ValueError(f"rhs shape {np.shape(rhs)} does not match the {a.shape[0]} nodes "
+                         "of the system grid")
+    b = np.where(system.unknowns.ravel(), rhs, 0.0)
     if max_iter is None:
         max_iter = default_max_iter(system.dimension)
-    project = system.needs_projection
-    if project:
-        b -= b.mean()
+    project = _projection(system)
+    project(b)
     norm_b = np.linalg.norm(b)
     x = np.zeros_like(b)
     if norm_b == 0.0:
         return x
     if system.symmetric_part is not None:
-        return _gmres(system, b, norm_b, rel_tol, max_iter)
+        return _gmres(system, b, norm_b, rel_tol, max_iter, project)
     levels = system.hierarchy
     buffers = _cycle_buffers(a, levels)
     r = b.copy()
@@ -608,15 +592,13 @@ def cg_solve(
         # both updates scale into the product's array, not a new temporary
         r -= np.multiply(alpha, ap, out=ap)
         x += np.multiply(alpha, p, out=ap)
-        if project:
-            r -= r.mean()
-            x -= x.mean()
+        project(r)
+        project(x)
         if np.linalg.norm(r) <= rel_tol * norm_b:
             # the recurrence residual drifts over long runs; accept only the
             # true residual, restarting the recursion from it otherwise
             r = b - a @ x
-            if project:
-                r -= r.mean()
+            project(r)
             if np.linalg.norm(r) <= rel_tol * norm_b:
                 return x
             z = _vcycle(a, levels, r, buffers)
@@ -632,24 +614,22 @@ def cg_solve(
     raise SolverError(f"CG did not converge in {max_iter} iterations", achieved)
 
 
-def _gmres(
-    system: SparseSystem, b: np.ndarray, norm_b: float, rel_tol: float, max_iter: int
-) -> np.ndarray:
+def _gmres(system: SparseSystem, b: np.ndarray, norm_b: float, rel_tol: float, max_iter: int,
+           project: Callable[[np.ndarray], None]) -> np.ndarray:
     """GMRES(``GMRES_RESTART``) for ``K x = b``, right-preconditioned by the
     V-cycle of the symmetric part S of K.  With K = S + N and N skew, the
     preconditioned operator's field of values stays away from zero by a margin
     set by the size of N against S, not by the mesh, so the iteration count
-    does not grow under refinement.  ``b`` is already projected when the
-    system needs it; the Arnoldi basis is orthogonalised by two passes of
-    classical Gram-Schmidt, and each cycle ends on the true residual."""
+    does not grow under refinement.  ``project`` is that of ``cg_solve``,
+    which has already applied it to ``b``; the Arnoldi basis is
+    orthogonalised by two passes of classical Gram-Schmidt, and each cycle
+    ends on the true residual."""
     a, levels = system.matrix, system.hierarchy
-    project = system.needs_projection
     buffers = _cycle_buffers(a, levels)
 
     def precondition(v):
         z = _vcycle(system.symmetric_part, levels, v, buffers)
-        if project:
-            z -= z.mean()
+        project(z)
         return z
 
     x = np.zeros_like(b)
@@ -666,8 +646,7 @@ def _gmres(
         k = 0
         while k < steps:
             w = a @ precondition(basis[k])
-            if project:
-                w -= w.mean()
+            project(w)
             for _ in range(2):
                 coef = basis[: k + 1] @ w
                 w -= coef @ basis[: k + 1]
@@ -690,8 +669,7 @@ def _gmres(
         y = np.linalg.solve(hess[:k, :k], g[:k])
         x += precondition(y @ basis[:k])
         r = b - a @ x
-        if project:
-            r -= r.mean()
+        project(r)
         if np.linalg.norm(r) <= rel_tol * norm_b:
             return x
     achieved = float(np.linalg.norm(r) / norm_b)

@@ -8,7 +8,6 @@ T(phi) on cell xi is phi on the cell's block of (m0+1) x (m1+1) fine nodes,
 and a node on a face between cells belongs to the cell of the element that
 ``StructuredMesh.face_rule`` gives it.  The module provides
 
-* ``split_point``        -- x = eps*xi + eps*y with y in [0,1)^n,
 * ``unfold``             -- T(phi)(xi, y) = phi(eps*(xi + y)) at the nodes
                             y = i/m of the cell,
 * ``average``            -- the inverse-direction map (left inverse of T),
@@ -16,8 +15,7 @@ and a node on a face between cells belongs to the cell of the element that
 * ``scale_split``        -- slow part Q(phi) (Q1 interpolation over the
                             lattice of forward-cell means) and remainder
                             R(phi) = phi - Q(phi),
-* ``layer_indicator``    -- elements within k*sqrt(n)*eps of the boundary,
-* ``distance_weight``    -- exact boundary distance rho and min(rho/eps, 1).
+* ``layer_indicator``    -- elements within k*sqrt(n)*eps of the boundary.
 """
 
 from __future__ import annotations
@@ -103,15 +101,6 @@ def build_cell_map(mesh: StructuredMesh, n_per_unit: int) -> CellIndexMap:
     lookup = np.full(tuple(counts), -1, dtype=int)
     lookup[active] = np.arange(len(cells))
     return CellIndexMap(mesh, n, tuple(lo), tuple(counts), tuple(m), cells, lookup)
-
-
-def split_point(x, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Integer/fractional splitting x = eps*xi + eps*y with y in [0,1)^n."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    rel = np.atleast_1d(np.asarray(x, dtype=float)) / epsilon
-    xi = np.floor(rel).astype(int)
-    return xi, rel - xi
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,18 +266,3 @@ def layer_indicator(cmap: CellIndexMap, k: int) -> np.ndarray:
     mask[elems] = dist < k * np.sqrt(mesh.dim) * cmap.epsilon
     return mask
 
-
-def distance_weight(mesh: StructuredMesh, kind: str = "rho", epsilon: float | None = None) -> ScalarField:
-    """Nodal field of the boundary distance rho, or min(rho/eps, 1)."""
-    values = np.zeros(mesh.n_nodes)
-    nodes = active_nodes(mesh)
-    rho = boundary_distance(mesh, mesh.node_coordinates(nodes))
-    if kind == "rho":
-        values[nodes] = rho
-    elif kind == "rho_eps":
-        if epsilon is None or epsilon <= 0:
-            raise ValueError("rho_eps requires a positive epsilon")
-        values[nodes] = np.minimum(rho / epsilon, 1.0)
-    else:
-        raise ValueError(f"unknown distance weight kind {kind!r}")
-    return ScalarField(mesh, values)

@@ -9,9 +9,7 @@ from homog.grid import (
     ScalarField,
     build_mesh,
     element_blocks,
-    eval_field,
     eval_field_batch,
-    eval_gradient,
     eval_gradient_batch,
     gauss_rule,
     h1_seminorm_sq,
@@ -62,40 +60,40 @@ def test_bad_divisions_rejected(divs):
 def test_eval_constant():
     mesh = build_mesh((0, 0), (1, 1), (3, 3), "box")
     f = ScalarField(mesh, np.full(mesh.n_nodes, 3.5))
-    assert eval_field(f, (0.37, 0.91)) == pytest.approx(3.5, abs=1e-14)
+    assert eval_field_batch(f, [(0.37, 0.91)])[0] == pytest.approx(3.5, abs=1e-14)
 
 
 def test_eval_affine_reproduction():
     mesh = build_mesh((0, 0), (1, 1), (5, 7), "box")
     f = nodal(mesh, lambda x: x[:, 0])
-    assert eval_field(f, (0.3, 0.7)) == pytest.approx(0.3, abs=1e-14)
+    assert eval_field_batch(f, [(0.3, 0.7)])[0] == pytest.approx(0.3, abs=1e-14)
     g = nodal(mesh, lambda x: 2 * x[:, 0] - x[:, 1])
-    grad = eval_gradient(g, (0.41, 0.13))
+    grad = eval_gradient_batch(g, [(0.41, 0.13)])[0]
     np.testing.assert_allclose(grad, [2.0, -1.0], atol=1e-13)
 
 
 def test_eval_1d_hand_values():
     mesh = build_mesh(0.0, 1.0, [2], "box")
     f = ScalarField(mesh, np.array([0.0, 1.0, 0.0]))
-    assert eval_field(f, 0.25) == pytest.approx(0.5, abs=1e-14)
-    assert eval_gradient(f, 0.25)[0] == pytest.approx(2.0, abs=1e-13)
+    assert eval_field_batch(f, [[0.25]])[0] == pytest.approx(0.5, abs=1e-14)
+    assert eval_gradient_batch(f, [[0.25]])[0, 0] == pytest.approx(2.0, abs=1e-13)
 
 
 def test_eval_gradient_constant_field():
     mesh = build_mesh((0, 0), (1, 1), (4, 4), "box")
     f = ScalarField(mesh, np.full(mesh.n_nodes, 1.23))
-    np.testing.assert_allclose(eval_gradient(f, (0.3, 0.3)), [0.0, 0.0], atol=1e-13)
+    np.testing.assert_allclose(eval_gradient_batch(f, [(0.3, 0.3)])[0], [0.0, 0.0], atol=1e-13)
 
 
 def test_eval_outside_raises():
     mesh = build_mesh((0, 0), (1, 1), (4, 4), "l_shape")
     f = ScalarField(mesh, np.zeros(mesh.n_nodes))
     with pytest.raises(OutsideDomainError):
-        eval_field(f, (1.2, 0.5))
+        eval_field_batch(f, [(1.2, 0.5)])
     with pytest.raises(OutsideDomainError):
-        eval_field(f, (0.9, 0.9))  # removed quadrant interior
+        eval_field_batch(f, [(0.9, 0.9)])  # removed quadrant interior
     # reentrant boundary points still evaluate (shared with active elements)
-    assert eval_field(f, (0.5, 0.75)) == 0.0
+    assert eval_field_batch(f, [(0.5, 0.75)])[0] == 0.0
 
 
 def test_integrate_unit():

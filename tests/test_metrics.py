@@ -271,7 +271,8 @@ def test_error_report_memory_peak(shape):
     # the 256^2 rung of the cosine study, m = 16 and N = 16; error_report
     # peaked at 33.2e6 (box) and 31.2e6 bytes (L-shape) when it evaluated
     # every field through per-element gathers, at 31.9e6 and 25.6e6 with
-    # 65536-element walk blocks, and at 10.5e6 and 11.4e6 with 16384
+    # 65536-element walk blocks, at 10.5e6 and 11.4e6 with 16384, and at
+    # 10.4e6 and 11.3e6 with the layer mask built per block
     fine, recon, cmap = cosine_rung(shape, 16, 16)
     tracemalloc.start()
     try:

@@ -30,10 +30,10 @@ from homog.sparse import (
     SolverError,
     ZeroMean,
     _assemble_matrix,
-    _dof_map,
     _galerkin_pass,
     _nodal_stencil,
-    _read_csr,
+    _stencil_matrix,
+    _unknowns,
     _vcycle,
     assemble_load,
     assemble_stiffness,
@@ -44,6 +44,27 @@ from homog.sparse import (
 def identity_sampler(p):
     n = p.shape[1]
     return np.broadcast_to(np.eye(n), (len(p), n, n))
+
+
+def _dofs(unknowns):
+    """The flat grid indices of the unknowns, in order: where the rows and
+    columns of the unknowns' block, and the entries of a vector of the
+    unknowns, sit on the grid."""
+    return np.flatnonzero(unknowns)
+
+
+def _block(matrix, unknowns):
+    """The unknowns' block of a matrix on the grid of ``unknowns``, in
+    compressed rows."""
+    dofs = _dofs(unknowns)
+    return sp.csr_matrix(matrix)[dofs][:, dofs]
+
+
+def _on_grid(system, x):
+    """A vector of the unknowns placed on the system grid, zero elsewhere."""
+    full = np.zeros(system.unknowns.size)
+    full[_dofs(system.unknowns)] = x
+    return full
 
 
 def test_1d_laplacian_hand_values():
@@ -167,8 +188,7 @@ def test_assembly_matches_dense_element_reference(mesh_name, constraint_name, sa
     ("2d_l_shape_6x8", "zero_mean")])
 def test_assembly_in_small_blocks_matches_dense_element_reference(
         mesh_name, constraint_name, chunk, monkeypatch):
-    # the walk's blocks and the compressed-row read's slabs of node rows both
-    # shrink to one or two rows
+    # the walk's blocks shrink to one or two rows
     monkeypatch.setattr(grid, "CHUNK_ELEMENTS", chunk)
     _check_against_dense_reference(ASSEMBLY_MESHES[mesh_name], ASSEMBLY_CONSTRAINTS[constraint_name],
                                    "symmetric")
@@ -180,16 +200,18 @@ def _check_against_dense_reference(mesh, constraint, sampler):
         sample, matrix = _symmetric_sampler, system.matrix
     else:
         sample = _skew_part_sampler
-        matrix = _assemble_matrix(mesh, sample, constraint, system.node_to_dof)
-    expected, coupled, scale = _dense_reference(mesh, sample, system.node_to_dof)
-    assert matrix.shape == expected.shape
-    assert matrix.has_canonical_format
-    assert np.abs(matrix.toarray() - expected).max() <= 1e-14 * scale
-    # exactly the pairs that share an active element are stored, zeros included
-    assert matrix.nnz == coupled.sum()
-    stored = np.zeros_like(coupled)
-    stored[np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr)), matrix.indices] = True
-    np.testing.assert_array_equal(stored, coupled)
+        matrix = _assemble_matrix(mesh, sample, constraint)
+    expected, coupled, scale = _dense_reference(mesh, sample, _dof_map_reference(mesh, constraint))
+    # one row and column per node of the system grid, diagonals ascending
+    assert matrix.format == "dia" and matrix.shape == (system.unknowns.size,) * 2
+    assert np.all(np.diff(matrix.offsets) > 0)
+    assert np.abs(_block(matrix, system.unknowns).toarray() - expected).max() <= 1e-14 * scale
+    # every other entry, off the unknowns or between unknowns that share no
+    # active element, is an exact zero
+    dofs = _dofs(system.unknowns)
+    outside = np.ones(matrix.shape, dtype=bool)
+    outside[np.ix_(dofs, dofs)] = ~coupled
+    assert not matrix.toarray()[outside].any()
 
 
 DOF_MAP_MESHES = {
@@ -222,19 +244,26 @@ def _dof_map_reference(mesh, constraint):
 @pytest.mark.parametrize("mesh_name,constraint_name", DOF_MAP_CASES)
 def test_dof_map_matches_node_list_reference(mesh_name, constraint_name):
     mesh, constraint = DOF_MAP_MESHES[mesh_name], ASSEMBLY_CONSTRAINTS[constraint_name]
-    np.testing.assert_array_equal(_dof_map(mesh, constraint), _dof_map_reference(mesh, constraint))
+    unknowns, reference = _unknowns(mesh, constraint), _dof_map_reference(mesh, constraint)
+    if isinstance(constraint, Periodic):
+        # the grid is the masters, all unknowns, and the other nodes wrap
+        assert unknowns.shape == mesh.divisions[::-1] and unknowns.all()
+        assert unknowns.size == reference.max() + 1
+    else:
+        assert unknowns.shape == mesh.nodes_per_axis[::-1]
+        np.testing.assert_array_equal(unknowns.ravel(), reference >= 0)
 
 
 def test_periodic_dof_map_rejects_masked_mesh():
     with pytest.raises(ValueError):
-        _dof_map(DOF_MAP_MESHES["2d_l_shape"], Periodic())
+        _unknowns(DOF_MAP_MESHES["2d_l_shape"], Periodic())
 
 
 def test_stiffness_assembly_memory_peak():
     # a triplet (COO) assembly peaks near 83 MB here, to return a 7 MB matrix;
     # one 65536-element walk block, the neighbour columns of every offset at
     # once and a fine stencil kept through the multigrid build peaked at 27 MB,
-    # and their removal at 17.2 MB
+    # their removal at 17.2 MB, and the stencil stored by diagonals at 14.1 MB
     mesh = build_mesh((0, 0), (1, 1), (256, 256))
     sampler, constraint = _cosine_sampler(1 / 16), Dirichlet()
     tracemalloc.start()
@@ -243,8 +272,9 @@ def test_stiffness_assembly_memory_peak():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert system.matrix.nnz == (3 * 255 - 2) ** 2  # 9-point rows, cut at the boundary
-    assert peak <= 22e6
+    # 9-point rows, cut at the boundary
+    assert _block(system.matrix, system.unknowns).count_nonzero() == (3 * 255 - 2) ** 2
+    assert peak <= 18e6
 
 
 def test_periodic_dimension_counts():
@@ -306,10 +336,12 @@ def test_cg_identity_system():
     # replace matrix by identity to exercise the solver contract directly
     from homog.sparse import SparseSystem, _dense_inverse, _Level
 
-    matrix = sp.identity(3, format="csr")
-    ident = SparseSystem(matrix, sys.constraint, sys.node_to_dof, sys.n_nodes,
-                         (_Level(inverse=_dense_inverse(matrix, False)),))
-    r = rng.standard_normal(3)
+    dofs = _dofs(sys.unknowns)
+    matrix = sp.dia_matrix((sys.unknowns.ravel()[None] * 1.0, [0]), shape=(5, 5))
+    inverse = np.zeros((5, 5))
+    inverse[np.ix_(dofs, dofs)] = _dense_inverse(np.eye(3), False)
+    ident = SparseSystem(matrix, sys.constraint, sys.unknowns, (_Level(inverse=inverse),))
+    r = _on_grid(sys, rng.standard_normal(3))
     np.testing.assert_allclose(cg_solve(ident, r), r, atol=1e-12)
 
 
@@ -317,14 +349,14 @@ def test_cg_1d_dirichlet_midpoint():
     mesh = build_mesh(0.0, 1.0, [2], "box")
     sys = assemble_stiffness(mesh, identity_sampler, Dirichlet())
     b = sys.reduce(assemble_load(mesh, lambda p: np.ones(len(p))))
-    x = cg_solve(sys, b)
+    x = cg_solve(sys, b)[_dofs(sys.unknowns)]
     assert x[0] == pytest.approx(0.125, abs=1e-12)
 
 
 def test_cg_zero_rhs_zero_solution():
     mesh = build_mesh((0, 0), (1, 1), (4, 4), "box")
     sys = assemble_stiffness(mesh, identity_sampler, Periodic())
-    x = cg_solve(sys, np.zeros(sys.dimension))
+    x = cg_solve(sys, _on_grid(sys, np.zeros(sys.dimension)))
     assert np.all(x == 0.0)
 
 
@@ -339,7 +371,7 @@ def test_cg_residual_contract():
         return out
 
     sys = assemble_stiffness(mesh, sampler, Dirichlet())
-    b = rng.standard_normal(sys.dimension)
+    b = _on_grid(sys, rng.standard_normal(sys.dimension))
     tol = 1e-10
     x = cg_solve(sys, b, rel_tol=tol)
     res = np.linalg.norm(b - sys.matrix @ x) / np.linalg.norm(b)
@@ -352,6 +384,7 @@ def test_cg_projects_constant_mode():
     rng = np.random.default_rng(9)
     b = rng.standard_normal(sys.dimension)
     b -= b.mean()
+    b = _on_grid(sys, b)
     x = cg_solve(sys, b)
     assert abs(x.mean()) <= 1e-13
     res = np.linalg.norm(b - sys.matrix @ x) / np.linalg.norm(b)
@@ -371,7 +404,7 @@ def test_cg_max_iter_reports_residual():
     # large enough to have coarse levels, so one iteration is not an exact solve
     mesh = build_mesh((0, 0), (1, 1), (128, 128), "box")
     sys = assemble_stiffness(mesh, identity_sampler, Dirichlet())
-    b = np.ones(sys.dimension)
+    b = _on_grid(sys, np.ones(sys.dimension))
     with pytest.raises(SolverError) as err:
         cg_solve(sys, b, rel_tol=1e-14, max_iter=1)
     assert err.value.achieved > 0
@@ -398,7 +431,7 @@ def _assemble(mesh, sampler, constraint):
         return 0.5 * (a - np.swapaxes(a, 1, 2))
 
     sym = assemble_stiffness(mesh, sym_sampler, constraint)
-    skew = _assemble_matrix(mesh, skew_sampler, constraint, sym.node_to_dof)
+    skew = _assemble_matrix(mesh, skew_sampler, constraint)
     if skew.count_nonzero() == 0:
         return sym
     return replace(sym, matrix=sym.matrix + skew, symmetric_part=sym.matrix)
@@ -433,16 +466,60 @@ def test_cg_matches_dense_solve(name):
     sys = _assemble(mesh, sampler, constraint)
     assert (sys.symmetric_part is not None) == ("skew" in name)
     b = np.random.default_rng(3).standard_normal(sys.dimension)
-    dense = sys.matrix.toarray()
+    dense = _block(sys.matrix, sys.unknowns).toarray()
     if sys.needs_projection:
         # with the constant mode as kernel, adding 1 to every entry makes the
         # matrix regular and its solution the zero-mean one
         b -= b.mean()
         dense += 1.0
     expected = np.linalg.solve(dense, b)
-    x = cg_solve(sys, b)
+    x = cg_solve(sys, _on_grid(sys, b))[_dofs(sys.unknowns)]
     assert len(sys.hierarchy) == levels
     assert np.linalg.norm(x - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+# the unknowns of each case's coarsest level, as the compressed dof numbering
+# of the earlier layout had them
+COARSEST_UNKNOWNS = {
+    "dirichlet_box": 49, "dirichlet_l_shape": 33, "zero_mean_l_shape": 65, "periodic_cosine": 64,
+    "periodic_checkerboard": 64, "dirichlet_1d": 63, "odd_divisions": 1936,
+    "periodic_skew_checkerboard": 64,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_CASES))
+def test_every_level_is_its_unknowns_block_on_its_node_grid(name):
+    mesh, sampler, constraint, levels = SOLVER_CASES[name]
+    system = _assemble(mesh, sampler, constraint)
+    rng = np.random.default_rng(7)
+    stack = list(_levels(system))
+    assert len(stack) == levels
+    assert np.count_nonzero(stack[-1][2]) == COARSEST_UNKNOWNS[name]
+    operators = [(system.matrix, system.unknowns)] + [(matrix, unknowns) for _, matrix, unknowns in stack]
+    for matrix, unknowns in operators:
+        off = ~unknowns.ravel()
+        dense = matrix.toarray()
+        assert matrix.format == "dia" and not dense[off].any() and not dense[:, off].any()
+        x = np.where(off, 0.0, rng.standard_normal(unknowns.size))
+        expected = np.zeros(unknowns.size)
+        expected[~off] = _block(matrix, unknowns) @ x[~off]
+        assert np.array_equal(matrix @ x, expected)
+    for level, _, unknowns in stack:
+        off = ~unknowns.ravel()
+        if level.weights is not None:
+            assert not level.weights[off].any()
+        if level.inverse is not None:
+            assert not level.inverse[off].any() and not level.inverse[:, off].any()
+        if level.prolong is not None:
+            coarse_off = ~unknowns[(slice(None, None, 2),) * unknowns.ndim].ravel()
+            assert level.prolong[off].count_nonzero() == level.restrict[:, off].count_nonzero() == 0
+            assert level.prolong[:, coarse_off].count_nonzero() == 0
+    # entries of the rhs off the unknowns are ignored, and the solution is
+    # zero there
+    b = rng.standard_normal(system.unknowns.size)
+    x = cg_solve(system, b)
+    assert not x[~system.unknowns.ravel()].any()
+    assert np.array_equal(x, cg_solve(system, np.where(system.unknowns.ravel(), b, 0.0)))
 
 
 @pytest.mark.parametrize("name", sorted(n for n in SOLVER_CASES if "skew" not in n))
@@ -455,6 +532,7 @@ def test_vcycle_symmetric_positive_definite(name):
     if sys.needs_projection:
         u -= u.mean()
         v -= v.mean()
+    u, v = _on_grid(sys, u), _on_grid(sys, v)
     vu = _vcycle(sys.matrix, sys.hierarchy, u)
     vv = _vcycle(sys.matrix, sys.hierarchy, v)
     assert u @ vu > 0 and v @ vv > 0
@@ -463,19 +541,33 @@ def test_vcycle_symmetric_positive_definite(name):
     assert abs(u @ vv - vu @ v) <= 1e-12 * scale
 
 
-def _csr_jacobi_weights(matrix):
-    """``SMOOTH_WEIGHT / max(diag, |A| 1 / 2)`` from the compressed rows."""
-    return SMOOTH_WEIGHT / np.maximum(matrix.diagonal(), 0.5 * (abs(matrix) @ np.ones(matrix.shape[1])))
+def _csr_jacobi_weights(matrix, unknowns):
+    """``SMOOTH_WEIGHT / max(diag, |A| 1 / 2)`` from the compressed rows of
+    the unknowns' block, placed on the grid."""
+    block = _block(matrix, unknowns)
+    weights = np.zeros(unknowns.size)
+    weights[_dofs(unknowns)] = SMOOTH_WEIGHT / np.maximum(
+        block.diagonal(), 0.5 * (abs(block) @ np.ones(block.shape[1])))
+    return weights
+
+
+def _levels(system):
+    """Each level of the V-cycle with its operator and its unknowns: the
+    fine nodes' at the top, a coarse node's those of the fine node it
+    coincides with."""
+    matrix = system.matrix if system.symmetric_part is None else system.symmetric_part
+    unknowns = system.unknowns
+    for level in system.hierarchy:
+        yield level, matrix, unknowns
+        matrix, unknowns = level.coarse, unknowns[(slice(None, None, 2),) * unknowns.ndim]
 
 
 def _smoothed_levels(system):
     """Each level's Jacobi weights, read off its stencil, beside those of
-    its compressed rows."""
-    matrix = system.matrix if system.symmetric_part is None else system.symmetric_part
-    for level in system.hierarchy:
+    the compressed rows of its unknowns' block."""
+    for level, matrix, unknowns in _levels(system):
         if level.weights is not None:
-            yield level.weights, _csr_jacobi_weights(matrix)
-        matrix = level.coarse
+            yield level.weights, _csr_jacobi_weights(matrix, unknowns)
 
 
 @pytest.mark.parametrize("name", ["dirichlet_box", "dirichlet_l_shape", "zero_mean_l_shape",
@@ -565,12 +657,22 @@ def test_expand_roundtrip_periodic():
     np.testing.assert_array_equal(grid[0, :], grid[4, :])
 
 
-def _kron_prolongation(divisions, node_to_dof):
-    """Bilinear prolongation between the dofs of a mesh and of the mesh with
-    halved divisions, and the coarse node -> dof map: the 1D interpolations'
-    Kronecker product over every node, cut to the dof rows (one node per
-    dof, the periodic master) and folded onto the coarse dofs, where a coarse
-    node takes the dof of the fine node it coincides with."""
+def _master_index(divisions):
+    """The index on the periodic masters' grid of each node's master, the
+    node at its multi-index modulo the divisions, and whether the node is
+    its own master."""
+    nodes = tuple(d + 1 for d in divisions)
+    multi = np.unravel_index(np.arange(np.prod(nodes)), nodes, order="F")
+    masters = np.ravel_multi_index(tuple(m % d for m, d in zip(multi, divisions)), divisions, order="F")
+    return masters, np.all([m < d for m, d in zip(multi, divisions)], axis=0)
+
+
+def _kron_prolongation(divisions, unknowns, periodic):
+    """Bilinear prolongation onto the system grid of a mesh from that of the
+    mesh with halved divisions: the 1D interpolations' Kronecker product over
+    every node, cut to the rows of the periodic masters and with the coarse
+    slaves' columns folded onto theirs, then kept between unknowns, where a
+    coarse node is an unknown when the fine node it coincides with is one."""
     nodes = sp.csr_matrix(np.ones((1, 1)))
     for d in divisions:  # axis 0 varies fastest, so it is the innermost factor
         fine = np.arange(d + 1)
@@ -580,17 +682,13 @@ def _kron_prolongation(divisions, node_to_dof):
              (np.concatenate([fine, odd]), np.concatenate([fine // 2, odd // 2 + 1]))),
             shape=(d + 1, d // 2 + 1))
         nodes = sp.kron(interp, nodes, format="csr")
-    coinciding = np.ravel_multi_index(
-        np.meshgrid(*[np.arange(0, d + 1, 2) for d in divisions], indexing="ij"),
-        tuple(d + 1 for d in divisions), order="F").ravel(order="F")
-    fine_dof = node_to_dof[coinciding]
-    keep = fine_dof >= 0
-    coarse_to_dof = np.full(len(coinciding), -1)
-    _, coarse_to_dof[keep] = np.unique(fine_dof[keep], return_inverse=True)
-    fold = sp.csr_matrix((np.ones(keep.sum()), (np.flatnonzero(keep), coarse_to_dof[keep])),
-                         shape=(len(coinciding), coarse_to_dof.max() + 1))
-    dofs, first = np.unique(node_to_dof, return_index=True)
-    return (nodes[first[dofs >= 0]] @ fold).tocsr(), coarse_to_dof
+    if periodic:
+        _, fine_masters = _master_index(divisions)
+        coarse_masters, _ = _master_index(tuple(d // 2 for d in divisions))
+        fold = sp.csr_matrix((np.ones(len(coarse_masters)), (np.arange(len(coarse_masters)), coarse_masters)))
+        nodes = nodes[fine_masters] @ fold
+    coarse = unknowns[(slice(None, None, 2),) * unknowns.ndim]
+    return (sp.diags(unknowns.ravel() * 1.0) @ nodes @ sp.diags(coarse.ravel() * 1.0)).tocsr()
 
 
 def _gap(a, b):
@@ -649,24 +747,22 @@ def test_levels_equal_kron_galerkin_product(name):
 
 @pytest.mark.parametrize("name", ["dirichlet_l_shape_offset_corner", "periodic_checkerboard"])
 def test_levels_in_small_blocks_equal_kron_galerkin_product(name, monkeypatch):
-    # one row of elements per walk block and one row of nodes per slab of
-    # every compressed-row read
+    # one row of elements per walk block
     monkeypatch.setattr(grid, "CHUNK_ELEMENTS", 64)
     _check_levels_against_kron_product(*HIERARCHY_CASES[name])
 
 
 def _check_levels_against_kron_product(mesh, sampler, constraint):
     system = _assemble(mesh, sampler, constraint)
-    matrix = system.matrix if system.symmetric_part is None else system.symmetric_part
-    divisions, node_to_dof = mesh.divisions, system.node_to_dof
+    divisions = mesh.divisions
     assert len(system.hierarchy) >= 3
-    for level in system.hierarchy[:-1]:
-        prolong, node_to_dof = _kron_prolongation(divisions, node_to_dof)
+    for level, matrix, unknowns in list(_levels(system))[:-1]:
+        prolong = _kron_prolongation(divisions, unknowns, isinstance(constraint, Periodic))
         assert _gap(level.prolong, prolong) == 0.0
         assert _gap(level.restrict, prolong.T) == 0.0
         expected = prolong.T @ matrix @ prolong
         assert _gap(level.coarse, expected) <= 1e-14 * np.abs(expected.data).max()
-        matrix, divisions = level.coarse, tuple(d // 2 for d in divisions)
+        divisions = tuple(d // 2 for d in divisions)
     assert system.hierarchy[-1].coarse is None
 
 
@@ -678,18 +774,18 @@ def test_periodic_galerkin_pass_with_coinciding_neighbours(divisions):
     mesh = build_mesh((0,) * dim, (1,) * dim, divisions)
     sampler = Checkerboard(1.0, 100.0).sample_batch if dim == 2 else _symmetric_sampler
     system = assemble_stiffness(mesh, sampler, Periodic())
-    stencil, dofs, _ = _nodal_stencil(mesh, sampler, Periodic(), system.node_to_dof)
-    matrix = _read_csr(stencil, dofs, periodic=True)
+    stencil, _ = _nodal_stencil(mesh, sampler, Periodic())
+    matrix = _stencil_matrix(stencil, periodic=True)
     assert _gap(matrix, system.matrix) == 0.0
-    node_to_dof = system.node_to_dof
+    unknowns = system.unknowns
     while divisions[0] > 1:
-        prolong, node_to_dof = _kron_prolongation(divisions, node_to_dof)
+        prolong = _kron_prolongation(divisions, unknowns, periodic=True)
         for axis in range(dim):
             stencil = _galerkin_pass(stencil, axis, periodic=True)
-        dofs = dofs[(slice(None, None, 2),) * dim]
-        coarse = _read_csr(stencil, np.arange(dofs.size).reshape(dofs.shape), periodic=True)
+        coarse = _stencil_matrix(stencil, periodic=True)
         expected = prolong.T @ matrix @ prolong
         # one coarse node holds only the constant mode: the level is zero up
         # to the rounding of the fine entries
         assert _gap(coarse, expected) <= 1e-14 * np.abs(matrix.data).max()
         matrix, divisions = coarse, tuple(d // 2 for d in divisions)
+        unknowns = unknowns[(slice(None, None, 2),) * dim]

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from homog.grid import ScalarField, active_nodes, build_mesh, eval_field_batch, integrate_field
 from homog.unfold import (
@@ -11,11 +9,9 @@ from homog.unfold import (
     boundary_distance,
     build_cell_map,
     cell_means,
-    distance_weight,
     average,
     layer_indicator,
     scale_split,
-    split_point,
     unfold,
 )
 
@@ -26,28 +22,6 @@ def nodal(mesh, f):
 
 def unit_mesh(div, shape="box"):
     return build_mesh((0.0, 0.0), (1.0, 1.0), (div, div), shape)
-
-
-def test_split_point_examples():
-    xi, y = split_point((0.3, 0.7), 0.25)
-    np.testing.assert_array_equal(xi, [1, 2])
-    np.testing.assert_allclose(y, [0.2, 0.8], atol=1e-12)
-    xi, y = split_point((0.0, 0.0), 0.125)
-    np.testing.assert_array_equal(xi, [0, 0])
-    np.testing.assert_array_equal(y, [0.0, 0.0])
-    xi, y = split_point(1.0, 0.25)
-    np.testing.assert_array_equal(xi, [4])
-    np.testing.assert_array_equal(y, [0.0])
-
-
-@settings(max_examples=60, deadline=None)
-@given(num=st.integers(-2**20, 2**20), nexp=st.integers(0, 4))
-def test_split_point_reconstructs(num, nexp):
-    eps = 1.0 / (1 << nexp)
-    x = num / 2.0**10
-    xi, y = split_point(x, eps)
-    assert 0.0 <= y[0] < 1.0
-    assert eps * (xi[0] + y[0]) == pytest.approx(x, abs=2e-16 * max(1, abs(x)))
 
 
 def _containing_cell_oracle(cmap, point):
@@ -257,9 +231,9 @@ def test_average_of_pure_oscillation():
     uf = UnfoldedField(cmap, np.array(vals))
     out = average(uf)
     x = mesh.node_coordinates()
-    _, y = split_point(x, cmap.epsilon)
-    # nodes on the far boundary evaluate at y=1 rather than wrapping to 0
     rel = x / cmap.epsilon
+    y = rel - np.floor(rel)
+    # nodes on the far boundary evaluate at y=1 rather than wrapping to 0
     y = np.where((y == 0) & (rel == 4), 1.0, y)
     np.testing.assert_allclose(out.values, g(y), atol=1e-12)
 
@@ -417,20 +391,6 @@ def test_layer_volume_bound():
         for k in (1, 2, 3, 4):
             area = layer_indicator(cmap, k).sum() * vol_elem
             assert area <= min(1.0, 4 * k * np.sqrt(2) * eps + 16 * eps**2)
-
-
-def test_distance_weight_box():
-    mesh = unit_mesh(8)
-    rho = distance_weight(mesh, "rho")
-    coords = mesh.node_coordinates()
-    center = np.argmin(np.abs(coords - 0.5).sum(axis=1))
-    assert rho.values[center] == pytest.approx(0.5, abs=1e-15)
-    corner_vals = rho.values[[0]]
-    assert corner_vals[0] == 0.0
-    re = distance_weight(mesh, "rho_eps", epsilon=1.0 / 8)
-    node = np.argmin(np.abs(coords - np.array([0.25, 0.5])).sum(axis=1))
-    assert re.values[node] == 1.0  # rho = 2 eps clamps to 1
-    assert re.values[0] == 0.0
 
 
 def test_distance_weight_l_shape():
