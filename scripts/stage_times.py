@@ -4,7 +4,8 @@ configs and print the best of k calls per stage as JSON.
 
 The rung is epsilon = 1/16 at 16 points per period, with the configs'
 coefficient, right-hand side and boundary condition.  The stages are the
-fine stiffness assembly (multigrid levels included), the stored matrix and
+fine stiffness assembly as ``solve_fine`` makes it, from one period of
+element matrices (multigrid levels included), the stored matrix and
 multigrid levels built from a given stencil, the load, the solve, the H1
 guard of the solve, the reconstruction and the error report.  Each rung
 also reports the unknowns, the stored diagonal entries of the fine matrix,
@@ -12,9 +13,10 @@ the unknowns of the coarsest multigrid level and the V-cycles of one solve,
 counted by wrapping ``sparse._vcycle`` outside the timed calls, and, per
 stage, the tracemalloc peak and the bytes still held when the call returns,
 both above the call's start and per fine-mesh node, from one more call that
-is not timed.  The hierarchy stage is given a stencil that the script keeps,
-so its peak includes no freeing of the fine stencil.  BLAS and OpenMP
-threads are pinned to 1 before numpy is imported.
+is not timed.  The hierarchy build takes its stencil, whose memory becomes
+the fine matrix, so each of its calls is given a copy made before the call
+is timed or traced.  BLAS and OpenMP threads are pinned to 1 before numpy is
+imported.
 
     python3 scripts/stage_times.py [--repeats K]
 """
@@ -48,23 +50,26 @@ CONFIGS = {"box": "convex_square.json", "l_shape": "lshape.json"}
 N_EPS, POINTS_PER_PERIOD = 16, 16  # a 256^2 fine mesh
 
 
-def best_of(repeats, call):
-    """The fastest of ``repeats`` calls, in seconds, and the last result."""
+def best_of(repeats, call, arguments=tuple):
+    """The fastest of ``repeats`` calls, in seconds, and the last result;
+    each call gets the arguments that ``arguments()`` makes before it."""
     best = np.inf
     for _ in range(repeats):
+        args = arguments()
         start = time.perf_counter()
-        result = call()
+        result = call(*args)
         best = min(best, time.perf_counter() - start)
     return best, result
 
 
-def traced_bytes(call, nodes):
+def traced_bytes(call, nodes, arguments=tuple):
     """The tracemalloc peak and kept bytes per node of one call, above its
-    start."""
+    start; the call's arguments are made before tracing starts."""
+    args = arguments()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        result = call()
+        result = call(*args)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -107,15 +112,16 @@ def rung_stages(name, repeats):
 
     times, memory = {}, {}
 
-    def stage(name, call):
-        times[name], result = best_of(repeats, call)
-        memory[name] = traced_bytes(call, mesh.n_nodes)
+    def stage(name, call, arguments=tuple):
+        times[name], result = best_of(repeats, call, arguments)
+        memory[name] = traced_bytes(call, mesh.n_nodes, arguments)
         return result
 
-    system = stage("assembly", lambda: sparse.assemble_stiffness(mesh, sampler, constraint))
-    stencil, _ = sparse._nodal_stencil(mesh, sampler, constraint)
-    stage("hierarchy", lambda: sparse._build_hierarchy(
-        [stencil], system.unknowns, isinstance(constraint, sparse.Periodic), system.needs_projection))
+    system = stage("assembly", lambda: sparse.assemble_stiffness(mesh, sampler, constraint, cmap.m))
+    stencil, _ = sparse._nodal_stencil(mesh, sampler, constraint, cmap.m)
+    stage("hierarchy", lambda fine: sparse._build_hierarchy(
+        fine, system.unknowns, isinstance(constraint, sparse.Periodic), system.needs_projection),
+        lambda: ([stencil.copy()],))
     b = stage("load", lambda: system.reduce(sparse.assemble_load(mesh, rhs)))
     x = stage("solve", lambda: sparse.cg_solve(system, b, rel_tol=config.cg_tol))
     vcycles = count_vcycles(system, lambda: sparse.cg_solve(system, b, rel_tol=config.cg_tol))

@@ -94,21 +94,24 @@ def solve_correctors(
     system = assemble_stiffness(cell_mesh, field.sample_batch if field.symmetric else sym_sampler,
                                 Periodic())
 
-    def solve_family(coeff: CoefficientField, stiffness: SparseSystem) -> tuple[ScalarField, ...]:
+    def load_sampler(pts):
+        # the load of chi_i reads column i of A, that of the adjoint row i
+        a = field.sample_batch(pts)
+        return -np.concatenate([np.swapaxes(a, 1, 2)] + ([] if field.symmetric else [a]), axis=1)
+
+    # all right-hand sides from one walk: (families, n, nodes)
+    loads = assemble_gradient_load(cell_mesh, load_sampler).reshape(-1, n, cell_mesh.n_nodes)
+
+    def solve_family(loads: np.ndarray, stiffness: SparseSystem) -> tuple[ScalarField, ...]:
         out = []
-        for i in range(n):
-
-            def rhs_sampler(pts, i=i):
-                return -coeff.sample_batch(pts)[:, :, i]
-
-            b = stiffness.reduce(assemble_gradient_load(cell_mesh, rhs_sampler))
-            x = cg_solve(stiffness, b, rel_tol=rel_tol)
+        for load in loads:
+            x = cg_solve(stiffness, stiffness.reduce(load), rel_tol=rel_tol)
             x = x - x.mean()  # zero mean over the periodic torus
             out.append(ScalarField(cell_mesh, stiffness.expand(x)))
         return tuple(out)
 
     if field.symmetric:
-        chi = solve_family(field, system)
+        chi = solve_family(loads[0], system)
         return CorrectorSet(cell_mesh, chi, chi, field, system.ellipticity)
 
     def skew_sampler(pts):
@@ -119,8 +122,8 @@ def solve_correctors(
     skew = _assemble_matrix(cell_mesh, skew_sampler, system.constraint)
     # S^T = S and N^T = -N, so S - N is the adjoint matrix; replace() keeps the
     # multigrid levels that assembly built from S, for both families
-    chi = solve_family(field, replace(system, matrix=s + skew, symmetric_part=s))
-    chi_adj = solve_family(field.transposed(), replace(system, matrix=s - skew, symmetric_part=s))
+    chi = solve_family(loads[0], replace(system, matrix=s + skew, symmetric_part=s))
+    chi_adj = solve_family(loads[1], replace(system, matrix=s - skew, symmetric_part=s))
     return CorrectorSet(cell_mesh, chi, chi_adj, field, system.ellipticity)
 
 

@@ -304,12 +304,11 @@ class ElementBlock:
         return full[self.active.reshape(self.shape)]
 
     def _corner_slices(self):
-        """Per local corner (``shape_values`` order), its node offset and
-        the node-grid slices at that corner of every element."""
+        """Per local corner (``shape_values`` order), the node-grid slices at
+        that corner of every element."""
         first = (self.start,) + (0,) * (self.mesh.dim - 1)
         for offset in _corner_offsets(self.mesh.dim):
-            offset = offset[::-1]
-            yield offset, tuple(slice(f + c, f + c + m) for f, c, m in zip(first, offset, self.shape))
+            yield tuple(slice(f + c, f + c + m) for f, c, m in zip(first, offset[::-1], self.shape))
 
     def points(self) -> np.ndarray:
         """Global coordinates of the quadrature points: (E, Q, n), broadcast
@@ -329,7 +328,7 @@ class ElementBlock:
         corner's node-grid slice copied once into its row."""
         grid = np.asarray(nodal).reshape(self.mesh.nodes_per_axis[::-1])
         out = np.empty((2**self.mesh.dim, self.size), dtype=grid.dtype)
-        for row, (_, nodes) in zip(out, self._corner_slices()):
+        for row, nodes in zip(out, self._corner_slices()):
             if self.active is None:
                 row.reshape(self.shape)[...] = grid[nodes]
             else:
@@ -373,26 +372,21 @@ class ElementBlock:
         product = factor.reshape(tiles + factor.shape[1:]) * rows
         return product.reshape((self.size,) + product.shape[len(tiles):])
 
-    def add_to_nodes(self, target: np.ndarray, values: np.ndarray) -> None:
-        """Add per-corner values (2^n, E) onto the node grid ``target``.
-
-        A nodal stencil ``target`` has a leading (3,) * n offset axis per
-        mesh axis, again last axis first, and ``values`` are then
-        (2^n, 2^n, E): the coupling of corner a to corner b lands on offset
-        b - a.  Each corner, or pair of corners, is one array-slice add.
-        """
+    def spread(self, values: np.ndarray) -> np.ndarray:
+        """Per-element values (..., E) on the block's element grid, (...,
+        block shape), zero at its inactive elements."""
         if self.active is not None:
             full = np.zeros(values.shape[:-1] + (len(self.active),), values.dtype)
             full[..., self.active] = values
             values = full
-        values = values.reshape(values.shape[:-1] + self.shape)
-        corners = list(self._corner_slices())
-        for a, (ca, nodes) in enumerate(corners):
-            if target.ndim == self.mesh.dim:
-                target[nodes] += values[a]
-                continue
-            for b, (cb, _) in enumerate(corners):
-                target[tuple(1 + q - c for q, c in zip(cb, ca)) + nodes] += values[a, b]
+        return values.reshape(values.shape[:-1] + self.shape)
+
+    def add_to_nodes(self, target: np.ndarray, values: np.ndarray) -> None:
+        """Add per-corner values (2^n, E) onto the node grid ``target``, one
+        array-slice add per corner."""
+        values = self.spread(values)
+        for a, nodes in enumerate(self._corner_slices()):
+            target[nodes] += values[a]
 
 
 def element_blocks(mesh: StructuredMesh):

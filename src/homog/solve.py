@@ -27,6 +27,7 @@ from .grid import (
     ScalarField,
     StructuredMesh,
     ElementBlock,
+    active_nodes,
     element_blocks,
     element_counts,
     h1_seminorm_sq,
@@ -96,8 +97,9 @@ def _check_solution(system, x, b, field_norms, c_ell, rel_tol):
         raise RuntimeError("Cauchy-Schwarz load bound violated")
 
 
-def _solve(mesh, sampler, rhs, bc, rel_tol):
-    system = assemble_stiffness(mesh, sampler, _constraint_for(bc))
+def _solve(mesh, sampler, period, rhs, bc, rel_tol):
+    """Solve with a sampler that repeats every ``period`` elements per axis."""
+    system = assemble_stiffness(mesh, sampler, _constraint_for(bc), period)
     if bc.kind == NEUMANN_FULL:
         total = integrate(mesh, rhs)
         if abs(total) > 1e-10:
@@ -112,22 +114,25 @@ def _solve(mesh, sampler, rhs, bc, rel_tol):
     _check_solution(system, x, b, (grad_norm2, u_norm, f_norm), system.ellipticity[0], rel_tol)
     if bc.kind == NEUMANN_FULL:
         area = integrate(mesh, lambda p: np.ones(len(p)))
-        values = values - integrate_field(field) / area
-        # eliminated never-active nodes stay at zero
+        # shift the active nodes only: nodes of no active element stay at zero
+        values = values.copy()
+        values[active_nodes(mesh)] -= integrate_field(field) / area
         field = ScalarField(mesh, values)
     return field
 
 
 def solve_fine(instance: ProblemInstance, *, rel_tol: float = 1e-10) -> ScalarField:
     """Q1 solution of the oscillating problem with A sampled through x/eps;
-    the instance's cell map fixes the elements per cell."""
+    the instance's cell map fixes the elements per cell, after which the
+    element matrices repeat."""
     eps = instance.epsilon
     field = instance.coefficient
 
     def sampler(pts):
         return field.sample_batch(pts / eps)
 
-    return _solve(instance.domain_mesh, sampler, instance.rhs, instance.bc, rel_tol)
+    return _solve(instance.domain_mesh, sampler, instance.cell_map.m, instance.rhs, instance.bc,
+                  rel_tol)
 
 
 def solve_homogenized(
@@ -139,7 +144,8 @@ def solve_homogenized(
 ) -> ScalarField:
     """Q1 solution of the constant-coefficient effective problem.
 
-    The symmetric part of the tensor is assembled.  With full Dirichlet data
+    The symmetric part of the tensor is assembled from the element matrix of
+    one element, which every element shares.  With full Dirichlet data
     a constant skew part is invisible to the variational problem.  With full
     Neumann data it is not, because the natural boundary condition carries
     the skew flux, so a tensor whose skew part exceeds rounding is rejected
@@ -153,7 +159,7 @@ def solve_homogenized(
     def sampler(pts):
         return np.broadcast_to(sym, (len(pts), *sym.shape))
 
-    return _solve(mesh, sampler, rhs, bc, rel_tol)
+    return _solve(mesh, sampler, (1,) * mesh.dim, rhs, bc, rel_tol)
 
 
 def recovered_gradient_fields(phi: ScalarField) -> tuple[ScalarField, ...]:

@@ -13,13 +13,21 @@ rows, columns and solver entries are zero.  Periodic slave nodes are folded
 onto their masters, and pure-Neumann (zero-mean) systems are left singular
 with the constant mode projected out inside the solver.
 
-Assembly takes its blocks of element rows from the element walk of
-``grid``.  A block's element matrices are one product of the coefficient
-samples with a fixed quadrature table, and the block adds them into the
-stencil by one array-slice add per pair of element corners; load vectors are
-scattered onto the nodes the same way.  The walk also bounds the samples'
-eigenvalues and asymmetry; ``assemble_stiffness`` checks every sample by
-these figures and records the bounds on its system.
+Assembly reads the coefficient on one period of elements.  The caller says
+after how many elements per axis, from the mesh origin, the sampler repeats:
+the elements of an epsilon-cell for a fine problem, one element for a
+constant tensor, the whole mesh by default.  The period's elements are taken
+in the blocks of element rows of ``grid``'s walk.  A block's element
+matrices are one product of the coefficient samples with a fixed quadrature
+table, and they are added onto every tile of the node grid that holds an
+active element, by one strided slice add per pair of element corners over a
+(tiles, period) view of each axis; with the default period there is one
+tile, the mesh.  Load vectors are scattered onto the nodes by the whole
+walk, several loads from one sampling if asked.  The walk also bounds the
+samples' eigenvalues and asymmetry; ``assemble_stiffness`` checks every
+sample by these figures and records the bounds on its system.  Where each
+stencil offset is a diagonal of its own, the matrix's diagonals are the
+stencil's rows shifted in its own memory.
 
 The preconditioner is one symmetric geometric-multigrid V-cycle over the
 nested grids obtained by halving the mesh divisions: bilinear prolongation,
@@ -48,6 +56,7 @@ import scipy.sparse as sp
 from .coeff import symmetric_part_eiglimits
 from .grid import (
     StructuredMesh,
+    _corner_offsets,
     element_blocks,
     element_counts,
 )
@@ -149,23 +158,81 @@ def _zero_off_unknowns(stencil: np.ndarray, unknowns: np.ndarray, periodic: bool
 
 def _stencil_matrix(stencil: np.ndarray, periodic: bool) -> sp.dia_matrix:
     """The matrix of a nodal stencil on its node grid, by diagonals in
-    ascending order.  A diagonal is indexed by column, so each part of an
-    offset is one slice copy onto its diagonal's node grid; couplings that
-    coincide on a narrow periodic grid are added in offset order."""
+    ascending order; a diagonal is indexed by column.  Where each offset is a
+    diagonal of its own, in offset order, the diagonals are the offsets' flat
+    rows shifted in the stencil's own memory, which the matrix takes, so the
+    stencil must not be read after; the couplings off the grid that a shift
+    carries along are zero.  Otherwise each part of an offset is one slice
+    copy onto its diagonal's node grid, and couplings that coincide on a
+    narrow periodic grid are added in offset order."""
     shape = stencil.shape[stencil.ndim // 2:]
     parts = list(_diagonal_parts(shape, periodic))
     diagonals = sorted({diagonal for _, diagonal, _, _ in parts})
     n = int(np.prod(shape))
+    if [diagonal for _, diagonal, _, _ in parts] == diagonals:
+        data = stencil.reshape(len(diagonals), n)
+        for row, diagonal in zip(data, diagonals):
+            if diagonal > 0:
+                row[diagonal:] = row[:-diagonal]
+                row[:diagonal] = 0.0
+            elif diagonal < 0:
+                row[:diagonal] = row[-diagonal:]
+                row[diagonal:] = 0.0
+        return sp.dia_matrix((data, diagonals), shape=(n, n))
     data = np.zeros((len(diagonals), n))
     for t, diagonal, rows, columns in parts:
         data[diagonals.index(diagonal)].reshape(shape)[columns] += stencil[t][rows]
     return sp.dia_matrix((data, diagonals), shape=(n, n))
 
 
+def _period_mesh(mesh: StructuredMesh, period) -> tuple[StructuredMesh, np.ndarray]:
+    """The mesh of the first ``period`` elements per axis (the whole mesh by
+    default) and the bool grid, last axis first, of the tiles of that size
+    that hold an active element.  Every such tile must hold the same active
+    elements, which the period mesh gets; so with more than one tile each is
+    fully active or fully inactive.  Raises ValueError otherwise, or when the
+    period does not divide the divisions."""
+    period = mesh.divisions if period is None else tuple(int(p) for p in np.atleast_1d(period))
+    if len(period) != mesh.dim or any(p < 1 or d % p for p, d in zip(period, mesh.divisions)):
+        raise ValueError(f"a period of {period} elements does not divide the divisions {mesh.divisions}")
+    tiles = tuple(d // p for d, p in zip(mesh.divisions, period))[::-1]
+    occupied, active = np.ones(tiles, dtype=bool), None
+    if mesh.active_mask is not None:
+        # each axis, last first, splits into (tiles, period); tile axes go first
+        split = mesh.active_mask.reshape([v for t, p in zip(tiles, period[::-1]) for v in (t, p)])
+        blocks = split.transpose(list(range(0, 2 * mesh.dim, 2)) + list(range(1, 2 * mesh.dim, 2)))
+        within = tuple(range(mesh.dim, 2 * mesh.dim))
+        occupied, active = blocks.any(axis=within), blocks.any(axis=tuple(range(mesh.dim)))
+        if np.any(blocks[occupied] != active):
+            raise ValueError(f"the tiles of {period} elements do not all hold the same active elements")
+    if period == mesh.divisions:
+        return mesh, occupied
+    extent = tuple(h * p for h, p in zip(mesh.h, period))
+    mask = None if active is None or active.all() else active.ravel()
+    return StructuredMesh(mesh.origin, extent, period, mask), occupied
+
+
+def _boxes(mask: np.ndarray):
+    """Slices, one per axis, of boxes that together cover exactly the true
+    entries of a bool array: runs of equal sub-arrays along the first axis,
+    each covered the same way."""
+    if mask.ndim == 0:
+        if mask:
+            yield ()
+        return
+    start = 0
+    for stop in range(1, len(mask) + 1):
+        if stop == len(mask) or not np.array_equal(mask[stop], mask[start]):
+            for box in _boxes(mask[start]):
+                yield (slice(start, stop),) + box
+            start = stop
+
+
 def _nodal_stencil(
     mesh: StructuredMesh,
     sampler: Callable[[np.ndarray], np.ndarray],
     constraint: Constraint,
+    period=None,
 ) -> tuple[np.ndarray, tuple[float, float, float]]:
     """The Q1 matrix of a coefficient sampler as a nodal stencil: entry
     ``[t][x]`` couples node x to node x + t - 1, offsets first and both last
@@ -173,15 +240,24 @@ def _nodal_stencil(
     eigenvalue of sym(A) and largest ``|a_ij - a_ji|`` relative to
     ``max(1, |a|)`` in its block.
 
-    Element matrices come from one product of the samples with a fixed
-    quadrature table per block of element rows.  On a periodic mesh the slave
-    rows are folded onto their masters and the grid cut to the masters, whose
+    The sampler repeats every ``period`` elements per axis from the mesh
+    origin (see ``_period_mesh``), so only the elements of the first period
+    are sampled.  Their element matrices come from one product of the samples
+    with a fixed quadrature table per block of element rows, and each block
+    is added onto every tile that holds an active element by one strided
+    slice add per pair of element corners and box of tiles, over a (tiles,
+    period) view of each node-grid axis.  By default the period is the whole
+    mesh: one tile, walked as it is.  On a periodic mesh the slave rows are
+    folded onto their masters and the grid cut to the masters, whose
     neighbours wrap.
     """
     dim, nloc = mesh.dim, 2**mesh.dim
+    walked, occupied = _period_mesh(mesh, period)
+    boxes = list(_boxes(occupied))
+    corners = [offset[::-1] for offset in _corner_offsets(dim)]
     stencil = np.zeros((3,) * dim + mesh.nodes_per_axis[::-1])
     low, high, asym = np.inf, -np.inf, 0.0
-    for block in element_blocks(mesh):
+    for block in element_blocks(walked):
         rule = block.rule
         grads = rule.gradients / mesh.h  # (Q, 2^n, n)
         table = float(np.prod(mesh.h)) * np.einsum(
@@ -195,8 +271,17 @@ def _nodal_stencil(
         dev = max((float(np.abs(samples[:, i, j] - samples[:, j, i]).max())
                    for i, j in zip(*np.triu_indices(dim, 1))), default=0.0)
         asym = max(asym, dev / max(1.0, float(np.abs(samples).max())))
-        ke = (table.T @ a.reshape(block.size, -1).T).reshape(nloc, nloc, block.size)
-        block.add_to_nodes(stencil, ke)
+        ke = block.spread((table.T @ a.reshape(block.size, -1).T).reshape(nloc, nloc, block.size))
+        # per axis, last first: the tile axis, then the block's rows of the period
+        ke = ke.reshape((nloc, nloc) + tuple(v for n in block.shape for v in (1, n)))
+        rows = (slice(block.start, block.stop),) + (slice(None),) * (dim - 1)
+        for (ia, ca), (ib, cb) in itertools.product(enumerate(corners), repeat=2):
+            nodes = stencil[tuple(1 + q - c for q, c in zip(cb, ca))][
+                tuple(slice(c, c + n - 1) for c, n in zip(ca, stencil.shape[dim:]))]
+            tiled = nodes.reshape([v for t, n in zip(occupied.shape, nodes.shape) for v in (t, n // t)],
+                                  copy=False)
+            for box in boxes:
+                tiled[tuple(v for tile, row in zip(box, rows) for v in (tile, row))] += ke[ia, ib]
     if isinstance(constraint, Periodic):
         stencil = _fold(stencil, range(dim, 2 * dim))
     return stencil, (low, high, asym)
@@ -206,10 +291,12 @@ def _assemble_matrix(
     mesh: StructuredMesh,
     sampler: Callable[[np.ndarray], np.ndarray],
     constraint: Constraint,
+    period=None,
 ) -> sp.dia_matrix:
-    """The constrained Q1 matrix of an unchecked sampler, on the grid and
-    with the zero rows and columns of ``assemble_stiffness``."""
-    stencil, _ = _nodal_stencil(mesh, sampler, constraint)
+    """The constrained Q1 matrix of an unchecked sampler that repeats every
+    ``period`` elements, on the grid and with the zero rows and columns of
+    ``assemble_stiffness``."""
+    stencil, _ = _nodal_stencil(mesh, sampler, constraint, period)
     unknowns, periodic = _unknowns(mesh, constraint), isinstance(constraint, Periodic)
     _zero_off_unknowns(stencil, unknowns, periodic)
     return _stencil_matrix(stencil, periodic)
@@ -260,6 +347,7 @@ def assemble_stiffness(
     mesh: StructuredMesh,
     matrix_sampler: Callable[[np.ndarray], np.ndarray],
     constraint: Constraint,
+    period=None,
 ) -> SparseSystem:
     """Assemble the Q1 stiffness of ``(A grad u, grad v)`` under a constraint.
 
@@ -267,8 +355,13 @@ def assemble_stiffness(
     (P, n, n) symmetric matrices with positive eigenvalues; violations raise
     AssemblyError, else the samples' bounds become the ``ellipticity`` of
     the system.  Entry (a, b) couples test function a with trial function b.
+    ``period``, elements per axis, says that the sampler repeats after that
+    many elements from the mesh origin; only the first period is sampled and
+    checked.  It defaults to the whole mesh.  Raises ValueError when it does
+    not divide the divisions, or when, with more than one tile, a tile of
+    that size is only partly active.
     """
-    stencil, (low, high, asym) = _nodal_stencil(mesh, matrix_sampler, constraint)
+    stencil, (low, high, asym) = _nodal_stencil(mesh, matrix_sampler, constraint, period)
     if asym > 1e-10:
         raise AssemblyError(f"sampler returned non-symmetric matrices (relative dev {asym:.3e})")
     if low <= 0:
@@ -276,8 +369,8 @@ def assemble_stiffness(
     unknowns = _unknowns(mesh, constraint)
     # only Dirichlet elimination removes the constant mode from the kernel
     singular = not isinstance(constraint, Dirichlet)
-    # the build takes the only reference to the stencil, so that it can drop
-    # it once its matrix and first Galerkin pass are made
+    # the build takes the only reference to the stencil, whose memory becomes
+    # the fine matrix or is freed once that matrix is made
     fine = [stencil]
     del stencil
     matrix, hierarchy = _build_hierarchy(fine, unknowns, isinstance(constraint, Periodic), singular)
@@ -287,13 +380,24 @@ def assemble_stiffness(
 def _scatter_load(mesh, sampler, table_of) -> np.ndarray:
     """Full-size nodal vector of ``table.T @`` the samples of each element,
     one row of samples per element and one table row per sample; ``table``
-    is ``table_of(block.rule)`` with its leading axes flattened."""
-    b = np.zeros(mesh.nodes_per_axis[::-1])
+    is ``table_of(block.rule)``, (Q, ..., 2^n), with its leading axes
+    flattened.  A sampler may give several loads at once, with load axes
+    after the point axis: they come from one walk, each by the product it
+    would have alone, and lead the result's axes."""
+    b = None
     for block in element_blocks(mesh):
         samples = np.asarray(sampler(block.points().reshape(-1, mesh.dim)), dtype=float)
-        table = table_of(block.rule).reshape(-1, 2**mesh.dim)
-        block.add_to_nodes(b, table.T @ samples.reshape(block.size, -1).T)
-    return b.ravel()
+        table = table_of(block.rule)
+        loads = samples.shape[1:samples.ndim + 2 - table.ndim]
+        if b is None:
+            b = np.zeros(loads + mesh.nodes_per_axis[::-1])
+        table = table.reshape(-1, table.shape[-1])
+        for k in np.ndindex(loads):
+            values = np.ascontiguousarray(samples[(slice(None),) + k]).reshape(block.size, -1)
+            block.add_to_nodes(b[k], table.T @ values.T)
+    if b is None:  # no active element
+        return np.zeros(mesh.n_nodes)
+    return b.reshape(b.shape[:b.ndim - mesh.dim] + (-1,))
 
 
 def assemble_load(mesh: StructuredMesh, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -305,7 +409,9 @@ def assemble_load(mesh: StructuredMesh, f: Callable[[np.ndarray], np.ndarray]) -
 def assemble_gradient_load(
     mesh: StructuredMesh, vector_sampler: Callable[[np.ndarray], np.ndarray]
 ) -> np.ndarray:
-    """Full-size load ``b[a] = integral of V . grad N_a`` for a vector field V."""
+    """Full-size load ``b[a] = integral of V . grad N_a`` for a vector field V,
+    sampled as (P, n); or, sampled as (P, K, n), the K loads of K fields,
+    (K, nodes), from one walk."""
     vol = float(np.prod(mesh.h))
     return _scatter_load(mesh, vector_sampler,
                          lambda rule: vol * np.einsum("q,qad->qda", rule.weights, rule.gradients / mesh.h))
@@ -449,13 +555,14 @@ def _restriction(fine: np.ndarray, coarse: np.ndarray, periodic: bool) -> sp.csr
     return matrix
 
 
-def _coarsest_level(matrix: sp.dia_matrix, stencil: np.ndarray, unknowns: np.ndarray,
+def _coarsest_level(matrix: sp.dia_matrix, weights: np.ndarray, unknowns: np.ndarray,
                     singular: bool) -> _Level:
     """A dense inverse of the unknowns' block, zero in the other rows and
-    columns, or only a smoother when the block is too large for one."""
+    columns, or only the smoother of ``weights`` when the block is too large
+    for one."""
     mask = unknowns.ravel()
     if np.count_nonzero(mask) > DENSE_MAX:
-        return _Level(_jacobi_weights(stencil, unknowns))
+        return _Level(weights)
     inverse = np.zeros(matrix.shape)
     inverse[np.ix_(mask, mask)] = _dense_inverse(matrix.tocsr()[mask][:, mask].toarray(), singular)
     return _Level(inverse=inverse)
@@ -469,17 +576,19 @@ def _build_hierarchy(
     of divisions and the level has more than ``COARSEN_ABOVE`` unknowns.  A
     coarse node is an unknown exactly when the fine node it coincides with
     is one.  Each level's stencil is zeroed off its unknowns, in place, and
-    stored after its Galerkin pass; the fine one is popped from ``fine`` and
-    dropped then, so that it is freed there unless the caller keeps it."""
+    taken by its matrix (see ``_stencil_matrix``) after its Jacobi weights
+    and Galerkin pass are made.  The fine one is popped from ``fine``, so
+    that where the matrix does not reuse its memory it is freed then, unless
+    the caller keeps it."""
     stencil = fine.pop()
     matrices, smoothers = [], []
     while True:
         _zero_off_unknowns(stencil, unknowns, periodic)
+        weights = _jacobi_weights(stencil, unknowns)
         coarse = unknowns[(slice(None, None, 2),) * unknowns.ndim]
         if (np.count_nonzero(unknowns) <= COARSEN_ABOVE or not coarse.any()
                 or any((n - (not periodic)) % 2 for n in unknowns.shape)):
             break
-        weights = _jacobi_weights(stencil, unknowns)
         coarse_stencil = stencil
         for axis in range(unknowns.ndim):
             coarse_stencil = _galerkin_pass(coarse_stencil, axis, periodic)
@@ -490,7 +599,7 @@ def _build_hierarchy(
     matrices.append(_stencil_matrix(stencil, periodic))
     levels = [_Level(weights, restrict.T.tocsr(), restrict, operator)
               for (weights, restrict), operator in zip(smoothers, matrices[1:])]
-    levels.append(_coarsest_level(matrices[-1], stencil, unknowns, singular))
+    levels.append(_coarsest_level(matrices[-1], weights, unknowns, singular))
     return matrices[0], tuple(levels)
 
 

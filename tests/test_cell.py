@@ -17,6 +17,7 @@ from homog.coeff import (
     validate_ellipticity,
 )
 from homog.grid import integrate_field
+from homog.sparse import assemble_gradient_load
 
 SQRT3 = np.sqrt(3.0)
 
@@ -192,6 +193,30 @@ def test_nonsymmetric_adjoint_and_duality():
     # and the adjoint correctors of A are the correctors of A^T
     for a, b in zip(cs.chi_adjoint, cs_t.chi):
         assert np.abs(a.values - b.values).max() <= 1e-7
+
+
+def test_corrector_loads_come_from_one_walk(monkeypatch):
+    # the 2n loads of both families, stacked, against one walk per direction
+    field, mesh = nonsym_field(), unit_cell_mesh(2, 16)
+
+    def stacked(pts):
+        a = field.sample_batch(pts)
+        return -np.concatenate([np.swapaxes(a, 1, 2), a], axis=1)
+
+    loads = assemble_gradient_load(mesh, stacked)
+    assert loads.shape == (4, mesh.n_nodes)
+    for family, coeff in enumerate((field, field.transposed())):
+        for i in range(2):
+            alone = assemble_gradient_load(mesh, lambda p: -coeff.sample_batch(p)[:, :, i])
+            got = loads[2 * family + i]
+            assert np.abs(got - alone).max() <= 1e-15 * np.abs(alone).max()
+    # the cell mesh is one walk block: the coefficient is sampled once for
+    # the symmetric part, once for the skew part and once for all loads
+    calls = []
+    sample = GridTable.sample_batch
+    monkeypatch.setattr(GridTable, "sample_batch", lambda self, y: calls.append(len(y)) or sample(self, y))
+    solve_correctors(field, mesh)
+    assert calls == [4 * mesh.n_elements] * 3
 
 
 @pytest.mark.parametrize("s", [1.0, 2.0, 4.0])

@@ -5,6 +5,7 @@ from homog.cell import HomogenizedTensor, solve_correctors, unit_cell_mesh
 from homog.coeff import Constant, Laminate, ScalarCosine, fractional_part
 from homog.grid import (
     ScalarField,
+    active_nodes,
     boundary_nodes,
     build_mesh,
     eval_field_batch,
@@ -23,6 +24,7 @@ from homog.solve import (
     solve_fine,
     solve_homogenized,
 )
+from homog.sparse import ZeroMean, assemble_load, assemble_stiffness
 from homog.unfold import build_cell_map
 
 DIRICHLET = BoundaryCondition(DIRICHLET_FULL)
@@ -306,6 +308,21 @@ def test_eval_elements_matches_pointwise_on_l_shape_blocks(monkeypatch):
         pts = block.points().reshape(-1, 2)
         np.testing.assert_allclose(vals.ravel(), values_at(recon, pts), atol=1e-12)
         np.testing.assert_allclose(grads.reshape(-1, 2), gradients_at(recon, pts), atol=1e-11)
+
+
+def test_neumann_l_shape_keeps_nodes_of_no_active_element_at_zero():
+    # f = x - 5/12 has zero mean over the L-shape; the 16 nodes inside the
+    # removed quadrant touch no active element
+    mesh = build_mesh((0, 0), (1, 1), (8, 8), "l_shape")
+    rhs = lambda p: p[:, 0] - 5.0 / 12.0
+    phi = solve_homogenized(HomogenizedTensor(np.eye(2)), rhs, NEUMANN, mesh)
+    outside = np.setdiff1d(np.arange(mesh.n_nodes), active_nodes(mesh))
+    assert len(outside) == 16 and not phi.values[outside].any()
+    # the active nodes hold the Galerkin solution, shifted to zero mean
+    assert abs(integrate_field(phi)) <= 1e-12
+    system = assemble_stiffness(mesh, lambda p: np.broadcast_to(np.eye(2), (len(p), 2, 2)), ZeroMean())
+    b = system.reduce(assemble_load(mesh, rhs))
+    assert np.linalg.norm(system.matrix @ phi.values - b) <= 1e-9 * np.linalg.norm(b)
 
 
 def test_homogenized_skew_tensor_rejected_only_under_neumann():

@@ -277,6 +277,87 @@ def test_stiffness_assembly_memory_peak():
     assert peak <= 18e6
 
 
+def test_tiled_stiffness_assembly_memory_peak():
+    # the assembly of the memory test above from one 16 x 16 period of
+    # element matrices, as the fine solve makes it, peaked at 12.36 MB (13.8
+    # for the whole-mesh walk)
+    mesh = build_mesh((0, 0), (1, 1), (256, 256))
+    tracemalloc.start()
+    try:
+        system = assemble_stiffness(mesh, _cosine_sampler(1 / 16), Dirichlet(), (16, 16))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _block(system.matrix, system.unknowns).count_nonzero() == (3 * 255 - 2) ** 2
+    assert peak <= 13e6
+
+
+def _table_field():
+    """A non-symmetric 4 x 4 grid table, skew below the symmetric part."""
+    rng = np.random.default_rng(11)
+    values = rng.uniform(1.0, 4.0, (4, 4, 2, 2))
+    values[..., 0, 1], values[..., 1, 0] = rng.uniform(-0.3, 0.3, (2, 4, 4))
+    return GridTable(values)
+
+
+PERIOD_FIELDS = {"cosine": ScalarCosine(2.0, 1.0, 0, 2), "grid_table": _table_field()}
+
+
+@pytest.mark.parametrize("chunk", [None, 16])
+@pytest.mark.parametrize("constraint", ["dirichlet", "zero_mean"])
+@pytest.mark.parametrize("shape", ["box", "l_shape"])
+@pytest.mark.parametrize("field", sorted(PERIOD_FIELDS))
+def test_tiled_stencil_equals_whole_mesh_walk(field, shape, constraint, chunk, monkeypatch):
+    # epsilon = 1/4 at 8 elements per cell: 4 x 4 tiles, 12 of them active on
+    # the L-shape; a table cell is 2 elements wide
+    mesh = build_mesh((0, 0), (1, 1), (32, 32), shape)
+    sample = PERIOD_FIELDS[field].sample_batch
+    sampler, constraint = (lambda p: sample(4.0 * p)), ASSEMBLY_CONSTRAINTS[constraint]
+    whole, whole_bounds = _nodal_stencil(mesh, sampler, constraint)
+    if chunk is not None:
+        monkeypatch.setattr(grid, "CHUNK_ELEMENTS", chunk)  # the period in blocks of two rows
+    tiled, tiled_bounds = _nodal_stencil(mesh, sampler, constraint, (8, 8))
+    assert np.abs(tiled - whole).max() <= 1e-14 * np.abs(whole).max()
+    # the cosine rounds apart at arguments a whole period apart, and the
+    # asymmetry is relative to the largest sample of its walk block
+    compared = 3 if chunk is None else 2
+    assert tiled_bounds[:compared] == pytest.approx(whole_bounds[:compared], rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("shape", ["box", "l_shape"])
+def test_period_of_one_element_samples_one_element(shape):
+    mesh = build_mesh((0, 0), (1, 1), (12, 8), shape)
+    tensor = np.array([[2.0, 0.3], [0.3, 1.0]])
+    seen = []
+
+    def sampler(p):
+        seen.append(p.copy())
+        return np.broadcast_to(tensor, (len(p), 2, 2))
+
+    whole, whole_bounds = _nodal_stencil(mesh, sampler, Dirichlet())
+    seen.clear()
+    tiled, tiled_bounds = _nodal_stencil(mesh, sampler, Dirichlet(), (1, 1))
+    # one element's product rounds apart from that of the walk's block
+    assert np.abs(tiled - whole).max() <= 1e-14 * np.abs(whole).max()
+    assert tiled_bounds == whole_bounds
+    points = np.concatenate(seen)
+    assert len(points) == len(gauss_rule(2).weights)
+    assert np.all((points > 0) & (points < mesh.h))
+
+
+def test_period_must_divide_the_divisions_and_tile_the_active_elements():
+    with pytest.raises(ValueError, match="divide"):
+        assemble_stiffness(build_mesh((0, 0), (1, 1), (8, 8)), identity_sampler, Dirichlet(), (3, 4))
+    # elements 6 to 11 of both axes are removed, so the tile of elements 4 to
+    # 7 is partly active
+    l_shape = build_mesh((0, 0), (1, 1), (12, 12), "l_shape")
+    with pytest.raises(ValueError, match="active"):
+        assemble_stiffness(l_shape, identity_sampler, Dirichlet(), (4, 4))
+    # one tile, the whole mesh, is walked without its inactive elements
+    whole = assemble_stiffness(l_shape, identity_sampler, Dirichlet(), (12, 12))
+    assert _gap(whole.matrix, assemble_stiffness(l_shape, identity_sampler, Dirichlet()).matrix) == 0.0
+
+
 def test_periodic_dimension_counts():
     mesh = build_mesh((0, 0), (1, 1), (4, 6), "box")
     sys = assemble_stiffness(mesh, identity_sampler, Periodic())
