@@ -8,15 +8,17 @@ flat index ``e0 + d0*e1``.  An optional per-element activity mask supports
 L-shaped domains (upper-right quadrant removed).
 
 A nodal array reshaped to the node grid, last axis first, keeps the flat node
-order, and on it each local corner of all elements in a range of element
-rows is one shifted slice.  Every element quadrature in the package walks
-the mesh through ``element_blocks``: blocks of whole element rows along the
-last axis, at most ``CHUNK_ELEMENTS`` elements each.  A block reads nodal
-arrays by those slices, gives their values and gradients and the global
-points at the quadrature points, and adds per-corner values back onto the
-node grid; ``quadrature`` reduces integrands over all blocks.  Every element
-quadrature uses the one rule ``gauss_rule(dim)``, ``GAUSS_POINTS`` per axis,
-which the walk hands each block as ``block.rule``.
+order, and on it each local corner of all elements in a box of elements is
+one shifted slice.  Every element quadrature in the package walks the mesh
+through ``element_blocks``: it splits the active elements into boxes
+(``boxes``; a box mesh is one), and cuts each box along the last axis into
+blocks of at most ``CHUNK_ELEMENTS`` elements, so no block holds an inactive
+element.  A block reads nodal arrays by those slices, gives their values and
+gradients and the global points at the quadrature points, and adds
+per-corner values back onto the node grid; ``quadrature`` reduces integrands
+over all blocks.  Every element quadrature uses the one rule
+``gauss_rule(dim)``, ``GAUSS_POINTS`` per axis, which the walk hands each
+block as ``block.rule``.
 """
 
 from __future__ import annotations
@@ -276,51 +278,38 @@ def _corner_offsets(dim: int) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True, eq=False)
 class ElementBlock:
-    """Element rows ``start`` to ``stop`` along the last mesh axis; ``active``
-    flags each of their elements (None on a box mesh).  Per-element arrays
-    run over the active elements in flat order: (E, ...), or (2^n, E) for
-    corner values, and per-point arrays over the points of ``rule``."""
+    """A box of active elements: ``shape`` elements per axis from element
+    ``first``, both last mesh axis first.  Per-element arrays run over its
+    elements in flat order: (E, ...), or (2^n, E) for corner values, and
+    per-point arrays over the points of ``rule``."""
 
     mesh: StructuredMesh
-    start: int
-    stop: int
-    active: np.ndarray | None
-    elems: np.ndarray  # flat indices of the active elements
+    first: tuple[int, ...]
+    shape: tuple[int, ...]
+    elems: np.ndarray  # flat element indices
     rule: QuadratureRule
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        """Elements per axis, last axis first."""
-        return (self.stop - self.start,) + self.mesh.divisions[-2::-1]
 
     @property
     def size(self) -> int:
         return len(self.elems)
 
-    def _select(self, full: np.ndarray) -> np.ndarray:
-        """The active elements of a (block shape, ...) array: (E, ...)."""
-        if self.active is None:
-            return full.reshape((-1,) + full.shape[self.mesh.dim:])
-        return full[self.active.reshape(self.shape)]
-
     def _corner_slices(self):
         """Per local corner (``shape_values`` order), the node-grid slices at
         that corner of every element."""
-        first = (self.start,) + (0,) * (self.mesh.dim - 1)
         for offset in _corner_offsets(self.mesh.dim):
-            yield tuple(slice(f + c, f + c + m) for f, c, m in zip(first, offset[::-1], self.shape))
+            yield tuple(slice(f + c, f + c + m) for f, c, m in zip(self.first, offset[::-1], self.shape))
 
     def points(self) -> np.ndarray:
         """Global coordinates of the quadrature points: (E, Q, n), broadcast
         from the per-axis element indices."""
         mesh, dim, rule = self.mesh, self.mesh.dim, self.rule
         out = np.empty((self.size, len(rule.weights), dim))
+        grid = out.reshape(self.shape + out.shape[1:])
         for k in range(dim):
             axis = dim - 1 - k  # of mesh axis k in the block shape
-            index = np.arange(self.shape[axis]) + (self.start if axis == 0 else 0)
+            index = np.arange(self.first[axis], self.first[axis] + self.shape[axis])
             coord = (mesh.origin[k] + index * mesh.h[k])[:, None] + rule.points[:, k] * mesh.h[k]
-            coord = coord.reshape(coord.shape[:1] + (1,) * k + coord.shape[1:])
-            out[:, :, k] = self._select(np.broadcast_to(coord, self.shape + coord.shape[-1:]))
+            grid[..., k] = coord.reshape(coord.shape[:1] + (1,) * k + coord.shape[1:])
         return out
 
     def corners(self, nodal: np.ndarray) -> np.ndarray:
@@ -329,10 +318,7 @@ class ElementBlock:
         grid = np.asarray(nodal).reshape(self.mesh.nodes_per_axis[::-1])
         out = np.empty((2**self.mesh.dim, self.size), dtype=grid.dtype)
         for row, nodes in zip(out, self._corner_slices()):
-            if self.active is None:
-                row.reshape(self.shape)[...] = grid[nodes]
-            else:
-                row[...] = grid[nodes][self.active.reshape(self.shape)]
+            row.reshape(self.shape)[...] = grid[nodes]
         return out
 
     def values(self, nodal: np.ndarray) -> np.ndarray:
@@ -359,51 +345,69 @@ class ElementBlock:
         """``factor`` (E, ...) times a per-element pattern that repeats every
         ``period`` elements along each axis from element 0, given on one
         period in flat element order.  The pattern's rows are picked by row
-        index mod period and broadcast along the block, not tiled."""
+        index mod period and broadcast along the block, not tiled; along the
+        other axes the block must start and end on period boundaries, or
+        ValueError is raised."""
         m = tuple(period)[::-1]
-        rows = pattern.reshape(m + pattern.shape[1:])[np.arange(self.start, self.stop) % m[0]]
+        rows = pattern.reshape(m + pattern.shape[1:])[
+            np.arange(self.first[0], self.first[0] + self.shape[0]) % m[0]]
         tiles = self.shape[:1]
-        for count, period_k in zip(self.shape[1:], m[1:]):
+        for first, count, period_k in zip(self.first[1:], self.shape[1:], m[1:]):
+            if first % period_k or count % period_k:
+                raise ValueError(f"a block of {count} elements from {first} is not whole "
+                                 f"periods of {period_k}")
             rows = np.expand_dims(rows, len(tiles))
             tiles += (count // period_k, period_k)
-        if self.active is not None:
-            rows = np.broadcast_to(rows, tiles + rows.shape[len(tiles):])
-            return factor * rows[self.active.reshape(tiles)]
         product = factor.reshape(tiles + factor.shape[1:]) * rows
         return product.reshape((self.size,) + product.shape[len(tiles):])
-
-    def spread(self, values: np.ndarray) -> np.ndarray:
-        """Per-element values (..., E) on the block's element grid, (...,
-        block shape), zero at its inactive elements."""
-        if self.active is not None:
-            full = np.zeros(values.shape[:-1] + (len(self.active),), values.dtype)
-            full[..., self.active] = values
-            values = full
-        return values.reshape(values.shape[:-1] + self.shape)
 
     def add_to_nodes(self, target: np.ndarray, values: np.ndarray) -> None:
         """Add per-corner values (2^n, E) onto the node grid ``target``, one
         array-slice add per corner."""
-        values = self.spread(values)
+        values = values.reshape(values.shape[:-1] + self.shape)
         for a, nodes in enumerate(self._corner_slices()):
             target[nodes] += values[a]
 
 
+def boxes(mask: np.ndarray):
+    """Slices, one per axis, of disjoint boxes that together cover exactly
+    the true entries of a bool array: the runs of equal sub-arrays along the
+    first axis, found by one comparison of adjacent ones, each covered the
+    same way."""
+    if mask.ndim == 0:
+        if mask:
+            yield ()
+        return
+    changes = np.any(mask[1:] != mask[:-1], axis=tuple(range(1, mask.ndim)))
+    edges = [0, *(np.flatnonzero(changes) + 1).tolist(), len(mask)]
+    for start, stop in zip(edges[:-1], edges[1:]):
+        for box in boxes(mask[start]):
+            yield (slice(start, stop),) + box
+
+
 def element_blocks(mesh: StructuredMesh):
-    """Walk the active elements in blocks of whole element rows along the
-    last axis, at most ``CHUNK_ELEMENTS`` elements (or one row) per block,
-    skipping blocks with no active element."""
-    rows = mesh.divisions[-1]
-    per_row = mesh.n_elements // rows
-    step = max(1, CHUNK_ELEMENTS // per_row)
+    """Walk the active elements in boxes of them (the whole mesh on a box
+    mesh; see ``boxes``), each cut along the last axis into blocks of at
+    most ``CHUNK_ELEMENTS`` elements, or one row."""
+    grid = mesh.divisions[::-1]
     rule = gauss_rule(mesh.dim)
-    for start in range(0, rows, step):
-        stop = min(start + step, rows)
-        elems = np.arange(start * per_row, stop * per_row)
-        if mesh.active_mask is None:
-            yield ElementBlock(mesh, start, stop, None, elems, rule)
-        elif (active := mesh.active_mask[elems]).any():
-            yield ElementBlock(mesh, start, stop, active, elems[active], rule)
+    if mesh.active_mask is None:
+        walk = [tuple(slice(0, n) for n in grid)]
+    else:
+        walk = boxes(mesh.active_mask.reshape(grid))
+    for box in walk:
+        inner = tuple(s.stop - s.start for s in box[1:])
+        step = max(1, CHUNK_ELEMENTS // math.prod(inner))
+        # flat index offsets of the box's elements in a row from that row's element 0
+        row = np.zeros(1, dtype=np.intp)
+        for s, n in zip(box[1:], grid[1:]):
+            row = (row[:, None] * n + np.arange(s.start, s.stop)).ravel()
+        stride = math.prod(grid[1:])
+        for start in range(box[0].start, box[0].stop, step):
+            stop = min(start + step, box[0].stop)
+            elems = (np.arange(start * stride, stop * stride, stride)[:, None] + row).ravel()
+            yield ElementBlock(mesh, (start,) + tuple(s.start for s in box[1:]),
+                               (stop - start,) + inner, elems, rule)
 
 
 def eval_field_batch(field: ScalarField, points: np.ndarray) -> np.ndarray:

@@ -81,13 +81,14 @@ def _constraint_for(bc: BoundaryCondition):
 def _check_solution(system, x, b, field_norms, c_ell, rel_tol):
     """Galerkin residual and discrete energy bounds, asserted per solve;
     ``c_ell`` is the least eigenvalue of the assembled coefficient samples."""
+    ax = system.matrix @ x
     bnorm = np.linalg.norm(b)
     if bnorm > 0:
-        res = np.linalg.norm(b - system.matrix @ x) / bnorm
+        res = np.linalg.norm(b - ax) / bnorm
         allowed = max(1e-9, 10.0 * rel_tol)
         if res > allowed:
             raise RuntimeError(f"Galerkin residual {res:.3e} exceeds {allowed:.1e}")
-    energy = float(x @ (system.matrix @ x))
+    energy = float(x @ ax)
     load = float(b @ x)
     grad_norm2, u_norm, f_norm = field_norms
     slack = 1e-8 * max(1.0, energy, abs(load))

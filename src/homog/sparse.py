@@ -17,17 +17,18 @@ Assembly reads the coefficient on one period of elements.  The caller says
 after how many elements per axis, from the mesh origin, the sampler repeats:
 the elements of an epsilon-cell for a fine problem, one element for a
 constant tensor, the whole mesh by default.  The period's elements are taken
-in the blocks of element rows of ``grid``'s walk.  A block's element
-matrices are one product of the coefficient samples with a fixed quadrature
-table, and they are added onto every tile of the node grid that holds an
-active element, by one strided slice add per pair of element corners over a
-(tiles, period) view of each axis; with the default period there is one
-tile, the mesh.  Load vectors are scattered onto the nodes by the whole
-walk, several loads from one sampling if asked.  The walk also bounds the
-samples' eigenvalues and asymmetry; ``assemble_stiffness`` checks every
-sample by these figures and records the bounds on its system.  Where each
-stencil offset is a diagonal of its own, the matrix's diagonals are the
-stencil's rows shifted in its own memory.
+in the blocks of ``grid``'s walk, boxes of active elements.  A block's
+element matrices are one product of the coefficient samples with a fixed
+quadrature table, and they are added onto every tile of the node grid that
+holds an active element, by one strided slice add per pair of element
+corners and box of such tiles (``grid.boxes``) over a (tiles, period) view
+of each axis; with the default period there is one tile, the mesh.  Load
+vectors are scattered onto the nodes by the whole walk, several loads from
+one sampling if asked.  The walk also bounds the samples' eigenvalues and
+asymmetry; ``assemble_stiffness`` checks every sample by these figures and
+records the bounds on its system.  Where each stencil offset is a diagonal
+of its own, the matrix's diagonals are the stencil's rows shifted in its own
+memory.
 
 The preconditioner is one symmetric geometric-multigrid V-cycle over the
 nested grids obtained by halving the mesh divisions: bilinear prolongation,
@@ -57,6 +58,7 @@ from .coeff import symmetric_part_eiglimits
 from .grid import (
     StructuredMesh,
     _corner_offsets,
+    boxes,
     element_blocks,
     element_counts,
 )
@@ -212,22 +214,6 @@ def _period_mesh(mesh: StructuredMesh, period) -> tuple[StructuredMesh, np.ndarr
     return StructuredMesh(mesh.origin, extent, period, mask), occupied
 
 
-def _boxes(mask: np.ndarray):
-    """Slices, one per axis, of boxes that together cover exactly the true
-    entries of a bool array: runs of equal sub-arrays along the first axis,
-    each covered the same way."""
-    if mask.ndim == 0:
-        if mask:
-            yield ()
-        return
-    start = 0
-    for stop in range(1, len(mask) + 1):
-        if stop == len(mask) or not np.array_equal(mask[stop], mask[start]):
-            for box in _boxes(mask[start]):
-                yield (slice(start, stop),) + box
-            start = stop
-
-
 def _nodal_stencil(
     mesh: StructuredMesh,
     sampler: Callable[[np.ndarray], np.ndarray],
@@ -237,26 +223,27 @@ def _nodal_stencil(
     """The Q1 matrix of a coefficient sampler as a nodal stencil: entry
     ``[t][x]`` couples node x to node x + t - 1, offsets first and both last
     mesh axis first.  Returns the stencil and the samples' (min, max)
-    eigenvalue of sym(A) and largest ``|a_ij - a_ji|`` relative to
-    ``max(1, |a|)`` in its block.
+    eigenvalue of sym(A) and largest ``|a_ij - a_ji|`` over ``max(1, |a|)``,
+    both largest over all samples, so the figure does not depend on the
+    blocks.
 
     The sampler repeats every ``period`` elements per axis from the mesh
     origin (see ``_period_mesh``), so only the elements of the first period
     are sampled.  Their element matrices come from one product of the samples
-    with a fixed quadrature table per block of element rows, and each block
-    is added onto every tile that holds an active element by one strided
-    slice add per pair of element corners and box of tiles, over a (tiles,
-    period) view of each node-grid axis.  By default the period is the whole
-    mesh: one tile, walked as it is.  On a periodic mesh the slave rows are
+    with a fixed quadrature table per walk block, and each block is added
+    onto every tile that holds an active element by one strided slice add per
+    pair of element corners and box of tiles, over a (tiles, period) view of
+    each node-grid axis, at the block's slices of the period on every axis.
+    By default the period is the whole mesh: one tile, walked as it is.  On a periodic mesh the slave rows are
     folded onto their masters and the grid cut to the masters, whose
     neighbours wrap.
     """
     dim, nloc = mesh.dim, 2**mesh.dim
     walked, occupied = _period_mesh(mesh, period)
-    boxes = list(_boxes(occupied))
+    tiles = list(boxes(occupied))
     corners = [offset[::-1] for offset in _corner_offsets(dim)]
     stencil = np.zeros((3,) * dim + mesh.nodes_per_axis[::-1])
-    low, high, asym = np.inf, -np.inf, 0.0
+    low, high, dev, largest = np.inf, -np.inf, 0.0, 0.0
     for block in element_blocks(walked):
         rule = block.rule
         grads = rule.gradients / mesh.h  # (Q, 2^n, n)
@@ -268,23 +255,23 @@ def _nodal_stencil(
         samples = a.reshape(-1, dim, dim)
         block_low, block_high = symmetric_part_eiglimits(samples)
         low, high = min(low, block_low), max(high, block_high)
-        dev = max((float(np.abs(samples[:, i, j] - samples[:, j, i]).max())
-                   for i, j in zip(*np.triu_indices(dim, 1))), default=0.0)
-        asym = max(asym, dev / max(1.0, float(np.abs(samples).max())))
-        ke = block.spread((table.T @ a.reshape(block.size, -1).T).reshape(nloc, nloc, block.size))
-        # per axis, last first: the tile axis, then the block's rows of the period
-        ke = ke.reshape((nloc, nloc) + tuple(v for n in block.shape for v in (1, n)))
-        rows = (slice(block.start, block.stop),) + (slice(None),) * (dim - 1)
+        dev = max([dev] + [float(np.abs(samples[:, i, j] - samples[:, j, i]).max())
+                           for i, j in zip(*np.triu_indices(dim, 1))])
+        largest = max(largest, float(np.abs(samples).max()))
+        # per axis, last first: the tile axis, then the block's elements of the period
+        ke = (table.T @ a.reshape(block.size, -1).T).reshape(
+            (nloc, nloc) + tuple(v for n in block.shape for v in (1, n)))
+        within = tuple(slice(f, f + n) for f, n in zip(block.first, block.shape))
         for (ia, ca), (ib, cb) in itertools.product(enumerate(corners), repeat=2):
             nodes = stencil[tuple(1 + q - c for q, c in zip(cb, ca))][
                 tuple(slice(c, c + n - 1) for c, n in zip(ca, stencil.shape[dim:]))]
             tiled = nodes.reshape([v for t, n in zip(occupied.shape, nodes.shape) for v in (t, n // t)],
                                   copy=False)
-            for box in boxes:
-                tiled[tuple(v for tile, row in zip(box, rows) for v in (tile, row))] += ke[ia, ib]
+            for box in tiles:
+                tiled[tuple(v for tile, part in zip(box, within) for v in (tile, part))] += ke[ia, ib]
     if isinstance(constraint, Periodic):
         stencil = _fold(stencil, range(dim, 2 * dim))
-    return stencil, (low, high, asym)
+    return stencil, (low, high, dev / max(1.0, largest))
 
 
 def _assemble_matrix(

@@ -406,6 +406,67 @@ def test_element_walk_scatter_matches_add_at(monkeypatch):
     np.testing.assert_allclose(target.ravel(), ref, rtol=1e-15, atol=1e-15)
 
 
+
+def _random_masked_mesh(dim, seed):
+    """A mesh whose activity mask repeats rows drawn from a few patterns,
+    so that rows run equal; one pattern has two active runs, one none."""
+    rng = np.random.default_rng(seed)
+    if dim == 1:
+        return grid.StructuredMesh(0.0, 1.0, (23,), rng.random(23) < 0.6)
+    patterns = np.array([[1, 1, 0, 0, 1, 1, 1], [1, 1, 1, 1, 1, 1, 1], [0, 1, 1, 1, 0, 0, 0],
+                         [0, 0, 0, 0, 0, 0, 0]], dtype=bool)
+    rows = patterns[rng.integers(0, len(patterns), 9)]
+    return grid.StructuredMesh((0, 0), (1, 1), (7, 9), rows.ravel())
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3, 5, 16])
+@pytest.mark.parametrize("dim,seed", [(1, 0), (1, 1), (2, 2), (2, 3), (2, 4)])
+def test_walk_blocks_are_disjoint_boxes_of_active_elements(dim, seed, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(grid, "CHUNK_ELEMENTS", chunk)
+    mesh = _random_masked_mesh(dim, seed)
+    blocks = list(element_blocks(mesh))
+    for block in blocks:
+        box = np.arange(mesh.n_elements).reshape(mesh.divisions[::-1])[
+            tuple(slice(f, f + n) for f, n in zip(block.first, block.shape))]
+        np.testing.assert_array_equal(block.elems, box.ravel())
+        assert mesh.active_mask[block.elems].all()
+        row = int(np.prod(block.shape[1:]))
+        assert block.size <= grid.CHUNK_ELEMENTS or block.shape[0] == 1 and row > grid.CHUNK_ELEMENTS
+    elems = np.concatenate([block.elems for block in blocks])
+    assert len(np.unique(elems)) == len(elems)
+    np.testing.assert_array_equal(np.sort(elems), mesh.active_elements())
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3])
+@pytest.mark.parametrize("divisions", [(7,), (5, 6), (300, 4)])
+def test_box_mesh_walk_cuts_whole_rows(divisions, chunk, monkeypatch):
+    # a box mesh is one box, cut as the walk of element rows always cut it
+    if chunk is not None:
+        monkeypatch.setattr(grid, "CHUNK_ELEMENTS", chunk)
+    mesh = build_mesh((0.0,) * len(divisions), (1.0,) * len(divisions), divisions)
+    rows, per_row = divisions[-1], int(np.prod(divisions[:-1]))
+    step = max(1, grid.CHUNK_ELEMENTS // per_row)
+    blocks = list(element_blocks(mesh))
+    assert [(b.first[0], b.first[0] + b.shape[0]) for b in blocks] == [
+        (start, min(start + step, rows)) for start in range(0, rows, step)]
+    for block in blocks:
+        assert block.first[1:] == (0,) * (len(divisions) - 1)
+        assert block.shape[1:] == divisions[-2::-1]
+        np.testing.assert_array_equal(
+            block.elems, np.arange(block.first[0] * per_row, (block.first[0] + block.shape[0]) * per_row))
+
+
+def test_times_periodic_rejects_a_box_off_the_period():
+    # the L-shape's upper box holds 3 columns, not whole periods of 2
+    mesh = grid.StructuredMesh((0, 0), (1, 1), (6, 4), ~((np.arange(24) % 6 >= 3) & (np.arange(24) >= 12)))
+    pattern = np.ones((4, 4))
+    first, upper = list(element_blocks(mesh))
+    assert upper.shape == (2, 3)
+    assert first.times_periodic(np.ones((first.size, 4)), pattern, (2, 2)).shape == (first.size, 4)
+    with pytest.raises(ValueError, match="whole periods"):
+        upper.times_periodic(np.ones((upper.size, 4)), pattern, (2, 2))
+
 def _old_locate(mesh, point):
     """The per-point search ``locate`` used before its vectorised face rule:
     the half-open element, else the first active element among the eight
