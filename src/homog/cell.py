@@ -11,27 +11,26 @@ The homogenized tensor is the cell quadrature of
 
     A_ij = integral over Y of  grad(y_i + chi_i) . A grad(y_j + chi_j).
 
-The stiffness is assembled as its symmetric part S, from a symmetric field's
-raw samples, which assembly checks, plus, for a non-symmetric coefficient,
-its skew part N.  A symmetric coefficient is solved by CG on S.  Otherwise the
-correctors solve K = S + N and the adjoints K^T = S - N, each with GMRES
-preconditioned by the V-cycle of S; both families share that one multigrid
-hierarchy.  Every solve meets the requested tolerance on the true residual of
-the full system.
+The stiffness K comes from one assembly call.  A symmetric K is solved by CG;
+a field declared symmetric whose samples are not raises AssemblyError.
+Otherwise the correctors solve K and the adjoints K^T by GMRES, both
+preconditioned by the one V-cycle of K's symmetric part.  The coefficient is
+sampled twice, by assembly and for all 2n loads.  Every solve meets the
+requested tolerance on the true residual of the full system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coeff import CoefficientField
 from .grid import ScalarField, StructuredMesh, element_blocks
 from .sparse import (
+    AssemblyError,
     Periodic,
     SparseSystem,
-    _assemble_matrix,
     assemble_gradient_load,
     assemble_stiffness,
     cg_solve,
@@ -58,10 +57,6 @@ class HomogenizedTensor:
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.atleast_2d(np.asarray(self.matrix, dtype=float)))
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 def unit_cell_mesh(dim: int, divisions: int) -> StructuredMesh:
     """The reference cell (0,1)^dim with uniform divisions."""
@@ -85,19 +80,15 @@ def solve_correctors(
     """Solve the n periodic cell problems and their adjoints."""
     _check_cell_mesh(field, cell_mesh)
     n = field.dim
-
-    def sym_sampler(pts):
-        a = field.sample_batch(pts)
-        return 0.5 * (a + np.swapaxes(a, 1, 2))
-
-    # a symmetric field's samples go raw, so assembly rejects any that are not
-    system = assemble_stiffness(cell_mesh, field.sample_batch if field.symmetric else sym_sampler,
-                                Periodic())
+    system = assemble_stiffness(cell_mesh, field.sample_batch, Periodic())
+    symmetric = system.symmetric_part is None
+    if field.symmetric and not symmetric:
+        raise AssemblyError("a field declared symmetric sampled non-symmetric matrices")
 
     def load_sampler(pts):
         # the load of chi_i reads column i of A, that of the adjoint row i
         a = field.sample_batch(pts)
-        return -np.concatenate([np.swapaxes(a, 1, 2)] + ([] if field.symmetric else [a]), axis=1)
+        return -np.concatenate([np.swapaxes(a, 1, 2)] + ([] if symmetric else [a]), axis=1)
 
     # all right-hand sides from one walk: (families, n, nodes)
     loads = assemble_gradient_load(cell_mesh, load_sampler).reshape(-1, n, cell_mesh.n_nodes)
@@ -110,20 +101,9 @@ def solve_correctors(
             out.append(ScalarField(cell_mesh, stiffness.expand(x)))
         return tuple(out)
 
-    if field.symmetric:
-        chi = solve_family(loads[0], system)
-        return CorrectorSet(cell_mesh, chi, chi, field, system.ellipticity)
-
-    def skew_sampler(pts):
-        a = field.sample_batch(pts)
-        return 0.5 * (a - np.swapaxes(a, 1, 2))
-
-    s = system.matrix
-    skew = _assemble_matrix(cell_mesh, skew_sampler, system.constraint)
-    # S^T = S and N^T = -N, so S - N is the adjoint matrix; replace() keeps the
-    # multigrid levels that assembly built from S, for both families
-    chi = solve_family(loads[0], replace(system, matrix=s + skew, symmetric_part=s))
-    chi_adj = solve_family(loads[1], replace(system, matrix=s - skew, symmetric_part=s))
+    chi = solve_family(loads[0], system)
+    # the adjoints solve K^T, preconditioned by the hierarchy of K's symmetric part
+    chi_adj = chi if symmetric else solve_family(loads[1], system.transposed())
     return CorrectorSet(cell_mesh, chi, chi_adj, field, system.ellipticity)
 
 

@@ -155,7 +155,9 @@ def fit_rate(points, min_points: int = 3) -> RateFit:
         raise ValueError("epsilon values must be distinct")
     x = np.log(eps)
     y = np.log(err)
-    slope, intercept = np.polyfit(x, y, 1)
+    dx = x - x.mean()  # the least-squares line in closed form, with no LAPACK call
+    slope = float(dx @ (y - y.mean())) / float(dx @ dx)
+    intercept = y.mean() - slope * x.mean()
     resid = y - (slope * x + intercept)
     ss_tot = float(((y - y.mean()) ** 2).sum())
     ss_res = float((resid**2).sum())

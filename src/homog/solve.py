@@ -12,6 +12,8 @@ cell-scale detail:
 
 where Q_i is the slow part of the recovered derivative dPhi/dx_i.  The
 gradient surrogate deliberately omits the eps * grad(Q_i) * chi_i terms.
+A fine problem with a non-symmetric coefficient raises AssemblyError after
+assembly: its solve is not supported yet.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .grid import (
     same_mesh,
     shape_gradients,
 )
-from .sparse import Dirichlet, ZeroMean, assemble_load, assemble_stiffness, cg_solve
+from .sparse import AssemblyError, Dirichlet, ZeroMean, assemble_load, assemble_stiffness, cg_solve
 from .unfold import CellIndexMap, build_cell_map, scale_split
 
 RhsLike = Callable[[np.ndarray], np.ndarray]
@@ -101,6 +103,8 @@ def _check_solution(system, x, b, field_norms, c_ell, rel_tol):
 def _solve(mesh, sampler, period, rhs, bc, rel_tol):
     """Solve with a sampler that repeats every ``period`` elements per axis."""
     system = assemble_stiffness(mesh, sampler, _constraint_for(bc), period)
+    if system.symmetric_part is not None:
+        raise AssemblyError("non-symmetric fine problems are not supported")
     if bc.kind == NEUMANN_FULL:
         total = integrate(mesh, rhs)
         if abs(total) > 1e-10:

@@ -1,6 +1,6 @@
-"""Assembly of symmetric positive (semi-)definite Q1 stiffness systems and a
-multigrid-preconditioned Krylov solver: conjugate gradients for symmetric
-systems, restarted GMRES for non-symmetric ones.
+"""Assembly of Q1 stiffness systems whose symmetric part is positive
+(semi-)definite, and a multigrid-preconditioned Krylov solver: conjugate
+gradients for symmetric systems, restarted GMRES for non-symmetric ones.
 
 The bilinear form is ``(u, v) -> integral of (A grad u) . grad v`` with the
 matrix coefficient sampled at quadrature points.  Every operator is its
@@ -25,10 +25,10 @@ corners and box of such tiles (``grid.boxes``) over a (tiles, period) view
 of each axis; with the default period there is one tile, the mesh.  Load
 vectors are scattered onto the nodes by the whole walk, several loads from
 one sampling if asked.  The walk also bounds the samples' eigenvalues and
-asymmetry; ``assemble_stiffness`` checks every sample by these figures and
-records the bounds on its system.  Where each stencil offset is a diagonal
-of its own, the matrix's diagonals are the stencil's rows shifted in its own
-memory.
+asymmetry; ``assemble_stiffness`` checks every sample by the first, records
+the bounds on its system and splits off a symmetric part by the second.
+Where each stencil offset is a diagonal of its own, the matrix's diagonals
+are the stencil's rows shifted in its own memory.
 
 The preconditioner is one symmetric geometric-multigrid V-cycle over the
 nested grids obtained by halving the mesh divisions: bilinear prolongation,
@@ -40,15 +40,15 @@ level, and every V-cycle writes its sweeps into them.  ``assemble_stiffness``
 builds the levels while it holds the stencil: a 3^n-point stencil has a
 3^n-point Galerkin stencil, one slice-arithmetic pass per axis, and each
 restriction is read off the two node grids in compressed rows.  A
-non-symmetric system carries its symmetric part, which is positive
-(semi-)definite; its V-cycle, built from that part, right-preconditions
-GMRES.
+non-symmetric system carries its symmetric part, the stencil plus its
+transpose halved; the V-cycle, built from that part, right-preconditions
+GMRES, also for the transposed system.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -234,9 +234,9 @@ def _nodal_stencil(
     onto every tile that holds an active element by one strided slice add per
     pair of element corners and box of tiles, over a (tiles, period) view of
     each node-grid axis, at the block's slices of the period on every axis.
-    By default the period is the whole mesh: one tile, walked as it is.  On a periodic mesh the slave rows are
-    folded onto their masters and the grid cut to the masters, whose
-    neighbours wrap.
+    By default the period is the whole mesh: one tile, walked as it is.  On
+    a periodic mesh the slave rows are folded onto their masters and the
+    grid cut to the masters, whose neighbours wrap.
     """
     dim, nloc = mesh.dim, 2**mesh.dim
     walked, occupied = _period_mesh(mesh, period)
@@ -274,19 +274,13 @@ def _nodal_stencil(
     return stencil, (low, high, dev / max(1.0, largest))
 
 
-def _assemble_matrix(
-    mesh: StructuredMesh,
-    sampler: Callable[[np.ndarray], np.ndarray],
-    constraint: Constraint,
-    period=None,
-) -> sp.dia_matrix:
-    """The constrained Q1 matrix of an unchecked sampler that repeats every
-    ``period`` elements, on the grid and with the zero rows and columns of
-    ``assemble_stiffness``."""
-    stencil, _ = _nodal_stencil(mesh, sampler, constraint, period)
-    unknowns, periodic = _unknowns(mesh, constraint), isinstance(constraint, Periodic)
-    _zero_off_unknowns(stencil, unknowns, periodic)
-    return _stencil_matrix(stencil, periodic)
+def _stencil_transpose(stencil: np.ndarray, periodic: bool) -> np.ndarray:
+    """The nodal stencil of the transposed matrix: node x couples to its
+    neighbour at t - 1 as that neighbour couples to x, at offset 2 - t."""
+    out = np.zeros_like(stencil)
+    for t, _, rows, columns in _diagonal_parts(stencil.shape[stencil.ndim // 2:], periodic):
+        out[t][rows] = stencil[tuple(2 - s for s in t)][columns]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,6 +323,13 @@ class SparseSystem:
             return np.where(self.unknowns.ravel(), x, 0.0)
         return np.pad(np.reshape(x, self.unknowns.shape), (0, 1), mode="wrap").ravel()
 
+    def transposed(self) -> SparseSystem:
+        """The system of the transposed matrix, with the same symmetric part
+        and hierarchy, its diagonals ascending and contiguous."""
+        t = self.matrix.T  # the offsets descending
+        matrix = sp.dia_matrix((np.ascontiguousarray(t.data[::-1]), t.offsets[::-1]), shape=t.shape)
+        return replace(self, matrix=matrix)
+
 
 def assemble_stiffness(
     mesh: StructuredMesh,
@@ -339,9 +340,12 @@ def assemble_stiffness(
     """Assemble the Q1 stiffness of ``(A grad u, grad v)`` under a constraint.
 
     ``matrix_sampler`` receives an (P, n) array of points and must return
-    (P, n, n) symmetric matrices with positive eigenvalues; violations raise
-    AssemblyError, else the samples' bounds become the ``ellipticity`` of
-    the system.  Entry (a, b) couples test function a with trial function b.
+    (P, n, n) matrices whose symmetric parts have positive eigenvalues; a
+    violation raises AssemblyError, else the samples' bounds become the
+    ``ellipticity`` of the system.  Entry (a, b) couples test function a
+    with trial function b.  The matrix is the stiffness K of the samples as
+    read; when their asymmetry figure exceeds 1e-10 the system carries
+    ``symmetric_part`` (K + K^T) / 2, which builds the hierarchy.
     ``period``, elements per axis, says that the sampler repeats after that
     many elements from the mesh origin; only the first period is sampled and
     checked.  It defaults to the whole mesh.  Raises ValueError when it does
@@ -349,19 +353,27 @@ def assemble_stiffness(
     that size is only partly active.
     """
     stencil, (low, high, asym) = _nodal_stencil(mesh, matrix_sampler, constraint, period)
-    if asym > 1e-10:
-        raise AssemblyError(f"sampler returned non-symmetric matrices (relative dev {asym:.3e})")
     if low <= 0:
         raise AssemblyError("sampler returned a non-elliptic matrix (eigenvalue <= 0)")
-    unknowns = _unknowns(mesh, constraint)
+    unknowns, periodic = _unknowns(mesh, constraint), isinstance(constraint, Periodic)
+    # the build takes the only reference to its stencil, whose memory becomes
+    # its matrix or is freed once that matrix is made.  A non-symmetric K is
+    # kept to become the matrix after (K + K^T) / 2 has built: one stencil more
+    fine = [stencil]
+    if asym > 1e-10:
+        fine[0] = _stencil_transpose(stencil, periodic)
+        fine[0] += stencil
+        fine[0] *= 0.5
+    else:
+        del stencil
     # only Dirichlet elimination removes the constant mode from the kernel
     singular = not isinstance(constraint, Dirichlet)
-    # the build takes the only reference to the stencil, whose memory becomes
-    # the fine matrix or is freed once that matrix is made
-    fine = [stencil]
-    del stencil
-    matrix, hierarchy = _build_hierarchy(fine, unknowns, isinstance(constraint, Periodic), singular)
-    return SparseSystem(matrix, constraint, unknowns, hierarchy, ellipticity=(low, high))
+    built, hierarchy = _build_hierarchy(fine, unknowns, periodic, singular)
+    if asym <= 1e-10:
+        return SparseSystem(built, constraint, unknowns, hierarchy, ellipticity=(low, high))
+    _zero_off_unknowns(stencil, unknowns, periodic)
+    matrix = _stencil_matrix(stencil, periodic)
+    return SparseSystem(matrix, constraint, unknowns, hierarchy, built, (low, high))
 
 
 def _scatter_load(mesh, sampler, table_of) -> np.ndarray:

@@ -211,12 +211,12 @@ def test_corrector_loads_come_from_one_walk(monkeypatch):
             got = loads[2 * family + i]
             assert np.abs(got - alone).max() <= 1e-15 * np.abs(alone).max()
     # the cell mesh is one walk block: the coefficient is sampled once for
-    # the symmetric part, once for the skew part and once for all loads
+    # the stiffness and its symmetric part, and once for all loads
     calls = []
     sample = GridTable.sample_batch
     monkeypatch.setattr(GridTable, "sample_batch", lambda self, y: calls.append(len(y)) or sample(self, y))
     solve_correctors(field, mesh)
-    assert calls == [4 * mesh.n_elements] * 3
+    assert calls == [4 * mesh.n_elements] * 2
 
 
 @pytest.mark.parametrize("s", [1.0, 2.0, 4.0])

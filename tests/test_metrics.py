@@ -129,6 +129,21 @@ def test_fit_rate_examples():
         fit_rate([(1 / 8, 0.1), (1 / 8, 0.05), (1 / 32, 0.01)])
 
 
+def test_fit_rate_is_the_least_squares_line_of_polyfit():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        count = int(rng.integers(3, 7))
+        eps = 0.5 ** (rng.integers(1, 4) + np.arange(count))
+        err = rng.uniform(0.05, 2.0) * eps ** rng.uniform(0.2, 2.0) * rng.uniform(0.5, 2.0, count)
+        fit = fit_rate(zip(eps, err))
+        x, y = np.log(eps), np.log(err)
+        slope, intercept = np.polyfit(x, y, 1)
+        r2 = 1.0 - ((y - slope * x - intercept) ** 2).sum() / ((y - y.mean()) ** 2).sum()
+        assert abs(fit.slope - slope) <= 1e-12 * max(1.0, abs(slope))
+        assert abs(fit.intercept - intercept) <= 1e-12 * max(1.0, abs(intercept))
+        assert abs(fit.r_squared - r2) <= 1e-12
+
+
 def test_fit_rate_scaling_invariance():
     pts = [(1 / 4, 0.21), (1 / 8, 0.11), (1 / 16, 0.054), (1 / 32, 0.028)]
     base = fit_rate(pts)

@@ -32,7 +32,7 @@ def test_stage_times_reports_every_stage_of_both_rungs():
 
 def test_effective_tensors_runs():
     out = _run("effective_tensors.py")
-    assert out.count("max dev from reference") == 3
+    assert out.count("max dev from reference") == 4
 
 
 def test_run_convergence_studies_writes_the_study_outputs(tmp_path):

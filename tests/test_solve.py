@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from homog.cell import HomogenizedTensor, solve_correctors, unit_cell_mesh
-from homog.coeff import Constant, Laminate, ScalarCosine, fractional_part
+from homog.coeff import Constant, GridTable, Laminate, ScalarCosine, fractional_part
 from homog.grid import (
     ScalarField,
     active_nodes,
@@ -24,7 +24,7 @@ from homog.solve import (
     solve_fine,
     solve_homogenized,
 )
-from homog.sparse import ZeroMean, assemble_load, assemble_stiffness
+from homog.sparse import AssemblyError, ZeroMean, assemble_load, assemble_stiffness
 from homog.unfold import build_cell_map
 
 DIRICHLET = BoundaryCondition(DIRICHLET_FULL)
@@ -334,3 +334,14 @@ def test_homogenized_skew_tensor_rejected_only_under_neumann():
     symmetric = HomogenizedTensor(np.array([[2.0, 0.0], [0.0, 1.0]]))
     np.testing.assert_array_equal(
         u.values, solve_homogenized(symmetric, lambda p: np.ones(len(p)), DIRICHLET, mesh).values)
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+def test_nonsymmetric_fine_problem_rejected(bc):
+    # assembly takes the table, but the fine solve does not support it yet
+    block, flipped = [[1.0, 0.5], [-0.5, 1.0]], [[1.0, -0.5], [0.5, 1.0]]
+    field = GridTable(np.array([[block, flipped], [flipped, block]]))
+    mesh = build_mesh((0.0, 0.0), (1.0, 1.0), (16, 16), "box")
+    inst = ProblemInstance(mesh, field, lambda p: np.cos(np.pi * p[:, 0]), bc, 2)
+    with pytest.raises(AssemblyError, match="non-symmetric"):
+        solve_fine(inst)
