@@ -4,19 +4,20 @@ configs and print the best of k calls per stage as JSON.
 
 The rung is epsilon = 1/16 at 16 points per period, with the configs'
 coefficient, right-hand side and boundary condition.  The stages are the
-fine stiffness assembly as ``solve_fine`` makes it, from one period of
-element matrices (multigrid levels included), the stored matrix and
-multigrid levels built from a given stencil, the load, the solve, the H1
-guard of the solve, the reconstruction and the error report.  Each rung
-also reports the unknowns, the stored diagonal entries of the fine matrix,
-the unknowns of the coarsest multigrid level and the V-cycles of one solve,
-counted by wrapping ``sparse._vcycle`` outside the timed calls, and, per
-stage, the tracemalloc peak and the bytes still held when the call returns,
-both above the call's start and per fine-mesh node, from one more call that
-is not timed.  The hierarchy build takes its stencil, whose memory becomes
-the fine matrix, so each of its calls is given a copy made before the call
-is timed or traced.  BLAS and OpenMP threads are pinned to 1 before numpy is
-imported.
+cell problems with the effective tensor on a 128^2 cell mesh, the fine
+stiffness assembly as ``solve_fine`` makes it, from one period of element
+matrices (multigrid levels included), the stored matrix and multigrid levels
+built from a given stencil, the load, the solve, the H1 guard of the solve,
+the reconstruction and the error report.  Each rung also reports the
+unknowns, the stored diagonal entries of the fine matrix, the unknowns of the
+coarsest multigrid level, the V-cycles of one solve and the corrector solves
+of the cell stage, counted by wrapping ``sparse._vcycle`` and
+``cell.cg_solve`` outside the timed calls, and, per stage, the tracemalloc
+peak and the bytes still held when the call returns, both above the call's
+start and per fine-mesh node, from one more call that is not timed.  The
+hierarchy build takes its stencil, whose memory becomes the fine matrix, so
+each of its calls is given a copy made before the call is timed or traced.
+BLAS and OpenMP threads are pinned to 1 before numpy is imported.
 
     python3 scripts/stage_times.py [--repeats K]
 """
@@ -38,7 +39,7 @@ import numpy as np  # noqa: E402
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from homog import sparse  # noqa: E402
+from homog import cell, sparse  # noqa: E402
 from homog.coeff import from_config as coeff_from_config  # noqa: E402
 from homog.grid import ScalarField, h1_seminorm_sq  # noqa: E402
 from homog.harness import StudyConfig, _rhs_for, compute_tensor, load_config  # noqa: E402
@@ -48,6 +49,7 @@ from homog.unfold import build_cell_map  # noqa: E402
 
 CONFIGS = {"box": "convex_square.json", "l_shape": "lshape.json"}
 N_EPS, POINTS_PER_PERIOD = 16, 16  # a 256^2 fine mesh
+CELL_DIVISIONS = 128
 
 
 def best_of(repeats, call, arguments=tuple):
@@ -95,6 +97,23 @@ def count_vcycles(system, call):
     return count
 
 
+def count_corrector_solves(call):
+    """The ``cg_solve`` calls of the cell problems that ``call()`` makes."""
+    solve, count = cell.cg_solve, 0
+
+    def counted(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return solve(*args, **kwargs)
+
+    cell.cg_solve = counted
+    try:
+        call()
+    finally:
+        cell.cg_solve = solve
+    return count
+
+
 def rung_stages(name, repeats):
     config = load_config(REPO / "configs" / CONFIGS[name])
     config = StudyConfig.from_dict({**config.to_dict(), "epsilons": [N_EPS // 4, N_EPS // 2, N_EPS],
@@ -117,6 +136,9 @@ def rung_stages(name, repeats):
         memory[name] = traced_bytes(call, mesh.n_nodes, arguments)
         return result
 
+    cell_config = StudyConfig.from_dict({**config.to_dict(), "cell_divisions": CELL_DIVISIONS})
+    stage("cell", lambda: compute_tensor(cell_config))
+    corrector_solves = count_corrector_solves(lambda: compute_tensor(cell_config))
     system = stage("assembly", lambda: sparse.assemble_stiffness(mesh, sampler, constraint, cmap.m))
     stencil, _ = sparse._nodal_stencil(mesh, sampler, constraint, cmap.m)
     stage("hierarchy", lambda fine: sparse._build_hierarchy(
@@ -135,7 +157,7 @@ def rung_stages(name, repeats):
     stage("error_report", lambda: error_report(fine, recon, cmap, config.interior_box))
     return {"dofs": system.dimension, "nnz": int(system.matrix.nnz),
             "levels": len(system.hierarchy), "coarsest_dofs": int(coarsest.sum()), "vcycles": vcycles,
-            "seconds": times, "bytes_per_node": memory}
+            "corrector_solves": corrector_solves, "seconds": times, "bytes_per_node": memory}
 
 
 def main():

@@ -299,16 +299,18 @@ class ElementBlock:
         for offset in _corner_offsets(self.mesh.dim):
             yield tuple(slice(f + c, f + c + m) for f, c, m in zip(self.first, offset[::-1], self.shape))
 
-    def points(self) -> np.ndarray:
-        """Global coordinates of the quadrature points: (E, Q, n), broadcast
-        from the per-axis element indices."""
-        mesh, dim, rule = self.mesh, self.mesh.dim, self.rule
-        out = np.empty((self.size, len(rule.weights), dim))
+    def points(self, local: np.ndarray | None = None) -> np.ndarray:
+        """Global coordinates of the (Q, n) local points in every element, the
+        quadrature points by default: (E, Q, n), broadcast from the per-axis
+        element indices."""
+        mesh, dim = self.mesh, self.mesh.dim
+        local = self.rule.points if local is None else local
+        out = np.empty((self.size, len(local), dim))
         grid = out.reshape(self.shape + out.shape[1:])
         for k in range(dim):
             axis = dim - 1 - k  # of mesh axis k in the block shape
             index = np.arange(self.first[axis], self.first[axis] + self.shape[axis])
-            coord = (mesh.origin[k] + index * mesh.h[k])[:, None] + rule.points[:, k] * mesh.h[k]
+            coord = (mesh.origin[k] + index * mesh.h[k])[:, None] + local[:, k] * mesh.h[k]
             grid[..., k] = coord.reshape(coord.shape[:1] + (1,) * k + coord.shape[1:])
         return out
 
@@ -326,20 +328,12 @@ class ElementBlock:
         return self.corners(nodal).T @ self.rule.values.T
 
     def gradients(self, nodal: np.ndarray) -> np.ndarray:
-        """Q1 gradients of a nodal array at the quadrature points: (E, Q, n).
-
-        Per point and axis the corner terms are added in corner order on flat
-        (E,) vectors: bitwise the einsum ``"qad,ae->eqd"``, and no BLAS kernel."""
-        corners = self.corners(nodal)
-        table = self.rule.gradients / self.mesh.h
-        out = np.empty((self.size,) + table.shape[::2])
-        acc, term = np.empty((2, self.size))
-        for q, d in np.ndindex(out.shape[1:]):
-            np.multiply(table[q, 0, d], corners[0], out=acc)
-            for a in range(1, len(corners)):
-                acc += np.multiply(table[q, a, d], corners[a], out=term)
-            out[:, q, d] = acc
-        return out
+        """Q1 gradients of a nodal array at the quadrature points: (E, Q, n),
+        one product of the corner values with the rule's gradient table, as
+        ``values``."""
+        table = (self.rule.gradients / self.mesh.h).transpose(1, 0, 2)  # (2^n, Q, n)
+        product = self.corners(nodal).T @ table.reshape(len(table), -1)
+        return product.reshape((self.size,) + table.shape[1:])
 
     def times_periodic(self, factor: np.ndarray, pattern: np.ndarray, period) -> np.ndarray:
         """``factor`` (E, ...) times a per-element pattern that repeats every

@@ -95,6 +95,7 @@ def error_report(
     lo = np.asarray([b[0] for b in interior_box])
     hi = np.asarray([b[1] for b in interior_box])
 
+    centre = np.full((1, mesh.dim), 0.5)  # of the reference element
     vol = float(np.prod(mesh.h))
     acc = dict.fromkeys(FUNCTIONALS, 0.0)
     max_rho = 0.0
@@ -103,7 +104,7 @@ def error_report(
         rho = boundary_distance(mesh, block.points().reshape(-1, mesh.dim))
         rho = rho.reshape(block.size, -1)
         max_rho = max(max_rho, float(rho.max()))
-        centers = mesh.element_origin(block.elems) + mesh.h / 2.0
+        centers = block.points(centre).reshape(block.size, mesh.dim)
         imask = np.all((centers > lo) & (centers < hi), axis=1)
         lmask = boundary_distance(mesh, centers) < layer_width
         u = block.values(fine.values)

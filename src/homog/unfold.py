@@ -65,10 +65,13 @@ class CellIndexMap:
     def dim(self) -> int:
         return self.mesh.dim
 
-    def element_cell_position(self, elems: np.ndarray) -> np.ndarray:
-        """Position in ``cells`` of the cell containing each fine element."""
-        local = self.mesh.element_multi_index(elems) // np.asarray(self.m)
-        return self.cell_lookup[tuple(local.T)]
+
+def _per_cell(reduce, elements: np.ndarray, counts, m) -> np.ndarray:
+    """A numpy reduction ``reduce`` over each cell's block of an array on the
+    element grid, last axis first: each axis splits into (cells, m).  The
+    result is on the (counts) cell grid, axis 0 first."""
+    split = [v for c, mk in zip(counts[::-1], m[::-1]) for v in (c, mk)]
+    return reduce(elements.reshape(split), axis=tuple(range(1, 2 * len(m), 2))).T
 
 
 def build_cell_map(mesh: StructuredMesh, n_per_unit: int) -> CellIndexMap:
@@ -89,13 +92,10 @@ def build_cell_map(mesh: StructuredMesh, n_per_unit: int) -> CellIndexMap:
     active = np.ones(counts, dtype=bool)
     if mesh.active_mask is not None:
         # with an aligned reentrant corner every cell's block of elements is
-        # uniformly active or inactive; the element grid, last axis first,
-        # splits into (cells, m) per axis
-        split = [v for c, mk in zip(counts[::-1], m[::-1]) for v in (c, mk)]
-        blocks = mesh.active_mask.reshape(split)
-        within = tuple(range(1, 2 * dim, 2))
-        active = blocks.all(axis=within).T
-        if np.any(blocks.any(axis=within).T != active):
+        # uniformly active or inactive
+        mask = mesh.active_mask.reshape(mesh.divisions[::-1])
+        active = _per_cell(np.all, mask, counts, m)
+        if np.any(_per_cell(np.any, mask, counts, m) != active):
             raise AlignmentError("the reentrant corner is not aligned with the cell lattice")
     cells = np.argwhere(active) + np.asarray(lo)
     lookup = np.full(tuple(counts), -1, dtype=int)
@@ -159,13 +159,15 @@ def cell_means(field: ScalarField, cmap: CellIndexMap) -> np.ndarray:
     if not same_mesh(field.mesh, cmap.mesh):
         raise ValueError("field mesh does not match the cell map")
     mesh = cmap.mesh
-    means = np.zeros(len(cmap.cells))
+    # element integrals on the element grid, last axis first, zero where inactive
+    integrals = np.zeros(mesh.divisions[::-1])
     for block in element_blocks(mesh):
         # the integral of a Q1 function over an element is vol * mean(corners)
-        elem_int = float(np.prod(mesh.h)) * block.corners(field.values).mean(axis=0)
-        pos = cmap.element_cell_position(block.elems)
-        means += np.bincount(pos, weights=elem_int, minlength=len(means))
-    return means / cmap.epsilon ** cmap.dim
+        box = tuple(slice(f, f + s) for f, s in zip(block.first, block.shape))
+        corner_mean = block.corners(field.values).mean(axis=0)
+        integrals[box] = float(np.prod(mesh.h)) * corner_mean.reshape(block.shape)
+    sums = _per_cell(np.sum, integrals, cmap.counts, cmap.m)
+    return sums[tuple((cmap.cells - np.asarray(cmap.lo)).T)] / cmap.epsilon ** cmap.dim
 
 
 def _lattice_values(cmap: CellIndexMap, means: np.ndarray) -> np.ndarray:

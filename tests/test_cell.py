@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from homog import cell
 from homog.cell import (
     CorrectorSet,
     homogenized_tensor,
@@ -61,6 +62,26 @@ def test_constant_coefficient_correctors_vanish():
         assert np.abs(chi.values).max() <= 1e-10
     tensor = homogenized_tensor(field, cs)
     np.testing.assert_allclose(tensor.matrix, [[2.0, 0.4], [0.4, 1.0]], atol=1e-12)
+
+
+def test_rounding_level_loads_are_solved_as_zero(monkeypatch):
+    # the cosine varies along y1 alone, so the load of chi_2 is rounding
+    # noise, far below rel_tol times that of chi_1: it gets no CG solve
+    calls = []
+    solve = cell.cg_solve
+    monkeypatch.setattr(cell, "cg_solve", lambda *args, **kw: calls.append(1) or solve(*args, **kw))
+    mesh = unit_cell_mesh(2, 32)
+    cs = solve_correctors(ScalarCosine(2.0, 1.0, axis=0), mesh)
+    assert len(calls) == 1
+    assert not np.any(cs.chi[1].values)
+    assert np.abs(cs.chi[0].values).max() > 1e-2
+    # a 4x4 non-symmetric table varies along both axes: all 2n loads solve
+    rng = np.random.default_rng(4)
+    table = rng.uniform(-0.3, 0.3, (4, 4, 2, 2)) + np.eye(2) * rng.uniform(1.0, 4.0, (4, 4, 1, 1))
+    calls.clear()
+    cs = solve_correctors(GridTable(table), mesh)
+    assert len(calls) == 4
+    assert all(np.any(chi.values) for chi in cs.chi + cs.chi_adjoint)
 
 
 def test_1d_cosine_corrector_closed_form():

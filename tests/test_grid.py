@@ -346,17 +346,34 @@ def test_element_walk_matches_dense_reference(mesh_name, points_per_axis, chunk,
 @pytest.mark.parametrize("chunk", [None, 1, 3])
 @pytest.mark.parametrize("mesh_name", sorted(WALK_MESHES))
 def test_block_gradients_equal_einsum_reference(mesh_name, chunk, monkeypatch):
-    # the einsum adds the corner terms in corner order; the block kernel
-    # must give the same bits, whatever the block size
+    # the block kernel is one product, which may add the corner terms in
+    # another order than the einsum: each entry agrees to a few ulps of the
+    # sum of its terms' magnitudes, whatever the block size
     if chunk is not None:
         monkeypatch.setattr(grid, "CHUNK_ELEMENTS", chunk)
     mesh = WALK_MESHES[mesh_name][0]
     nodal = np.random.default_rng(12).standard_normal(mesh.n_nodes)
     for block in element_blocks(mesh):
         table = shape_gradients(block.rule.points) / mesh.h
+        corners = block.corners(nodal)
         got = block.gradients(nodal)
         assert got.flags.c_contiguous
-        np.testing.assert_array_equal(got, np.einsum("qad,ae->eqd", table, block.corners(nodal)))
+        want = np.einsum("qad,ae->eqd", table, corners)
+        scale = np.einsum("qad,ae->eqd", np.abs(table), np.abs(corners))
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3, 16])
+@pytest.mark.parametrize("mesh_name", sorted(WALK_MESHES))
+def test_block_centres_equal_element_origin_reference(mesh_name, chunk, monkeypatch):
+    # the centres ``error_report`` reads, broadcast from the block's box
+    if chunk is not None:
+        monkeypatch.setattr(grid, "CHUNK_ELEMENTS", chunk)
+    mesh = WALK_MESHES[mesh_name][0]
+    for block in element_blocks(mesh):
+        got = block.points(np.full((1, mesh.dim), 0.5)).reshape(block.size, mesh.dim)
+        np.testing.assert_array_equal(got, mesh.element_origin(block.elems) + mesh.h / 2.0)
 
 
 @pytest.mark.parametrize("mesh_name", sorted(WALK_MESHES))

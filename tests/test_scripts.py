@@ -7,7 +7,8 @@ import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-STAGES = {"assembly", "hierarchy", "load", "solve", "h1_guard", "reconstruct", "error_report"}
+STAGES = {"cell", "assembly", "hierarchy", "load", "solve", "h1_guard", "reconstruct",
+          "error_report"}
 
 
 def _run(name, *args):
@@ -28,6 +29,8 @@ def test_stage_times_reports_every_stage_of_both_rungs():
             assert set(figures) == {"peak", "kept"}
             assert 0 <= figures["kept"] <= figures["peak"]
         assert rung["coarsest_dofs"] > 0 and rung["vcycles"] > 0
+        # the configs' cosine varies along y1 alone: chi_2's load is noise
+        assert rung["corrector_solves"] == 1
 
 
 def test_effective_tensors_runs():

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from homog.grid import ScalarField, active_nodes, build_mesh, eval_field_batch, integrate_field
+from homog.grid import (
+    ScalarField,
+    active_nodes,
+    build_mesh,
+    element_blocks,
+    eval_field_batch,
+    integrate_field,
+)
 from homog.unfold import (
     AlignmentError,
     UnfoldedField,
@@ -342,6 +349,32 @@ def test_scale_split_is_the_lattice_interpolant(origin, extent, divisions, n, sh
     expected = eval_field_batch(lattice_field, mesh.node_coordinates())
     assert np.abs(q.values - expected).max() <= 1e-14 * np.abs(expected).max()
     np.testing.assert_array_equal(r.values, field.values - q.values)
+
+
+def _cell_means_by_element(field, cmap):
+    """Cell means by the per-element formula: each element's integral added
+    to the position of its cell with ``bincount``."""
+    mesh = cmap.mesh
+    means = np.zeros(len(cmap.cells))
+    for block in element_blocks(mesh):
+        elem_int = float(np.prod(mesh.h)) * block.corners(field.values).mean(axis=0)
+        local = mesh.element_multi_index(block.elems) // np.asarray(cmap.m)
+        pos = cmap.cell_lookup[tuple(local.T)]
+        means += np.bincount(pos, weights=elem_int, minlength=len(means))
+    return means / cmap.epsilon ** cmap.dim
+
+
+@pytest.mark.parametrize("origin,extent,divisions,n,shape", LATTICE_CASES + [
+    ((0.0, 0.0), (1.0, 1.0), (n * m, n * m), n, shape) for n, m, shape in NODE_CASES])
+def test_cell_means_match_the_per_element_formula(origin, extent, divisions, n, shape):
+    # box, L-shape and non-dyadic meshes; the sums run in another order
+    cmap = build_cell_map(build_mesh(origin, extent, divisions, shape), n)
+    mesh = cmap.mesh
+    field = ScalarField(mesh, np.random.default_rng(8).standard_normal(mesh.n_nodes) + 1.0)
+    want = _cell_means_by_element(field, cmap)
+    got = cell_means(field, cmap)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_gradient_exchange():
