@@ -10,9 +10,10 @@ matrices (multigrid levels included), the stored matrix and multigrid levels
 built from a given stencil, the load, the solve, the H1 guard of the solve,
 the reconstruction and the error report.  Each rung also reports the
 unknowns, the stored diagonal entries of the fine matrix, the unknowns of the
-coarsest multigrid level, the V-cycles of one solve and the corrector solves
-of the cell stage, counted by wrapping ``sparse._vcycle`` and
-``cell.cg_solve`` outside the timed calls, and, per stage, the tracemalloc
+coarsest multigrid level, the V-cycles of one solve, and the corrector solves
+and coefficient samplings of one cell stage, counted by wrapping
+``sparse._vcycle``, ``cell.cg_solve`` and the coefficient's ``sample_batch``
+outside the timed calls, and, per stage, the tracemalloc
 peak and the bytes still held when the call returns, both above the call's
 start and per fine-mesh node, from one more call that is not timed.  The
 hierarchy build takes its stencil, whose memory becomes the fine matrix, so
@@ -97,20 +98,20 @@ def count_vcycles(system, call):
     return count
 
 
-def count_corrector_solves(call):
-    """The ``cg_solve`` calls of the cell problems that ``call()`` makes."""
-    solve, count = cell.cg_solve, 0
+def count_calls(owner, name, call):
+    """The calls of ``owner.name`` that ``call()`` makes."""
+    function, count = getattr(owner, name), 0
 
     def counted(*args, **kwargs):
         nonlocal count
         count += 1
-        return solve(*args, **kwargs)
+        return function(*args, **kwargs)
 
-    cell.cg_solve = counted
+    setattr(owner, name, counted)
     try:
         call()
     finally:
-        cell.cg_solve = solve
+        setattr(owner, name, function)
     return count
 
 
@@ -138,7 +139,8 @@ def rung_stages(name, repeats):
 
     cell_config = StudyConfig.from_dict({**config.to_dict(), "cell_divisions": CELL_DIVISIONS})
     stage("cell", lambda: compute_tensor(cell_config))
-    corrector_solves = count_corrector_solves(lambda: compute_tensor(cell_config))
+    corrector_solves = count_calls(cell, "cg_solve", lambda: compute_tensor(cell_config))
+    cell_samplings = count_calls(type(field), "sample_batch", lambda: compute_tensor(cell_config))
     system = stage("assembly", lambda: sparse.assemble_stiffness(mesh, sampler, constraint, cmap.m))
     stencil, _ = sparse._nodal_stencil(mesh, sampler, constraint, cmap.m)
     stage("hierarchy", lambda fine: sparse._build_hierarchy(
@@ -157,7 +159,8 @@ def rung_stages(name, repeats):
     stage("error_report", lambda: error_report(fine, recon, cmap, config.interior_box))
     return {"dofs": system.dimension, "nnz": int(system.matrix.nnz),
             "levels": len(system.hierarchy), "coarsest_dofs": int(coarsest.sum()), "vcycles": vcycles,
-            "corrector_solves": corrector_solves, "seconds": times, "bytes_per_node": memory}
+            "corrector_solves": corrector_solves, "cell_samplings": cell_samplings,
+            "seconds": times, "bytes_per_node": memory}
 
 
 def main():

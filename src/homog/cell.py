@@ -14,11 +14,15 @@ The homogenized tensor is the cell quadrature of
 The stiffness K comes from one assembly call.  A symmetric K is solved by CG;
 a field declared symmetric whose samples are not raises AssemblyError.
 Otherwise the correctors solve K and the adjoints K^T by GMRES, both
-preconditioned by the one V-cycle of K's symmetric part.  The coefficient is
-sampled twice, by assembly and for all 2n loads.  A load within ``rel_tol``
-of the largest of its family is rounding noise (chi_2's, where A varies along
-y_1 alone) and gets the zero corrector, which meets the family's tolerance;
-every other solve meets it on the true residual of the full system.
+preconditioned by the one V-cycle of K's symmetric part.  The load of chi_i
+is -a(y_i, psi), K applied to the coordinate y_i, and is read off K (K^T for
+the adjoints) with no walk of its own, so the cell problems sample the
+coefficient once, by assembly.  A load within ``rel_tol`` of the largest of
+its family is rounding noise (chi_2's, where A varies along y_1 alone) and
+gets the zero corrector, which meets the family's tolerance; every other
+solve meets it on the true residual of the full system.  The tensor samples
+the coefficient again: it takes any correctors of the field, the adjoints of
+A as the correctors of A^T too.
 """
 
 from __future__ import annotations
@@ -29,14 +33,7 @@ import numpy as np
 
 from .coeff import CoefficientField
 from .grid import ScalarField, StructuredMesh, element_blocks
-from .sparse import (
-    AssemblyError,
-    Periodic,
-    SparseSystem,
-    assemble_gradient_load,
-    assemble_stiffness,
-    cg_solve,
-)
+from .sparse import AssemblyError, Periodic, SparseSystem, assemble_stiffness, cg_solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,25 +79,17 @@ def solve_correctors(
     """Solve the n periodic cell problems and their adjoints; a load within
     ``rel_tol`` of the largest of its family gets the zero corrector."""
     _check_cell_mesh(field, cell_mesh)
-    n = field.dim
     system = assemble_stiffness(cell_mesh, field.sample_batch, Periodic())
     symmetric = system.symmetric_part is None
     if field.symmetric and not symmetric:
         raise AssemblyError("a field declared symmetric sampled non-symmetric matrices")
 
-    def load_sampler(pts):
-        # the load of chi_i reads column i of A, that of the adjoint row i
-        a = field.sample_batch(pts)
-        return -np.concatenate([np.swapaxes(a, 1, 2)] + ([] if symmetric else [a]), axis=1)
-
-    # all right-hand sides from one walk: (families, n, nodes)
-    loads = assemble_gradient_load(cell_mesh, load_sampler).reshape(-1, n, cell_mesh.n_nodes)
-
-    def solve_family(loads: np.ndarray, stiffness: SparseSystem) -> tuple[ScalarField, ...]:
-        rhs = [stiffness.reduce(load) for load in loads]
-        noise = rel_tol * max(np.linalg.norm(b) for b in rhs)
+    def solve_family(stiffness: SparseSystem) -> tuple[ScalarField, ...]:
+        # the load of chi_i is -K y_i, on the masters already
+        loads = -stiffness.coordinate_products(cell_mesh.h)
+        noise = rel_tol * max(np.linalg.norm(b) for b in loads)
         out = []
-        for b in rhs:
+        for b in loads:
             if np.linalg.norm(b) <= noise:
                 x = np.zeros_like(b)
             else:
@@ -109,9 +98,9 @@ def solve_correctors(
             out.append(ScalarField(cell_mesh, stiffness.expand(x)))
         return tuple(out)
 
-    chi = solve_family(loads[0], system)
+    chi = solve_family(system)
     # the adjoints solve K^T, preconditioned by the hierarchy of K's symmetric part
-    chi_adj = chi if symmetric else solve_family(loads[1], system.transposed())
+    chi_adj = chi if symmetric else solve_family(system.transposed())
     return CorrectorSet(cell_mesh, chi, chi_adj, field, system.ellipticity)
 
 

@@ -23,12 +23,13 @@ quadrature table, and they are added onto every tile of the node grid that
 holds an active element, by one strided slice add per pair of element
 corners and box of such tiles (``grid.boxes``) over a (tiles, period) view
 of each axis; with the default period there is one tile, the mesh.  Load
-vectors are scattered onto the nodes by the whole walk, several loads from
-one sampling if asked.  The walk also bounds the samples' eigenvalues and
-asymmetry; ``assemble_stiffness`` checks every sample by the first, records
-the bounds on its system and splits off a symmetric part by the second.
-Where each stencil offset is a diagonal of its own, the matrix's diagonals
-are the stencil's rows shifted in its own memory.
+vectors are scattered onto the nodes by the whole walk.  The products of a
+singular system with the node coordinates, the cell problems' loads, are
+read off its diagonals with no walk.  The walk also bounds the samples'
+eigenvalues and asymmetry; ``assemble_stiffness`` checks every sample by the
+first, records the bounds on its system and splits off a symmetric part by
+the second.  Where each stencil offset is a diagonal of its own, the
+matrix's diagonals are the stencil's rows shifted in its own memory.
 
 The preconditioner is one symmetric geometric-multigrid V-cycle over the
 nested grids obtained by halving the mesh divisions: bilinear prolongation,
@@ -330,6 +331,31 @@ class SparseSystem:
         matrix = sp.dia_matrix((np.ascontiguousarray(t.data[::-1]), t.offsets[::-1]), shape=t.shape)
         return replace(self, matrix=matrix)
 
+    def coordinate_products(self, h) -> np.ndarray:
+        """``matrix @ y_k`` for each mesh axis k, (n, system nodes), with y_k
+        the node coordinate along k, unwrapped across a periodic face: each
+        coupling, read off its diagonal, weighted by its step along k.  The
+        term of y_k at the row's own node is its row sum, which is zero
+        because the constants are in the kernel.  Raises ValueError under
+        Dirichlet, and on a periodic grid with fewer than 3 masters along an
+        axis, where two neighbours of a node coincide in one entry."""
+        shape, periodic = self.unknowns.shape, isinstance(self.constraint, Periodic)
+        if isinstance(self.constraint, Dirichlet):
+            raise ValueError("a Dirichlet system does not keep the constants in its kernel")
+        if periodic and min(shape) < 3:
+            raise ValueError(f"a periodic grid of {shape[::-1]} masters merges the couplings "
+                             "of coinciding neighbours")
+        dim, n = len(shape), self.unknowns.size
+        # a diagonal is indexed by column
+        data_of = dict(zip(self.matrix.offsets.tolist(), self.matrix.data[:, :n]))
+        out = np.zeros((dim,) + shape)
+        for t, diagonal, rows, columns in _diagonal_parts(shape, periodic):
+            couplings = data_of[diagonal].reshape(shape)[columns]
+            for axis, s in enumerate(t):  # node-grid axes, the last mesh axis first
+                if s != 1:
+                    out[(dim - 1 - axis,) + rows] += (s - 1) * h[dim - 1 - axis] * couplings
+        return out.reshape(dim, -1)
+
 
 def assemble_stiffness(
     mesh: StructuredMesh,
@@ -376,44 +402,17 @@ def assemble_stiffness(
     return SparseSystem(matrix, constraint, unknowns, hierarchy, built, (low, high))
 
 
-def _scatter_load(mesh, sampler, table_of) -> np.ndarray:
-    """Full-size nodal vector of ``table.T @`` the samples of each element,
-    one row of samples per element and one table row per sample; ``table``
-    is ``table_of(block.rule)``, (Q, ..., 2^n), with its leading axes
-    flattened.  A sampler may give several loads at once, with load axes
-    after the point axis: they come from one walk, each by the product it
-    would have alone, and lead the result's axes."""
-    b = None
-    for block in element_blocks(mesh):
-        samples = np.asarray(sampler(block.points().reshape(-1, mesh.dim)), dtype=float)
-        table = table_of(block.rule)
-        loads = samples.shape[1:samples.ndim + 2 - table.ndim]
-        if b is None:
-            b = np.zeros(loads + mesh.nodes_per_axis[::-1])
-        table = table.reshape(-1, table.shape[-1])
-        for k in np.ndindex(loads):
-            values = np.ascontiguousarray(samples[(slice(None),) + k]).reshape(block.size, -1)
-            block.add_to_nodes(b[k], table.T @ values.T)
-    if b is None:  # no active element
-        return np.zeros(mesh.n_nodes)
-    return b.reshape(b.shape[:b.ndim - mesh.dim] + (-1,))
-
-
 def assemble_load(mesh: StructuredMesh, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Full-size nodal load vector ``b[a] = integral of f N_a``."""
+    """Full-size nodal load vector ``b[a] = integral of f N_a``: per walk
+    block, the (Q, 2^n) table of weighted shape values times the samples,
+    one row per element, added onto the nodes."""
     vol = float(np.prod(mesh.h))
-    return _scatter_load(mesh, f, lambda rule: vol * rule.weights[:, None] * rule.values)
-
-
-def assemble_gradient_load(
-    mesh: StructuredMesh, vector_sampler: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """Full-size load ``b[a] = integral of V . grad N_a`` for a vector field V,
-    sampled as (P, n); or, sampled as (P, K, n), the K loads of K fields,
-    (K, nodes), from one walk."""
-    vol = float(np.prod(mesh.h))
-    return _scatter_load(mesh, vector_sampler,
-                         lambda rule: vol * np.einsum("q,qad->qda", rule.weights, rule.gradients / mesh.h))
+    b = np.zeros(mesh.nodes_per_axis[::-1])
+    for block in element_blocks(mesh):
+        samples = np.ascontiguousarray(f(block.points().reshape(-1, mesh.dim)), dtype=float)
+        table = vol * block.rule.weights[:, None] * block.rule.values
+        block.add_to_nodes(b, table.T @ samples.reshape(block.size, -1).T)
+    return b.ravel()
 
 
 def default_max_iter(dimension: int) -> int:

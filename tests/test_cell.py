@@ -17,8 +17,7 @@ from homog.coeff import (
     symmetric_part_eiglimits,
     validate_ellipticity,
 )
-from homog.grid import integrate_field
-from homog.sparse import assemble_gradient_load
+from homog.grid import element_blocks, integrate_field
 
 SQRT3 = np.sqrt(3.0)
 
@@ -216,28 +215,48 @@ def test_nonsymmetric_adjoint_and_duality():
         assert np.abs(a.values - b.values).max() <= 1e-7
 
 
-def test_corrector_loads_come_from_one_walk(monkeypatch):
-    # the 2n loads of both families, stacked, against one walk per direction
-    field, mesh = nonsym_field(), unit_cell_mesh(2, 16)
+def _gradient_load(field, mesh, i):
+    """-integral of (A e_i) . grad psi for every node's psi, full-size, by
+    quadrature on the walk blocks."""
+    b = np.zeros(mesh.nodes_per_axis[::-1])
+    for block in element_blocks(mesh):
+        rule = block.rule
+        a = field.sample_batch(block.points().reshape(-1, mesh.dim))
+        column = a[:, :, i].reshape(block.size, len(rule.weights), mesh.dim)
+        local = np.einsum("q,eqd,qad->ae", rule.weights, column, rule.gradients / mesh.h)
+        block.add_to_nodes(b, -float(np.prod(mesh.h)) * local)
+    return b.ravel()
 
-    def stacked(pts):
-        a = field.sample_batch(pts)
-        return -np.concatenate([np.swapaxes(a, 1, 2), a], axis=1)
 
-    loads = assemble_gradient_load(mesh, stacked)
-    assert loads.shape == (4, mesh.n_nodes)
-    for family, coeff in enumerate((field, field.transposed())):
-        for i in range(2):
-            alone = assemble_gradient_load(mesh, lambda p: -coeff.sample_batch(p)[:, :, i])
-            got = loads[2 * family + i]
-            assert np.abs(got - alone).max() <= 1e-15 * np.abs(alone).max()
-    # the cell mesh is one walk block: the coefficient is sampled once for
-    # the stiffness and its symmetric part, and once for all loads
-    calls = []
-    sample = GridTable.sample_batch
-    monkeypatch.setattr(GridTable, "sample_batch", lambda self, y: calls.append(len(y)) or sample(self, y))
-    solve_correctors(field, mesh)
-    assert calls == [4 * mesh.n_elements] * 2
+def test_corrector_loads_are_read_off_the_stiffness(monkeypatch):
+    # the loads that the solves of both families get, against a quadrature
+    # per direction of A (the correctors) and A^T (the adjoints)
+    mesh = unit_cell_mesh(2, 16)
+    block, flipped = [[1.0, 2.0], [-2.0, 1.0]], [[1.0, -2.0], [2.0, 1.0]]
+    skew = GridTable(np.array([[block, flipped], [flipped, block]]))
+    for field in (nonsym_field(), skew):
+        solves, calls = [], []
+        solve, sample = cell.cg_solve, GridTable.sample_batch
+        monkeypatch.setattr(cell, "cg_solve", lambda system, b, **kw: solves.append((system, b))
+                            or solve(system, b, **kw))
+        monkeypatch.setattr(GridTable, "sample_batch", lambda self, y: calls.append(len(y)) or sample(self, y))
+        solve_correctors(field, mesh)
+        # the cell mesh is one walk block, sampled once, by assembly
+        assert calls == [4 * mesh.n_elements]
+        monkeypatch.undo()
+        assert len(solves) == 4
+        for family, coeff in enumerate((field, field.transposed())):
+            got = solves[2 * family:2 * family + 2]
+            loads = [system.reduce(_gradient_load(coeff, mesh, i)) for i, (system, _) in enumerate(got)]
+            largest = max(np.abs(load).max() for load in loads)
+            for (_, b), load in zip(got, loads):
+                assert np.abs(b - load).max() <= 1e-13 * largest
+
+
+def test_cell_problems_refuse_coinciding_periodic_neighbours():
+    # two masters per axis: a node's left and right neighbours are one node
+    with pytest.raises(ValueError, match="coinciding"):
+        solve_correctors(ScalarCosine(2.0, 1.0), unit_cell_mesh(2, 2))
 
 
 @pytest.mark.parametrize("s", [1.0, 2.0, 4.0])

@@ -906,3 +906,59 @@ def test_periodic_galerkin_pass_with_coinciding_neighbours(divisions):
         assert _gap(coarse, expected) <= 1e-14 * np.abs(matrix.data).max()
         matrix, divisions = coarse, tuple(d // 2 for d in divisions)
         unknowns = unknowns[(slice(None, None, 2),) * dim]
+
+
+COORDINATE_MESHES = {
+    "1d_box_7": build_mesh(0.5, 1.0, [7]),
+    "1d_box_3": build_mesh(0.0, 2.0, [3]),
+    "2d_box_5x4": build_mesh((0, 0), (1, 1.5), (5, 4)),
+    "2d_box_3x6": build_mesh((-1, 0.5), (2, 1), (3, 6)),
+    "2d_box_8x8": build_mesh((0, 0), (1, 1), (8, 8)),
+}
+
+
+def _coordinate_systems(mesh, sampler, constraint, transposed):
+    sample = _symmetric_sampler if sampler == "symmetric" else _nonsymmetric_sampler
+    systems = [assemble_stiffness(mesh, sample, c) for c in (constraint, ZeroMean())]
+    return [s.transposed() if transposed else s for s in systems]
+
+
+def _relative_gap(got, expected):
+    return np.abs(got - expected).max() / np.abs(expected).max()
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("sampler", ["symmetric", "skew"])
+@pytest.mark.parametrize("mesh_name", sorted(COORDINATE_MESHES))
+def test_coordinate_products_of_a_zero_mean_box_are_the_matrix_times_the_coordinates(
+        mesh_name, sampler, transposed):
+    mesh = COORDINATE_MESHES[mesh_name]
+    system, _ = _coordinate_systems(mesh, sampler, ZeroMean(), transposed)
+    got = system.coordinate_products(mesh.h)
+    assert got.shape == (mesh.dim, mesh.n_nodes)
+    for k, y in enumerate(mesh.node_coordinates().T):
+        assert _relative_gap(got[k], system.matrix @ y) <= 1e-13
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("sampler", ["symmetric", "skew"])
+@pytest.mark.parametrize("mesh_name", sorted(COORDINATE_MESHES))
+def test_periodic_coordinate_products_are_the_folded_zero_mean_products(mesh_name, sampler, transposed):
+    # the coordinates unwrap across the periodic faces: the products are those
+    # of the unfolded mesh, with the slave rows added onto their masters
+    mesh = COORDINATE_MESHES[mesh_name]
+    periodic, zero_mean = _coordinate_systems(mesh, sampler, Periodic(), transposed)
+    got = periodic.coordinate_products(mesh.h)
+    assert got.shape == (mesh.dim, periodic.unknowns.size)
+    for k, y in enumerate(mesh.node_coordinates().T):
+        assert _relative_gap(got[k], periodic.reduce(zero_mean.matrix @ y)) <= 1e-13
+
+
+@pytest.mark.parametrize("divisions,constraint", [
+    ((2,), Periodic()), ((5, 2), Periodic()), ((2, 5), Periodic()), ((1, 4), Periodic()),
+    ((5, 4), Dirichlet())])
+def test_coordinate_products_refuse_merged_couplings_and_a_regular_system(divisions, constraint):
+    mesh = build_mesh((0.0,) * len(divisions), (1.0,) * len(divisions), divisions)
+    system = assemble_stiffness(mesh, _symmetric_sampler, constraint)
+    with pytest.raises(ValueError):
+        system.coordinate_products(mesh.h)
