@@ -47,22 +47,15 @@ class ErrorReport:
 
 
 def _interior_margin(mesh, box) -> float:
-    o = np.asarray(mesh.origin)
-    e = np.asarray(mesh.extent)
-    lo = np.asarray([b[0] for b in box], dtype=float)
-    hi = np.asarray([b[1] for b in box], dtype=float)
-    if np.any(hi <= lo):
+    """Distance from the box to the boundary: the boundary distance at the
+    corner ``lo``, nearest the lower faces, or at ``hi``, nearest the upper
+    faces and the removed quadrant, whichever is smaller."""
+    corners = np.asarray(box, dtype=float).T  # rows lo, hi
+    if np.any(corners[1] <= corners[0]):
         raise InteriorBoxError("interior box is empty")
-    margin = min(float((lo - o).min()), float((o + e - hi).min()))
-    if mesh.active_mask is not None:
-        corner = o + e / 2.0
-        dx = max(0.0, float(corner[0] - hi[0]))
-        dy = max(0.0, float(corner[1] - hi[1]))
-        if dx == 0.0 and dy == 0.0:
-            raise InteriorBoxError("interior box overlaps the removed quadrant")
-        margin = min(margin, float(np.hypot(dx, dy)))
+    margin = float(boundary_distance(mesh, corners).min())
     if margin <= 0.0:
-        raise InteriorBoxError(f"interior box margin {margin} is not positive")
+        raise InteriorBoxError(f"interior box leaves the active region (margin {margin})")
     return margin
 
 

@@ -29,7 +29,6 @@ from .grid import (
     ScalarField,
     StructuredMesh,
     ElementBlock,
-    active_nodes,
     element_blocks,
     element_counts,
     h1_seminorm_sq,
@@ -105,23 +104,25 @@ def _solve(mesh, sampler, period, rhs, bc, rel_tol):
     system = assemble_stiffness(mesh, sampler, _constraint_for(bc), period)
     if system.symmetric_part is not None:
         raise AssemblyError("non-symmetric fine problems are not supported")
+    b = system.reduce(assemble_load(mesh, rhs))
+    # ||f|| by the quadrature that refuses non-finite samples, before any solve
+    f_norm = np.sqrt(integrate(mesh, lambda p: np.asarray(rhs(p)) ** 2))
     if bc.kind == NEUMANN_FULL:
-        total = integrate(mesh, rhs)
+        # the shape functions sum to one, so the load sums to the integral of f
+        total = float(b.sum())
         if abs(total) > 1e-10:
             raise ValueError(f"Neumann problem needs a zero-mean rhs, got integral {total:.3e}")
-    b = system.reduce(assemble_load(mesh, rhs))
     x = cg_solve(system, b, rel_tol=rel_tol)
     values = system.expand(x)
     field = ScalarField(mesh, values)
     grad_norm2 = h1_seminorm_sq(field)
     u_norm = np.sqrt(l2_norm_sq(field))
-    f_norm = np.sqrt(integrate(mesh, lambda p: np.asarray(rhs(p)) ** 2))
     _check_solution(system, x, b, (grad_norm2, u_norm, f_norm), system.ellipticity[0], rel_tol)
     if bc.kind == NEUMANN_FULL:
-        area = integrate(mesh, lambda p: np.ones(len(p)))
-        # shift the active nodes only: nodes of no active element stay at zero
+        area = float(np.prod(mesh.h)) * len(mesh.active_elements())
+        # shift the unknowns, the nodes of an active element: the rest stay at zero
         values = values.copy()
-        values[active_nodes(mesh)] -= integrate_field(field) / area
+        values[system.unknowns.ravel()] -= integrate_field(field) / area
         field = ScalarField(mesh, values)
     return field
 

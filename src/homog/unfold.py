@@ -15,6 +15,10 @@ and a node on a face between cells belongs to the cell of the element that
 * ``scale_split``        -- slow part Q(phi) (Q1 interpolation over the
                             lattice of forward-cell means) and remainder
                             R(phi) = phi - Q(phi),
+* ``boundary_distance``  -- the distance rho to the boundary, in closed form:
+                            the nearest box face, and on an L-shape the
+                            removed quadrant; exact on the closed active
+                            region, at most 0 outside it,
 * ``layer_indicator``    -- elements within k*sqrt(n)*eps of the boundary.
 """
 
@@ -226,33 +230,24 @@ def scale_split(field: ScalarField, cmap: CellIndexMap) -> tuple[ScalarField, Sc
 
 
 def boundary_distance(mesh: StructuredMesh, points: np.ndarray) -> np.ndarray:
-    """Exact Euclidean distance to the boundary of the active region."""
+    """Euclidean distance to the boundary of the active region: exact for
+    points of the closed active region, at most 0 outside it.
+
+    It is the nearest box face, and on an L-shape also the distance to the
+    removed upper quadrant ``[o + e/2, o + e]``.  The halves of the top and
+    right faces that bound that quadrant lie no nearer than the quadrant
+    itself, so this is the distance to the six edges of the L.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     o = np.asarray(mesh.origin)
     e = np.asarray(mesh.extent)
-    if mesh.active_mask is None:
-        dist = np.full(len(points), np.inf)
-        for k, x in enumerate(points.T):
-            np.minimum(dist, np.minimum(x - o[k], o[k] + e[k] - x), out=dist)
-        return dist
-    # the six axis-aligned edges of the L-shape, as (axis along the edge,
-    # its range along that axis, its position on the other axis)
-    x0, y0 = o
-    x1, y1 = o + e
-    xc, yc = o + e / 2.0
-    segments = [
-        (0, x0, x1, y0),  # bottom
-        (1, y0, y1, x0),  # left
-        (0, x0, xc, y1),  # top (kept half)
-        (1, y0, yc, x1),  # right (kept half)
-        (1, yc, y1, xc),  # reentrant vertical
-        (0, xc, x1, yc),  # reentrant horizontal
-    ]
-    dist2 = np.full(len(points), np.inf)
-    for axis, lo, hi, level in segments:
-        along, across = points[:, axis], points[:, 1 - axis]
-        np.minimum(dist2, (along - np.clip(along, lo, hi)) ** 2 + (across - level) ** 2, out=dist2)
-    return np.sqrt(dist2)
+    dist = np.full(len(points), np.inf)
+    for k, x in enumerate(points.T):
+        np.minimum(dist, np.minimum(x - o[k], o[k] + e[k] - x), out=dist)
+    if mesh.active_mask is not None:
+        gap = np.maximum(o + e / 2.0 - points, 0.0)
+        np.minimum(dist, np.sqrt(gap[:, 0] ** 2 + gap[:, 1] ** 2), out=dist)
+    return dist
 
 
 def layer_indicator(cmap: CellIndexMap, k: int) -> np.ndarray:

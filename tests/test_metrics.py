@@ -7,7 +7,14 @@ import homog.grid as grid
 from homog.cell import homogenized_tensor, solve_correctors, unit_cell_mesh
 from homog.coeff import Constant, ScalarCosine
 from homog.grid import ScalarField, build_mesh, integrate_field
-from homog.metrics import CSV_HEADER, ErrorReport, InteriorBoxError, error_report, fit_rate
+from homog.metrics import (
+    CSV_HEADER,
+    ErrorReport,
+    InteriorBoxError,
+    _interior_margin,
+    error_report,
+    fit_rate,
+)
 from homog.solve import (
     BoundaryCondition,
     DIRICHLET_FULL,
@@ -82,6 +89,59 @@ def test_interior_box_validation():
         error_report(zero, recon_l, lmap, ((0.25, 0.75), (0.25, 0.75)))
     rep = error_report(zero, recon_l, lmap, ((0.125, 0.375), (0.125, 0.375)))
     assert rep.interior_margin == pytest.approx(0.125, abs=1e-14)
+
+
+def _reference_margin(mesh, box):
+    """The margin by its explicit formula: the distances from the box faces
+    to the domain faces, and on an L-shape the distance from the upper box
+    corner to the removed quadrant."""
+    o, e = np.asarray(mesh.origin), np.asarray(mesh.extent)
+    lo, hi = np.asarray(box, dtype=float).T
+    margin = min((lo - o).min(), (o + e - hi).min())
+    if mesh.active_mask is not None:
+        corner = o + e / 2.0
+        margin = min(margin, np.hypot(max(0.0, corner[0] - hi[0]), max(0.0, corner[1] - hi[1])))
+    return float(margin)
+
+
+def test_interior_margin_matches_the_explicit_formula():
+    lmesh = build_mesh((0, 0), (1, 1), (16, 16), "l_shape")
+    cases = [
+        (lmesh, ((0.3, 0.45), (0.3, 0.45)), np.sqrt(2) * 0.05),  # set by the notch corner
+        (lmesh, ((0.6, 0.9), (0.1, 0.4)), 0.1),  # set by a face beside the notch
+        (build_mesh((-0.5,), (1.5,), (6,)), ((-0.2, 0.6),), 0.3),
+    ]
+    # and boxes of an offset L-shape that end short of the notch along one
+    # axis, drawn as fractions of the extent
+    o, e = np.array([-1.5, 0.25]), np.array([3.0, 0.8])
+    offset = build_mesh(tuple(o), tuple(e), (16, 16), "l_shape")
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        lo = rng.uniform(0.01, 0.4, 2)
+        hi = rng.uniform(lo + 0.01, 0.99)
+        short = rng.integers(2)
+        hi[short] = rng.uniform(lo[short] + 0.01, 0.49)
+        cases.append((offset, tuple(zip(o + lo * e, o + hi * e)), None))
+    for mesh, box, want in cases:
+        margin, ref = _interior_margin(mesh, box), _reference_margin(mesh, box)
+        assert abs(margin - ref) <= np.spacing(ref)
+        if want is not None:
+            assert margin == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("box", [
+    ((-0.1, 0.3), (0.2, 0.4)),  # leaves the square on the left
+    ((0.2, 0.4), (0.2, 1.1)),  # and at the top
+    ((0.4, 0.6), (0.4, 0.6)),  # reaches into the notch
+    ((0.2, 0.5), (0.2, 0.5)),  # ends at the reentrant corner
+    ((0.6, 0.9), (0.6, 0.9)),  # lies in the notch
+])
+def test_interior_margin_refuses_boxes_that_leave_the_l_shape(box):
+    mesh = build_mesh((0, 0), (1, 1), (16, 16), "l_shape")
+    with pytest.raises(InteriorBoxError, match="leaves the active region"):
+        _interior_margin(mesh, box)
+    with pytest.raises(InteriorBoxError, match="empty"):
+        _interior_margin(mesh, ((0.3, 0.2), (0.2, 0.3)))
 
 
 def test_csv_row_format():

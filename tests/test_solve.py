@@ -345,3 +345,32 @@ def test_nonsymmetric_fine_problem_rejected(bc):
     inst = ProblemInstance(mesh, field, lambda p: np.cos(np.pi * p[:, 0]), bc, 2)
     with pytest.raises(AssemblyError, match="non-symmetric"):
         solve_fine(inst)
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+def test_non_finite_rhs_refused_before_the_solve(bc, monkeypatch):
+    import homog.solve
+
+    calls = []
+    monkeypatch.setattr(homog.solve, "cg_solve", lambda *args, **kwargs: calls.append(args))
+    mesh = build_mesh((0, 0), (1, 1), (32, 32), "box")
+    rhs = lambda p: np.where(p[:, 0] < 0.5, np.nan, np.cos(2 * np.pi * p[:, 0]))
+    inst = ProblemInstance(mesh, Constant(((1.0, 0.0), (0.0, 1.0))), rhs, bc, 4)
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_fine(inst)
+    assert calls == []
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+def test_fine_solve_samples_the_rhs_twice(bc):
+    # a 32^2 box is one block of the walk, so each walk samples the rhs once:
+    # the load, and the norm of f that the solution checks read
+    mesh = build_mesh((0, 0), (1, 1), (32, 32), "box")
+    calls = []
+
+    def rhs(p):
+        calls.append(len(p))
+        return np.cos(2 * np.pi * p[:, 0])  # zero mean
+
+    solve_fine(ProblemInstance(mesh, Constant(((2.0, 0.0), (0.0, 1.0))), rhs, bc, 4))
+    assert calls == [4 * mesh.n_elements] * 2
