@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Run the shipped epsilon-sweep studies and write results under results/.
 
-Each study solves the cell problems once, sweeps the epsilon ladder, and
-writes errors.csv (plot-ready) plus rates.json with the fitted slopes.
+Each study runs as ``homog study``: it solves the cell problems once, sweeps
+the epsilon ladder, writes errors.csv (plot-ready) plus rates.json with the
+fitted slopes, and prints its rate table and status.  The script exits
+with 1 when a study stopped on an error, and with 0 otherwise, whatever the
+studies' statuses.
 """
 
 import argparse
@@ -13,7 +16,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from homog.harness import load_config, run_study  # noqa: E402
+from homog import cli  # noqa: E402
 
 STUDIES = ["constant_2d", "cosine_1d", "convex_square", "lshape"]
 
@@ -25,18 +28,17 @@ def main():
     args = parser.parse_args()
 
     names = [args.only] if args.only else STUDIES
+    errors = 0
     for name in names:
-        cfg = load_config(REPO / "configs" / f"{name}.json")
         out_dir = Path(args.out) / name
         t0 = time.perf_counter()
-        print(f"== {name}")
-        result = run_study(cfg, out_dir=out_dir, progress=lambda m: print("  ", m, flush=True))
-        for fname, entry in sorted(result.rates_json().items()):
-            slope = entry["slope"]
-            text = "n/a " if slope is None else f"{slope:+.3f}"
-            print(f"   {fname:12s} slope {text}  [{entry['status']}]")
-        print(f"   status: {result.status}  ({time.perf_counter() - t0:.1f}s) -> {out_dir}")
+        print(f"== {name}", flush=True)
+        code = cli.main(["study", "--config", str(REPO / "configs" / f"{name}.json"),
+                         "--out", str(out_dir)])
+        print(f"   ({time.perf_counter() - t0:.1f}s) -> {out_dir}")
+        errors += code == cli.EXIT_ERROR
+    return cli.EXIT_ERROR if errors else cli.EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

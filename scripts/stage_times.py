@@ -146,7 +146,7 @@ def rung_stages(name, repeats):
     stage("hierarchy", lambda fine: sparse._build_hierarchy(
         fine, system.unknowns, isinstance(constraint, sparse.Periodic), system.needs_projection),
         lambda: ([stencil.copy()],))
-    b = stage("load", lambda: system.reduce(sparse.assemble_load(mesh, rhs)))
+    b = stage("load", lambda: system.reduce(sparse.assemble_load(mesh, rhs)[0]))
     x = stage("solve", lambda: sparse.cg_solve(system, b, rel_tol=config.cg_tol))
     vcycles = count_vcycles(system, lambda: sparse.cg_solve(system, b, rel_tol=config.cg_tol))
     # a coarse node is an unknown when the fine node it coincides with is one

@@ -14,11 +14,11 @@ through ``element_blocks``: it splits the active elements into boxes
 (``boxes``; a box mesh is one), and cuts each box along the last axis into
 blocks of at most ``CHUNK_ELEMENTS`` elements, so no block holds an inactive
 element.  A block reads nodal arrays by those slices, gives their values and
-gradients and the global points at the quadrature points, and adds
-per-corner values back onto the node grid; ``quadrature`` reduces integrands
-over all blocks.  Every element quadrature uses the one rule
-``gauss_rule(dim)``, ``GAUSS_POINTS`` per axis, which the walk hands each
-block as ``block.rule``.
+gradients, the global points and the samples of a function at the quadrature
+points, and adds per-corner values back onto the node grid; ``quadrature``
+reduces an integrand, or a stack of them, over all blocks in one walk.  Every
+element quadrature uses the one rule ``gauss_rule(dim)``, ``GAUSS_POINTS``
+per axis, which the walk hands each block as ``block.rule``.
 """
 
 from __future__ import annotations
@@ -279,19 +279,23 @@ def _corner_offsets(dim: int) -> list[tuple[int, ...]]:
 @dataclass(frozen=True, eq=False)
 class ElementBlock:
     """A box of active elements: ``shape`` elements per axis from element
-    ``first``, both last mesh axis first.  Per-element arrays run over its
-    elements in flat order: (E, ...), or (2^n, E) for corner values, and
-    per-point arrays over the points of ``rule``."""
+    ``first``, both last mesh axis first; ``box`` is its slices of the element
+    grid in that layout.  Per-element arrays run over its elements in flat
+    order: (E, ...), or (2^n, E) for corner values, and per-point arrays over
+    the points of ``rule``."""
 
     mesh: StructuredMesh
     first: tuple[int, ...]
     shape: tuple[int, ...]
-    elems: np.ndarray  # flat element indices
     rule: QuadratureRule
 
     @property
     def size(self) -> int:
-        return len(self.elems)
+        return math.prod(self.shape)
+
+    @property
+    def box(self) -> tuple[slice, ...]:
+        return tuple(slice(f, f + n) for f, n in zip(self.first, self.shape))
 
     def _corner_slices(self):
         """Per local corner (``shape_values`` order), the node-grid slices at
@@ -313,6 +317,14 @@ class ElementBlock:
             coord = (mesh.origin[k] + index * mesh.h[k])[:, None] + local[:, k] * mesh.h[k]
             grid[..., k] = coord.reshape(coord.shape[:1] + (1,) * k + coord.shape[1:])
         return out
+
+    def sample(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """A function of (P, n) points, returning (P,) values, at the
+        quadrature points: (E, Q).  A non-finite sample raises ValueError."""
+        vals = np.asarray(f(self.points().reshape(-1, self.mesh.dim)), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("function returned a non-finite sample")
+        return vals.reshape(self.size, -1)
 
     def corners(self, nodal: np.ndarray) -> np.ndarray:
         """Values of a nodal array at the element corners: (2^n, E), each
@@ -392,16 +404,10 @@ def element_blocks(mesh: StructuredMesh):
     for box in walk:
         inner = tuple(s.stop - s.start for s in box[1:])
         step = max(1, CHUNK_ELEMENTS // math.prod(inner))
-        # flat index offsets of the box's elements in a row from that row's element 0
-        row = np.zeros(1, dtype=np.intp)
-        for s, n in zip(box[1:], grid[1:]):
-            row = (row[:, None] * n + np.arange(s.start, s.stop)).ravel()
-        stride = math.prod(grid[1:])
         for start in range(box[0].start, box[0].stop, step):
             stop = min(start + step, box[0].stop)
-            elems = (np.arange(start * stride, stop * stride, stride)[:, None] + row).ravel()
             yield ElementBlock(mesh, (start,) + tuple(s.start for s in box[1:]),
-                               (stop - start,) + inner, elems, rule)
+                               (stop - start,) + inner, rule)
 
 
 def eval_field_batch(field: ScalarField, points: np.ndarray) -> np.ndarray:
@@ -421,27 +427,19 @@ def eval_gradient_batch(field: ScalarField, points: np.ndarray) -> np.ndarray:
     return np.einsum("pad,pa->pd", grads, corner)
 
 
-def quadrature(mesh: StructuredMesh, sample: Callable[[ElementBlock], np.ndarray]) -> float:
+def quadrature(mesh: StructuredMesh, sample: Callable[[ElementBlock], np.ndarray]) -> float | list[float]:
     """Quadrature over the active region of the integrand values
-    ``sample(block)``, (E, Q), at each block's quadrature points."""
-    total = sum(float(np.sum(sample(block) @ block.rule.weights)) for block in element_blocks(mesh))
-    return float(np.prod(mesh.h)) * total
+    ``sample(block)`` at each block's quadrature points: (E, Q) values give
+    the integral, and a (K, E, Q) stack the list of K integrals from one
+    walk, each bitwise the integral of its values alone."""
+    total = sum(np.sum(sample(block) @ block.rule.weights, axis=-1) for block in element_blocks(mesh))
+    return (np.prod(mesh.h) * total).tolist()
 
 
 def integrate(mesh: StructuredMesh, integrand: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Quadrature of ``integrand`` over the active region.
-
-    The integrand receives an (P, n) array of points, one block of elements
-    at a time, and must return (P,) values; each sample must be finite.
-    """
-
-    def sample(block):
-        vals = np.asarray(integrand(block.points().reshape(-1, mesh.dim)), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("integrand returned a non-finite sample")
-        return vals.reshape(block.size, -1)
-
-    return quadrature(mesh, sample)
+    """Quadrature of ``integrand`` over the active region, sampled one block
+    of elements at a time by ``ElementBlock.sample``."""
+    return quadrature(mesh, lambda block: block.sample(integrand))
 
 
 def integrate_field(field: ScalarField) -> float:

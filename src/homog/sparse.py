@@ -62,6 +62,7 @@ from .grid import (
     boxes,
     element_blocks,
     element_counts,
+    quadrature,
 )
 
 SMOOTH_WEIGHT = 0.8  # damped Jacobi
@@ -262,14 +263,13 @@ def _nodal_stencil(
         # per axis, last first: the tile axis, then the block's elements of the period
         ke = (table.T @ a.reshape(block.size, -1).T).reshape(
             (nloc, nloc) + tuple(v for n in block.shape for v in (1, n)))
-        within = tuple(slice(f, f + n) for f, n in zip(block.first, block.shape))
         for (ia, ca), (ib, cb) in itertools.product(enumerate(corners), repeat=2):
             nodes = stencil[tuple(1 + q - c for q, c in zip(cb, ca))][
                 tuple(slice(c, c + n - 1) for c, n in zip(ca, stencil.shape[dim:]))]
             tiled = nodes.reshape([v for t, n in zip(occupied.shape, nodes.shape) for v in (t, n // t)],
                                   copy=False)
             for box in tiles:
-                tiled[tuple(v for tile, part in zip(box, within) for v in (tile, part))] += ke[ia, ib]
+                tiled[tuple(v for tile, part in zip(box, block.box) for v in (tile, part))] += ke[ia, ib]
     if isinstance(constraint, Periodic):
         stencil = _fold(stencil, range(dim, 2 * dim))
     return stencil, (low, high, dev / max(1.0, largest))
@@ -402,17 +402,21 @@ def assemble_stiffness(
     return SparseSystem(matrix, constraint, unknowns, hierarchy, built, (low, high))
 
 
-def assemble_load(mesh: StructuredMesh, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Full-size nodal load vector ``b[a] = integral of f N_a``: per walk
-    block, the (Q, 2^n) table of weighted shape values times the samples,
-    one row per element, added onto the nodes."""
-    vol = float(np.prod(mesh.h))
+def assemble_load(mesh: StructuredMesh, f: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, float]:
+    """Full-size nodal load vector ``b[a] = integral of f N_a`` and the
+    integral of f^2, from one ``quadrature`` walk that samples f once and
+    refuses a non-finite sample with ValueError: per block, the (Q, 2^n)
+    table of weighted shape values times the samples, added onto the nodes."""
     b = np.zeros(mesh.nodes_per_axis[::-1])
-    for block in element_blocks(mesh):
-        samples = np.ascontiguousarray(f(block.points().reshape(-1, mesh.dim)), dtype=float)
-        table = vol * block.rule.weights[:, None] * block.rule.values
-        block.add_to_nodes(b, table.T @ samples.reshape(block.size, -1).T)
-    return b.ravel()
+
+    def sample(block):
+        samples = block.sample(f)
+        table = float(np.prod(mesh.h)) * block.rule.weights[:, None] * block.rule.values
+        block.add_to_nodes(b, table.T @ samples.T)
+        return samples**2
+
+    f_sq = quadrature(mesh, sample)
+    return b.ravel(), f_sq
 
 
 def default_max_iter(dimension: int) -> int:

@@ -167,9 +167,8 @@ def cell_means(field: ScalarField, cmap: CellIndexMap) -> np.ndarray:
     integrals = np.zeros(mesh.divisions[::-1])
     for block in element_blocks(mesh):
         # the integral of a Q1 function over an element is vol * mean(corners)
-        box = tuple(slice(f, f + s) for f, s in zip(block.first, block.shape))
         corner_mean = block.corners(field.values).mean(axis=0)
-        integrals[box] = float(np.prod(mesh.h)) * corner_mean.reshape(block.shape)
+        integrals[block.box] = float(np.prod(mesh.h)) * corner_mean.reshape(block.shape)
     sums = _per_cell(np.sum, integrals, cmap.counts, cmap.m)
     return sums[tuple((cmap.cells - np.asarray(cmap.lo)).T)] / cmap.epsilon ** cmap.dim
 
@@ -251,15 +250,15 @@ def boundary_distance(mesh: StructuredMesh, points: np.ndarray) -> np.ndarray:
 
 
 def layer_indicator(cmap: CellIndexMap, k: int) -> np.ndarray:
-    """Mask of fine elements whose center lies within k*sqrt(n)*eps of the
-    boundary (False on inactive elements)."""
+    """Flat mask of fine elements whose center lies within k*sqrt(n)*eps of
+    the boundary (False on inactive elements), set at each walk block's box
+    from the centres that ``block.points`` gives."""
     if k not in (1, 2, 3, 4):
         raise ValueError("layer index k must be in {1, 2, 3, 4}")
     mesh = cmap.mesh
-    mask = np.zeros(mesh.n_elements, dtype=bool)
-    elems = mesh.active_elements()
-    centers = mesh.element_origin(elems) + mesh.h / 2.0
-    dist = boundary_distance(mesh, centers)
-    mask[elems] = dist < k * np.sqrt(mesh.dim) * cmap.epsilon
-    return mask
+    mask = np.zeros(mesh.divisions[::-1], dtype=bool)
+    for block in element_blocks(mesh):
+        dist = boundary_distance(mesh, block.points(np.full((1, mesh.dim), 0.5)).reshape(-1, mesh.dim))
+        mask[block.box] = (dist < k * np.sqrt(mesh.dim) * cmap.epsilon).reshape(block.shape)
+    return mask.ravel()
 

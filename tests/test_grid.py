@@ -288,6 +288,12 @@ WALK_MESHES = {
 }
 
 
+def block_elems(block):
+    """Flat indices of a walk block's elements, in its element order: its
+    box of the element grid, last mesh axis first."""
+    return np.arange(block.mesh.n_elements).reshape(block.mesh.divisions[::-1])[block.box].ravel()
+
+
 def _walk_reference(mesh, nodal, period):
     """Element-by-element points, values, gradients and periodic pattern
     index, from the corner node gather."""
@@ -326,7 +332,7 @@ def test_element_walk_matches_dense_reference(mesh_name, points_per_axis, chunk,
     if chunk == 1:
         assert len(blocks) == sum(block.shape[0] for block in blocks) > 1
     got = {
-        "elems": np.concatenate([b.elems for b in blocks]),
+        "elems": np.concatenate([block_elems(b) for b in blocks]),
         "points": np.concatenate([b.points() for b in blocks]),
         "values": np.concatenate([b.values(nodal) for b in blocks]),
         "gradients": np.concatenate([b.gradients(nodal) for b in blocks]),
@@ -367,13 +373,14 @@ def test_block_gradients_equal_einsum_reference(mesh_name, chunk, monkeypatch):
 @pytest.mark.parametrize("chunk", [None, 1, 3, 16])
 @pytest.mark.parametrize("mesh_name", sorted(WALK_MESHES))
 def test_block_centres_equal_element_origin_reference(mesh_name, chunk, monkeypatch):
-    # the centres ``error_report`` reads, broadcast from the block's box
+    # the centres that ``error_report`` and ``layer_indicator`` read, broadcast
+    # from the block's box
     if chunk is not None:
         monkeypatch.setattr(grid, "CHUNK_ELEMENTS", chunk)
     mesh = WALK_MESHES[mesh_name][0]
     for block in element_blocks(mesh):
         got = block.points(np.full((1, mesh.dim), 0.5)).reshape(block.size, mesh.dim)
-        np.testing.assert_array_equal(got, mesh.element_origin(block.elems) + mesh.h / 2.0)
+        np.testing.assert_array_equal(got, mesh.element_origin(block_elems(block)) + mesh.h / 2.0)
 
 
 @pytest.mark.parametrize("mesh_name", sorted(WALK_MESHES))
@@ -382,6 +389,20 @@ def test_h1_seminorm_sq_equals_axis_sum_reference(mesh_name):
     nodal = np.random.default_rng(13).standard_normal(mesh.n_nodes)
     want = quadrature(mesh, lambda block: (block.gradients(nodal) ** 2).sum(axis=2))
     assert h1_seminorm_sq(ScalarField(mesh, nodal)) == want
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3])
+@pytest.mark.parametrize("mesh_name", sorted(WALK_MESHES))
+def test_stacked_quadrature_equals_its_integrals_alone(mesh_name, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(grid, "CHUNK_ELEMENTS", chunk)
+    mesh = WALK_MESHES[mesh_name][0]
+    field = ScalarField(mesh, np.random.default_rng(14).standard_normal(mesh.n_nodes))
+    stacked = quadrature(mesh, lambda block: np.stack((
+        block.values(field.values), block.values(field.values) ** 2,
+        grid.squared_lengths(block.gradients(field.values)))))
+    assert stacked == [integrate_field(field), l2_norm_sq(field), h1_seminorm_sq(field)]
+    assert all(type(total) is float for total in stacked)
 
 
 def _rectangle_integral(f, lo, hi, points=5):
@@ -419,7 +440,7 @@ def test_element_walk_scatter_matches_add_at(monkeypatch):
     for block in element_blocks(mesh):
         values = rng.standard_normal((4, block.size))
         block.add_to_nodes(target, values)
-        np.add.at(ref, mesh.element_nodes(block.elems).T, values)
+        np.add.at(ref, mesh.element_nodes(block_elems(block)).T, values)
     np.testing.assert_allclose(target.ravel(), ref, rtol=1e-15, atol=1e-15)
 
 
@@ -444,13 +465,12 @@ def test_walk_blocks_are_disjoint_boxes_of_active_elements(dim, seed, chunk, mon
     mesh = _random_masked_mesh(dim, seed)
     blocks = list(element_blocks(mesh))
     for block in blocks:
-        box = np.arange(mesh.n_elements).reshape(mesh.divisions[::-1])[
-            tuple(slice(f, f + n) for f, n in zip(block.first, block.shape))]
-        np.testing.assert_array_equal(block.elems, box.ravel())
-        assert mesh.active_mask[block.elems].all()
+        assert block.box == tuple(slice(f, f + n) for f, n in zip(block.first, block.shape))
+        assert len(block_elems(block)) == block.size
+        assert mesh.active_mask[block_elems(block)].all()
         row = int(np.prod(block.shape[1:]))
         assert block.size <= grid.CHUNK_ELEMENTS or block.shape[0] == 1 and row > grid.CHUNK_ELEMENTS
-    elems = np.concatenate([block.elems for block in blocks])
+    elems = np.concatenate([block_elems(block) for block in blocks])
     assert len(np.unique(elems)) == len(elems)
     np.testing.assert_array_equal(np.sort(elems), mesh.active_elements())
 
@@ -471,7 +491,7 @@ def test_box_mesh_walk_cuts_whole_rows(divisions, chunk, monkeypatch):
         assert block.first[1:] == (0,) * (len(divisions) - 1)
         assert block.shape[1:] == divisions[-2::-1]
         np.testing.assert_array_equal(
-            block.elems, np.arange(block.first[0] * per_row, (block.first[0] + block.shape[0]) * per_row))
+            block_elems(block), np.arange(block.first[0] * per_row, (block.first[0] + block.shape[0]) * per_row))
 
 
 def test_times_periodic_rejects_a_box_off_the_period():

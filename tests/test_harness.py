@@ -64,6 +64,26 @@ def test_config_validation_errors(overrides):
         small_config(**overrides)
 
 
+def _table_rhs(f, div=16):
+    """A nodal table rhs on the unit square with the values of ``f``."""
+    x0, x1 = np.meshgrid(np.arange(div + 1) / div, np.arange(div + 1) / div)
+    return dict(kind="table", origin=[0.0, 0.0], extent=[1.0, 1.0], divisions=[div, div],
+                values=f(x0.ravel(), x1.ravel()).tolist())
+
+
+def test_neumann_screen_scales_with_the_rhs():
+    # zero mean: the screen integral of this table is rounding of about 1e-9,
+    # which grows with |f|, so the screen compares it with 1e-10 ||f||
+    small_config(bc="neumann_full",
+                 rhs=_table_rhs(lambda x0, x1: 1e7 * np.cos(2 * np.pi * x0) * (1 + x1)))
+
+
+def test_neumann_screen_refuses_a_tiny_nonzero_mean_rhs():
+    # a constant 1e-12 has mean 1e-12, below any absolute bound
+    with pytest.raises(ConfigError, match="zero-mean"):
+        small_config(bc="neumann_full", rhs=_table_rhs(lambda x0, x1: np.full(len(x0), 1e-12)))
+
+
 def test_constant_coefficient_study_inconclusive():
     cfg = small_config(expected_rates={"e_l2": {"target": 1.0, "tol": 0.25},
                                        "e_h1_corr": {"target": 0.5, "tol": 0.2}})

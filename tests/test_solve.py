@@ -8,10 +8,13 @@ from homog.grid import (
     active_nodes,
     boundary_nodes,
     build_mesh,
+    element_blocks,
     eval_field_batch,
     eval_gradient_batch,
     integrate,
     integrate_field,
+    l2_norm_sq,
+    same_mesh,
 )
 from homog.metrics import fit_rate
 from homog.solve import (
@@ -321,7 +324,7 @@ def test_neumann_l_shape_keeps_nodes_of_no_active_element_at_zero():
     # the active nodes hold the Galerkin solution, shifted to zero mean
     assert abs(integrate_field(phi)) <= 1e-12
     system = assemble_stiffness(mesh, lambda p: np.broadcast_to(np.eye(2), (len(p), 2, 2)), ZeroMean())
-    b = system.reduce(assemble_load(mesh, rhs))
+    b = system.reduce(assemble_load(mesh, rhs)[0])
     assert np.linalg.norm(system.matrix @ phi.values - b) <= 1e-9 * np.linalg.norm(b)
 
 
@@ -362,9 +365,9 @@ def test_non_finite_rhs_refused_before_the_solve(bc, monkeypatch):
 
 
 @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
-def test_fine_solve_samples_the_rhs_twice(bc):
-    # a 32^2 box is one block of the walk, so each walk samples the rhs once:
-    # the load, and the norm of f that the solution checks read
+def test_fine_solve_samples_the_rhs_once(bc):
+    # a 32^2 box is one block of the walk, and the load walk alone samples
+    # the rhs: it also gives the norm of f that the solution checks read
     mesh = build_mesh((0, 0), (1, 1), (32, 32), "box")
     calls = []
 
@@ -373,4 +376,55 @@ def test_fine_solve_samples_the_rhs_twice(bc):
         return np.cos(2 * np.pi * p[:, 0])  # zero mean
 
     solve_fine(ProblemInstance(mesh, Constant(((2.0, 0.0), (0.0, 1.0))), rhs, bc, 4))
-    assert calls == [4 * mesh.n_elements] * 2
+    assert calls == [4 * mesh.n_elements]
+
+
+@pytest.mark.parametrize("shape", ["box", "l_shape"])
+@pytest.mark.parametrize("bc,walks", [(DIRICHLET, 4), (NEUMANN, 5)])
+def test_fine_solve_walks_the_fine_mesh(bc, walks, shape, monkeypatch):
+    # the unknowns, the load, the H1 and L2 norms of the solution, and under
+    # Neumann data its mean; the stiffness walks the period mesh of one cell
+    import homog.grid
+    import homog.solve
+    import homog.sparse
+    import homog.unfold
+
+    mesh = build_mesh((0, 0), (1, 1), (32, 32), shape)
+    meshes = []
+
+    def counted(walked):
+        meshes.append(walked)
+        return element_blocks(walked)
+
+    for module in (homog.grid, homog.solve, homog.sparse, homog.unfold):
+        monkeypatch.setattr(module, "element_blocks", counted)
+    rhs = lambda p: np.cos(2 * np.pi * p[:, 0])  # zero mean on both shapes
+    solve_fine(ProblemInstance(mesh, Constant(((2.0, 0.0), (0.0, 1.0))), rhs, bc, 4))
+    assert sum(same_mesh(walked, mesh) for walked in meshes) == walks
+
+
+def _scaled_cosine(p):
+    return 1e7 * np.cos(2 * np.pi * p[:, 0]) * (1 + p[:, 1])
+
+
+def test_neumann_compatibility_scales_with_the_rhs():
+    # zero mean: the integral of this f is rounding of about 6e-10, which
+    # grows with |f|, so the test compares it with 1e-10 ||f||
+    mesh = build_mesh((0, 0), (1, 1), (64, 64), "box")
+    coeff = ScalarCosine(2.0, 1.0, axis=0)
+    u = solve_fine(ProblemInstance(mesh, coeff, _scaled_cosine, NEUMANN, 4))
+    assert abs(integrate_field(u)) <= 1e-10 * np.sqrt(l2_norm_sq(u))
+
+
+def test_neumann_tiny_nonzero_mean_rhs_refused_before_the_solve(monkeypatch):
+    # a constant 1e-12 has mean 1e-12, below any absolute bound, and no
+    # Neumann solution
+    import homog.solve
+
+    calls = []
+    monkeypatch.setattr(homog.solve, "cg_solve", lambda *args, **kwargs: calls.append(args))
+    mesh = build_mesh((0, 0), (1, 1), (64, 64), "box")
+    rhs = lambda p: np.full(len(p), 1e-12)
+    with pytest.raises(ValueError, match="zero-mean"):
+        solve_fine(ProblemInstance(mesh, ScalarCosine(2.0, 1.0, axis=0), rhs, NEUMANN, 4))
+    assert calls == []

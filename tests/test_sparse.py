@@ -19,6 +19,7 @@ from homog.grid import (
     build_mesh,
     element_blocks,
     gauss_rule,
+    integrate,
     shape_gradients,
 )
 from homog.sparse import (
@@ -485,7 +486,7 @@ def test_cg_identity_system():
 def test_cg_1d_dirichlet_midpoint():
     mesh = build_mesh(0.0, 1.0, [2], "box")
     sys = assemble_stiffness(mesh, identity_sampler, Dirichlet())
-    b = sys.reduce(assemble_load(mesh, lambda p: np.ones(len(p))))
+    b = sys.reduce(assemble_load(mesh, lambda p: np.ones(len(p)))[0])
     x = cg_solve(sys, b)[_dofs(sys.unknowns)]
     assert x[0] == pytest.approx(0.125, abs=1e-12)
 
@@ -528,10 +529,36 @@ def test_cg_projects_constant_mode():
     assert res <= 1e-10
 
 
+LOAD_MESHES = {
+    "1d": build_mesh(0.5, 1.0, [7]),
+    "box": build_mesh((0, -1), (1, 1.5), (6, 8)),
+    "l_shape": build_mesh((0, 0), (1, 1), (8, 6), "l_shape"),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 16])
+@pytest.mark.parametrize("name", sorted(LOAD_MESHES))
+def test_load_walk_gives_the_integral_of_f_squared(name, chunk, monkeypatch):
+    # bitwise the quadrature that integrate makes of f^2 on its own walk
+    if chunk is not None:
+        monkeypatch.setattr(grid, "CHUNK_ELEMENTS", chunk)
+    mesh = LOAD_MESHES[name]
+    f = lambda p: np.cos(3 * p[:, 0]) + np.sin(2 * p[:, -1]) + 0.25
+    _, f_sq = assemble_load(mesh, f)
+    assert type(f_sq) is float
+    assert f_sq == integrate(mesh, lambda p: f(p) ** 2)
+
+
+def test_load_walk_refuses_a_non_finite_sample():
+    mesh = LOAD_MESHES["box"]
+    with pytest.raises(ValueError, match="non-finite"):
+        assemble_load(mesh, lambda p: np.where(p[:, 0] > 0.5, np.nan, 1.0))
+
+
 def test_cg_determinism_bitwise():
     mesh = build_mesh((0, 0), (1, 1), (8, 8), "box")
     sys = assemble_stiffness(mesh, identity_sampler, Dirichlet())
-    b = assemble_load(mesh, lambda p: np.sin(np.pi * p[:, 0]))
+    b = assemble_load(mesh, lambda p: np.sin(np.pi * p[:, 0]))[0]
     x1 = cg_solve(sys, sys.reduce(b))
     x2 = cg_solve(sys, sys.reduce(b))
     assert np.array_equal(x1, x2)
@@ -719,7 +746,7 @@ def test_cg_iterations_bounded_on_cosine_fine_problem(divisions):
     # 16 elements per period; Jacobi-CG needs hundreds of iterations here
     mesh = build_mesh((0, 0), (1, 1), (divisions, divisions))
     sys = assemble_stiffness(mesh, _cosine_sampler(16 / divisions), Dirichlet())
-    b = sys.reduce(assemble_load(mesh, lambda p: np.ones(len(p))))
+    b = sys.reduce(assemble_load(mesh, lambda p: np.ones(len(p)))[0])
     x = cg_solve(sys, b, max_iter=15)
     assert np.linalg.norm(b - sys.matrix @ x) <= 1e-10 * np.linalg.norm(b)
 
@@ -732,7 +759,7 @@ def test_cg_strongly_anisotropic_tensor():
     tensor = np.array([[1.0, 0.0], [0.0, 100.0]])
     mesh = build_mesh((0, 0), (1, 1), (128, 128))
     sys = assemble_stiffness(mesh, lambda p: np.broadcast_to(tensor, (len(p), 2, 2)), Dirichlet())
-    b = sys.reduce(assemble_load(mesh, lambda p: np.ones(len(p))))
+    b = sys.reduce(assemble_load(mesh, lambda p: np.ones(len(p)))[0])
     x = cg_solve(sys, b, max_iter=100)
     assert np.linalg.norm(b - sys.matrix @ x) <= 1e-10 * np.linalg.norm(b)
 

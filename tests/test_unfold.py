@@ -358,7 +358,8 @@ def _cell_means_by_element(field, cmap):
     means = np.zeros(len(cmap.cells))
     for block in element_blocks(mesh):
         elem_int = float(np.prod(mesh.h)) * block.corners(field.values).mean(axis=0)
-        local = mesh.element_multi_index(block.elems) // np.asarray(cmap.m)
+        elems = np.arange(mesh.n_elements).reshape(mesh.divisions[::-1])[block.box].ravel()
+        local = mesh.element_multi_index(elems) // np.asarray(cmap.m)
         pos = cmap.cell_lookup[tuple(local.T)]
         means += np.bincount(pos, weights=elem_int, minlength=len(means))
     return means / cmap.epsilon ** cmap.dim
@@ -413,6 +414,28 @@ def test_layer_indicator_examples():
     # huge layer: k*sqrt(n)*eps >= diam/2 marks everything
     cmap2 = build_cell_map(mesh, 2)
     assert layer_indicator(cmap2, 4).all()
+
+
+def _layer_by_element_origin(cmap, k):
+    """The layer mask from every active element's origin plus h/2."""
+    mesh = cmap.mesh
+    mask = np.zeros(mesh.n_elements, dtype=bool)
+    elems = mesh.active_elements()
+    centers = mesh.element_origin(elems) + mesh.h / 2.0
+    mask[elems] = boundary_distance(mesh, centers) < k * np.sqrt(mesh.dim) * cmap.epsilon
+    return mask
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("mesh,n", [
+    (build_mesh(0.5, 2.0, [48]), 4),
+    (build_mesh((0, -1), (1, 1.5), (24, 30)), 4),
+    (build_mesh((0, 0), (1, 1), (64, 64), "l_shape"), 8),
+    (build_mesh((-1, 0), (2, 2), (32, 48), "l_shape"), 4),
+])
+def test_layer_indicator_equals_element_origin_reference(mesh, n, k):
+    cmap = build_cell_map(mesh, n)
+    np.testing.assert_array_equal(layer_indicator(cmap, k), _layer_by_element_origin(cmap, k))
 
 
 def test_layer_volume_bound():
