@@ -8,16 +8,19 @@ cell problems with the effective tensor on a 128^2 cell mesh, the fine
 stiffness assembly as ``solve_fine`` makes it, from one period of element
 matrices (multigrid levels included), the stored matrix and multigrid levels
 built from a given stencil, the load, the solve, the H1 guard of the solve,
-the reconstruction and the error report.  Each rung also reports the
-unknowns, the stored diagonal entries of the fine matrix, the unknowns of the
-coarsest multigrid level, the V-cycles of one solve, and the corrector solves
-and coefficient samplings of one cell stage, counted by wrapping
-``sparse._vcycle``, ``cell.cg_solve`` and the coefficient's ``sample_batch``
-outside the timed calls, and, per stage, the tracemalloc
-peak and the bytes still held when the call returns, both above the call's
-start and per fine-mesh node, from one more call that is not timed.  The
-hierarchy build takes its stencil, whose memory becomes the fine matrix, so
-each of its calls is given a copy made before the call is timed or traced.
+the homogenized solve with the rung's tensor (its assembly included), the
+reconstruction and the error report.  Each rung also reports the unknowns,
+the stored diagonal entries of the fine matrix, the unknowns of the coarsest
+multigrid level, the V-cycles of one solve, the corrector solves and
+coefficient samplings of one cell stage, and the levels of the homogenized
+system (one, the transform solve, on the box), counted by wrapping
+``sparse._vcycle``, ``cell.cg_solve``, the coefficient's ``sample_batch``
+and ``solve.assemble_stiffness`` outside the timed calls, and, per stage,
+the tracemalloc peak and the bytes still held when the call returns, both
+above the call's start and per fine-mesh node, from one more call that is
+not timed.  The hierarchy build takes its stencil, whose memory becomes the
+fine matrix, so each of its calls is given a copy made before the call is
+timed or traced.
 BLAS and OpenMP threads are pinned to 1 before numpy is imported.
 
     python3 scripts/stage_times.py [--repeats K]
@@ -40,7 +43,7 @@ import numpy as np  # noqa: E402
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from homog import cell, sparse  # noqa: E402
+from homog import cell, solve, sparse  # noqa: E402
 from homog.coeff import from_config as coeff_from_config  # noqa: E402
 from homog.grid import ScalarField, h1_seminorm_sq  # noqa: E402
 from homog.harness import StudyConfig, _rhs_for, compute_tensor, load_config  # noqa: E402
@@ -98,21 +101,20 @@ def count_vcycles(system, call):
     return count
 
 
-def count_calls(owner, name, call):
-    """The calls of ``owner.name`` that ``call()`` makes."""
-    function, count = getattr(owner, name), 0
+def returns(owner, name, call):
+    """What each call of ``owner.name`` that ``call()`` makes returns."""
+    function, results = getattr(owner, name), []
 
-    def counted(*args, **kwargs):
-        nonlocal count
-        count += 1
-        return function(*args, **kwargs)
+    def recorded(*args, **kwargs):
+        results.append(function(*args, **kwargs))
+        return results[-1]
 
-    setattr(owner, name, counted)
+    setattr(owner, name, recorded)
     try:
         call()
     finally:
         setattr(owner, name, function)
-    return count
+    return results
 
 
 def rung_stages(name, repeats):
@@ -139,8 +141,8 @@ def rung_stages(name, repeats):
 
     cell_config = StudyConfig.from_dict({**config.to_dict(), "cell_divisions": CELL_DIVISIONS})
     stage("cell", lambda: compute_tensor(cell_config))
-    corrector_solves = count_calls(cell, "cg_solve", lambda: compute_tensor(cell_config))
-    cell_samplings = count_calls(type(field), "sample_batch", lambda: compute_tensor(cell_config))
+    corrector_solves = len(returns(cell, "cg_solve", lambda: compute_tensor(cell_config)))
+    cell_samplings = len(returns(type(field), "sample_batch", lambda: compute_tensor(cell_config)))
     system = stage("assembly", lambda: sparse.assemble_stiffness(mesh, sampler, constraint, cmap.m))
     stencil, _ = sparse._nodal_stencil(mesh, sampler, constraint, cmap.m)
     stage("hierarchy", lambda fine: sparse._build_hierarchy(
@@ -154,12 +156,18 @@ def rung_stages(name, repeats):
     fine = ScalarField(mesh, system.expand(x))
     stage("h1_guard", lambda: h1_seminorm_sq(fine))
     tensor, correctors = compute_tensor(config)
-    phi = solve_homogenized(tensor, rhs, bc, mesh, rel_tol=config.cg_tol)
+
+    def homogenize():
+        return solve_homogenized(tensor, rhs, bc, mesh, rel_tol=config.cg_tol)
+
+    phi = stage("homogenized", homogenize)
+    [homogenized] = returns(solve, "assemble_stiffness", homogenize)
     recon = stage("reconstruct", lambda: reconstruct(phi, correctors, cmap))
     stage("error_report", lambda: error_report(fine, recon, cmap, config.interior_box))
     return {"dofs": system.dimension, "nnz": int(system.matrix.nnz),
             "levels": len(system.hierarchy), "coarsest_dofs": int(coarsest.sum()), "vcycles": vcycles,
             "corrector_solves": corrector_solves, "cell_samplings": cell_samplings,
+            "homogenized_levels": len(homogenized.hierarchy),
             "seconds": times, "bytes_per_node": memory}
 
 

@@ -154,7 +154,10 @@ def solve_homogenized(
     a constant skew part is invisible to the variational problem.  With full
     Neumann data it is not, because the natural boundary condition carries
     the skew flux, so a tensor whose skew part exceeds rounding is rejected
-    with ValueError there.
+    with ValueError there.  On a box, a symmetric part with no off-diagonal
+    entry is solved exactly by sine (Dirichlet) or cosine (Neumann)
+    transforms, so CG stops after one step; the L-shape and a tensor with
+    an off-diagonal part keep the multigrid V-cycle.
     """
     skew = 0.5 * (tensor.matrix - tensor.matrix.T)
     if bc.kind == NEUMANN_FULL and np.abs(skew).max() > 1e-10 * np.abs(tensor.matrix).max():

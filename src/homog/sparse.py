@@ -1,6 +1,6 @@
 """Assembly of Q1 stiffness systems whose symmetric part is positive
-(semi-)definite, and a multigrid-preconditioned Krylov solver: conjugate
-gradients for symmetric systems, restarted GMRES for non-symmetric ones.
+(semi-)definite, and a preconditioned Krylov solver: conjugate gradients for
+symmetric systems, restarted GMRES for non-symmetric ones.
 
 The bilinear form is ``(u, v) -> integral of (A grad u) . grad v`` with the
 matrix coefficient sampled at quadrature points.  Every operator is its
@@ -44,10 +44,19 @@ restriction is read off the two node grids in compressed rows.  A
 non-symmetric system carries its symmetric part, the stencil plus its
 transpose halved; the V-cycle, built from that part, right-preconditions
 GMRES, also for the transposed system.
+
+A box system sampled one element at a time (a constant tensor) under
+Dirichlet or ZeroMean, whose stencil is reflection-symmetric along each axis
+(the tensor has no off-diagonal part), builds no multigrid levels.  Its one
+level is the exact inverse by the sine or the cosine transform of the node
+grid, with the eigenvalues read off the stencil at one interior node; each
+transform is an rfft of the odd or even extension along each axis, by
+``numpy.fft``.  CG then stops after one step, on its true residual.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -292,7 +301,8 @@ class SparseSystem:
     matrix: sp.dia_matrix
     constraint: Constraint
     unknowns: np.ndarray  # bool node grid of the system, last mesh axis first
-    # levels of the multigrid preconditioner, finest first, built by assembly
+    # levels of the multigrid preconditioner, finest first, built by
+    # assembly, or the one transform level of a constant-coefficient box
     hierarchy: tuple[_Level, ...] = field(repr=False)
     # (matrix + matrix.T) / 2 when the matrix is not symmetric, else None; the
     # preconditioner is built from it and the solver is GMRES instead of CG
@@ -371,7 +381,9 @@ def assemble_stiffness(
     ``ellipticity`` of the system.  Entry (a, b) couples test function a
     with trial function b.  The matrix is the stiffness K of the samples as
     read; when their asymmetry figure exceeds 1e-10 the system carries
-    ``symmetric_part`` (K + K^T) / 2, which builds the hierarchy.
+    ``symmetric_part`` (K + K^T) / 2, which builds the hierarchy.  A
+    symmetric box system sampled one element at a time gets one transform
+    level instead where that is exact (see ``_transform_level``).
     ``period``, elements per axis, says that the sampler repeats after that
     many elements from the mesh origin; only the first period is sampled and
     checked.  It defaults to the whole mesh.  Raises ValueError when it does
@@ -382,6 +394,11 @@ def assemble_stiffness(
     if low <= 0:
         raise AssemblyError("sampler returned a non-elliptic matrix (eigenvalue <= 0)")
     unknowns, periodic = _unknowns(mesh, constraint), isinstance(constraint, Periodic)
+    level = _transform_level(mesh, stencil, constraint, period) if asym <= 1e-10 else None
+    if level is not None:
+        _zero_off_unknowns(stencil, unknowns, periodic)
+        matrix = _stencil_matrix(stencil, periodic)
+        return SparseSystem(matrix, constraint, unknowns, (level,), ellipticity=(low, high))
     # the build takes the only reference to its stencil, whose memory becomes
     # its matrix or is freed once that matrix is made.  A non-symmetric K is
     # kept to become the matrix after (K + K^T) / 2 has built: one stencil more
@@ -430,7 +447,8 @@ class _Level:
     grid onto this level's, and ``coarse`` is that level's Galerkin operator.
     The coarsest level, at most ``COARSEN_ABOVE`` unknowns unless coarsening
     stopped early, carries a dense ``inverse`` instead, or only its smoother
-    when it is too large for one."""
+    when it is too large for one.  The one level of a constant-coefficient
+    box system carries a ``spectrum`` instead (see ``_transform_level``)."""
 
     weights: np.ndarray | None = None
     # both transfers are stored as CSR: applying restrict.T instead of a
@@ -439,6 +457,10 @@ class _Level:
     restrict: sp.csr_matrix | None = None  # prolong.T
     coarse: sp.dia_matrix | None = None
     inverse: np.ndarray | None = None
+    # the inverse's eigenvalues per sine (Dirichlet, ``sine``) or cosine
+    # (zero-mean) mode of the node grid, scaled by the transforms' norms
+    spectrum: np.ndarray | None = None
+    sine: bool = False
 
 
 def _dense_inverse(dense: np.ndarray, singular: bool) -> np.ndarray:
@@ -605,6 +627,85 @@ def _build_hierarchy(
     return matrices[0], tuple(levels)
 
 
+def _transform_level(mesh: StructuredMesh, stencil: np.ndarray, constraint: Constraint,
+                     period) -> _Level | None:
+    """The exact solve of a box system whose stencil is the same at every
+    interior node, or None where it would not be exact.  On a box sampled one element
+    at a time (a constant tensor) under Dirichlet or ZeroMean, a stencil
+    that is reflection-symmetric along each axis, to 1e-10 relative (a
+    tensor with no off-diagonal part), is diagonalised by the sine transform
+    on the interior nodes and, with the boundary rows its half-stencils, by
+    the cosine transform on all nodes.  The eigenvalue of mode k, read off
+    the stencil s at an interior node, is
+
+        lambda(k) = sum_t s_t prod_a cos(pi k_a (t_a - 1) / n_a)
+
+    over n_a divisions.  The constant mode, the kernel under ZeroMean, gets
+    an inverse of zero."""
+    if (mesh.active_mask is not None or not isinstance(constraint, (Dirichlet, ZeroMean))
+            or period is None or any(int(p) != 1 for p in np.atleast_1d(period))
+            or min(mesh.divisions) < 2):
+        return None
+    dim, sine = mesh.dim, isinstance(constraint, Dirichlet)
+    s = stencil[(Ellipsis,) + (1,) * dim]
+    if any(np.abs(s - np.flip(s, axis)).max() > 1e-10 * np.abs(s).max() for axis in range(dim)):
+        return None
+    divisions = mesh.divisions[::-1]  # node-grid axes, the last mesh axis first
+    modes = [np.arange(1, n) if sine else np.arange(n + 1) for n in divisions]
+    operands = [s, list(range(dim))]
+    for axis, (k, n) in enumerate(zip(modes, divisions)):
+        operands += [np.cos(np.pi * np.outer([-1, 0, 1], k) / n), [axis, dim + axis]]
+    eigenvalues = np.einsum(*operands, list(range(dim, 2 * dim)))
+    # sum_j sin(pi j k / n) sin(pi j l / n) is n/2 if k = l, and the cosine
+    # sum, with the end nodes weighted 1/2, is n/2, or n at the end modes
+    norms = [np.full(len(k), 2.0 / n) for k, n in zip(modes, divisions)]
+    if not sine:
+        for norm in norms:
+            norm[[0, -1]] *= 0.5
+        eigenvalues[(0,) * dim] = np.inf
+    return _Level(spectrum=functools.reduce(np.multiply.outer, norms) / eigenvalues, sine=sine)
+
+
+def _trig_transform(values: np.ndarray, sine: bool) -> np.ndarray:
+    """``y[k] = sum_j x[j] sin(pi j k / n)`` over the interior nodes j, k of
+    n divisions (DST-I), or the cosine sum over all nodes (DCT-I), along
+    every axis: the rfft of the odd or even extension, of length 2n.  The
+    even extension holds the end nodes once and every other node twice, so
+    the ends go in doubled."""
+    for axis in range(values.ndim):
+        x = np.moveaxis(values, axis, -1)
+        if sine:
+            zero = np.zeros(x.shape[:-1] + (1,))
+            extension = np.concatenate([zero, x, zero, -x[..., ::-1]], axis=-1)
+            x = -0.5 * np.fft.rfft(extension)[..., 1:-1].imag
+        else:
+            extension = np.concatenate(
+                [2.0 * x[..., :1], x[..., 1:-1], 2.0 * x[..., -1:], x[..., -2:0:-1]], axis=-1)
+            x = 0.5 * np.fft.rfft(extension).real
+        values = np.moveaxis(x, -1, axis)
+    return values
+
+
+def _transform_solve(level: _Level, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = T (spectrum * T r)`` on the node grid, T the level's sine or
+    cosine transform: the sine one on the interior nodes, zero elsewhere;
+    the cosine one on all nodes, the constant mode removed before and
+    after, so it is symmetric with the constants as its kernel."""
+    spectrum, sine = level.spectrum, level.sine
+    if sine:
+        interior = (slice(1, -1),) * spectrum.ndim
+        x = out.reshape([n + 2 for n in spectrum.shape])
+        x[...] = 0.0
+        modes = _trig_transform(r.reshape(x.shape)[interior], sine)
+        x[interior] = _trig_transform(modes * spectrum, sine)
+        return out
+    x, r = out.reshape(spectrum.shape), r.reshape(spectrum.shape)
+    modes = _trig_transform(r - r.mean(), sine)
+    x[...] = _trig_transform(modes * spectrum, sine)
+    x -= x.mean()
+    return out
+
+
 def _cycle_buffers(matrix: sp.dia_matrix, levels: tuple[_Level, ...]) -> list[np.ndarray]:
     """One iterate buffer per level of a V-cycle, finest first."""
     return [np.empty(matrix.shape[0])] + [np.empty(level.coarse.shape[0]) for level in levels[:-1]]
@@ -634,6 +735,8 @@ def _vcycle(
     level, x = levels[0], buffers[0]
     if level.inverse is not None:
         return np.matmul(level.inverse, r, out=x)
+    if level.spectrum is not None:
+        return _transform_solve(level, r, x)
     np.multiply(level.weights, r, out=x)  # the sweep from zero
     if level.coarse is not None:
         residual = matrix @ x
@@ -664,9 +767,10 @@ def cg_solve(
     max_iter: int | None = None,
 ) -> np.ndarray:
     """Conjugate gradients on the constrained system, preconditioned by one
-    geometric-multigrid V-cycle per iteration; restarted GMRES, right-
-    preconditioned by the V-cycle of the symmetric part, when the system
-    carries a ``symmetric_part``.
+    geometric-multigrid V-cycle per iteration, or by the exact transform
+    solve of a constant-coefficient box system's one level, which stops it
+    after one step; restarted GMRES, right-preconditioned by the V-cycle of
+    the symmetric part, when the system carries a ``symmetric_part``.
 
     ``rhs`` and the solution live on the system grid; the rhs entries off
     the unknowns are ignored and the solution is zero there.  Zero-mean and

@@ -84,6 +84,22 @@ def test_neumann_screen_refuses_a_tiny_nonzero_mean_rhs():
         small_config(bc="neumann_full", rhs=_table_rhs(lambda x0, x1: np.full(len(x0), 1e-12)))
 
 
+def test_neumann_screen_samples_the_rhs_once(monkeypatch):
+    # the load's sum and the integral of f^2 come from one walk of the 64^2
+    # screen mesh, 4 Gauss points per element
+    import homog.harness
+
+    sampled, rhs_for = [], homog.harness._rhs_for
+
+    def counted(name):
+        rhs = rhs_for(name)
+        return lambda p: sampled.append(len(p)) or rhs(p)
+
+    monkeypatch.setattr(homog.harness, "_rhs_for", counted)
+    small_config(bc="neumann_full", rhs=_table_rhs(lambda x0, x1: np.cos(2 * np.pi * x0)))
+    assert sum(sampled) == 4 * 64**2
+
+
 def test_constant_coefficient_study_inconclusive():
     cfg = small_config(expected_rates={"e_l2": {"target": 1.0, "tol": 0.25},
                                        "e_h1_corr": {"target": 0.5, "tol": 0.2}})

@@ -7,8 +7,8 @@ import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-STAGES = {"cell", "assembly", "hierarchy", "load", "solve", "h1_guard", "reconstruct",
-          "error_report"}
+STAGES = {"cell", "assembly", "hierarchy", "load", "solve", "h1_guard", "homogenized",
+          "reconstruct", "error_report"}
 
 
 def _run(name, *args):
@@ -21,6 +21,9 @@ def _run(name, *args):
 def test_stage_times_reports_every_stage_of_both_rungs():
     report = json.loads(_run("stage_times.py", "--repeats", "1"))
     assert set(report["rungs"]) == {"box", "l_shape"}
+    # the constant tensor's transform solve on the box, multigrid on the L-shape
+    assert report["rungs"]["box"]["homogenized_levels"] == 1
+    assert report["rungs"]["l_shape"]["homogenized_levels"] > 1
     for rung in report["rungs"].values():
         assert set(rung["seconds"]) == STAGES
         assert all(t > 0 for t in rung["seconds"].values())

@@ -764,6 +764,69 @@ def test_cg_strongly_anisotropic_tensor():
     assert np.linalg.norm(b - sys.matrix @ x) <= 1e-10 * np.linalg.norm(b)
 
 
+# (divisions, extent) of box meshes with unequal divisions and steps per axis
+TRANSFORM_MESHES = {"1d": ([48], [0.7]), "2d": ([48, 20], [1.0, 0.7])}
+TRANSFORM_CONSTRAINTS = {"dirichlet": Dirichlet(), "zero_mean": ZeroMean()}
+
+
+def _diagonal_system(mesh_name, constraint_name, period=None, coarsened=1):
+    divisions, extent = TRANSFORM_MESHES[mesh_name]
+    divisions = [n // coarsened for n in divisions]
+    mesh = build_mesh([0.0] * len(divisions), extent, divisions)
+    sampler = _constant_sampler(np.diag([2.0, 0.5][:mesh.dim]))
+    return assemble_stiffness(mesh, sampler, TRANSFORM_CONSTRAINTS[constraint_name], period)
+
+
+@pytest.mark.parametrize("mesh_name", sorted(TRANSFORM_MESHES))
+@pytest.mark.parametrize("constraint_name", sorted(TRANSFORM_CONSTRAINTS))
+def test_transform_solve_equals_multigrid_solve(mesh_name, constraint_name):
+    dim = len(TRANSFORM_MESHES[mesh_name][0])
+    transform = _diagonal_system(mesh_name, constraint_name, (1,) * dim)
+    multigrid = _diagonal_system(mesh_name, constraint_name)
+    [level] = transform.hierarchy
+    assert level.spectrum is not None and level.sine == (constraint_name == "dirichlet")
+    assert all(level.spectrum is None for level in multigrid.hierarchy)
+    assert transform.ellipticity == multigrid.ellipticity
+    # one element's product rounds apart from that of the walk's block
+    assert _gap(transform.matrix, multigrid.matrix) <= 1e-14 * np.abs(multigrid.matrix.data).max()
+    b = np.random.default_rng(11).standard_normal(transform.unknowns.size)
+    expected = cg_solve(multigrid, b, rel_tol=1e-12)
+    got = cg_solve(transform, b, rel_tol=1e-12)
+    assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("case", ["off_diagonal", "l_shape", "two_element_period", "periodic",
+                                  "whole_mesh_period"])
+def test_transform_level_only_where_it_is_exact(case):
+    tensor = np.array([[2.0, 0.3], [0.3, 1.0]]) if case == "off_diagonal" else np.diag([2.0, 0.5])
+    mesh = build_mesh((0, 0), (1, 1), (16, 16), "l_shape" if case == "l_shape" else "box")
+    constraint = Periodic() if case == "periodic" else Dirichlet()
+    period = {"two_element_period": (2, 2), "whole_mesh_period": None}.get(case, (1, 1))
+    system = assemble_stiffness(mesh, _constant_sampler(tensor), constraint, period)
+    assert len(system.hierarchy) > 1 and all(level.spectrum is None for level in system.hierarchy)
+
+
+@pytest.mark.parametrize("mesh_name", sorted(TRANSFORM_MESHES))
+@pytest.mark.parametrize("constraint_name", sorted(TRANSFORM_CONSTRAINTS))
+def test_transform_level_symmetric_positive_definite(mesh_name, constraint_name):
+    # the level's matrix, column by column, on a 12 x 5 mesh: positive
+    # definite on the unknowns, or semi-definite with the constants as its
+    # only kernel
+    dim = len(TRANSFORM_MESHES[mesh_name][0])
+    system = _diagonal_system(mesh_name, constraint_name, (1,) * dim, coarsened=4)
+    columns = [_vcycle(system.matrix, system.hierarchy, e) for e in np.eye(system.unknowns.size)]
+    dense = _block(np.array(columns).T, system.unknowns).toarray()
+    scale = np.abs(dense).max()
+    assert np.abs(dense - dense.T).max() <= 1e-13 * scale
+    eigenvalues, vectors = np.linalg.eigh(dense)
+    if constraint_name == "dirichlet":
+        assert eigenvalues[0] > 1e-6 * scale
+    else:
+        assert abs(eigenvalues[0]) <= 1e-13 * scale and eigenvalues[1] > 1e-6 * scale
+        np.testing.assert_allclose(np.abs(vectors[:, 0]), 1 / np.sqrt(len(dense)), rtol=1e-10)
+    assert not np.array(columns)[:, ~system.unknowns.ravel()].any()
+
+
 def _skew_periodic_system(divisions, s):
     mesh = build_mesh((0, 0), (1, 1), (divisions, divisions))
     return assemble_stiffness(mesh, _skew_checkerboard(s), Periodic())
