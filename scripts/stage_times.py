@@ -13,7 +13,9 @@ reconstruction and the error report.  Each rung also reports the unknowns,
 the stored diagonal entries of the fine matrix, the unknowns of the coarsest
 multigrid level, the V-cycles of one solve, the corrector solves and
 coefficient samplings of one cell stage, and the levels of the homogenized
-system (one, the transform solve, on the box), counted by wrapping
+system (one, the transform solve) with the nodes of its capacitance
+correction (none on the box, the removed quadrant's two inner edges on the
+L-shape), counted by wrapping
 ``sparse._vcycle``, ``cell.cg_solve``, the coefficient's ``sample_batch``
 and ``solve.assemble_stiffness`` outside the timed calls, and, per stage,
 the tracemalloc peak and the bytes still held when the call returns, both
@@ -162,12 +164,14 @@ def rung_stages(name, repeats):
 
     phi = stage("homogenized", homogenize)
     [homogenized] = returns(solve, "assemble_stiffness", homogenize)
+    capacitance = homogenized.hierarchy[0].capacitance
     recon = stage("reconstruct", lambda: reconstruct(phi, correctors, cmap))
     stage("error_report", lambda: error_report(fine, recon, cmap, config.interior_box))
     return {"dofs": system.dimension, "nnz": int(system.matrix.nnz),
             "levels": len(system.hierarchy), "coarsest_dofs": int(coarsest.sum()), "vcycles": vcycles,
             "corrector_solves": corrector_solves, "cell_samplings": cell_samplings,
             "homogenized_levels": len(homogenized.hierarchy),
+            "homogenized_gamma": 0 if capacitance is None else len(capacitance),
             "seconds": times, "bytes_per_node": memory}
 
 

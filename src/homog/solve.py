@@ -4,8 +4,11 @@ two-scale reconstruction.
 The fine problem finds u in the Q1 space with the chosen boundary condition
 such that ``integral of A({x/eps}) grad u . grad v = integral of f v``.  The
 homogenized problem replaces the oscillating coefficient by the constant
-effective tensor.  The reconstruction augments the homogenized solution with
-cell-scale detail:
+effective tensor; with no off-diagonal entry it is solved exactly by the
+box's sine or cosine transform, on a Dirichlet L-shape with a capacitance
+correction on the reentrant edges, and otherwise by multigrid-preconditioned
+CG.  The reconstruction augments the homogenized solution with cell-scale
+detail:
 
     value(x)    = Phi(x) + eps * sum_i Q_i(x) * chi_i({x/eps})
     gradient(x) = grad Phi(x) + sum_i Q_i(x) * grad chi_i({x/eps})
@@ -154,10 +157,12 @@ def solve_homogenized(
     a constant skew part is invisible to the variational problem.  With full
     Neumann data it is not, because the natural boundary condition carries
     the skew flux, so a tensor whose skew part exceeds rounding is rejected
-    with ValueError there.  On a box, a symmetric part with no off-diagonal
-    entry is solved exactly by sine (Dirichlet) or cosine (Neumann)
-    transforms, so CG stops after one step; the L-shape and a tensor with
-    an off-diagonal part keep the multigrid V-cycle.
+    with ValueError there.  A symmetric part with no off-diagonal entry is
+    solved exactly by sine (Dirichlet) or cosine (Neumann) transforms of the
+    box, on the L-shape under Dirichlet data with the capacitance correction
+    of its two reentrant edges, so CG stops after one step; a Neumann
+    L-shape and a tensor with an off-diagonal part keep the multigrid
+    V-cycle.
     """
     skew = 0.5 * (tensor.matrix - tensor.matrix.T)
     if bc.kind == NEUMANN_FULL and np.abs(skew).max() > 1e-10 * np.abs(tensor.matrix).max():

@@ -51,7 +51,13 @@ Dirichlet or ZeroMean, whose stencil is reflection-symmetric along each axis
 level is the exact inverse by the sine or the cosine transform of the node
 grid, with the eigenvalues read off the stencil at one interior node; each
 transform is an rfft of the odd or even extension along each axis, by
-``numpy.fft``.  CG then stops after one step, on its true residual.
+``numpy.fft``.  So does an L-shape under Dirichlet, whose unknowns' rows are
+the box's: its level adds the capacitance-matrix correction (Buzbee, Dorr,
+George & Golub, 1971) that pins the box solution to zero on the removed
+quadrant's two inner edges, a dense inverse with a row per edge node, still
+around two transforms.  CG then stops after one step, on its true residual.
+It gives up early when its restarts from the true residual stop lowering it,
+which has then reached its rounding floor above the tolerance.
 """
 
 from __future__ import annotations
@@ -78,6 +84,7 @@ SMOOTH_WEIGHT = 0.8  # damped Jacobi
 COARSEN_ABOVE = 100  # coarsen while a level has more unknowns than this
 DENSE_MAX = 1200  # most unknowns of a coarsest level inverted densely; above, smoothing only
 GMRES_RESTART = 30  # Krylov vectors kept before GMRES restarts from the true residual
+STALL_RESTARTS = 3  # CG restarts in a row that do not lower the true residual before it gives up
 
 
 class AssemblyError(ValueError):
@@ -382,8 +389,9 @@ def assemble_stiffness(
     with trial function b.  The matrix is the stiffness K of the samples as
     read; when their asymmetry figure exceeds 1e-10 the system carries
     ``symmetric_part`` (K + K^T) / 2, which builds the hierarchy.  A
-    symmetric box system sampled one element at a time gets one transform
-    level instead where that is exact (see ``_transform_level``).
+    symmetric system sampled one element at a time gets one transform level
+    instead where that is exact (see ``_transform_level``): on a box, and
+    on the L-shape under Dirichlet.
     ``period``, elements per axis, says that the sampler repeats after that
     many elements from the mesh origin; only the first period is sampled and
     checked.  It defaults to the whole mesh.  Raises ValueError when it does
@@ -394,7 +402,7 @@ def assemble_stiffness(
     if low <= 0:
         raise AssemblyError("sampler returned a non-elliptic matrix (eigenvalue <= 0)")
     unknowns, periodic = _unknowns(mesh, constraint), isinstance(constraint, Periodic)
-    level = _transform_level(mesh, stencil, constraint, period) if asym <= 1e-10 else None
+    level = _transform_level(mesh, stencil, constraint, period, unknowns) if asym <= 1e-10 else None
     if level is not None:
         _zero_off_unknowns(stencil, unknowns, periodic)
         matrix = _stencil_matrix(stencil, periodic)
@@ -448,7 +456,9 @@ class _Level:
     The coarsest level, at most ``COARSEN_ABOVE`` unknowns unless coarsening
     stopped early, carries a dense ``inverse`` instead, or only its smoother
     when it is too large for one.  The one level of a constant-coefficient
-    box system carries a ``spectrum`` instead (see ``_transform_level``)."""
+    system on a box, or on an L-shape under Dirichlet, carries a
+    ``spectrum`` instead (see ``_transform_level``), on the L-shape with
+    the capacitance correction of ``_capacitance``."""
 
     weights: np.ndarray | None = None
     # both transfers are stored as CSR: applying restrict.T instead of a
@@ -461,6 +471,13 @@ class _Level:
     # (zero-mean) mode of the node grid, scaled by the transforms' norms
     spectrum: np.ndarray | None = None
     sine: bool = False
+    # on an L-shape, the nodes Gamma of the box's interior that are not
+    # unknowns but couple to one, one node row and one node column, each as
+    # its sine table (see ``_capacitance``), the inverse of their capacitance
+    # matrix, and the unknowns, off which the solve is zero
+    gamma: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
+    capacitance: np.ndarray | None = None
+    unknowns: np.ndarray | None = None
 
 
 def _dense_inverse(dense: np.ndarray, singular: bool) -> np.ndarray:
@@ -628,23 +645,30 @@ def _build_hierarchy(
 
 
 def _transform_level(mesh: StructuredMesh, stencil: np.ndarray, constraint: Constraint,
-                     period) -> _Level | None:
-    """The exact solve of a box system whose stencil is the same at every
-    interior node, or None where it would not be exact.  On a box sampled one element
-    at a time (a constant tensor) under Dirichlet or ZeroMean, a stencil
-    that is reflection-symmetric along each axis, to 1e-10 relative (a
-    tensor with no off-diagonal part), is diagonalised by the sine transform
-    on the interior nodes and, with the boundary rows its half-stencils, by
-    the cosine transform on all nodes.  The eigenvalue of mode k, read off
-    the stencil s at an interior node, is
+                     period, unknowns: np.ndarray) -> _Level | None:
+    """The exact solve of a system whose stencil is the same at every
+    unknown, or None where it would not be exact.  On a box sampled one
+    element at a time (a constant tensor) under Dirichlet or ZeroMean, a
+    stencil that is reflection-symmetric along each axis, to 1e-10 relative
+    (a tensor with no off-diagonal part), is diagonalised by the sine
+    transform on the interior nodes and, with the boundary rows its
+    half-stencils, by the cosine transform on all nodes.  The eigenvalue of
+    mode k, read off the stencil s at an interior node, is
 
         lambda(k) = sum_t s_t prod_a cos(pi k_a (t_a - 1) / n_a)
 
     over n_a divisions.  The constant mode, the kernel under ZeroMean, gets
-    an inverse of zero."""
-    if (mesh.active_mask is not None or not isinstance(constraint, (Dirichlet, ZeroMean))
+    an inverse of zero.
+
+    With inactive elements, only under Dirichlet: an unknown is a node whose
+    2^n elements are all active, so its row is the box's row.  Where the
+    node (1, ..., 1) is one, the level is the box's sine level with the
+    capacitance correction of ``_capacitance``, or None where that does not
+    apply."""
+    masked = mesh.active_mask is not None
+    if (not isinstance(constraint, Dirichlet if masked else (Dirichlet, ZeroMean))
             or period is None or any(int(p) != 1 for p in np.atleast_1d(period))
-            or min(mesh.divisions) < 2):
+            or min(mesh.divisions) < 2 or (masked and not unknowns[(1,) * mesh.dim])):
         return None
     dim, sine = mesh.dim, isinstance(constraint, Dirichlet)
     s = stencil[(Ellipsis,) + (1,) * dim]
@@ -663,7 +687,56 @@ def _transform_level(mesh: StructuredMesh, stencil: np.ndarray, constraint: Cons
         for norm in norms:
             norm[[0, -1]] *= 0.5
         eigenvalues[(0,) * dim] = np.inf
-    return _Level(spectrum=functools.reduce(np.multiply.outer, norms) / eigenvalues, sine=sine)
+    level = _Level(spectrum=functools.reduce(np.multiply.outer, norms) / eigenvalues, sine=sine)
+    return _capacitance(level, unknowns) if masked else level
+
+
+def _sines(nodes, n: int) -> np.ndarray:
+    """Rows of the sine table ``sin(pi j k / n)``: one per interior node
+    j = nodes + 1, over the modes k = 1 .. n - 1, with j k reduced modulo 2n
+    before it is scaled, so the argument stays small."""
+    return np.sin(np.pi * (np.outer(np.add(nodes, 1), np.arange(1, n)) % (2 * n)) / n)
+
+
+def _capacitance(level: _Level, unknowns: np.ndarray) -> _Level | None:
+    """A 2D box's sine level extended to the unknowns of a mesh with inactive
+    elements by the capacitance-matrix method (Buzbee, Dorr, George & Golub,
+    SIAM J. Numer. Anal. 8, 1971), or None where Gamma, the box's interior
+    nodes that couple to an unknown without being one, is not one node row
+    plus one node column; where it is empty, the mesh is the box.  Pinning
+    u = 0 on Gamma separates the unknowns from the rest of the box, so with B
+    the box's inverse and E the injection from Gamma
+
+        A^-1 r = B (r + E lambda),  lambda = -C^-1 E^T B r,  C = E^T B E
+
+    on the unknowns.  B is S diag(spectrum) S^T, S the sine table along each
+    axis, so C's blocks are closed forms in the table rows of Gamma's row j0
+    and column i0, S[j0] and S[i0], and of its nodes along them, S_H and S_V:
+    the row's block is S_H diag((S[j0]^2) @ spectrum) S_H^T, the column's
+    S_V diag(spectrum @ S[i0]^2) S_V^T, and the cross block
+    (S_H S[i0]) @ spectrum^T @ (S_V S[j0])^T, O(N^3) with no N^2 x |Gamma|
+    array.  The row holds the corner node where the two meet."""
+    if unknowns.ndim != 2:
+        return None
+    padded = np.pad(unknowns, 1)
+    near = functools.reduce(np.logical_or, (
+        padded[tuple(slice(o, o + m) for o, m in zip(t, unknowns.shape))] for t in np.ndindex(3, 3)))
+    rows, columns = np.nonzero((near & ~unknowns)[1:-1, 1:-1])  # interior nodes, from 0
+    if not len(rows):
+        return level
+    j0, i0 = np.bincount(rows).argmax(), np.bincount(columns).argmax()
+    if np.any((rows != j0) & (columns != i0)):
+        return None
+    spectrum = level.spectrum
+    n0, n1 = (m + 1 for m in spectrum.shape)
+    across_row, on_row = _sines([j0], n0)[0], _sines(columns[rows == j0], n1)
+    across_column, on_column = _sines([i0], n1)[0], _sines(rows[(columns == i0) & (rows != j0)], n0)
+    cross = (on_row * across_column) @ spectrum.T @ (on_column * across_row).T
+    capacitance = np.block([
+        [(on_row * (across_row**2 @ spectrum)) @ on_row.T, cross],
+        [cross.T, (on_column * (spectrum @ across_column**2)) @ on_column.T]])
+    return replace(level, gamma=((across_row, on_row), (across_column, on_column)),
+                   capacitance=_dense_inverse(capacitance, False), unknowns=unknowns)
 
 
 def _trig_transform(values: np.ndarray, sine: bool) -> np.ndarray:
@@ -690,14 +763,32 @@ def _transform_solve(level: _Level, r: np.ndarray, out: np.ndarray) -> np.ndarra
     """``out = T (spectrum * T r)`` on the node grid, T the level's sine or
     cosine transform: the sine one on the interior nodes, zero elsewhere;
     the cosine one on all nodes, the constant mode removed before and
-    after, so it is symmetric with the constants as its kernel."""
+    after, so it is symmetric with the constants as its kernel.  With a
+    capacitance (see ``_capacitance``), r is read on the unknowns only, B r
+    on Gamma is read off the sine tables' rows of ``spectrum * T r``, whose
+    modes then take those of E lambda, and the result is zeroed off the
+    unknowns: still two transforms, and one product with C^-1."""
     spectrum, sine = level.spectrum, level.sine
     if sine:
         interior = (slice(1, -1),) * spectrum.ndim
         x = out.reshape([n + 2 for n in spectrum.shape])
         x[...] = 0.0
-        modes = _trig_transform(r.reshape(x.shape)[interior], sine)
-        x[interior] = _trig_transform(modes * spectrum, sine)
+        r = r.reshape(x.shape)[interior]
+        if level.capacitance is None:
+            modes = _trig_transform(r, sine)
+            x[interior] = _trig_transform(modes * spectrum, sine)
+            return out
+        keep = level.unknowns[interior]
+        modes = _trig_transform(np.where(keep, r, 0.0), sine)
+        modes *= spectrum  # the modes of B r
+        (across_row, on_row), (across_column, on_column) = level.gamma
+        mu = level.capacitance @ np.concatenate(
+            [on_row @ (across_row @ modes), on_column @ (modes @ across_column)])  # -lambda
+        correction = np.outer(across_row, mu[:len(on_row)] @ on_row)
+        correction += np.outer(mu[len(on_row):] @ on_column, across_column)
+        correction *= spectrum
+        modes -= correction
+        np.multiply(_trig_transform(modes, sine), keep, out=x[interior])
         return out
     x, r = out.reshape(spectrum.shape), r.reshape(spectrum.shape)
     modes = _trig_transform(r - r.mean(), sine)
@@ -768,7 +859,7 @@ def cg_solve(
 ) -> np.ndarray:
     """Conjugate gradients on the constrained system, preconditioned by one
     geometric-multigrid V-cycle per iteration, or by the exact transform
-    solve of a constant-coefficient box system's one level, which stops it
+    solve of a constant-coefficient system's one level, which stops it
     after one step; restarted GMRES, right-preconditioned by the V-cycle of
     the symmetric part, when the system carries a ``symmetric_part``.
 
@@ -777,8 +868,12 @@ def cg_solve(
     periodic systems are singular with the constant mode in the kernel; the
     mode is removed from the right-hand side and from every iterate, and the
     returned vector has zero mean over the unknowns.  Convergence is accepted
-    on the true residual.  Raises SolverError when the tolerance is not met
-    within ``max_iter`` iterations.
+    on the true residual, from which CG restarts its recursion when the
+    recurrence has met the tolerance and the true residual has not.  Raises
+    SolverError when the tolerance is not met within ``max_iter`` iterations,
+    or, in CG, when ``STALL_RESTARTS`` restarts in a row leave the true
+    residual no lower than the least at an earlier restart: it has reached
+    its rounding floor above the tolerance.
     """
     a = system.matrix
     if np.shape(rhs) != (a.shape[0],):
@@ -801,6 +896,7 @@ def cg_solve(
     z = _vcycle(a, levels, r, buffers)
     p = z.copy()
     rz = float(r @ z)
+    least, stalls = np.inf, 0  # the least true residual at a restart, and restarts since
     for _ in range(max_iter):
         ap = a @ p
         alpha = rz / float(p @ ap)
@@ -814,8 +910,14 @@ def cg_solve(
             # true residual, restarting the recursion from it otherwise
             r = b - a @ x
             project(r)
-            if np.linalg.norm(r) <= rel_tol * norm_b:
+            true = np.linalg.norm(r)
+            if true <= rel_tol * norm_b:
                 return x
+            # a true residual that no restart lowers sits at its rounding floor
+            stalls = stalls + 1 if true >= least else 0
+            least = min(least, true)
+            if stalls == STALL_RESTARTS:
+                raise SolverError(f"CG stalled over {stalls} restarts", float(true / norm_b))
             z = _vcycle(a, levels, r, buffers)
             p = z.copy()
             rz = float(r @ z)

@@ -21,9 +21,13 @@ def _run(name, *args):
 def test_stage_times_reports_every_stage_of_both_rungs():
     report = json.loads(_run("stage_times.py", "--repeats", "1"))
     assert set(report["rungs"]) == {"box", "l_shape"}
-    # the constant tensor's transform solve on the box, multigrid on the L-shape
+    # the constant tensor's transform solve, on the L-shape with the
+    # capacitance of the removed quadrant's two inner edges, 128 nodes each
+    # with the corner shared
     assert report["rungs"]["box"]["homogenized_levels"] == 1
-    assert report["rungs"]["l_shape"]["homogenized_levels"] > 1
+    assert report["rungs"]["l_shape"]["homogenized_levels"] == 1
+    assert report["rungs"]["box"]["homogenized_gamma"] == 0
+    assert report["rungs"]["l_shape"]["homogenized_gamma"] == 255
     for rung in report["rungs"].values():
         assert set(rung["seconds"]) == STAGES
         assert all(t > 0 for t in rung["seconds"].values())

@@ -339,13 +339,15 @@ def test_homogenized_skew_tensor_rejected_only_under_neumann():
         u.values, solve_homogenized(symmetric, lambda p: np.ones(len(p)), DIRICHLET, mesh).values)
 
 
-@pytest.mark.parametrize("bc,divisions", [(DIRICHLET, 256), (NEUMANN, 128)])
-def test_anisotropic_homogenized_box_solve_takes_one_transform_level(bc, divisions, monkeypatch):
+@pytest.mark.parametrize("bc,divisions,shape", [(DIRICHLET, 256, "box"), (NEUMANN, 128, "box"),
+                                                (DIRICHLET, 256, "l_shape")])
+def test_anisotropic_homogenized_solve_takes_one_transform_level(bc, divisions, shape, monkeypatch):
     # point-Jacobi multigrid needs 88 V-cycles for diag(1, 100) at 128^2; the
-    # sine or cosine transform solve is exact, so PCG stops after one step
-    # on its true residual, and the solve's own guards still run.  Under
-    # Neumann data at 256^2 b - A x for the smooth cos(pi x) solution rounds
-    # at about 1.2e-10 of b, the tolerance, whatever the solver
+    # sine or cosine transform solve is exact, on the L-shape with its
+    # capacitance correction, so PCG stops after one step on its true
+    # residual, and the solve's own guards still run.  Under Neumann data at
+    # 256^2 b - A x for the smooth cos(pi x) solution rounds at about 1.2e-10
+    # of b, the tolerance, whatever the solver
     import homog.solve
     import homog.sparse
 
@@ -354,11 +356,12 @@ def test_anisotropic_homogenized_box_solve_takes_one_transform_level(bc, divisio
     monkeypatch.setattr(homog.solve, "assemble_stiffness",
                         lambda *args: systems.append(assemble(*args)) or systems[-1])
     monkeypatch.setattr(homog.sparse, "_vcycle", lambda *args: cycles.append(1) or vcycle(*args))
-    mesh = build_mesh((0.0, 0.0), (1.0, 1.0), (divisions, divisions), "box")
+    mesh = build_mesh((0.0, 0.0), (1.0, 1.0), (divisions, divisions), shape)
     rhs = (lambda p: np.ones(len(p))) if bc == DIRICHLET else (lambda p: np.cos(np.pi * p[:, 0]))
     solve_homogenized(HomogenizedTensor(np.diag([1.0, 100.0])), rhs, bc, mesh)
     [system] = systems
-    assert len(system.hierarchy) == 1 and system.hierarchy[0].spectrum is not None
+    [level] = system.hierarchy
+    assert level.spectrum is not None and (level.capacitance is not None) == (shape == "l_shape")
     assert len(cycles) <= 2
 
 

@@ -574,6 +574,33 @@ def test_cg_max_iter_reports_residual():
     assert err.value.achieved > 0
 
 
+def test_cg_stall_at_the_rounding_floor_raises_early(monkeypatch):
+    # 1e-17 is below the rounding floor of any true residual: the recursion
+    # restarts from the true residual, which stops falling, so CG gives up
+    # after a few restarts instead of running to max_iter (2650 here)
+    import time
+
+    import homog.sparse
+
+    mesh = build_mesh((0, 0), (1, 1), (32, 32))
+    system = assemble_stiffness(mesh, identity_sampler, Dirichlet())
+    assert len(system.hierarchy) == 3
+    cycles, vcycle = [], homog.sparse._vcycle
+
+    def counted(matrix, levels, *args):
+        cycles.append(levels is system.hierarchy)
+        return vcycle(matrix, levels, *args)
+
+    monkeypatch.setattr(homog.sparse, "_vcycle", counted)
+    b = np.random.default_rng(0).standard_normal(system.unknowns.size)
+    start = time.perf_counter()
+    with pytest.raises(SolverError, match="stalled") as err:
+        cg_solve(system, b, rel_tol=1e-17)
+    assert time.perf_counter() - start < 1.0
+    assert 0 < sum(cycles) <= 60
+    assert 1e-17 < err.value.achieved < 1e-13
+
+
 def _skew_checkerboard(s):
     """Blocks I + sJ and I - sJ in a 2x2 checkerboard: symmetric part I,
     skew part of size s."""
@@ -764,27 +791,31 @@ def test_cg_strongly_anisotropic_tensor():
     assert np.linalg.norm(b - sys.matrix @ x) <= 1e-10 * np.linalg.norm(b)
 
 
-# (divisions, extent) of box meshes with unequal divisions and steps per axis
-TRANSFORM_MESHES = {"1d": ([48], [0.7]), "2d": ([48, 20], [1.0, 0.7])}
+# (divisions, extent, shape) of meshes with unequal divisions and steps per axis
+TRANSFORM_MESHES = {"1d": ([48], [0.7], "box"), "2d": ([48, 20], [1.0, 0.7], "box"),
+                    "2d_l_shape": ([32, 24], [1.0, 0.7], "l_shape")}
 TRANSFORM_CONSTRAINTS = {"dirichlet": Dirichlet(), "zero_mean": ZeroMean()}
+# a ZeroMean L-shape keeps multigrid (test_transform_level_only_where_it_is_exact)
+TRANSFORM_CASES = [(m, c) for m in sorted(TRANSFORM_MESHES) for c in sorted(TRANSFORM_CONSTRAINTS)
+                   if (m, c) != ("2d_l_shape", "zero_mean")]
 
 
 def _diagonal_system(mesh_name, constraint_name, period=None, coarsened=1):
-    divisions, extent = TRANSFORM_MESHES[mesh_name]
+    divisions, extent, shape = TRANSFORM_MESHES[mesh_name]
     divisions = [n // coarsened for n in divisions]
-    mesh = build_mesh([0.0] * len(divisions), extent, divisions)
+    mesh = build_mesh([0.0] * len(divisions), extent, divisions, shape)
     sampler = _constant_sampler(np.diag([2.0, 0.5][:mesh.dim]))
     return assemble_stiffness(mesh, sampler, TRANSFORM_CONSTRAINTS[constraint_name], period)
 
 
-@pytest.mark.parametrize("mesh_name", sorted(TRANSFORM_MESHES))
-@pytest.mark.parametrize("constraint_name", sorted(TRANSFORM_CONSTRAINTS))
+@pytest.mark.parametrize("mesh_name,constraint_name", TRANSFORM_CASES)
 def test_transform_solve_equals_multigrid_solve(mesh_name, constraint_name):
     dim = len(TRANSFORM_MESHES[mesh_name][0])
     transform = _diagonal_system(mesh_name, constraint_name, (1,) * dim)
     multigrid = _diagonal_system(mesh_name, constraint_name)
     [level] = transform.hierarchy
     assert level.spectrum is not None and level.sine == (constraint_name == "dirichlet")
+    assert (level.capacitance is not None) == ("l_shape" in mesh_name)
     assert all(level.spectrum is None for level in multigrid.hierarchy)
     assert transform.ellipticity == multigrid.ellipticity
     # one element's product rounds apart from that of the walk's block
@@ -795,25 +826,26 @@ def test_transform_solve_equals_multigrid_solve(mesh_name, constraint_name):
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
-@pytest.mark.parametrize("case", ["off_diagonal", "l_shape", "two_element_period", "periodic",
-                                  "whole_mesh_period"])
+@pytest.mark.parametrize("case", ["off_diagonal", "zero_mean_l_shape", "off_diagonal_l_shape",
+                                  "two_element_period", "periodic", "whole_mesh_period"])
 def test_transform_level_only_where_it_is_exact(case):
-    tensor = np.array([[2.0, 0.3], [0.3, 1.0]]) if case == "off_diagonal" else np.diag([2.0, 0.5])
-    mesh = build_mesh((0, 0), (1, 1), (16, 16), "l_shape" if case == "l_shape" else "box")
-    constraint = Periodic() if case == "periodic" else Dirichlet()
+    off_diagonal = case.startswith("off_diagonal")
+    tensor = np.array([[2.0, 0.3], [0.3, 1.0]]) if off_diagonal else np.diag([2.0, 0.5])
+    mesh = build_mesh((0, 0), (1, 1), (16, 16), "l_shape" if "l_shape" in case else "box")
+    constraint = {"periodic": Periodic(), "zero_mean_l_shape": ZeroMean()}.get(case, Dirichlet())
     period = {"two_element_period": (2, 2), "whole_mesh_period": None}.get(case, (1, 1))
     system = assemble_stiffness(mesh, _constant_sampler(tensor), constraint, period)
     assert len(system.hierarchy) > 1 and all(level.spectrum is None for level in system.hierarchy)
 
 
-@pytest.mark.parametrize("mesh_name", sorted(TRANSFORM_MESHES))
-@pytest.mark.parametrize("constraint_name", sorted(TRANSFORM_CONSTRAINTS))
+@pytest.mark.parametrize("mesh_name,constraint_name", TRANSFORM_CASES)
 def test_transform_level_symmetric_positive_definite(mesh_name, constraint_name):
-    # the level's matrix, column by column, on a 12 x 5 mesh: positive
-    # definite on the unknowns, or semi-definite with the constants as its
-    # only kernel
+    # the level's matrix, column by column, on a 12 x 5 box or an 8 x 6
+    # L-shape: positive definite on the unknowns, or semi-definite with the
+    # constants as its only kernel
     dim = len(TRANSFORM_MESHES[mesh_name][0])
     system = _diagonal_system(mesh_name, constraint_name, (1,) * dim, coarsened=4)
+    assert system.hierarchy[0].spectrum is not None
     columns = [_vcycle(system.matrix, system.hierarchy, e) for e in np.eye(system.unknowns.size)]
     dense = _block(np.array(columns).T, system.unknowns).toarray()
     scale = np.abs(dense).max()
@@ -825,6 +857,59 @@ def test_transform_level_symmetric_positive_definite(mesh_name, constraint_name)
         assert abs(eigenvalues[0]) <= 1e-13 * scale and eigenvalues[1] > 1e-6 * scale
         np.testing.assert_allclose(np.abs(vectors[:, 0]), 1 / np.sqrt(len(dense)), rtol=1e-10)
     assert not np.array(columns)[:, ~system.unknowns.ravel()].any()
+
+
+def _without_quadrant(divisions, upper_x):
+    """A unit square whose upper quadrant, right or left of the middle, is
+    inactive: the L-shape, or its mirror image."""
+    d0, d1 = divisions
+    e0, e1 = np.meshgrid(np.arange(d0), np.arange(d1))
+    removed = ((e0 >= d0 // 2) if upper_x else (e0 < d0 // 2)) & (e1 >= d1 // 2)
+    return grid.StructuredMesh((0.0, 0.0), (1.0, 1.0), divisions, ~removed.ravel())
+
+
+@pytest.mark.parametrize("divisions", [(8, 8), (16, 16), (32, 32), (12, 6)])
+@pytest.mark.parametrize("upper_x", [True, False])
+def test_capacitance_level_equals_dense_solve(divisions, upper_x):
+    mesh = _without_quadrant(divisions, upper_x)
+    if upper_x:
+        assert np.array_equal(mesh.active_mask, build_mesh((0, 0), (1, 1), divisions, "l_shape").active_mask)
+    system = assemble_stiffness(mesh, _constant_sampler(np.diag([2.0, 0.5])), Dirichlet(), (1, 1))
+    [level] = system.hierarchy
+    # Gamma, the removed quadrant's two inner edges: half a node row and half
+    # a node column, which share the corner
+    assert len(level.capacitance) == divisions[0] // 2 + divisions[1] // 2 - 1
+    # the rhs off the unknowns is ignored, and the result is exactly 0 there
+    r = np.random.default_rng(13).standard_normal(system.unknowns.size)
+    x = _vcycle(system.matrix, system.hierarchy, r)
+    unknowns = system.unknowns.ravel()
+    assert not x[~unknowns].any()
+    expected = np.linalg.solve(_block(system.matrix, system.unknowns).toarray(), r[unknowns])
+    assert np.linalg.norm(x[unknowns] - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_capacitance_solve_takes_one_pcg_step(monkeypatch):
+    import homog.sparse
+
+    mesh = build_mesh((0, 0), (1, 1), (64, 64), "l_shape")
+    system = assemble_stiffness(mesh, _constant_sampler(np.diag([2.0, 0.5])), Dirichlet(), (1, 1))
+    cycles, vcycle = [], homog.sparse._vcycle
+    monkeypatch.setattr(homog.sparse, "_vcycle", lambda *args: cycles.append(1) or vcycle(*args))
+    b = system.reduce(assemble_load(mesh, lambda p: np.ones(len(p)))[0])
+    x = cg_solve(system, b)
+    # the first cycle preconditions the initial residual; the true residual
+    # after one step meets the tolerance, so no second cycle runs
+    assert len(cycles) == 1
+    assert np.linalg.norm(b - system.matrix @ x) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_transform_level_needs_gamma_on_one_row_and_one_column():
+    # a hole of 2 x 2 elements in the middle: Gamma is the hole's 3 x 3 nodes
+    mask = np.ones((16, 16), dtype=bool)
+    mask[7:9, 7:9] = False
+    mesh = grid.StructuredMesh((0.0, 0.0), (1.0, 1.0), (16, 16), mask.ravel())
+    system = assemble_stiffness(mesh, _constant_sampler(np.diag([2.0, 0.5])), Dirichlet(), (1, 1))
+    assert len(system.hierarchy) > 1 and all(level.spectrum is None for level in system.hierarchy)
 
 
 def _skew_periodic_system(divisions, s):
