@@ -12,10 +12,11 @@ the homogenized solve with the rung's tensor (its assembly included), the
 reconstruction and the error report.  Each rung also reports the unknowns,
 the stored diagonal entries of the fine matrix, the unknowns of the coarsest
 multigrid level, the V-cycles of one solve, the corrector solves and
-coefficient samplings of one cell stage, and the levels of the homogenized
-system (one, the transform solve) with the nodes of its capacitance
-correction (none on the box, the removed quadrant's two inner edges on the
-L-shape), counted by wrapping
+coefficient samplings of one cell stage, the corrector terms that the
+reconstruction's walk evaluates (a zero corrector adds none), and the
+levels of the homogenized system (one, the transform solve) with the nodes
+of its capacitance correction (none on the box, the removed quadrant's two
+inner edges on the L-shape), counted by wrapping
 ``sparse._vcycle``, ``cell.cg_solve``, the coefficient's ``sample_batch``
 and ``solve.assemble_stiffness`` outside the timed calls, and, per stage,
 the tracemalloc peak and the bytes still held when the call returns, both
@@ -47,7 +48,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from homog import cell, solve, sparse  # noqa: E402
 from homog.coeff import from_config as coeff_from_config  # noqa: E402
-from homog.grid import ScalarField, h1_seminorm_sq  # noqa: E402
+from homog.grid import ScalarField, gauss_rule, h1_seminorm_sq  # noqa: E402
 from homog.harness import StudyConfig, _rhs_for, compute_tensor, load_config  # noqa: E402
 from homog.metrics import error_report  # noqa: E402
 from homog.solve import BoundaryCondition, _constraint_for, reconstruct, solve_homogenized  # noqa: E402
@@ -166,10 +167,12 @@ def rung_stages(name, repeats):
     [homogenized] = returns(solve, "assemble_stiffness", homogenize)
     capacitance = homogenized.hierarchy[0].capacitance
     recon = stage("reconstruct", lambda: reconstruct(phi, correctors, cmap))
+    reconstruction_terms = len(recon._corrector_terms(gauss_rule(mesh.dim)))
     stage("error_report", lambda: error_report(fine, recon, cmap, config.interior_box))
     return {"dofs": system.dimension, "nnz": int(system.matrix.nnz),
             "levels": len(system.hierarchy), "coarsest_dofs": int(coarsest.sum()), "vcycles": vcycles,
             "corrector_solves": corrector_solves, "cell_samplings": cell_samplings,
+            "reconstruction_terms": reconstruction_terms,
             "homogenized_levels": len(homogenized.hierarchy),
             "homogenized_gamma": 0 if capacitance is None else len(capacitance),
             "seconds": times, "bytes_per_node": memory}

@@ -343,8 +343,17 @@ class ElementBlock:
         """Q1 gradients of a nodal array at the quadrature points: (E, Q, n),
         one product of the corner values with the rule's gradient table, as
         ``values``."""
+        return self._gradients(self.corners(nodal).T)
+
+    def values_and_gradients(self, nodal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``values`` and ``gradients`` of a nodal array, bitwise, from one
+        ``corners`` gather."""
+        corners = self.corners(nodal).T
+        return corners @ self.rule.values.T, self._gradients(corners)
+
+    def _gradients(self, corners: np.ndarray) -> np.ndarray:
         table = (self.rule.gradients / self.mesh.h).transpose(1, 0, 2)  # (2^n, Q, n)
-        product = self.corners(nodal).T @ table.reshape(len(table), -1)
+        product = corners @ table.reshape(len(table), -1)
         return product.reshape((self.size,) + table.shape[1:])
 
     def times_periodic(self, factor: np.ndarray, pattern: np.ndarray, period) -> np.ndarray:

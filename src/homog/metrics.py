@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grid import ScalarField, quadrature, same_mesh, squared_lengths
+from .grid import ScalarField, gauss_rule, quadrature, same_mesh, squared_lengths
 from .solve import Reconstruction
 from .unfold import CellIndexMap, boundary_distance, layer_indicator
 
@@ -74,7 +74,10 @@ def error_report(
 
     The five integrands go to one stacked ``quadrature`` walk.  The interior
     and layer terms carry 0/1 element factors: centre inside the box, and
-    the mask of ``unfold.layer_indicator(cmap, 3)``.
+    the mask of ``unfold.layer_indicator(cmap, 3)``.  That layer is
+    3*sqrt(n)*eps wide, so on the unit square it covers every element when
+    3*sqrt(2)*eps >= 1/2 (eps = 1/4 and 1/8), and ``e_layer`` there is the
+    global ||grad u_eps||.  Each walk block gathers each nodal field once.
     """
     mesh = fine.mesh
     if not same_mesh(mesh, recon.base.mesh) or not same_mesh(mesh, cmap.mesh):
@@ -88,6 +91,7 @@ def error_report(
     layer = layer_indicator(cmap, 3).reshape(mesh.divisions[::-1])  # the widest layer
     centre = np.full((1, mesh.dim), 0.5)  # of the reference element
     max_rho = 0.0
+    terms = recon._corrector_terms(gauss_rule(mesh.dim))  # at the rule the walk's blocks carry
 
     def sample(block):  # the integrands in ``FUNCTIONALS`` order
         nonlocal max_rho
@@ -96,11 +100,10 @@ def error_report(
         max_rho = max(max_rho, float(rho.max()))
         centers = block.points(centre)  # (E, 1, n)
         inside = np.all((centers > lo) & (centers < hi), axis=2)
-        u = block.values(fine.values)
-        gu = block.gradients(fine.values)
-        base = block.values(recon.base.values)
-        rv, rg = recon.eval_elements(block)
+        u, gu = block.values_and_gradients(fine.values)
+        base, rv, rg = recon._evaluate(block, terms)
         dgrad2 = squared_lengths(gu - rg)
+        del centers, rg  # not held at the stack below, where the block peaks
         return np.stack(((u - base) ** 2, dgrad2, rho**2 * dgrad2, inside * ((u - rv) ** 2 + dgrad2),
                          layer[block.box].reshape(-1, 1) * squared_lengths(gu)))
 

@@ -14,14 +14,16 @@ detail:
     gradient(x) = grad Phi(x) + sum_i Q_i(x) * grad chi_i({x/eps})
 
 where Q_i is the slow part of the recovered derivative dPhi/dx_i.  The
-gradient surrogate deliberately omits the eps * grad(Q_i) * chi_i terms.
+gradient surrogate deliberately omits the eps * grad(Q_i) * chi_i terms.  A
+corrector that is identically zero (chi_2 of a coefficient that varies along
+y_1 alone) adds no term: its Q_i is the zero field, with no scale split.
 A fine problem with a non-symmetric coefficient raises AssemblyError after
 assembly: its solve is not supported yet.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Callable
 
 import numpy as np
@@ -205,19 +207,35 @@ class Reconstruction:
 
     def eval_elements(self, block: ElementBlock) -> tuple[np.ndarray, np.ndarray]:
         """Values and corrected gradients at the quadrature points of a block
-        of fine elements: (E, Q) and (E, Q, n).  The correctors are evaluated
-        once on the cell mesh, whose resolution matches the fine mesh inside
-        each cell, and broadcast over the block."""
-        vals = block.values(self.base.values)
-        grads = block.gradients(self.base.values)
-        cells = list(element_blocks(self.correctors.cell_mesh))
+        of fine elements: (E, Q) and (E, Q, n)."""
+        return self._evaluate(block, self._corrector_terms(block.rule))[1:]
+
+    def _corrector_terms(self, rule) -> list[tuple[ScalarField, np.ndarray, np.ndarray]]:
+        """Per corrector that is not identically zero, its slow derivative
+        with the corrector's values and gradients at the points of ``rule``
+        in every element of the cell mesh, in flat element order.  The cell
+        mesh's resolution matches the fine mesh inside each cell, so a walk
+        with that rule builds these tables once and broadcasts them over each
+        block; a zero corrector adds no term."""
+        cells = [replace(c, rule=rule) for c in element_blocks(self.correctors.cell_mesh)]
+        terms = []
         for q, chi in zip(self.q_derivatives, self.correctors.chi):
+            if chi.values.any():
+                tables = [c.values_and_gradients(chi.values) for c in cells]
+                terms.append((q, *(np.concatenate(t) for t in zip(*tables))))
+        return terms
+
+    def _evaluate(self, block: ElementBlock, terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Values of the base, and values and corrected gradients of the
+        reconstruction, at the quadrature points of a block, adding the
+        ``_corrector_terms`` of the block's rule; the base is read once."""
+        base, grads = block.values_and_gradients(self.base.values)
+        vals = base.copy()
+        for q, chiv, chig in terms:
             qv = block.values(q.values)
-            chiv = np.concatenate([c.values(chi.values) for c in cells])
-            chig = np.concatenate([c.gradients(chi.values) for c in cells])
             vals += block.times_periodic(self.epsilon * qv, chiv, self.cmap.m)
             grads += block.times_periodic(qv[:, :, None], chig, self.cmap.m)
-        return vals, grads
+        return base, vals, grads
 
 
 def reconstruct(phi0: ScalarField, correctors: CorrectorSet, cmap: CellIndexMap) -> Reconstruction:
@@ -231,5 +249,8 @@ def reconstruct(phi0: ScalarField, correctors: CorrectorSet, cmap: CellIndexMap)
             f"elements per cell {cmap.m}"
         )
     derivs = recovered_gradient_fields(phi0)
-    q_parts = tuple(scale_split(d, cmap)[0] for d in derivs)
+    # a zero corrector takes the zero field, with no scale split
+    q_parts = tuple(scale_split(d, cmap)[0] if chi.values.any()
+                    else ScalarField(d.mesh, np.zeros_like(d.values))
+                    for d, chi in zip(derivs, correctors.chi))
     return Reconstruction(phi0, correctors, cmap, q_parts)

@@ -370,6 +370,20 @@ def test_block_gradients_equal_einsum_reference(mesh_name, chunk, monkeypatch):
         assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
 
 
+@pytest.mark.parametrize("chunk", [None, 1, 3])
+@pytest.mark.parametrize("mesh_name", sorted(WALK_MESHES))
+def test_values_and_gradients_equal_values_and_gradients_alone(mesh_name, chunk, monkeypatch):
+    # one corners gather for both, bitwise what the two calls give alone
+    if chunk is not None:
+        monkeypatch.setattr(grid, "CHUNK_ELEMENTS", chunk)
+    mesh = WALK_MESHES[mesh_name][0]
+    nodal = np.random.default_rng(13).standard_normal(mesh.n_nodes)
+    for block in element_blocks(mesh):
+        vals, grads = block.values_and_gradients(nodal)
+        assert np.array_equal(vals, block.values(nodal))
+        assert np.array_equal(grads, block.gradients(nodal))
+
+
 @pytest.mark.parametrize("chunk", [None, 1, 3, 16])
 @pytest.mark.parametrize("mesh_name", sorted(WALK_MESHES))
 def test_block_centres_equal_element_origin_reference(mesh_name, chunk, monkeypatch):

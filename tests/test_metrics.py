@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,12 +20,14 @@ from homog.solve import (
     BoundaryCondition,
     DIRICHLET_FULL,
     ProblemInstance,
+    Reconstruction,
     reconstruct,
+    recovered_gradient_fields,
     solve_fine,
     solve_homogenized,
 )
 from homog.cell import HomogenizedTensor
-from homog.unfold import build_cell_map, layer_indicator
+from homog.unfold import build_cell_map, layer_indicator, scale_split
 
 DIRICHLET = BoundaryCondition(DIRICHLET_FULL)
 
@@ -171,6 +174,41 @@ def test_quadrature_agreement_refined_rule(monkeypatch):
     for name in ("e_l2", "e_h1_corr", "e_weighted", "e_interior", "e_layer"):
         a, b = getattr(r2, name), getattr(r3, name)
         assert abs(a - b) <= 0.01 * max(a, b)
+
+
+def _tables_of_every_corrector(self, rule):
+    """``Reconstruction._corrector_terms`` with zero correctors kept."""
+    cells = [replace(c, rule=rule) for c in grid.element_blocks(self.correctors.cell_mesh)]
+    return [(q, np.concatenate([c.values(chi.values) for c in cells]),
+             np.concatenate([c.gradients(chi.values) for c in cells]))
+            for q, chi in zip(self.q_derivatives, self.correctors.chi)]
+
+
+@pytest.mark.parametrize("shape", ["box", "l_shape"])
+def test_zero_corrector_term_changes_no_output(shape, monkeypatch):
+    # the cosine's chi_2 is zero, and its slow part is not: the skipped term
+    # adds exact zeros, so the report and every block are unchanged
+    m, n = 8, 4
+    coeff = ScalarCosine(2.0, 1.0, axis=0)
+    mesh = build_mesh((0, 0), (1, 1), (m * n, m * n), shape)
+    cmap = build_cell_map(mesh, n)
+    rhs = lambda p: np.ones(len(p))
+    fine = solve_fine(ProblemInstance(mesh, coeff, rhs, DIRICHLET, n))
+    correctors = solve_correctors(coeff, unit_cell_mesh(2, m))
+    assert correctors.chi[0].values.any() and not correctors.chi[1].values.any()
+    phi = solve_homogenized(homogenized_tensor(coeff, correctors), rhs, DIRICHLET, mesh)
+    recon = reconstruct(phi, correctors, cmap)
+    every = Reconstruction(phi, correctors, cmap,
+                           tuple(scale_split(d, cmap)[0] for d in recovered_gradient_fields(phi)))
+    assert not recon.q_derivatives[1].values.any() and every.q_derivatives[1].values.any()
+    box = ((0.2, 0.4), (0.2, 0.4))
+    report = error_report(fine, recon, cmap, box)
+    blocks = [recon.eval_elements(block) for block in grid.element_blocks(mesh)]
+    monkeypatch.setattr(Reconstruction, "_corrector_terms", _tables_of_every_corrector)
+    assert error_report(fine, every, cmap, box) == report
+    for block, (vals, grads) in zip(grid.element_blocks(mesh), blocks):
+        every_vals, every_grads = every.eval_elements(block)
+        assert np.all(every_vals == vals) and np.all(every_grads == grads)
 
 
 def test_fit_rate_examples():

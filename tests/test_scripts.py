@@ -38,6 +38,8 @@ def test_stage_times_reports_every_stage_of_both_rungs():
         assert rung["coarsest_dofs"] > 0 and rung["vcycles"] > 0
         # the configs' cosine varies along y1 alone: chi_2's load is noise
         assert rung["corrector_solves"] == 1
+        # so the reconstruction's walk evaluates chi_1's term alone
+        assert rung["reconstruction_terms"] == 1
         # one sampling by the cell assembly and one by the tensor
         assert rung["cell_samplings"] == 2
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from homog.cell import HomogenizedTensor, solve_correctors, unit_cell_mesh
-from homog.coeff import Constant, GridTable, Laminate, ScalarCosine, fractional_part
+from homog.coeff import Checkerboard, Constant, GridTable, Laminate, ScalarCosine, fractional_part
 from homog.grid import (
     ScalarField,
     active_nodes,
@@ -11,6 +11,7 @@ from homog.grid import (
     element_blocks,
     eval_field_batch,
     eval_gradient_batch,
+    h1_seminorm_sq,
     integrate,
     integrate_field,
     l2_norm_sq,
@@ -22,12 +23,13 @@ from homog.solve import (
     DIRICHLET_FULL,
     NEUMANN_FULL,
     ProblemInstance,
+    _check_solution,
     reconstruct,
     recovered_gradient_fields,
     solve_fine,
     solve_homogenized,
 )
-from homog.sparse import AssemblyError, ZeroMean, assemble_load, assemble_stiffness
+from homog.sparse import AssemblyError, Dirichlet, ZeroMean, assemble_load, assemble_stiffness, cg_solve
 from homog.unfold import build_cell_map
 
 DIRICHLET = BoundaryCondition(DIRICHLET_FULL)
@@ -454,3 +456,59 @@ def test_neumann_tiny_nonzero_mean_rhs_refused_before_the_solve(monkeypatch):
     with pytest.raises(ValueError, match="zero-mean"):
         solve_fine(ProblemInstance(mesh, ScalarCosine(2.0, 1.0, axis=0), rhs, NEUMANN, 4))
     assert calls == []
+
+
+@pytest.mark.parametrize("field, splits", [(ScalarCosine(2.0, 1.0, axis=0), 1), (Checkerboard(1.0, 4.0), 2)])
+def test_reconstruct_splits_the_slow_part_of_nonzero_correctors_alone(field, splits, monkeypatch):
+    # the cosine's chi_2 is zero, so its slow part is the zero field with no
+    # split; both checkerboard correctors are nonzero
+    import homog.solve
+
+    calls = []
+    split = homog.solve.scale_split
+    monkeypatch.setattr(homog.solve, "scale_split", lambda *args: calls.append(args) or split(*args))
+    m, n = 4, 4
+    mesh = build_mesh((0.0, 0.0), (1.0, 1.0), (m * n, m * n), "box")
+    cmap = build_cell_map(mesh, n)
+    correctors = solve_correctors(field, unit_cell_mesh(2, m))
+    x = mesh.node_coordinates()
+    recon = reconstruct(ScalarField(mesh, x[:, 0] ** 2 + np.cos(np.pi * x[:, 1])), correctors, cmap)
+    assert len(calls) == splits
+    assert len(recon.q_derivatives) == 2
+    for q, chi in zip(recon.q_derivatives, correctors.chi):
+        assert q.values.any() == chi.values.any()
+
+
+def _check_setup():
+    """A converged Dirichlet solve of -Laplace u = 1 on 8^2, with its
+    gradient, solution and load norms."""
+    mesh = build_mesh((0.0, 0.0), (1.0, 1.0), (8, 8), "box")
+    system = assemble_stiffness(mesh, lambda p: np.broadcast_to(np.eye(2), (len(p), 2, 2)), Dirichlet())
+    b, f_sq = assemble_load(mesh, lambda p: np.ones(len(p)))
+    b = system.reduce(b)
+    x = cg_solve(system, b, rel_tol=1e-12)
+    u = ScalarField(mesh, system.expand(x))
+    norms = (h1_seminorm_sq(u), np.sqrt(l2_norm_sq(u)), np.sqrt(f_sq))
+    _check_solution(system, x, b, norms, system.ellipticity[0], 1e-10)  # the true norms pass
+    return system, x, b, norms
+
+
+def test_check_solution_refuses_a_galerkin_residual():
+    system, x, b, norms = _check_setup()
+    # the residual of (1 + 1e-6) x is 1e-6 ||b||, above max(1e-9, 10 rel_tol)
+    with pytest.raises(RuntimeError, match="Galerkin residual"):
+        _check_solution(system, x * (1 + 1e-6), b, norms, system.ellipticity[0], 1e-10)
+
+
+def test_check_solution_refuses_an_energy_below_the_ellipticity_bound():
+    system, x, b, (grad_norm2, u_norm, f_norm) = _check_setup()
+    # with A = I the energy is ||grad u||^2, so twice it breaks c ||grad u||^2 <= energy
+    with pytest.raises(RuntimeError, match="ellipticity energy bound"):
+        _check_solution(system, x, b, (2 * grad_norm2, u_norm, f_norm), system.ellipticity[0], 1e-10)
+
+
+def test_check_solution_refuses_a_load_above_the_cauchy_schwarz_bound():
+    system, x, b, (grad_norm2, u_norm, f_norm) = _check_setup()
+    # the load, the integral of u, is about 0.8 ||u|| ||f|| here
+    with pytest.raises(RuntimeError, match="Cauchy-Schwarz load bound"):
+        _check_solution(system, x, b, (grad_norm2, 0.5 * u_norm, f_norm), system.ellipticity[0], 1e-10)
