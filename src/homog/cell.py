@@ -114,9 +114,7 @@ def homogenized_tensor(field: CoefficientField, correctors: CorrectorSet) -> Hom
     n = field.dim
     mat = np.zeros((n, n))
     for block in element_blocks(mesh):
-        rule = block.rule
-        pts = block.points().reshape(-1, n)
-        a = field.sample_batch(pts).reshape(block.size, len(rule.weights), n, n)
+        a = block.sample(field.sample_batch)  # (E, Q, n, n)
         # grads[i] = e_i + grad chi_i and flux[i] = A grads[i], both (n, E, Q, n)
         grads = np.stack([block.gradients(chi.values) for chi in correctors.chi])
         for i in range(n):
@@ -124,7 +122,7 @@ def homogenized_tensor(field: CoefficientField, correctors: CorrectorSet) -> Hom
         flux = np.zeros_like(grads)
         for k, l in np.ndindex(n, n):
             flux[..., k] += a[:, :, k, l] * grads[..., l]
-        flux *= rule.weights[:, None]
+        flux *= block.rule.weights[:, None]
         mat += grads.reshape(n, -1) @ flux.reshape(n, -1).T
     mat *= float(np.prod(mesh.h))
     return HomogenizedTensor(mat)

@@ -2,7 +2,8 @@
 
 Every field is sampled through the componentwise fractional part, so it is
 1-periodic in each coordinate by construction.  Piecewise-constant kinds use
-half-open cells ``[k/N, (k+1)/N)``; axis indices are 0-based.
+half-open cells ``[k/N, (k+1)/N)``; axis indices are 0-based.  The
+checkerboard is the 2x2 ``GridTable``, with no sampler of its own.
 """
 
 from __future__ import annotations
@@ -102,24 +103,6 @@ class Laminate(CoefficientField):
 
 
 @dataclass(frozen=True)
-class Checkerboard(CoefficientField):
-    """2x2 scalar checkerboard: alpha on the even cells, beta on the odd."""
-
-    alpha: float
-    beta: float
-
-    @property
-    def dim(self) -> int:
-        return 2
-
-    def sample_batch(self, y: np.ndarray) -> np.ndarray:
-        cells = np.floor(2.0 * fractional_part(y)).astype(int)
-        cells = np.minimum(cells, 1)
-        even = (cells[:, 0] + cells[:, 1]) % 2 == 0
-        return _times_identity(np.where(even, self.alpha, self.beta), 2)
-
-
-@dataclass(frozen=True)
 class ScalarCosine(CoefficientField):
     """(a0 + a1 cos(2 pi y_axis)) times the identity."""
 
@@ -173,6 +156,13 @@ class GridTable(CoefficientField):
         return self._array[idx[:, 0], idx[:, 1]]
 
 
+def Checkerboard(alpha: float, beta: float) -> GridTable:
+    """2x2 scalar checkerboard: alpha on the even cells, beta on the odd, as
+    the grid table [[alpha I, beta I], [beta I, alpha I]]."""
+    even, odd = np.diag([float(alpha)] * 2), np.diag([float(beta)] * 2)
+    return GridTable(((even, odd), (odd, even)))
+
+
 @dataclass(frozen=True)
 class _Transposed(CoefficientField):
     base: CoefficientField
@@ -204,16 +194,18 @@ def validate_ellipticity(field: CoefficientField, samples_per_axis: int = 64) ->
     screen of a config's coefficient on entry.
 
     Samples cell midpoints of a uniform lattice; raises EllipticityError when
-    the minimum eigenvalue is non-positive, and when a field declared
-    symmetric produces asymmetric samples.  It can miss features thinner
-    than the lattice spacing, 1/64 by default; the authoritative check is
-    assembly's, of every quadrature sample it reads.
+    a sample is not finite, when the minimum eigenvalue is non-positive, and
+    when a field declared symmetric produces asymmetric samples.  It can miss
+    features thinner than the lattice spacing, 1/64 by default; the
+    authoritative check is assembly's, of every quadrature sample it reads.
     """
     if samples_per_axis < 2:
         raise ValueError("samples_per_axis must be >= 2")
     mids = (np.arange(samples_per_axis) + 0.5) / samples_per_axis
     grids = np.meshgrid(*[mids] * field.dim, indexing="ij")
     a = field.sample_batch(np.stack([g.ravel() for g in grids], axis=1))
+    if not np.all(np.isfinite(a)):  # NaN fails every comparison below
+        raise EllipticityError("field has a non-finite sample")
     if field.symmetric:
         dev = np.abs(a - np.swapaxes(a, 1, 2)).max()
         if dev > 1e-12 * max(1.0, np.abs(a).max()):

@@ -14,11 +14,11 @@ through ``element_blocks``: it splits the active elements into boxes
 (``boxes``; a box mesh is one), and cuts each box along the last axis into
 blocks of at most ``CHUNK_ELEMENTS`` elements, so no block holds an inactive
 element.  A block reads nodal arrays by those slices, gives their values and
-gradients, the global points and the samples of a function at the quadrature
-points, and adds per-corner values back onto the node grid; ``quadrature``
-reduces an integrand, or a stack of them, over all blocks in one walk.  Every
-element quadrature uses the one rule ``gauss_rule(dim)``, ``GAUSS_POINTS``
-per axis, which the walk hands each block as ``block.rule``.
+gradients, the global points and, by ``sample``, the one sampler, the checked
+samples of a function at the quadrature points, and adds per-corner values
+back onto the node grid; ``quadrature`` reduces an integrand, or a stack of
+them, over all blocks in one walk.  Every element quadrature uses the one
+rule ``gauss_rule(dim)``, ``GAUSS_POINTS`` per axis, carried as ``block.rule``.
 """
 
 from __future__ import annotations
@@ -319,12 +319,13 @@ class ElementBlock:
         return out
 
     def sample(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """A function of (P, n) points, returning (P,) values, at the
-        quadrature points: (E, Q).  A non-finite sample raises ValueError."""
+        """A function of (P, n) points, returning (P, ...) values, at the
+        quadrature points: (E, Q, ...), so (E, Q) for scalars.  The one
+        quadrature-point sampler; a non-finite sample raises ValueError."""
         vals = np.asarray(f(self.points().reshape(-1, self.mesh.dim)), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValueError("function returned a non-finite sample")
-        return vals.reshape(self.size, -1)
+        return vals.reshape((self.size, len(self.rule.weights)) + vals.shape[1:])
 
     def corners(self, nodal: np.ndarray) -> np.ndarray:
         """Values of a nodal array at the element corners: (2^n, E), each
@@ -466,9 +467,9 @@ def h1_seminorm_sq(field: ScalarField) -> float:
     return quadrature(field.mesh, lambda block: squared_lengths(block.gradients(field.values)))
 
 
-def squared_lengths(vectors: np.ndarray) -> np.ndarray:
-    """Squared Euclidean lengths over the last axis, components added in order."""
-    total = vectors[..., 0] ** 2
+def squared_lengths(vectors: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean lengths over the last axis, components added in order, into ``out`` if given."""
+    total = np.square(vectors[..., 0], out=out)
     for d in range(1, vectors.shape[-1]):
         total += vectors[..., d] ** 2
     return total

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -24,12 +23,14 @@ from .cell import CorrectorSet, HomogenizedTensor, homogenized_tensor, solve_cor
 from .coeff import from_config as coeff_from_config
 from .coeff import validate_ellipticity
 from .grid import ScalarField, StructuredMesh, build_mesh, eval_field_batch, eval_gradient_batch, h1_seminorm_sq, integrate_field, l2_norm_sq
-from .metrics import CSV_HEADER, FUNCTIONALS, error_report, fit_rate
-from .solve import BoundaryCondition, ProblemInstance, reconstruct, solve_fine, solve_homogenized
+from .metrics import CSV_HEADER, FUNCTIONALS, MIN_RATE_POINTS, error_report, fit_rate
+from .solve import (NEUMANN_FULL, BoundaryCondition, ProblemInstance, check_neumann_load, reconstruct,
+                    solve_fine, solve_homogenized)
 from .sparse import assemble_load
 from .unfold import AlignmentError, build_cell_map, layer_indicator, scale_split, unfold, average
 
 BELOW_TOLERANCE = 1e-11
+OPERATOR_EPSILONS = (4, 8, 16, 32)  # the ladder N of ``run_operator_checks``
 
 
 class ConfigError(ValueError):
@@ -82,8 +83,8 @@ class StudyConfig:
             raise ConfigError(f"unknown domain {self.domain!r}")
         if self.domain == "l_shape" and self.dim != 2:
             raise ConfigError("l_shape requires dim = 2")
-        if len(self.epsilons) < 3:
-            raise ConfigError("need at least 3 epsilon values for rate fits")
+        if len(self.epsilons) < MIN_RATE_POINTS:
+            raise ConfigError(f"need at least {MIN_RATE_POINTS} epsilon values for rate fits")
         if any(b <= a for a, b in zip(self.epsilons, self.epsilons[1:])):
             raise ConfigError("epsilons must be strictly decreasing (increasing N)")
         if any(n < 1 for n in self.epsilons):
@@ -96,6 +97,10 @@ class StudyConfig:
             raise ConfigError("cell_divisions must be at least 4")
         if len(self.interior_box) != self.dim:
             raise ConfigError("interior_box must have one (lo, hi) pair per axis")
+        if not all(len(pair) == 2 and np.isfinite(pair).all() and pair[0] < pair[1] for pair in self.interior_box):
+            raise ConfigError("interior_box needs finite bounds with lo < hi on every axis")
+        if not (np.isfinite(self.cg_tol) and self.cg_tol > 0):
+            raise ConfigError(f"cg_tol must be finite and positive, got {self.cg_tol}")
         for key, spec in self.expected_rates.items():
             if key not in FUNCTIONALS:
                 raise ConfigError(f"unknown functional {key!r} in expected_rates")
@@ -110,13 +115,10 @@ class StudyConfig:
         if field.dim != self.dim:
             raise ConfigError("coefficient dimension does not match dim")
         validate_ellipticity(field)
-        if bc.kind == "neumann_full":
-            # the load sums to the integral of f, and its walk gives that of f^2
+        if bc.kind == NEUMANN_FULL:
             mesh = self._mesh(max(64, 4 * max(self.epsilons)))
             load, f_sq = assemble_load(mesh, _rhs_for(self.rhs))
-            total, f_norm = float(load.sum()), np.sqrt(f_sq)
-            if abs(total) > 1e-10 * f_norm:  # as the solve tests it
-                raise ConfigError(f"neumann_full requires a zero-mean rhs, got {total:.3e}")
+            check_neumann_load(load, np.sqrt(f_sq), ConfigError)
 
     def _mesh(self, divisions: int) -> StructuredMesh:
         return build_mesh((0.0,) * self.dim, (1.0,) * self.dim, (divisions,) * self.dim, self.domain)
@@ -162,7 +164,6 @@ class StudyResult:
     reports: tuple  # ErrorReport per epsilon
     fits: dict  # functional -> RateFit | None
     checks: tuple  # RateCheck per expected functional
-    runtimes: dict
 
     @property
     def status(self) -> str:
@@ -173,7 +174,7 @@ class StudyResult:
         return "passed"
 
     def payload(self) -> dict:
-        """Deterministic study output (timings excluded)."""
+        """Deterministic study output."""
         return {
             "config_digest": self.config.digest(),
             "version": __version__,
@@ -259,8 +260,6 @@ def _dump_field(field, out_dir, name, meta):
 def run_study(config: StudyConfig, out_dir=None, progress=None, dump_fields=False) -> StudyResult:
     """Run the full epsilon sweep and rate comparison for one configuration."""
     say = progress or (lambda msg: None)
-    runtimes = {}
-    t0 = time.perf_counter()
     field = coeff_from_config(config.coefficient)
     bc = BoundaryCondition(config.bc)
     rhs = _rhs_for(config.rhs)
@@ -276,11 +275,9 @@ def run_study(config: StudyConfig, out_dir=None, progress=None, dump_fields=Fals
         recon_correctors = solve_correctors(
             field, unit_cell_mesh(config.dim, m), rel_tol=config.cg_tol
         )
-    runtimes["cell"] = time.perf_counter() - t0
 
     reports = []
     for n_eps in config.epsilons:
-        t1 = time.perf_counter()
         say(f"epsilon = 1/{n_eps}")
         mesh = config.fine_mesh(n_eps)
         instance = ProblemInstance(mesh, field, rhs, bc, n_eps)
@@ -291,18 +288,16 @@ def run_study(config: StudyConfig, out_dir=None, progress=None, dump_fields=Fals
         if dump_fields and out_dir is not None:
             _dump_field(fine, out_dir, f"fine_eps_1_{n_eps}", {"epsilon": 1.0 / n_eps})
             _dump_field(phi, out_dir, f"homogenized_eps_1_{n_eps}", {"epsilon": 1.0 / n_eps})
-        runtimes[f"eps_1_{n_eps}"] = time.perf_counter() - t1
 
     fits = {}
     for name in FUNCTIONALS:
         pts = [
             (r.epsilon, getattr(r, name)) for r in reports if getattr(r, name) > BELOW_TOLERANCE
         ]
-        fits[name] = fit_rate(pts) if len(pts) >= 3 else None
+        fits[name] = fit_rate(pts) if len(pts) >= MIN_RATE_POINTS else None
     checks = _check_rates(config.expected_rates, fits)
-    runtimes["total"] = time.perf_counter() - t0
 
-    result = StudyResult(config, tensor.matrix, tuple(reports), fits, checks, runtimes)
+    result = StudyResult(config, tensor.matrix, tuple(reports), fits, checks)
     if out_dir is not None:
         result.persist(out_dir)
     return result
@@ -331,8 +326,9 @@ class CheckReport:
         return {"all_passed": self.all_passed, "checks": [asdict(r) for r in self.results]}
 
 
-def run_operator_checks(divisions: int = 256, epsilons=(4, 8, 16, 32)) -> CheckReport:
-    """Residual checks for the two-scale operator toolbox on the unit square."""
+def run_operator_checks(divisions: int = 256) -> CheckReport:
+    """Residual checks for the two-scale operator toolbox on the unit square,
+    over the ladder ``OPERATOR_EPSILONS``."""
     results = []
     mesh = build_mesh((0.0, 0.0), (1.0, 1.0), (divisions, divisions), "box")
     x = mesh.node_coordinates()
@@ -345,7 +341,7 @@ def run_operator_checks(divisions: int = 256, epsilons=(4, 8, 16, 32)) -> CheckR
     # unfolding integration identity, exact for aligned epsilon
     worst = 0.0
     direct = integrate_field(smooth)
-    for n in epsilons:
+    for n in OPERATOR_EPSILONS:
         cmap = build_cell_map(mesh, n)
         m = cmap.m[0]
         uf = unfold(smooth, cmap)
@@ -360,7 +356,7 @@ def run_operator_checks(divisions: int = 256, epsilons=(4, 8, 16, 32)) -> CheckR
 
     # averaging is a left inverse of unfolding
     worst = 0.0
-    for n in epsilons:
+    for n in OPERATOR_EPSILONS:
         cmap = build_cell_map(mesh, n)
         back = average(unfold(smooth, cmap))
         worst = max(worst, np.abs(back.values - smooth.values).max())
@@ -368,7 +364,7 @@ def run_operator_checks(divisions: int = 256, epsilons=(4, 8, 16, 32)) -> CheckR
 
     # cell-variable gradient of the unfolded field vs eps * fine gradient
     worst = 0.0
-    cmap = build_cell_map(mesh, epsilons[1])
+    cmap = build_cell_map(mesh, OPERATOR_EPSILONS[1])
     mloc = cmap.m[0]
     uf = unfold(smooth, cmap)
     ymesh = build_mesh((0.0, 0.0), (1.0, 1.0), (mloc, mloc), "box")
@@ -382,7 +378,7 @@ def run_operator_checks(divisions: int = 256, epsilons=(4, 8, 16, 32)) -> CheckR
 
     # slow-part gradient reproduces affine gradients exactly
     worst = 0.0
-    for n in epsilons:
+    for n in OPERATOR_EPSILONS:
         cmap = build_cell_map(mesh, n)
         q, _ = scale_split(affine, cmap)
         pts = np.array([[0.31, 0.42], [0.55, 0.18], [0.13, 0.77]])
@@ -394,7 +390,7 @@ def run_operator_checks(divisions: int = 256, epsilons=(4, 8, 16, 32)) -> CheckR
     grad_l2 = np.sqrt(h1_seminorm_sq(smooth))
     h1 = np.sqrt(l2_norm_sq(smooth) + grad_l2**2)
     q_ratios, r_consts, fit_pts = [], [], []
-    for n in epsilons:
+    for n in OPERATOR_EPSILONS:
         cmap = build_cell_map(mesh, n)
         q, r = scale_split(smooth, cmap)
         q_ratios.append(np.sqrt(l2_norm_sq(q) + h1_seminorm_sq(q)) / h1)
@@ -411,7 +407,7 @@ def run_operator_checks(divisions: int = 256, epsilons=(4, 8, 16, 32)) -> CheckR
 
     # boundary-layer volume bound
     worst_excess = -np.inf
-    for n in epsilons[1:]:
+    for n in OPERATOR_EPSILONS[1:]:
         cmap = build_cell_map(mesh, n)
         for k in (1, 2, 3, 4):
             # a share of the unit square's elements, so a full layer is exactly 1

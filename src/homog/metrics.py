@@ -20,6 +20,7 @@ from .unfold import CellIndexMap, boundary_distance, layer_indicator
 
 FUNCTIONALS = ("e_l2", "e_h1_corr", "e_weighted", "e_interior", "e_layer")
 CSV_HEADER = ",".join(("epsilon", *FUNCTIONALS))
+MIN_RATE_POINTS = 3  # the fewest (epsilon, error) pairs ``fit_rate`` fits
 
 
 class InteriorBoxError(ValueError):
@@ -54,7 +55,7 @@ def _interior_margin(mesh, box) -> float:
     if np.any(corners[1] <= corners[0]):
         raise InteriorBoxError("interior box is empty")
     margin = float(boundary_distance(mesh, corners).min())
-    if margin <= 0.0:
+    if not margin > 0.0:  # a NaN bound gives a NaN margin
         raise InteriorBoxError(f"interior box leaves the active region (margin {margin})")
     return margin
 
@@ -96,7 +97,7 @@ def error_report(
     def sample(block):  # the integrands in ``FUNCTIONALS`` order
         nonlocal max_rho
         # the distance first, while its temporaries are the only large arrays
-        rho = boundary_distance(mesh, block.points().reshape(-1, mesh.dim)).reshape(block.size, -1)
+        rho = block.sample(lambda points: boundary_distance(mesh, points))
         max_rho = max(max_rho, float(rho.max()))
         centers = block.points(centre)  # (E, 1, n)
         inside = np.all((centers > lo) & (centers < hi), axis=2)
@@ -129,16 +130,16 @@ class RateFit:
     points: tuple
 
 
-def fit_rate(points, min_points: int = 3) -> RateFit:
+def fit_rate(points) -> RateFit:
     """Fit the convergence order from (epsilon, error) pairs.
 
-    Raises ValueError for fewer than ``min_points`` pairs, non-positive
+    Raises ValueError for fewer than ``MIN_RATE_POINTS`` pairs, non-positive
     errors (below-tolerance measurements must be dropped by the caller), or
     repeated epsilon values.
     """
     pts = [(float(e), float(v)) for e, v in points]
-    if len(pts) < min_points:
-        raise ValueError(f"need at least {min_points} points, got {len(pts)}")
+    if len(pts) < MIN_RATE_POINTS:
+        raise ValueError(f"need at least {MIN_RATE_POINTS} points, got {len(pts)}")
     eps = np.array([p[0] for p in pts])
     err = np.array([p[1] for p in pts])
     if np.any(err <= 0.0):

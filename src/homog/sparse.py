@@ -268,8 +268,7 @@ def _nodal_stencil(
         table = float(np.prod(mesh.h)) * np.einsum(
             "q,qai,qbj->qijab", rule.weights, grads, grads
         ).reshape(-1, nloc * nloc)  # (Q n n, 2^n 2^n)
-        pts = block.points().reshape(-1, dim)
-        a = np.asarray(sampler(pts), dtype=float).reshape(block.size, len(rule.weights), dim, dim)
+        a = block.sample(sampler)  # (E, Q, n, n)
         samples = a.reshape(-1, dim, dim)
         block_low, block_high = symmetric_part_eiglimits(samples)
         low, high = min(low, block_low), max(high, block_high)
@@ -384,7 +383,8 @@ def assemble_stiffness(
 
     ``matrix_sampler`` receives an (P, n) array of points and must return
     (P, n, n) matrices whose symmetric parts have positive eigenvalues; a
-    violation raises AssemblyError, else the samples' bounds become the
+    non-finite sample raises ValueError (``ElementBlock.sample``) and a
+    violation AssemblyError, else the samples' bounds become the
     ``ellipticity`` of the system.  Entry (a, b) couples test function a
     with trial function b.  The matrix is the stiffness K of the samples as
     read; when their asymmetry figure exceeds 1e-10 the system carries

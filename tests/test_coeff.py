@@ -10,6 +10,7 @@ from homog.coeff import (
     GridTable,
     Laminate,
     ScalarCosine,
+    fractional_part,
     sample,
     validate_ellipticity,
 )
@@ -36,6 +37,41 @@ def test_checkerboard_pattern():
     assert sample(field, (0.25, 0.25))[0, 0] == 1.0
     assert sample(field, (0.75, 0.25))[0, 0] == 4.0
     assert sample(field, (0.75, 0.75))[0, 0] == 1.0
+
+
+def _closed_form_checkerboard(alpha, beta, y):
+    """The checkerboard's own closed form: alpha I where the 2x2 cell
+    indices min(floor(2 frac(y)), 1) add up to an even number, else beta I."""
+    cells = np.minimum(np.floor(2.0 * fractional_part(y)).astype(int), 1)
+    even = (cells[:, 0] + cells[:, 1]) % 2 == 0
+    out = np.zeros((len(y), 2, 2))
+    for d in range(2):
+        out[:, d, d] = np.where(even, alpha, beta)
+    return out
+
+
+def test_checkerboard_is_the_2x2_grid_table_bitwise_its_closed_form():
+    field = Checkerboard(1.0, 4.0)
+    assert isinstance(field, GridTable) and field.k == 2 and field.symmetric
+    rng = np.random.default_rng(3)
+    # random points, and points on the cell boundaries k/2 of several periods
+    halves = np.arange(-6, 7) / 2.0
+    edges = np.stack(np.meshgrid(halves, halves), axis=-1).reshape(-1, 2)
+    mixed = np.stack([halves, rng.uniform(-3, 3, len(halves))], axis=1)
+    for y in (rng.uniform(-3, 3, (4096, 2)), edges, mixed, mixed[:, ::-1]):
+        got = field.sample_batch(y)
+        want = _closed_form_checkerboard(1.0, 4.0, y)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+def test_validate_refuses_a_non_finite_sample(bad, entry):
+    # NaN fails every comparison, so only a finiteness test can catch it
+    vals = np.tile(np.eye(2), (4, 4, 1, 1))
+    vals[(1, 2) + entry] = bad
+    with pytest.raises(EllipticityError, match="non-finite"):
+        validate_ellipticity(GridTable(vals))
 
 
 def test_grid_table_lookup_and_symmetry_flag():

@@ -384,6 +384,26 @@ def test_values_and_gradients_equal_values_and_gradients_alone(mesh_name, chunk,
         assert np.array_equal(grads, block.gradients(nodal))
 
 
+@pytest.mark.parametrize("chunk", [None, 1, 3])
+@pytest.mark.parametrize("mesh_name", sorted(WALK_MESHES))
+def test_block_sample_of_a_matrix_sampler_keeps_its_trailing_axes(mesh_name, chunk, monkeypatch):
+    # (E, Q, n, n), bitwise the hand reshape of the samples at block.points()
+    if chunk is not None:
+        monkeypatch.setattr(grid, "CHUNK_ELEMENTS", chunk)
+    mesh = WALK_MESHES[mesh_name][0]
+    n = mesh.dim
+
+    def sampler(p):
+        return np.sin(3.0 * p[:, :, None] + p[:, None, :] ** 2)
+
+    for block in element_blocks(mesh):
+        q = len(block.rule.weights)
+        want = sampler(block.points().reshape(-1, n)).reshape(block.size, q, n, n)
+        got = block.sample(sampler)
+        assert got.shape == (block.size, q, n, n) and np.array_equal(got, want)
+        assert block.sample(lambda p: p[:, 0]).shape == (block.size, q)
+
+
 @pytest.mark.parametrize("chunk", [None, 1, 3, 16])
 @pytest.mark.parametrize("mesh_name", sorted(WALK_MESHES))
 def test_block_centres_equal_element_origin_reference(mesh_name, chunk, monkeypatch):

@@ -1,8 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
+from homog.coeff import EllipticityError
 from homog.harness import (
     ConfigError,
     StudyConfig,
@@ -57,11 +59,29 @@ def test_config_roundtrip(tmp_path):
         dict(bc="neumann_full"),  # constant_one rhs has nonzero mean
         dict(max_nodes=10),  # memory cap
         dict(interior_box=[[0.25, 0.75]]),  # wrong dimension
+        dict(interior_box=[[0.25, float("nan")], [0.25, 0.75]]),  # NaN bound
+        dict(interior_box=[[0.25, 0.75], [float("-inf"), 0.75]]),  # infinite bound
+        dict(interior_box=[[0.75, 0.25], [0.25, 0.75]]),  # lo > hi
+        dict(interior_box=[[0.25, 0.75], [0.5, 0.5]]),  # lo == hi
+        dict(cg_tol=-1.0),  # divides by zero in CG
+        dict(cg_tol=float("nan")),
+        dict(cg_tol=0.0),  # never met
+        dict(cg_tol=float("inf")),
     ],
 )
 def test_config_validation_errors(overrides):
     with pytest.raises(ConfigError):
         small_config(**overrides)
+
+
+def test_grid_table_with_a_nan_entry_refused_by_the_screen():
+    # refused at the config, long before the NaN would reach a solve
+    values = np.tile(np.eye(2), (4, 4, 1, 1))
+    values[1, 3, 0, 0] = np.nan
+    t0 = time.perf_counter()
+    with pytest.raises(EllipticityError, match="non-finite"):
+        small_config(coefficient={"kind": "grid_table", "values": values.tolist()})
+    assert time.perf_counter() - t0 < 0.1
 
 
 def _table_rhs(f, div=16):
@@ -198,7 +218,7 @@ def test_neumann_study_with_table_rhs():
 
 def test_operator_checks_pass_and_serialize():
     # the decay-slope tolerance is calibrated on the full 1/4..1/32 ladder
-    report = run_operator_checks(divisions=128, epsilons=(4, 8, 16, 32))
+    report = run_operator_checks(divisions=128)
     data = report.as_dict()
     assert data["all_passed"] is True
     assert {c["name"] for c in data["checks"]} >= {

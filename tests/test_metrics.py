@@ -138,6 +138,8 @@ def test_interior_margin_matches_the_explicit_formula():
     ((0.4, 0.6), (0.4, 0.6)),  # reaches into the notch
     ((0.2, 0.5), (0.2, 0.5)),  # ends at the reentrant corner
     ((0.6, 0.9), (0.6, 0.9)),  # lies in the notch
+    ((np.nan, 0.3), (0.2, 0.4)),  # a NaN bound gives a NaN margin
+    ((0.2, 0.4), (0.2, np.nan)),
 ])
 def test_interior_margin_refuses_boxes_that_leave_the_l_shape(box):
     mesh = build_mesh((0, 0), (1, 1), (16, 16), "l_shape")

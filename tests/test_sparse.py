@@ -912,6 +912,22 @@ def test_transform_level_needs_gamma_on_one_row_and_one_column():
     assert len(system.hierarchy) > 1 and all(level.spectrum is None for level in system.hierarchy)
 
 
+def test_all_active_mask_builds_the_box_sine_level_with_no_capacitance():
+    # Gamma is empty, so the level is the box's, and so is its solve
+    box = build_mesh((0, 0), (1, 1), (16, 12), "box")
+    masked = grid.StructuredMesh(box.origin, box.extent, box.divisions, np.ones(box.n_elements, bool))
+    sampler = _constant_sampler(np.diag([2.0, 0.5]))
+    spectra, solutions = [], []
+    for mesh in (box, masked):
+        system = assemble_stiffness(mesh, sampler, Dirichlet(), (1, 1))
+        [level] = system.hierarchy
+        assert level.sine and level.capacitance is None and not level.gamma
+        b = system.reduce(assemble_load(mesh, lambda p: np.cos(3.0 * p[:, 0]) + p[:, 1])[0])
+        spectra.append(level.spectrum)
+        solutions.append(cg_solve(system, b))
+    assert np.array_equal(*spectra) and np.array_equal(*solutions)
+
+
 def _skew_periodic_system(divisions, s):
     mesh = build_mesh((0, 0), (1, 1), (divisions, divisions))
     return assemble_stiffness(mesh, _skew_checkerboard(s), Periodic())
