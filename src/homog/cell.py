@@ -11,18 +11,18 @@ The homogenized tensor is the cell quadrature of
 
     A_ij = integral over Y of  grad(y_i + chi_i) . A grad(y_j + chi_j).
 
-The stiffness K comes from one assembly call.  A symmetric K is solved by CG;
-a field declared symmetric whose samples are not raises AssemblyError.
-Otherwise the correctors solve K and the adjoints K^T by GMRES, both
-preconditioned by the one V-cycle of K's symmetric part.  The load of chi_i
-is -a(y_i, psi), K applied to the coordinate y_i, and is read off K (K^T for
-the adjoints) with no walk of its own, so the cell problems sample the
-coefficient once, by assembly.  A load within ``rel_tol`` of the largest of
-its family is rounding noise (chi_2's, where A varies along y_1 alone) and
-gets the zero corrector, which meets the family's tolerance; every other
-solve meets it on the true residual of the full system.  The tensor samples
-the coefficient again: it takes any correctors of the field, the adjoints of
-A as the correctors of A^T too.
+The stiffness K comes from one assembly call, which measures whether the
+coefficient's samples are symmetric; no field declares it.  A symmetric K is
+solved by CG.  Otherwise the correctors solve K and the adjoints K^T by
+GMRES, both preconditioned by the one V-cycle of K's symmetric part.  The
+load of chi_i is -a(y_i, psi), K applied to the coordinate y_i, and is read
+off K (K^T for the adjoints) with no walk of its own, so the cell problems
+sample the coefficient once, by assembly.  A load within ``rel_tol`` of the
+largest of its family is rounding noise (chi_2's, where A varies along y_1
+alone) and gets the zero corrector, which meets the family's tolerance;
+every other solve meets it on the true residual of the full system.  The
+tensor samples the coefficient again: it takes any correctors of the field,
+the adjoints of A as the correctors of A^T too.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .coeff import CoefficientField
 from .grid import ScalarField, StructuredMesh, element_blocks
-from .sparse import AssemblyError, Periodic, SparseSystem, assemble_stiffness, cg_solve
+from .sparse import Periodic, SparseSystem, assemble_stiffness, cg_solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,8 +81,6 @@ def solve_correctors(
     _check_cell_mesh(field, cell_mesh)
     system = assemble_stiffness(cell_mesh, field.sample_batch, Periodic())
     symmetric = system.symmetric_part is None
-    if field.symmetric and not symmetric:
-        raise AssemblyError("a field declared symmetric sampled non-symmetric matrices")
 
     def solve_family(stiffness: SparseSystem) -> tuple[ScalarField, ...]:
         # the load of chi_i is -K y_i, on the masters already

@@ -2,8 +2,10 @@
 
 Every field is sampled through the componentwise fractional part, so it is
 1-periodic in each coordinate by construction.  Piecewise-constant kinds use
-half-open cells ``[k/N, (k+1)/N)``; axis indices are 0-based.  The
-checkerboard is the 2x2 ``GridTable``, with no sampler of its own.
+half-open cells ``[k/N, (k+1)/N)``; axis indices are 0-based.  The constant
+is the one-cell ``GridTable`` and the checkerboard the 2x2 one, with no
+sampler of their own.  No field declares whether it is symmetric: assembly
+measures that on the samples it reads.
 """
 
 from __future__ import annotations
@@ -30,16 +32,12 @@ class CoefficientField:
     def dim(self) -> int:
         raise NotImplementedError
 
-    @property
-    def symmetric(self) -> bool:
-        return True
-
     def sample_batch(self, y: np.ndarray) -> np.ndarray:
         """Matrices A({y}) for an (P, n) array of points: returns (P, n, n)."""
         raise NotImplementedError
 
     def transposed(self) -> "CoefficientField":
-        return self if self.symmetric else _Transposed(self)
+        return _Transposed(self)
 
 
 def sample(field: CoefficientField, y) -> np.ndarray:
@@ -53,28 +51,6 @@ def _times_identity(scalars: np.ndarray, n: int) -> np.ndarray:
     for d in range(n):
         out[:, d, d] = scalars
     return out
-
-
-@dataclass(frozen=True)
-class Constant(CoefficientField):
-    matrix: tuple  # (n, n) nested tuple
-
-    def __post_init__(self):
-        m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-        object.__setattr__(self, "matrix", tuple(map(tuple, m)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.matrix)
-
-    @property
-    def symmetric(self) -> bool:
-        m = np.asarray(self.matrix)
-        return bool(np.array_equal(m, m.T))
-
-    def sample_batch(self, y: np.ndarray) -> np.ndarray:
-        m = np.asarray(self.matrix)
-        return np.broadcast_to(m, (len(y), *m.shape)).copy()
 
 
 @dataclass(frozen=True)
@@ -124,36 +100,44 @@ class ScalarCosine(CoefficientField):
         return _times_identity(scal, self.ndim)
 
 
+def _tuples(x):
+    """A nested list as nested tuples, so that it hashes."""
+    return tuple(map(_tuples, x)) if isinstance(x, list) else x
+
+
 @dataclass(frozen=True)
 class GridTable(CoefficientField):
-    """k x k per-cell constant matrices on Y; entries may be non-symmetric."""
+    """k^n per-cell constant n x n matrices on Y, n = 1 or 2; entries may be
+    non-symmetric."""
 
-    values: tuple  # (k, k, n, n) nested tuple; [i, j] covers cell (i, j)
+    values: tuple  # (k,)*n + (n, n) nested tuple; [i, j] covers cell (i, j), [i] cell i
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 4 or v.shape[0] != v.shape[1] or v.shape[2:] != (2, 2):
-            raise ValueError("grid_table expects a (k, k, 2, 2) array")
-        object.__setattr__(self, "values", v.tolist())
+        n = v.shape[-1] if v.ndim else 0
+        if n not in (1, 2) or v.shape != (v.shape[0],) * n + (n, n):
+            raise ValueError("grid_table expects a (k,)*n + (n, n) array with n = 1 or 2")
+        object.__setattr__(self, "values", _tuples(v.tolist()))
         object.__setattr__(self, "_array", v)
 
     @property
     def dim(self) -> int:
-        return 2
+        return self._array.shape[-1]
 
     @property
     def k(self) -> int:
         return self._array.shape[0]
 
-    @property
-    def symmetric(self) -> bool:
-        v = self._array
-        return bool(np.array_equal(v, np.swapaxes(v, 2, 3)))
-
     def sample_batch(self, y: np.ndarray) -> np.ndarray:
         k = self.k
         idx = np.minimum(np.floor(k * fractional_part(y)).astype(int), k - 1)
-        return self._array[idx[:, 0], idx[:, 1]]
+        return self._array[tuple(idx.T)]
+
+
+def Constant(matrix) -> GridTable:
+    """The constant field A(y) = matrix, as the one-cell grid table."""
+    m = np.atleast_2d(np.asarray(matrix, dtype=float))
+    return GridTable(m.reshape((1,) * len(m) + m.shape))
 
 
 def Checkerboard(alpha: float, beta: float) -> GridTable:
@@ -170,10 +154,6 @@ class _Transposed(CoefficientField):
     @property
     def dim(self) -> int:
         return self.base.dim
-
-    @property
-    def symmetric(self) -> bool:
-        return self.base.symmetric
 
     def sample_batch(self, y: np.ndarray) -> np.ndarray:
         return np.swapaxes(self.base.sample_batch(y), 1, 2)
@@ -194,10 +174,10 @@ def validate_ellipticity(field: CoefficientField, samples_per_axis: int = 64) ->
     screen of a config's coefficient on entry.
 
     Samples cell midpoints of a uniform lattice; raises EllipticityError when
-    a sample is not finite, when the minimum eigenvalue is non-positive, and
-    when a field declared symmetric produces asymmetric samples.  It can miss
-    features thinner than the lattice spacing, 1/64 by default; the
-    authoritative check is assembly's, of every quadrature sample it reads.
+    a sample is not finite or the minimum eigenvalue is non-positive.  It can
+    miss features thinner than the lattice spacing, 1/64 by default; the
+    authoritative check is assembly's, of every quadrature sample it reads,
+    which also measures whether the samples are symmetric.
     """
     if samples_per_axis < 2:
         raise ValueError("samples_per_axis must be >= 2")
@@ -206,10 +186,6 @@ def validate_ellipticity(field: CoefficientField, samples_per_axis: int = 64) ->
     a = field.sample_batch(np.stack([g.ravel() for g in grids], axis=1))
     if not np.all(np.isfinite(a)):  # NaN fails every comparison below
         raise EllipticityError("field has a non-finite sample")
-    if field.symmetric:
-        dev = np.abs(a - np.swapaxes(a, 1, 2)).max()
-        if dev > 1e-12 * max(1.0, np.abs(a).max()):
-            raise EllipticityError(f"field declared symmetric but deviates by {dev:.3e}")
     c, big_c = symmetric_part_eiglimits(a)
     if c <= 0.0:
         raise EllipticityError(f"field is not elliptic (min eigenvalue {c:.3e})")
@@ -222,7 +198,7 @@ def from_config(spec: dict) -> CoefficientField:
     kind = spec.pop("kind")
     dim = int(spec.pop("dim", 2))
     if kind == "constant":
-        return Constant(tuple(map(tuple, np.atleast_2d(spec["matrix"]))))
+        return Constant(spec["matrix"])
     if kind == "laminate":
         return Laminate(int(spec["axis"]), float(spec["alpha"]), float(spec["beta"]),
                         float(spec.get("fraction", 0.5)), dim)
@@ -231,5 +207,5 @@ def from_config(spec: dict) -> CoefficientField:
     if kind == "scalar_cosine":
         return ScalarCosine(float(spec["a0"]), float(spec["a1"]), int(spec.get("axis", 0)), dim)
     if kind == "grid_table":
-        return GridTable(tuple(spec["values"]))
+        return GridTable(spec["values"])
     raise ValueError(f"unknown coefficient kind {kind!r}")

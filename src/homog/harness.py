@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -49,6 +50,11 @@ def _rhs_for(name):
     raise ConfigError(f"unknown rhs {name!r}")
 
 
+def _finite(value) -> bool:
+    """A finite real number (a string or None is not one)."""
+    return isinstance(value, numbers.Real) and bool(np.isfinite(value))
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     dim: int
@@ -65,6 +71,9 @@ class StudyConfig:
     cg_tol: float = 1e-10
 
     def __post_init__(self):
+        sizes = (*self.epsilons, self.points_per_period, self.cell_divisions)
+        if not all(isinstance(v, numbers.Integral) for v in sizes):
+            raise ConfigError("epsilons, points_per_period and cell_divisions must be integers")
         object.__setattr__(self, "epsilons", tuple(int(n) for n in self.epsilons))
         box = self.interior_box
         if box and np.isscalar(box[0]):
@@ -104,8 +113,16 @@ class StudyConfig:
         for key, spec in self.expected_rates.items():
             if key not in FUNCTIONALS:
                 raise ConfigError(f"unknown functional {key!r} in expected_rates")
-            if not (("target" in spec and "tol" in spec) or "interval" in spec):
-                raise ConfigError(f"expected_rates[{key!r}] needs target/tol or interval")
+            # _check_rates reads the interval when there is one, else target and tol
+            if "interval" in spec:
+                lo_hi = spec["interval"]
+                ok = (isinstance(lo_hi, (list, tuple)) and len(lo_hi) == 2 and all(map(_finite, lo_hi))
+                      and lo_hi[0] <= lo_hi[1])
+            else:
+                ok = _finite(spec.get("target")) and _finite(spec.get("tol")) and spec["tol"] >= 0
+            if not ok:
+                raise ConfigError(f"expected_rates[{key!r}] needs a finite target and tol >= 0, "
+                                  f"or an interval of two finite numbers lo <= hi: {spec!r}")
         fine_divisions = self.points_per_period * max(self.epsilons)
         nodes = (fine_divisions + 1) ** self.dim
         if nodes > self.max_nodes:
@@ -115,9 +132,12 @@ class StudyConfig:
         if field.dim != self.dim:
             raise ConfigError("coefficient dimension does not match dim")
         validate_ellipticity(field)
+        rhs = _rhs_for(self.rhs)
+        try:  # under every bc, so a table rhs short of the domain fails here
+            load, f_sq = assemble_load(self._mesh(max(64, 4 * max(self.epsilons))), rhs)
+        except ValueError as err:  # outside the domain, or a non-finite value
+            raise ConfigError(f"rhs is not defined and finite on the whole domain: {err}") from err
         if bc.kind == NEUMANN_FULL:
-            mesh = self._mesh(max(64, 4 * max(self.epsilons)))
-            load, f_sq = assemble_load(mesh, _rhs_for(self.rhs))
             check_neumann_load(load, np.sqrt(f_sq), ConfigError)
 
     def _mesh(self, divisions: int) -> StructuredMesh:

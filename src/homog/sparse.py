@@ -873,8 +873,11 @@ def cg_solve(
     SolverError when the tolerance is not met within ``max_iter`` iterations,
     or, in CG, when ``STALL_RESTARTS`` restarts in a row leave the true
     residual no lower than the least at an earlier restart: it has reached
-    its rounding floor above the tolerance.
+    its rounding floor above the tolerance.  Raises ValueError at entry for
+    a ``rel_tol`` that is not finite and positive.
     """
+    if not (np.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
     a = system.matrix
     if np.shape(rhs) != (a.shape[0],):
         raise ValueError(f"rhs shape {np.shape(rhs)} does not match the {a.shape[0]} nodes "

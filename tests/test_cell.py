@@ -286,8 +286,9 @@ def test_mesh_convergence_monotone():
     assert gaps[0] > gaps[1] > gaps[2]
 
 
-class _DeclaredSymmetric(ScalarCosine):
-    """Claims the default ``symmetric`` but samples a skew part."""
+class _SkewCosine(ScalarCosine):
+    """The cosine with a skew part added to its samples: nothing declares it
+    non-symmetric, so only assembly's measurement can route it."""
 
     def sample_batch(self, y):
         a = super().sample_batch(y)
@@ -296,5 +297,22 @@ class _DeclaredSymmetric(ScalarCosine):
 
 
 def test_declared_symmetric_field_with_skew_samples_rejected():
-    with pytest.raises(ValueError, match="symmetric"):
-        solve_correctors(_DeclaredSymmetric(2.0, 1.0), unit_cell_mesh(2, 8))
+    # despite the name, nothing is rejected: no field declares symmetry, so
+    # the measured asymmetry takes the GMRES path, with adjoint correctors of
+    # their own and the duality A*(A^T) = A*(A)^T
+    field = _SkewCosine(2.0, 1.0)
+    mesh = unit_cell_mesh(2, 8)
+    cs = solve_correctors(field, mesh)
+    assert cs.chi_adjoint is not cs.chi
+    tensor = homogenized_tensor(field, cs).matrix
+    transposed = field.transposed()
+    tensor_t = homogenized_tensor(transposed, solve_correctors(transposed, mesh)).matrix
+    np.testing.assert_allclose(tensor_t, tensor.T, rtol=0, atol=1e-9)
+
+
+def test_1d_two_cell_table_gives_the_harmonic_mean():
+    field = GridTable([[[1.0]], [[4.0]]])  # (k, n, n) = (2, 1, 1)
+    assert field.dim == 1 and field.k == 2
+    tensor = homogenized_tensor(field, solve_correctors(field, unit_cell_mesh(1, 16))).matrix
+    assert tensor.shape == (1, 1)
+    assert tensor[0, 0] == pytest.approx(2.0 / (1.0 / 1.0 + 1.0 / 4.0), abs=1e-9)

@@ -11,6 +11,7 @@ from homog.coeff import (
     Laminate,
     ScalarCosine,
     fractional_part,
+    from_config,
     sample,
     validate_ellipticity,
 )
@@ -52,7 +53,7 @@ def _closed_form_checkerboard(alpha, beta, y):
 
 def test_checkerboard_is_the_2x2_grid_table_bitwise_its_closed_form():
     field = Checkerboard(1.0, 4.0)
-    assert isinstance(field, GridTable) and field.k == 2 and field.symmetric
+    assert isinstance(field, GridTable) and field.k == 2
     rng = np.random.default_rng(3)
     # random points, and points on the cell boundaries k/2 of several periods
     halves = np.arange(-6, 7) / 2.0
@@ -62,6 +63,7 @@ def test_checkerboard_is_the_2x2_grid_table_bitwise_its_closed_form():
         got = field.sample_batch(y)
         want = _closed_form_checkerboard(1.0, 4.0, y)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(got, np.swapaxes(got, 1, 2))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -82,7 +84,6 @@ def test_grid_table_lookup_and_symmetry_flag():
     vals[0, 0, 0, 1] = 0.3
     vals[0, 0, 1, 0] = 0.1
     field = GridTable(vals)
-    assert not field.symmetric
     np.testing.assert_array_equal(sample(field, (0.9, 0.1)), 2.0 * np.eye(2))
     a = sample(field, (0.1, 0.1))
     assert a[0, 1] == 0.3 and a[1, 0] == 0.1
@@ -139,4 +140,47 @@ def test_transposed_field():
     t = field.transposed()
     np.testing.assert_array_equal(sample(t, (0.1, 0.2)), sample(field, (0.1, 0.2)).T)
     sym = ScalarCosine(2.0, 1.0, 0)
-    assert sym.transposed() is sym
+    pts = np.random.default_rng(1).uniform(-3, 3, (64, 2))
+    assert sym.transposed().sample_batch(pts).tobytes() == sym.sample_batch(pts).tobytes()
+
+
+_EDGE_POINTS = [-3.0, -1.0, -1e-20, 0.0, 1e-20, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("matrix", [((2.5,),), ((2.0, 0.3), (0.1, 1.5))])
+def test_constant_is_the_one_cell_table_bitwise_a_broadcast(matrix):
+    field = Constant(matrix)
+    a = np.asarray(matrix)
+    n = len(a)
+    assert isinstance(field, GridTable) and field.k == 1 and field.dim == n
+    rng = np.random.default_rng(5)
+    edges = np.stack(np.meshgrid(*[_EDGE_POINTS] * n), axis=-1).reshape(-1, n)
+    for y in (rng.uniform(-3, 3, (512, n)), edges):
+        got = field.sample_batch(y)
+        want = np.broadcast_to(a, (len(y), n, n))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_grid_table_refuses_a_malformed_shape():
+    for values in (np.ones((2, 3, 2, 2)), np.ones((2, 2, 1, 1)), np.ones((2, 2, 2)),
+                   np.ones((1, 1, 1, 3, 3)), 1.0):
+        with pytest.raises(ValueError, match="grid_table"):
+            GridTable(values)
+
+
+_SPECS = [
+    {"kind": "constant", "matrix": [[2.0, 0.3], [0.3, 1.4]]},
+    {"kind": "constant", "matrix": [[2.0]], "dim": 1},
+    {"kind": "laminate", "axis": 1, "alpha": 1.0, "beta": 4.0, "fraction": 0.25},
+    {"kind": "checkerboard", "alpha": 1.0, "beta": 4.0},
+    {"kind": "scalar_cosine", "a0": 2.0, "a1": 1.0, "dim": 1},
+    {"kind": "grid_table", "values": np.tile(np.array([[2.0, 0.3], [0.1, 1.5]]), (3, 3, 1, 1)).tolist()},
+]
+
+
+@pytest.mark.parametrize("spec", _SPECS, ids=[s["kind"] for s in _SPECS])
+def test_every_config_kind_hashes_and_equal_fields_hash_equal(spec):
+    field, again = from_config(spec), from_config(spec)
+    assert field == again and hash(field) == hash(again)
+    assert field.transposed() == again.transposed()
+    assert hash(field.transposed()) == hash(again.transposed())

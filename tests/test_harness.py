@@ -67,6 +67,18 @@ def test_config_roundtrip(tmp_path):
         dict(cg_tol=float("nan")),
         dict(cg_tol=0.0),  # never met
         dict(cg_tol=float("inf")),
+        dict(epsilons=[2, 4.7, 8]),  # would run as (2, 4, 8)
+        dict(cell_divisions=16.9),  # would run 16 divisions
+        dict(points_per_period=8.5),  # would fail to align after the cell solves
+        dict(expected_rates={"e_l2": {"target": 1.0, "tol": "0.25"}}),  # TypeError after the ladder
+        dict(expected_rates={"e_l2": {"target": 1.0, "tol": -0.25}}),
+        dict(expected_rates={"e_l2": {"target": float("nan"), "tol": 0.25}}),  # always failed
+        dict(expected_rates={"e_l2": {"interval": [0.5]}}),  # ValueError after the ladder
+        dict(expected_rates={"e_l2": {"interval": [1.5, 0.5]}}),  # lo > hi
+        dict(expected_rates={"e_l2": {"interval": [0.5, float("inf")]}}),
+        # a table rhs over half the square, which the first rung cannot sample
+        dict(rhs=dict(kind="table", origin=[0.0, 0.0], extent=[0.5, 1.0], divisions=[4, 4],
+                      values=[1.0] * 25)),
     ],
 )
 def test_config_validation_errors(overrides):

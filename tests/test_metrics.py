@@ -6,7 +6,7 @@ import pytest
 
 import homog.grid as grid
 from homog.cell import homogenized_tensor, solve_correctors, unit_cell_mesh
-from homog.coeff import Constant, ScalarCosine
+from homog.coeff import Constant, ScalarCosine, sample
 from homog.grid import ScalarField, build_mesh, gauss_rule, integrate_field, shape_gradients
 from homog.metrics import (
     CSV_HEADER,
@@ -39,7 +39,7 @@ def constant_setup(m=8, n=4):
     rhs = lambda p: np.ones(len(p))
     fine = solve_fine(ProblemInstance(mesh, coeff, rhs, DIRICHLET, n))
     correctors = solve_correctors(coeff, unit_cell_mesh(2, m))
-    tensor = HomogenizedTensor(np.asarray(coeff.matrix))
+    tensor = HomogenizedTensor(sample(coeff, (0, 0)))
     phi = solve_homogenized(tensor, rhs, DIRICHLET, mesh)
     recon = reconstruct(phi, correctors, cmap)
     return mesh, cmap, fine, recon

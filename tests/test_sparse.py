@@ -516,6 +516,23 @@ def test_cg_residual_contract():
     assert res <= tol
 
 
+@pytest.mark.parametrize("rel_tol", [np.inf, -1.0, np.nan, 0.0])
+def test_cg_refuses_a_rel_tol_not_finite_and_positive(rel_tol, monkeypatch):
+    # inf accepts any iterate, -1 and NaN divide by zero in the recursion and
+    # 0 is never met: each is refused at entry, before any V-cycle
+    import homog.sparse
+
+    def no_cycle(*args):
+        raise AssertionError("cg_solve iterated")
+
+    monkeypatch.setattr(homog.sparse, "_vcycle", no_cycle)
+    mesh = build_mesh((0, 0), (1, 1), (8, 8), "l_shape")
+    system = assemble_stiffness(mesh, identity_sampler, Dirichlet())
+    b = _on_grid(system, np.ones(system.dimension))
+    with pytest.raises(ValueError, match="rel_tol"):
+        cg_solve(system, b, rel_tol=rel_tol)
+
+
 def test_cg_projects_constant_mode():
     mesh = build_mesh((0, 0), (1, 1), (6, 6), "box")
     sys = assemble_stiffness(mesh, identity_sampler, Periodic())
