@@ -5,7 +5,7 @@ coordinates are never stored: node ``(i0, i1)`` sits at
 ``origin + (i0*h0, i1*h1)`` and carries the flat index
 ``i0 + (d0+1)*i1`` (axis 0 varies fastest).  Element ``(e0, e1)`` has the
 flat index ``e0 + d0*e1``.  An optional per-element activity mask supports
-L-shaped domains (upper-right quadrant removed).
+L-shaped domains (upper-right quadrant removed); the box has none.
 
 A nodal array reshaped to the node grid, last axis first, keeps the flat node
 order, and on it each local corner of all elements in a box of elements is
@@ -79,7 +79,7 @@ class StructuredMesh:
     origin: tuple[float, ...]
     extent: tuple[float, ...]
     divisions: tuple[int, ...]
-    active_mask: np.ndarray | None = None  # flat bool per element, True = active
+    active_mask: np.ndarray | None = None  # flat bool per element, True = active; None on the box
 
     def __post_init__(self):
         object.__setattr__(self, "origin", tuple(float(v) for v in np.atleast_1d(self.origin)))
@@ -95,7 +95,7 @@ class StructuredMesh:
             mask = np.asarray(self.active_mask, dtype=bool)
             if mask.shape != (self.n_elements,):
                 raise ValueError("active_mask must be flat with one flag per element")
-            object.__setattr__(self, "active_mask", mask)
+            object.__setattr__(self, "active_mask", None if mask.all() else mask)
 
     @property
     def dim(self) -> int:
@@ -222,10 +222,21 @@ def build_mesh(origin, extent, divisions, shape: str = "box") -> StructuredMesh:
     if any(d % 2 for d in mesh.divisions):
         raise ValueError("l_shape requires even divisions per axis")
     d0, d1 = mesh.divisions
-    e = np.arange(mesh.n_elements)
-    e0, e1 = e % d0, e // d0
-    mask = ~((e0 >= d0 // 2) & (e1 >= d1 // 2))
-    return StructuredMesh(origin, extent, divisions, mask)
+    mask = np.ones((d1, d0), dtype=bool)  # the element grid, last axis first
+    mask[d1 // 2:, d0 // 2:] = False
+    return StructuredMesh(origin, extent, divisions, mask.ravel())
+
+
+def is_l_shape(mesh: StructuredMesh) -> bool:
+    """Whether the mesh's active elements are those of ``build_mesh``'s
+    L-shape, by three slice tests of its mask: the one test of the code that
+    reads a mask as the L-shape's."""
+    if mesh.active_mask is None or mesh.dim != 2 or any(d % 2 for d in mesh.divisions):
+        return False
+    d0, d1 = mesh.divisions
+    grid = mesh.active_mask.reshape(d1, d0)
+    top = grid[d1 // 2:]
+    return bool(grid[:d1 // 2].all() and top[:, :d0 // 2].all() and not top[:, d0 // 2:].any())
 
 
 @dataclass(frozen=True, eq=False)

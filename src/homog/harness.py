@@ -47,7 +47,15 @@ def _rhs_for(name):
         mesh = build_mesh(name["origin"], name["extent"], name["divisions"])
         table = ScalarField(mesh, np.asarray(name["values"], dtype=float))
         return lambda p: eval_field_batch(table, p)
-    raise ConfigError(f"unknown rhs {name!r}")
+    raise ValueError(f"unknown rhs {name!r}")
+
+
+def _build(what: str, builder, spec):
+    """``builder(spec)``, with the errors of a malformed spec raised as ConfigError."""
+    try:
+        return builder(spec)
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"malformed {what}: {type(err).__name__}: {err}") from err
 
 
 def _finite(value) -> bool:
@@ -71,18 +79,22 @@ class StudyConfig:
     cg_tol: float = 1e-10
 
     def __post_init__(self):
-        sizes = (*self.epsilons, self.points_per_period, self.cell_divisions)
+        try:  # a wrongly typed container fails to unpack here
+            sizes = (self.dim, *self.epsilons, self.points_per_period, self.cell_divisions, self.max_nodes)
+            box = self.interior_box
+            if box and np.isscalar(box[0]):
+                box = (tuple(box),)
+            box = tuple(tuple(float(v) for v in b) for b in box)
+            rates = {k: dict(v) for k, v in dict(self.expected_rates).items()}
+            coefficient = dict(self.coefficient)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"malformed epsilons, interior_box, expected_rates or coefficient: {err}") from err
         if not all(isinstance(v, numbers.Integral) for v in sizes):
-            raise ConfigError("epsilons, points_per_period and cell_divisions must be integers")
+            raise ConfigError("dim, epsilons, points_per_period, cell_divisions and max_nodes must be integers")
         object.__setattr__(self, "epsilons", tuple(int(n) for n in self.epsilons))
-        box = self.interior_box
-        if box and np.isscalar(box[0]):
-            box = (tuple(box),)
-        object.__setattr__(self, "interior_box", tuple(tuple(float(v) for v in b) for b in box))
-        object.__setattr__(self, "coefficient", dict(self.coefficient))
-        object.__setattr__(
-            self, "expected_rates", {k: dict(v) for k, v in dict(self.expected_rates).items()}
-        )
+        object.__setattr__(self, "interior_box", box)
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "expected_rates", rates)
         self.validate()
 
     def validate(self):
@@ -108,8 +120,8 @@ class StudyConfig:
             raise ConfigError("interior_box must have one (lo, hi) pair per axis")
         if not all(len(pair) == 2 and np.isfinite(pair).all() and pair[0] < pair[1] for pair in self.interior_box):
             raise ConfigError("interior_box needs finite bounds with lo < hi on every axis")
-        if not (np.isfinite(self.cg_tol) and self.cg_tol > 0):
-            raise ConfigError(f"cg_tol must be finite and positive, got {self.cg_tol}")
+        if not (_finite(self.cg_tol) and self.cg_tol > 0):
+            raise ConfigError(f"cg_tol must be finite and positive, got {self.cg_tol!r}")
         for key, spec in self.expected_rates.items():
             if key not in FUNCTIONALS:
                 raise ConfigError(f"unknown functional {key!r} in expected_rates")
@@ -127,12 +139,12 @@ class StudyConfig:
         nodes = (fine_divisions + 1) ** self.dim
         if nodes > self.max_nodes:
             raise ConfigError(f"finest mesh needs {nodes} nodes, above the cap {self.max_nodes}")
-        bc = BoundaryCondition(self.bc)
-        field = coeff_from_config(self.coefficient)
+        bc = _build("bc", BoundaryCondition, self.bc)
+        field = _build("coefficient", coeff_from_config, self.coefficient)
         if field.dim != self.dim:
             raise ConfigError("coefficient dimension does not match dim")
         validate_ellipticity(field)
-        rhs = _rhs_for(self.rhs)
+        rhs = _build("rhs", _rhs_for, self.rhs)
         try:  # under every bc, so a table rhs short of the domain fails here
             load, f_sq = assemble_load(self._mesh(max(64, 4 * max(self.epsilons))), rhs)
         except ValueError as err:  # outside the domain, or a non-finite value
@@ -346,103 +358,81 @@ class CheckReport:
         return {"all_passed": self.all_passed, "checks": [asdict(r) for r in self.results]}
 
 
+def _at_most(name: str, value, bound: float) -> CheckResult:
+    """An upper-bound check, its text and its comparison from the one bound."""
+    return CheckResult(name, float(value), f"<= {bound}", bool(value <= bound))
+
+
 def run_operator_checks(divisions: int = 256) -> CheckReport:
     """Residual checks for the two-scale operator toolbox on the unit square,
-    over the ladder ``OPERATOR_EPSILONS``."""
-    results = []
+    over the ladder ``OPERATOR_EPSILONS`` in one pass: each epsilon's cell
+    map, unfolding and per-cell Y-fields serve every check at that epsilon."""
     mesh = build_mesh((0.0, 0.0), (1.0, 1.0), (divisions, divisions), "box")
     x = mesh.node_coordinates()
     smooth = ScalarField(mesh, np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]))
     affine = ScalarField(mesh, 1.7 * x[:, 0] - 0.6 * x[:, 1] + 0.2)
-
-    def add(name, measured, bound_desc, passed):
-        results.append(CheckResult(name, float(measured), bound_desc, bool(passed)))
-
-    # unfolding integration identity, exact for aligned epsilon
-    worst = 0.0
     direct = integrate_field(smooth)
-    for n in OPERATOR_EPSILONS:
-        cmap = build_cell_map(mesh, n)
-        m = cmap.m[0]
-        uf = unfold(smooth, cmap)
-        ymesh = build_mesh((0.0, 0.0), (1.0, 1.0), (m, m), "box")
-        total = 0.0
-        for k in range(len(cmap.cells)):
-            # Y-grid [i0, i1] ravels to the node index i0 + (m+1)*i1 in F order
-            yfield = ScalarField(ymesh, uf.values[k].ravel(order="F"))
-            total += cmap.epsilon**2 * integrate_field(yfield)
-        worst = max(worst, abs(total - direct))
-    add("unfold_integration_identity", worst, "<= 1e-12", worst <= 1e-12)
-
-    # averaging is a left inverse of unfolding
-    worst = 0.0
-    for n in OPERATOR_EPSILONS:
-        cmap = build_cell_map(mesh, n)
-        back = average(unfold(smooth, cmap))
-        worst = max(worst, np.abs(back.values - smooth.values).max())
-    add("averaging_left_inverse", worst, "<= 1e-13", worst <= 1e-13)
-
-    # cell-variable gradient of the unfolded field vs eps * fine gradient
-    worst = 0.0
-    cmap = build_cell_map(mesh, OPERATOR_EPSILONS[1])
-    mloc = cmap.m[0]
-    uf = unfold(smooth, cmap)
-    ymesh = build_mesh((0.0, 0.0), (1.0, 1.0), (mloc, mloc), "box")
-    probe = np.array([[0.31, 0.47], [0.11, 0.83], [0.67, 0.23]])
-    for k in range(0, len(cmap.cells), max(1, len(cmap.cells) // 7)):
-        yfield = ScalarField(ymesh, uf.values[k].ravel(order="F"))
-        gy = eval_gradient_batch(yfield, probe)
-        gx = eval_gradient_batch(smooth, cmap.epsilon * (cmap.cells[k] + probe))
-        worst = max(worst, np.abs(gy - cmap.epsilon * gx).max())
-    add("gradient_exchange", worst, "<= 1e-12", worst <= 1e-12)
-
-    # slow-part gradient reproduces affine gradients exactly
-    worst = 0.0
-    for n in OPERATOR_EPSILONS:
-        cmap = build_cell_map(mesh, n)
-        q, _ = scale_split(affine, cmap)
-        pts = np.array([[0.31, 0.42], [0.55, 0.18], [0.13, 0.77]])
-        g = eval_gradient_batch(q, pts)
-        worst = max(worst, np.abs(g - np.array([1.7, -0.6])).max())
-    add("q_affine_gradient", worst, "<= 1e-12", worst <= 1e-12)
-
-    # stability and first-order decay of the splitting
     grad_l2 = np.sqrt(h1_seminorm_sq(smooth))
     h1 = np.sqrt(l2_norm_sq(smooth) + grad_l2**2)
+    identity = inverse = exchange = affine_error = 0.0
+    layer_excess = -np.inf
     q_ratios, r_consts, fit_pts = [], [], []
     for n in OPERATOR_EPSILONS:
         cmap = build_cell_map(mesh, n)
+        eps, m = cmap.epsilon, cmap.m[0]
+        uf = unfold(smooth, cmap)
+        ymesh = build_mesh((0.0, 0.0), (1.0, 1.0), (m, m), "box")
+        # Y-grid [i0, i1] ravels to the node index i0 + (m+1)*i1 in F order
+        yfields = [ScalarField(ymesh, values.ravel(order="F")) for values in uf.values]
+        # unfolding integration identity, exact for aligned epsilon
+        total = 0.0
+        for yfield in yfields:
+            total += eps**2 * integrate_field(yfield)
+        identity = max(identity, abs(total - direct))
+        # averaging is a left inverse of unfolding
+        inverse = max(inverse, np.abs(average(uf).values - smooth.values).max())
+        if n == OPERATOR_EPSILONS[1]:
+            # cell-variable gradient of the unfolded field vs eps * fine gradient
+            probe = np.array([[0.31, 0.47], [0.11, 0.83], [0.67, 0.23]])
+            for k in range(0, len(cmap.cells), max(1, len(cmap.cells) // 7)):
+                gy = eval_gradient_batch(yfields[k], probe)
+                gx = eval_gradient_batch(smooth, eps * (cmap.cells[k] + probe))
+                exchange = max(exchange, np.abs(gy - eps * gx).max())
+        # slow-part gradient reproduces affine gradients exactly
+        q, _ = scale_split(affine, cmap)
+        g = eval_gradient_batch(q, np.array([[0.31, 0.42], [0.55, 0.18], [0.13, 0.77]]))
+        affine_error = max(affine_error, np.abs(g - np.array([1.7, -0.6])).max())
+        # stability and first-order decay of the splitting
         q, r = scale_split(smooth, cmap)
         q_ratios.append(np.sqrt(l2_norm_sq(q) + h1_seminorm_sq(q)) / h1)
         rnorm = np.sqrt(l2_norm_sq(r))
-        r_consts.append(rnorm / (cmap.epsilon * grad_l2))
-        fit_pts.append((cmap.epsilon, rnorm))
-    add("q_h1_stability", max(q_ratios), "<= 1.5", max(q_ratios) <= 1.5)
-    # the constant must stabilize as eps shrinks rather than grow
-    tail_spread = max(q_ratios[-2:]) / min(q_ratios[-2:])
-    add("q_stability_tail_spread", tail_spread, "<= 1.1", tail_spread <= 1.1)
-    add("r_first_order_constant", max(r_consts), "<= 1.5", max(r_consts) <= 1.5)
+        r_consts.append(rnorm / (eps * grad_l2))
+        fit_pts.append((eps, rnorm))
+        if n != OPERATOR_EPSILONS[0]:
+            # boundary-layer volume bound
+            for k in (1, 2, 3, 4):
+                # a share of the unit square's elements, so a full layer is exactly 1
+                area = layer_indicator(cmap, k).sum() / mesh.n_elements
+                layer_excess = max(layer_excess, area - min(1.0, 4 * k * np.sqrt(2) * eps + 16 * eps**2))
     slope = fit_rate(fit_pts).slope
-    add("r_decay_slope", slope, "1.0 +- 0.1", abs(slope - 1.0) <= 0.1)
-
-    # boundary-layer volume bound
-    worst_excess = -np.inf
-    for n in OPERATOR_EPSILONS[1:]:
-        cmap = build_cell_map(mesh, n)
-        for k in (1, 2, 3, 4):
-            # a share of the unit square's elements, so a full layer is exactly 1
-            area = layer_indicator(cmap, k).sum() / mesh.n_elements
-            bound = min(1.0, 4 * k * np.sqrt(2) * cmap.epsilon + 16 * cmap.epsilon**2)
-            worst_excess = max(worst_excess, area - bound)
-    add("layer_volume_bound", worst_excess, "<= 0", worst_excess <= 0.0)
-
+    results = [
+        _at_most("unfold_integration_identity", identity, 1e-12),
+        _at_most("averaging_left_inverse", inverse, 1e-13),
+        _at_most("gradient_exchange", exchange, 1e-12),
+        _at_most("q_affine_gradient", affine_error, 1e-12),
+        _at_most("q_h1_stability", max(q_ratios), 1.5),
+        # the constant must stabilize as eps shrinks rather than grow
+        _at_most("q_stability_tail_spread", max(q_ratios[-2:]) / min(q_ratios[-2:]), 1.1),
+        _at_most("r_first_order_constant", max(r_consts), 1.5),
+        CheckResult("r_decay_slope", float(slope), "1.0 +- 0.1", bool(abs(slope - 1.0) <= 0.1)),
+        _at_most("layer_volume_bound", layer_excess, 0),
+    ]
     # misaligned epsilon must be rejected: the smallest N >= 2 that does not
     # divide the divisions (3 at 256)
     try:
         build_cell_map(mesh, next(n for n in itertools.count(2) if divisions % n))
-        add("alignment_rejection", 0.0, "AlignmentError raised", False)
+        rejected = False
     except AlignmentError:
-        add("alignment_rejection", 1.0, "AlignmentError raised", True)
-
+        rejected = True
+    results.append(CheckResult("alignment_rejection", float(rejected), "AlignmentError raised", rejected))
     return CheckReport(tuple(results))
-

@@ -83,6 +83,8 @@ def error_report(
     mesh = fine.mesh
     if not same_mesh(mesh, recon.base.mesh) or not same_mesh(mesh, cmap.mesh):
         raise ValueError("fine solution, reconstruction, and map must share one mesh")
+    if cmap.n_per_unit != recon.cmap.n_per_unit:
+        raise ValueError(f"cell map at eps = 1/{cmap.n_per_unit}, reconstruction at 1/{recon.cmap.n_per_unit}")
     if np.isscalar(interior_box[0]):
         interior_box = (interior_box,)
     if len(interior_box) != mesh.dim:

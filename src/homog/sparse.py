@@ -208,28 +208,24 @@ def _stencil_matrix(stencil: np.ndarray, periodic: bool) -> sp.dia_matrix:
 def _period_mesh(mesh: StructuredMesh, period) -> tuple[StructuredMesh, np.ndarray]:
     """The mesh of the first ``period`` elements per axis (the whole mesh by
     default) and the bool grid, last axis first, of the tiles of that size
-    that hold an active element.  Every such tile must hold the same active
-    elements, which the period mesh gets; so with more than one tile each is
-    fully active or fully inactive.  Raises ValueError otherwise, or when the
-    period does not divide the divisions."""
+    that hold an active element.  With more than one tile each must be
+    wholly active or wholly inactive, and the period mesh is a box.  Raises
+    ValueError otherwise, or when the period does not divide the divisions."""
     period = mesh.divisions if period is None else tuple(int(p) for p in np.atleast_1d(period))
     if len(period) != mesh.dim or any(p < 1 or d % p for p, d in zip(period, mesh.divisions)):
         raise ValueError(f"a period of {period} elements does not divide the divisions {mesh.divisions}")
     tiles = tuple(d // p for d, p in zip(mesh.divisions, period))[::-1]
-    occupied, active = np.ones(tiles, dtype=bool), None
-    if mesh.active_mask is not None:
-        # each axis, last first, splits into (tiles, period); tile axes go first
-        split = mesh.active_mask.reshape([v for t, p in zip(tiles, period[::-1]) for v in (t, p)])
-        blocks = split.transpose(list(range(0, 2 * mesh.dim, 2)) + list(range(1, 2 * mesh.dim, 2)))
-        within = tuple(range(mesh.dim, 2 * mesh.dim))
-        occupied, active = blocks.any(axis=within), blocks.any(axis=tuple(range(mesh.dim)))
-        if np.any(blocks[occupied] != active):
-            raise ValueError(f"the tiles of {period} elements do not all hold the same active elements")
     if period == mesh.divisions:
-        return mesh, occupied
-    extent = tuple(h * p for h, p in zip(mesh.h, period))
-    mask = None if active is None or active.all() else active.ravel()
-    return StructuredMesh(mesh.origin, extent, period, mask), occupied
+        return mesh, np.ones(tiles, dtype=bool)
+    occupied = np.ones(tiles, dtype=bool)
+    if mesh.active_mask is not None:
+        # each axis, last first, splits into (tiles, period)
+        split = mesh.active_mask.reshape([v for t, p in zip(tiles, period[::-1]) for v in (t, p)])
+        within = tuple(range(1, 2 * mesh.dim, 2))
+        occupied = split.any(axis=within)
+        if np.any(occupied != split.all(axis=within)):
+            raise ValueError(f"the tiles of {period} elements are not each wholly active or inactive")
+    return StructuredMesh(mesh.origin, tuple(h * p for h, p in zip(mesh.h, period)), period), occupied
 
 
 def _nodal_stencil(
@@ -703,9 +699,9 @@ def _capacitance(level: _Level, unknowns: np.ndarray) -> _Level | None:
     elements by the capacitance-matrix method (Buzbee, Dorr, George & Golub,
     SIAM J. Numer. Anal. 8, 1971), or None where Gamma, the box's interior
     nodes that couple to an unknown without being one, is not one node row
-    plus one node column; where it is empty, the mesh is the box.  Pinning
-    u = 0 on Gamma separates the unknowns from the rest of the box, so with B
-    the box's inverse and E the injection from Gamma
+    plus one node column.  Pinning u = 0 on Gamma separates the unknowns from
+    the rest of the box, so with B the box's inverse and E the injection from
+    Gamma
 
         A^-1 r = B (r + E lambda),  lambda = -C^-1 E^T B r,  C = E^T B E
 
@@ -722,8 +718,6 @@ def _capacitance(level: _Level, unknowns: np.ndarray) -> _Level | None:
     near = functools.reduce(np.logical_or, (
         padded[tuple(slice(o, o + m) for o, m in zip(t, unknowns.shape))] for t in np.ndindex(3, 3)))
     rows, columns = np.nonzero((near & ~unknowns)[1:-1, 1:-1])  # interior nodes, from 0
-    if not len(rows):
-        return level
     j0, i0 = np.bincount(rows).argmax(), np.bincount(columns).argmax()
     if np.any((rows != j0) & (columns != i0)):
         return None

@@ -34,6 +34,7 @@ from .grid import (
     StructuredMesh,
     active_nodes,
     element_blocks,
+    is_l_shape,
     same_mesh,
 )
 
@@ -70,16 +71,10 @@ class CellIndexMap:
         return self.mesh.dim
 
 
-def _per_cell(reduce, elements: np.ndarray, counts, m) -> np.ndarray:
-    """A numpy reduction ``reduce`` over each cell's block of an array on the
-    element grid, last axis first: each axis splits into (cells, m).  The
-    result is on the (counts) cell grid, axis 0 first."""
-    split = [v for c, mk in zip(counts[::-1], m[::-1]) for v in (c, mk)]
-    return reduce(elements.reshape(split), axis=tuple(range(1, 2 * len(m), 2))).T
-
-
 def build_cell_map(mesh: StructuredMesh, n_per_unit: int) -> CellIndexMap:
-    """Validate epsilon-alignment and enumerate the cells meeting the domain."""
+    """Validate epsilon-alignment and enumerate the cells meeting the domain:
+    a box, or the L-shape (``grid.is_l_shape``) with its reentrant corner on
+    the cell lattice, so the operators here may read a mask as the L's."""
     n = int(n_per_unit)
     if n < 1:
         raise AlignmentError("epsilon must equal 1/N for a positive integer N")
@@ -95,12 +90,10 @@ def build_cell_map(mesh: StructuredMesh, n_per_unit: int) -> CellIndexMap:
         m.append(mesh.divisions[k] // counts[-1])
     active = np.ones(counts, dtype=bool)
     if mesh.active_mask is not None:
-        # with an aligned reentrant corner every cell's block of elements is
-        # uniformly active or inactive
-        mask = mesh.active_mask.reshape(mesh.divisions[::-1])
-        active = _per_cell(np.all, mask, counts, m)
-        if np.any(_per_cell(np.any, mask, counts, m) != active):
-            raise AlignmentError("the reentrant corner is not aligned with the cell lattice")
+        if not is_l_shape(mesh) or any(d // 2 % mk for d, mk in zip(mesh.divisions, m)):
+            raise AlignmentError("a mesh with inactive elements must be the L-shape, with its "
+                                 "reentrant corner on the cell lattice")
+        active[counts[0] // 2:, counts[1] // 2:] = False
     cells = np.argwhere(active) + np.asarray(lo)
     lookup = np.full(tuple(counts), -1, dtype=int)
     lookup[active] = np.arange(len(cells))
@@ -169,7 +162,9 @@ def cell_means(field: ScalarField, cmap: CellIndexMap) -> np.ndarray:
         # the integral of a Q1 function over an element is vol * mean(corners)
         corner_mean = block.corners(field.values).mean(axis=0)
         integrals[block.box] = float(np.prod(mesh.h)) * corner_mean.reshape(block.shape)
-    sums = _per_cell(np.sum, integrals, cmap.counts, cmap.m)
+    # each axis, last first, splits into (cells, m); summed over m, axis 0 first
+    split = [v for c, mk in zip(cmap.counts[::-1], cmap.m[::-1]) for v in (c, mk)]
+    sums = integrals.reshape(split).sum(axis=tuple(range(1, 2 * mesh.dim, 2))).T
     return sums[tuple((cmap.cells - np.asarray(cmap.lo)).T)] / cmap.epsilon ** cmap.dim
 
 
@@ -235,8 +230,11 @@ def boundary_distance(mesh: StructuredMesh, points: np.ndarray) -> np.ndarray:
     It is the nearest box face, and on an L-shape also the distance to the
     removed upper quadrant ``[o + e/2, o + e]``.  The halves of the top and
     right faces that bound that quadrant lie no nearer than the quadrant
-    itself, so this is the distance to the six edges of the L.
+    itself, so this is the distance to the six edges of the L.  Any other
+    mask (see ``grid.is_l_shape``) raises ValueError.
     """
+    if mesh.active_mask is not None and not is_l_shape(mesh):
+        raise ValueError("boundary_distance knows the box and the L-shape only")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     o = np.asarray(mesh.origin)
     e = np.asarray(mesh.extent)

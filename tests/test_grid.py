@@ -7,6 +7,7 @@ import homog.grid as grid
 from homog.grid import (
     OutsideDomainError,
     ScalarField,
+    StructuredMesh,
     build_mesh,
     element_blocks,
     eval_field_batch,
@@ -15,6 +16,7 @@ from homog.grid import (
     h1_seminorm_sq,
     integrate,
     integrate_field,
+    is_l_shape,
     boundary_nodes,
     l2_norm_sq,
     quadrature,
@@ -37,6 +39,16 @@ def test_mesh_counts_2d():
     mesh = build_mesh((0.0, 0.0), (1.0, 1.0), (2, 2), "box")
     assert mesh.n_nodes == 9
     assert mesh.n_elements == 4
+
+
+def test_is_l_shape_tells_the_l_shape_mask_from_any_other():
+    lshape = build_mesh((-0.5, 0.25), (1.0, 0.5), (12, 6), "l_shape")
+    assert is_l_shape(lshape)
+    assert not is_l_shape(build_mesh((0.0, 0.0), (1.0, 1.0), (12, 6)))
+    for removed in (0, 41, 42):  # a lower corner, and either side of the reentrant corner
+        mask = lshape.active_mask.copy()
+        mask[removed] = ~mask[removed]
+        assert not is_l_shape(StructuredMesh(lshape.origin, lshape.extent, lshape.divisions, mask))
 
 
 def test_l_shape_quadrant_removed():

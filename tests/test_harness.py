@@ -1,9 +1,11 @@
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from homog import harness
 from homog.coeff import EllipticityError
 from homog.harness import (
     ConfigError,
@@ -15,7 +17,8 @@ from homog.harness import (
 )
 
 
-def small_config(**overrides):
+def small_spec(**overrides):
+    """The config dict of ``small_config``, as a config file holds it."""
     base = dict(
         dim=2,
         domain="box",
@@ -29,7 +32,26 @@ def small_config(**overrides):
         expected_rates={"e_l2": {"target": 1.0, "tol": 0.25}},
     )
     base.update(overrides)
-    return StudyConfig(**base)
+    return base
+
+
+def small_config(**overrides):
+    return StudyConfig(**small_spec(**overrides))
+
+
+# wrongly typed or incomplete values, which the screen must not let escape as
+# a TypeError or KeyError; the documented schema refuses each of them too
+MALFORMED = [
+    dict(cg_tol="1e-10"),
+    dict(expected_rates={"e_l2": 5}),
+    dict(coefficient=5),
+    dict(epsilons=5),
+    dict(interior_box=5),
+    dict(coefficient={"kind": "laminate", "alpha": 1.0, "beta": 2.0}),  # no axis
+    dict(coefficient={"matrix": [[2.0, 0.3], [0.3, 1.4]]}),  # no kind
+    dict(coefficient={"kind": "grid_table"}),  # no values
+    dict(rhs=dict(kind="table", origin=[0.0, 0.0], divisions=[4, 4], values=[1.0] * 25)),  # no extent
+]
 
 
 def test_config_roundtrip(tmp_path):
@@ -79,11 +101,28 @@ def test_config_roundtrip(tmp_path):
         # a table rhs over half the square, which the first rung cannot sample
         dict(rhs=dict(kind="table", origin=[0.0, 0.0], extent=[0.5, 1.0], divisions=[4, 4],
                       values=[1.0] * 25)),
+        *MALFORMED,
+        # a float size; the schema cannot refuse it, as JSON Schema counts
+        # 2.5e7 an integer
+        dict(max_nodes=2.5e7),
+        dict(dim=2.0),  # a TypeError at the screen's mesh
+        dict(bc="periodic"),
+        dict(rhs="bogus"),
+        dict(coefficient={"kind": "laminate", "axis": 2, "alpha": 1.0, "beta": 2.0}),  # out of range
     ],
 )
 def test_config_validation_errors(overrides):
     with pytest.raises(ConfigError):
         small_config(**overrides)
+
+
+@pytest.mark.parametrize("overrides", MALFORMED)
+def test_schema_refuses_the_malformed_values_the_screen_refuses(overrides):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((Path(__file__).resolve().parent.parent / "configs" / "schema.json").read_text())
+    jsonschema.validate(small_spec(), schema)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(small_spec(**overrides), schema)
 
 
 def test_grid_table_with_a_nan_entry_refused_by_the_screen():
@@ -240,6 +279,36 @@ def test_operator_checks_pass_and_serialize():
         "r_decay_slope",
         "alignment_rejection",
     }
+
+
+def test_operator_checks_state_each_bound_as_before():
+    report = run_operator_checks(divisions=128)
+    assert [(c.name, c.bound) for c in report.results] == [
+        ("unfold_integration_identity", "<= 1e-12"),
+        ("averaging_left_inverse", "<= 1e-13"),
+        ("gradient_exchange", "<= 1e-12"),
+        ("q_affine_gradient", "<= 1e-12"),
+        ("q_h1_stability", "<= 1.5"),
+        ("q_stability_tail_spread", "<= 1.1"),
+        ("r_first_order_constant", "<= 1.5"),
+        ("r_decay_slope", "1.0 +- 0.1"),
+        ("layer_volume_bound", "<= 0"),
+        ("alignment_rejection", "AlignmentError raised"),
+    ]
+
+
+def test_operator_checks_build_each_cell_map_and_unfolding_once(monkeypatch):
+    # one cell map and one unfolding per epsilon of the ladder, plus the
+    # misaligned probe's cell map
+    calls = {"build_cell_map": 0, "unfold": 0}
+    for name in calls:
+        def counted(*args, _name=name, _call=getattr(harness, name)):
+            calls[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(harness, name, counted)
+    assert run_operator_checks(divisions=256).all_passed
+    n = len(harness.OPERATOR_EPSILONS)
+    assert calls == {"build_cell_map": n + 1, "unfold": n}
 
 
 @pytest.mark.parametrize("divisions", [96, 160])

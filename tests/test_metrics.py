@@ -56,6 +56,13 @@ def test_constant_coefficient_all_zero():
     assert rep.e_layer > 0.01
 
 
+def test_error_report_refuses_a_cell_map_other_than_the_reconstructions():
+    # on the same mesh, a map at another epsilon would relabel the report
+    mesh, cmap, fine, recon = constant_setup()
+    with pytest.raises(ValueError, match="1/8, reconstruction at 1/4"):
+        error_report(fine, recon, build_cell_map(mesh, 8), ((0.25, 0.75), (0.25, 0.75)))
+
+
 def test_zero_reconstruction_gives_field_norm():
     mesh, cmap, fine, _ = constant_setup()
     zero = ScalarField(mesh, np.zeros(mesh.n_nodes))

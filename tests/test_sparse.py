@@ -421,6 +421,13 @@ def test_period_must_divide_the_divisions_and_tile_the_active_elements():
     l_shape = build_mesh((0, 0), (1, 1), (12, 12), "l_shape")
     with pytest.raises(ValueError, match="active"):
         assemble_stiffness(l_shape, identity_sampler, Dirichlet(), (4, 4))
+    # every 2 x 2 tile lacks its lower-left element: the tiles hold the same
+    # active elements, but none is wholly active
+    perforated = np.ones((4, 2, 4, 2), dtype=bool)  # (tiles, period) per axis, last first
+    perforated[:, 0, :, 0] = False
+    mesh = grid.StructuredMesh((0, 0), (1, 1), (8, 8), perforated.ravel())
+    with pytest.raises(ValueError, match="wholly active"):
+        assemble_stiffness(mesh, identity_sampler, Dirichlet(), (2, 2))
     # one tile, the whole mesh, is walked without its inactive elements
     whole = assemble_stiffness(l_shape, identity_sampler, Dirichlet(), (12, 12))
     assert _gap(whole.matrix, assemble_stiffness(l_shape, identity_sampler, Dirichlet()).matrix) == 0.0
@@ -930,7 +937,8 @@ def test_transform_level_needs_gamma_on_one_row_and_one_column():
 
 
 def test_all_active_mask_builds_the_box_sine_level_with_no_capacitance():
-    # Gamma is empty, so the level is the box's, and so is its solve
+    # an all-active mask is stored as none, so the level is the box's, and so
+    # is its solve
     box = build_mesh((0, 0), (1, 1), (16, 12), "box")
     masked = grid.StructuredMesh(box.origin, box.extent, box.divisions, np.ones(box.n_elements, bool))
     sampler = _constant_sampler(np.diag([2.0, 0.5]))

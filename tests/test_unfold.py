@@ -3,11 +3,13 @@ import pytest
 
 from homog.grid import (
     ScalarField,
+    StructuredMesh,
     active_nodes,
     build_mesh,
     element_blocks,
     eval_field_batch,
     integrate_field,
+    same_mesh,
 )
 from homog.unfold import (
     AlignmentError,
@@ -522,6 +524,32 @@ def test_box_boundary_distance_equals_axis_min_reference(dim):
     pts = np.concatenate([inside, faces, [o, o + e]])
     want = np.minimum(pts - o, o + e - pts).min(axis=1)
     np.testing.assert_array_equal(boundary_distance(mesh, pts), want)
+
+
+def test_all_active_mask_is_the_box():
+    box = unit_mesh(16)
+    masked = StructuredMesh(box.origin, box.extent, box.divisions, np.ones(box.n_elements, bool))
+    assert masked.active_mask is None and same_mesh(masked, box)
+    # (0.75, 0.75) lies in the quadrant that an L-shape would remove
+    pts = np.vstack([np.random.default_rng(5).random((300, 2)), [[0.75, 0.75]]])
+    np.testing.assert_array_equal(boundary_distance(masked, pts), boundary_distance(box, pts))
+    assert boundary_distance(masked, pts)[-1] == 0.25
+    parts = [scale_split(nodal(mesh, lambda x: np.sin(3 * x[:, 0]) * np.cos(2 * x[:, 1])),
+                         build_cell_map(mesh, 4)) for mesh in (masked, box)]
+    for got, want in zip(*parts):
+        np.testing.assert_array_equal(got.values, want.values)
+
+
+def test_a_mask_other_than_the_l_shapes_is_refused():
+    # the mirror L, its upper-left quadrant removed, which the L-shape's
+    # distance and slow part would misread
+    mask = np.ones((16, 16), dtype=bool)  # the element grid, last axis first
+    mask[8:, :8] = False
+    mirror = StructuredMesh((0.0, 0.0), (1.0, 1.0), (16, 16), mask.ravel())
+    with pytest.raises(AlignmentError, match="L-shape"):
+        build_cell_map(mirror, 4)
+    with pytest.raises(ValueError, match="L-shape"):
+        boundary_distance(mirror, [[0.75, 0.75]])
 
 
 def test_smooth_remainder_rate():
