@@ -168,7 +168,7 @@ def rung_stages(name, repeats):
     capacitance = homogenized.hierarchy[0].capacitance
     recon = stage("reconstruct", lambda: reconstruct(phi, correctors, cmap))
     reconstruction_terms = len(recon._corrector_terms(gauss_rule(mesh.dim)))
-    stage("error_report", lambda: error_report(fine, recon, cmap, config.interior_box))
+    stage("error_report", lambda: error_report(fine, recon, config.interior_box))
     return {"dofs": system.dimension, "nnz": int(system.matrix.nnz),
             "levels": len(system.hierarchy), "coarsest_dofs": int(coarsest.sum()), "vcycles": vcycles,
             "corrector_solves": corrector_solves, "cell_samplings": cell_samplings,

@@ -65,7 +65,7 @@ def unit_cell_mesh(dim: int, divisions: int) -> StructuredMesh:
 def _check_cell_mesh(field: CoefficientField, cell_mesh: StructuredMesh) -> None:
     if cell_mesh.dim != field.dim:
         raise ValueError("cell mesh and coefficient dimensions differ")
-    if cell_mesh.active_mask is not None:
+    if cell_mesh.shape != "box":
         raise ValueError("cell problems require a full box mesh on the unit cell")
     if not np.allclose(cell_mesh.origin, 0.0) or not np.allclose(cell_mesh.extent, 1.0):
         raise ValueError("cell mesh must cover the unit cell (0,1)^n")

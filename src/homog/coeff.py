@@ -10,6 +10,7 @@ measures that on the samples it reads.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,20 +193,27 @@ def validate_ellipticity(field: CoefficientField, samples_per_axis: int = 64) ->
     return c, big_c
 
 
+def _integer(value) -> int:
+    """An integer of a config file; a bool or a float raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def from_config(spec: dict) -> CoefficientField:
     """Build a coefficient field from its config-file description."""
     spec = dict(spec)
     kind = spec.pop("kind")
-    dim = int(spec.pop("dim", 2))
+    dim = _integer(spec.pop("dim", 2))
     if kind == "constant":
         return Constant(spec["matrix"])
     if kind == "laminate":
-        return Laminate(int(spec["axis"]), float(spec["alpha"]), float(spec["beta"]),
+        return Laminate(_integer(spec["axis"]), float(spec["alpha"]), float(spec["beta"]),
                         float(spec.get("fraction", 0.5)), dim)
     if kind == "checkerboard":
         return Checkerboard(float(spec["alpha"]), float(spec["beta"]))
     if kind == "scalar_cosine":
-        return ScalarCosine(float(spec["a0"]), float(spec["a1"]), int(spec.get("axis", 0)), dim)
+        return ScalarCosine(float(spec["a0"]), float(spec["a1"]), _integer(spec.get("axis", 0)), dim)
     if kind == "grid_table":
         return GridTable(spec["values"])
     raise ValueError(f"unknown coefficient kind {kind!r}")

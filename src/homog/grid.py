@@ -4,20 +4,23 @@ Meshes are uniform tensor-product grids in 1 or 2 dimensions.  Node
 coordinates are never stored: node ``(i0, i1)`` sits at
 ``origin + (i0*h0, i1*h1)`` and carries the flat index
 ``i0 + (d0+1)*i1`` (axis 0 varies fastest).  Element ``(e0, e1)`` has the
-flat index ``e0 + d0*e1``.  An optional per-element activity mask supports
-L-shaped domains (upper-right quadrant removed); the box has none.
+flat index ``e0 + d0*e1``.  The mesh's ``shape`` is its domain: the box, or
+the 2D L-shape, the box with its upper quadrant ``e0 >= d0/2, e1 >= d1/2``
+of elements removed.  Everything the L-shape changes, its walk boxes, its
+face rule and its element mask, is a closed form in the divisions; no code
+decides anything from a mask.
 
 A nodal array reshaped to the node grid, last axis first, keeps the flat node
 order, and on it each local corner of all elements in a box of elements is
 one shifted slice.  Every element quadrature in the package walks the mesh
-through ``element_blocks``: it splits the active elements into boxes
-(``boxes``; a box mesh is one), and cuts each box along the last axis into
-blocks of at most ``CHUNK_ELEMENTS`` elements, so no block holds an inactive
-element.  A block reads nodal arrays by those slices, gives their values and
-gradients, the global points and, by ``sample``, the one sampler, the checked
-samples of a function at the quadrature points, and adds per-corner values
-back onto the node grid; ``quadrature`` reduces an integrand, or a stack of
-them, over all blocks in one walk.  Every element quadrature uses the one
+through ``element_blocks``: it takes the active elements in boxes
+(``walk_boxes``: the box is one, the L-shape two), and cuts each box along
+the last axis into blocks of at most ``CHUNK_ELEMENTS`` elements, so no block
+holds an inactive element.  A block reads nodal arrays by those slices,
+gives their values and gradients, the global points and, by ``sample``, the
+one sampler, the checked samples of a function at the quadrature points, and
+adds per-corner values back onto the node grid; ``quadrature`` reduces an
+integrand, or a stack of them, over all blocks in one walk.  Every element quadrature uses the one
 rule ``gauss_rule(dim)``, ``GAUSS_POINTS`` per axis, carried as ``block.rule``.
 """
 
@@ -34,6 +37,7 @@ import numpy as np
 # walk's temporaries
 CHUNK_ELEMENTS = 16384
 GAUSS_POINTS = 2  # Gauss-Legendre points per axis of the element quadrature rule
+SHAPES = ("box", "l_shape")  # the domains a mesh can have
 
 
 class OutsideDomainError(ValueError):
@@ -74,12 +78,12 @@ def _gauss_rule(dim: int, points_per_axis: int) -> QuadratureRule:
 
 @dataclass(frozen=True, eq=False)
 class StructuredMesh:
-    """Uniform axis-aligned mesh on a box, optionally with inactive elements."""
+    """Uniform axis-aligned mesh on a box, or on the L-shape (see ``SHAPES``)."""
 
     origin: tuple[float, ...]
     extent: tuple[float, ...]
     divisions: tuple[int, ...]
-    active_mask: np.ndarray | None = None  # flat bool per element, True = active; None on the box
+    shape: str = "box"
 
     def __post_init__(self):
         object.__setattr__(self, "origin", tuple(float(v) for v in np.atleast_1d(self.origin)))
@@ -91,11 +95,23 @@ class StructuredMesh:
             raise ValueError(f"divisions must be >= 1 per axis, got {self.divisions}")
         if any(e <= 0 for e in self.extent):
             raise ValueError(f"extent must be positive per axis, got {self.extent}")
-        if self.active_mask is not None:
-            mask = np.asarray(self.active_mask, dtype=bool)
-            if mask.shape != (self.n_elements,):
-                raise ValueError("active_mask must be flat with one flag per element")
-            object.__setattr__(self, "active_mask", None if mask.all() else mask)
+        if self.shape not in SHAPES:
+            raise ValueError(f"unknown shape {self.shape!r}")
+        if self.shape == "l_shape" and self.dim != 2:
+            raise ValueError("l_shape requires a 2D mesh")
+        if self.shape == "l_shape" and any(d % 2 for d in self.divisions):
+            raise ValueError("l_shape requires even divisions per axis")
+
+    @property
+    def active_mask(self) -> np.ndarray | None:
+        """Flat bool per element, True = active: None on the box, and on the
+        L-shape False on the removed quadrant."""
+        if self.shape == "box":
+            return None
+        mask = np.zeros(self.divisions[::-1], dtype=bool)
+        for box in walk_boxes(self.divisions[::-1], self.shape):
+            mask[box] = True
+        return mask.ravel()
 
     @property
     def dim(self) -> int:
@@ -177,21 +193,20 @@ class StructuredMesh:
 
     def face_rule(self, emulti: np.ndarray, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The one rule for which active element a point on a face belongs to:
-        where the element of a (P, n) element multi-index is inactive, take
-        the active one behind a face that the point at ``local`` lies on, axis
-        0 first, or raise OutsideDomainError.  Updates both arrays in place;
-        integer local coordinates, as ``unfold.average`` passes for nodes,
-        stay exact."""
-        if self.active_mask is None:
+        a (P, n) element multi-index in the L-shape's removed quadrant is taken
+        back across the face x0 = d0/2 where the point at ``local`` lies on
+        it, else across x1 = d1/2, or raises OutsideDomainError.  Updates both
+        arrays in place; integer local coordinates, as ``unfold.average``
+        passes for nodes, stay exact."""
+        if self.shape == "box":
             return emulti, local
-        bad = np.flatnonzero(~self.active_mask[self.element_flat_index(emulti)])
+        half = np.asarray(self.divisions) // 2
+        bad = np.flatnonzero(np.all(emulti >= half, axis=1))
         for k in range(self.dim):
-            cand, loc = emulti[bad], local[bad]
-            cand[:, k] -= 1
+            loc = local[bad]
             loc[:, k] += 1
-            take = (cand[:, k] >= 0) & np.all((loc >= -1e-12) & (loc <= 1.0 + 1e-12), axis=1)
-            take[take] = self.active_mask[self.element_flat_index(cand[take])]
-            emulti[bad[take]] = cand[take]
+            take = (emulti[bad, k] == half[k]) & np.all((loc >= -1e-12) & (loc <= 1.0 + 1e-12), axis=1)
+            emulti[bad[take], k] -= 1
             local[bad[take]] = np.clip(loc[take], 0, 1)
             bad = bad[~take]
         if len(bad):
@@ -200,43 +215,13 @@ class StructuredMesh:
 
 
 def same_mesh(a: StructuredMesh, b: StructuredMesh) -> bool:
-    """Structural mesh equality (geometry, divisions, and activity)."""
-    if a is b:
-        return True
-    if (a.origin, a.extent, a.divisions) != (b.origin, b.extent, b.divisions):
-        return False
-    if (a.active_mask is None) != (b.active_mask is None):
-        return False
-    return a.active_mask is None or bool(np.array_equal(a.active_mask, b.active_mask))
+    """Structural mesh equality: geometry, divisions and shape."""
+    return (a.origin, a.extent, a.divisions, a.shape) == (b.origin, b.extent, b.divisions, b.shape)
 
 
 def build_mesh(origin, extent, divisions, shape: str = "box") -> StructuredMesh:
     """Build a box or L-shaped mesh (L-shape: upper-right quadrant removed)."""
-    mesh = StructuredMesh(origin, extent, divisions, None)
-    if shape == "box":
-        return mesh
-    if shape != "l_shape":
-        raise ValueError(f"unknown shape {shape!r}")
-    if mesh.dim != 2:
-        raise ValueError("l_shape requires a 2D mesh")
-    if any(d % 2 for d in mesh.divisions):
-        raise ValueError("l_shape requires even divisions per axis")
-    d0, d1 = mesh.divisions
-    mask = np.ones((d1, d0), dtype=bool)  # the element grid, last axis first
-    mask[d1 // 2:, d0 // 2:] = False
-    return StructuredMesh(origin, extent, divisions, mask.ravel())
-
-
-def is_l_shape(mesh: StructuredMesh) -> bool:
-    """Whether the mesh's active elements are those of ``build_mesh``'s
-    L-shape, by three slice tests of its mask: the one test of the code that
-    reads a mask as the L-shape's."""
-    if mesh.active_mask is None or mesh.dim != 2 or any(d % 2 for d in mesh.divisions):
-        return False
-    d0, d1 = mesh.divisions
-    grid = mesh.active_mask.reshape(d1, d0)
-    top = grid[d1 // 2:]
-    return bool(grid[:d1 // 2].all() and top[:, :d0 // 2].all() and not top[:, d0 // 2:].any())
+    return StructuredMesh(origin, extent, divisions, shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,33 +381,23 @@ class ElementBlock:
             target[nodes] += values[a]
 
 
-def boxes(mask: np.ndarray):
-    """Slices, one per axis, of disjoint boxes that together cover exactly
-    the true entries of a bool array: the runs of equal sub-arrays along the
-    first axis, found by one comparison of adjacent ones, each covered the
-    same way."""
-    if mask.ndim == 0:
-        if mask:
-            yield ()
-        return
-    changes = np.any(mask[1:] != mask[:-1], axis=tuple(range(1, mask.ndim)))
-    edges = [0, *(np.flatnonzero(changes) + 1).tolist(), len(mask)]
-    for start, stop in zip(edges[:-1], edges[1:]):
-        for box in boxes(mask[start]):
-            yield (slice(start, stop),) + box
+def walk_boxes(grid: tuple[int, ...], shape: str = "box") -> list[tuple[slice, ...]]:
+    """Slices of the disjoint boxes that together cover the active cells of
+    a grid of that shape, given last axis first, in walk order: the whole
+    grid on a box; on the L-shape the lower half, then the upper left
+    quarter."""
+    if shape == "box":
+        return [tuple(slice(0, n) for n in grid)]
+    n1, n0 = grid
+    return [(slice(0, n1 // 2), slice(0, n0)), (slice(n1 // 2, n1), slice(0, n0 // 2))]
 
 
 def element_blocks(mesh: StructuredMesh):
-    """Walk the active elements in boxes of them (the whole mesh on a box
-    mesh; see ``boxes``), each cut along the last axis into blocks of at
-    most ``CHUNK_ELEMENTS`` elements, or one row."""
-    grid = mesh.divisions[::-1]
+    """Walk the active elements in boxes of them (``walk_boxes``), each cut
+    along the last axis into blocks of at most ``CHUNK_ELEMENTS`` elements,
+    or one row."""
     rule = gauss_rule(mesh.dim)
-    if mesh.active_mask is None:
-        walk = [tuple(slice(0, n) for n in grid)]
-    else:
-        walk = boxes(mesh.active_mask.reshape(grid))
-    for box in walk:
+    for box in walk_boxes(mesh.divisions[::-1], mesh.shape):
         inner = tuple(s.stop - s.start for s in box[1:])
         step = max(1, CHUNK_ELEMENTS // math.prod(inner))
         for start in range(box[0].start, box[0].stop, step):

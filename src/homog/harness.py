@@ -23,7 +23,7 @@ from . import __version__
 from .cell import CorrectorSet, HomogenizedTensor, homogenized_tensor, solve_correctors, unit_cell_mesh
 from .coeff import from_config as coeff_from_config
 from .coeff import validate_ellipticity
-from .grid import ScalarField, StructuredMesh, build_mesh, eval_field_batch, eval_gradient_batch, h1_seminorm_sq, integrate_field, l2_norm_sq
+from .grid import SHAPES, ScalarField, StructuredMesh, build_mesh, eval_field_batch, eval_gradient_batch, h1_seminorm_sq, integrate_field, l2_norm_sq
 from .metrics import CSV_HEADER, FUNCTIONALS, MIN_RATE_POINTS, error_report, fit_rate
 from .solve import (NEUMANN_FULL, BoundaryCondition, ProblemInstance, check_neumann_load, reconstruct,
                     solve_fine, solve_homogenized)
@@ -59,8 +59,8 @@ def _build(what: str, builder, spec):
 
 
 def _finite(value) -> bool:
-    """A finite real number (a string or None is not one)."""
-    return isinstance(value, numbers.Real) and bool(np.isfinite(value))
+    """A finite real number (a bool, a string or None is not one)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and bool(np.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ class StudyConfig:
             coefficient = dict(self.coefficient)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"malformed epsilons, interior_box, expected_rates or coefficient: {err}") from err
-        if not all(isinstance(v, numbers.Integral) for v in sizes):
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in sizes):
             raise ConfigError("dim, epsilons, points_per_period, cell_divisions and max_nodes must be integers")
         object.__setattr__(self, "epsilons", tuple(int(n) for n in self.epsilons))
         object.__setattr__(self, "interior_box", box)
@@ -100,7 +100,7 @@ class StudyConfig:
     def validate(self):
         if self.dim not in (1, 2):
             raise ConfigError("dim must be 1 or 2")
-        if self.domain not in ("box", "l_shape"):
+        if self.domain not in SHAPES:
             raise ConfigError(f"unknown domain {self.domain!r}")
         if self.domain == "l_shape" and self.dim != 2:
             raise ConfigError("l_shape requires dim = 2")
@@ -282,7 +282,7 @@ def _dump_field(field, out_dir, name, meta):
             "origin": list(mesh.origin),
             "extent": list(mesh.extent),
             "divisions": list(mesh.divisions),
-            "shape": "box" if mesh.active_mask is None else "l_shape",
+            "shape": mesh.shape,
         },
         **meta,
     }
@@ -316,7 +316,7 @@ def run_study(config: StudyConfig, out_dir=None, progress=None, dump_fields=Fals
         fine = solve_fine(instance, rel_tol=config.cg_tol)
         phi = solve_homogenized(tensor, rhs, bc, mesh, rel_tol=config.cg_tol)
         recon = reconstruct(phi, recon_correctors, instance.cell_map)
-        reports.append(error_report(fine, recon, instance.cell_map, config.interior_box))
+        reports.append(error_report(fine, recon, config.interior_box))
         if dump_fields and out_dir is not None:
             _dump_field(fine, out_dir, f"fine_eps_1_{n_eps}", {"epsilon": 1.0 / n_eps})
             _dump_field(phi, out_dir, f"homogenized_eps_1_{n_eps}", {"epsilon": 1.0 / n_eps})

@@ -16,7 +16,7 @@ import numpy as np
 
 from .grid import ScalarField, gauss_rule, quadrature, same_mesh, squared_lengths
 from .solve import Reconstruction
-from .unfold import CellIndexMap, boundary_distance, layer_indicator
+from .unfold import boundary_distance, layer_indicator
 
 FUNCTIONALS = ("e_l2", "e_h1_corr", "e_weighted", "e_interior", "e_layer")
 CSV_HEADER = ",".join(("epsilon", *FUNCTIONALS))
@@ -63,7 +63,6 @@ def _interior_margin(mesh, box) -> float:
 def error_report(
     fine: ScalarField,
     recon: Reconstruction,
-    cmap: CellIndexMap,
     interior_box,
 ) -> ErrorReport:
     """Evaluate every error functional for one epsilon.
@@ -75,16 +74,14 @@ def error_report(
 
     The five integrands go to one stacked ``quadrature`` walk.  The interior
     and layer terms carry 0/1 element factors: centre inside the box, and
-    the mask of ``unfold.layer_indicator(cmap, 3)``.  That layer is
+    the mask of ``unfold.layer_indicator(recon.cmap, 3)``.  That layer is
     3*sqrt(n)*eps wide, so on the unit square it covers every element when
     3*sqrt(2)*eps >= 1/2 (eps = 1/4 and 1/8), and ``e_layer`` there is the
     global ||grad u_eps||.  Each walk block gathers each nodal field once.
     """
-    mesh = fine.mesh
-    if not same_mesh(mesh, recon.base.mesh) or not same_mesh(mesh, cmap.mesh):
-        raise ValueError("fine solution, reconstruction, and map must share one mesh")
-    if cmap.n_per_unit != recon.cmap.n_per_unit:
-        raise ValueError(f"cell map at eps = 1/{cmap.n_per_unit}, reconstruction at 1/{recon.cmap.n_per_unit}")
+    mesh, cmap = fine.mesh, recon.cmap
+    if not same_mesh(mesh, recon.base.mesh):
+        raise ValueError("fine solution and reconstruction must share one mesh")
     if np.isscalar(interior_box[0]):
         interior_box = (interior_box,)
     if len(interior_box) != mesh.dim:

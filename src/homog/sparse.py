@@ -21,14 +21,14 @@ in the blocks of ``grid``'s walk, boxes of active elements.  A block's
 element matrices are one product of the coefficient samples with a fixed
 quadrature table, and they are added onto every tile of the node grid that
 holds an active element, by one strided slice add per pair of element
-corners and box of such tiles (``grid.boxes``) over a (tiles, period) view
-of each axis; with the default period there is one tile, the mesh.  Load
-vectors are scattered onto the nodes by the whole walk.  The products of a
-singular system with the node coordinates, the cell problems' loads, are
-read off its diagonals with no walk.  The walk also bounds the samples'
-eigenvalues and asymmetry; ``assemble_stiffness`` checks every sample by the
-first, records the bounds on its system and splits off a symmetric part by
-the second.  Where each stencil offset is a diagonal of its own, the
+corners and box of such tiles (``grid.walk_boxes`` of the tile grid) over a
+(tiles, period) view of each axis; with the default period there is one
+tile, the mesh.  Load vectors are scattered onto the nodes by the whole
+walk.  The products of a singular system with the node coordinates, the cell
+problems' loads, are read off its diagonals with no walk.  The walk also
+bounds the samples' eigenvalues and asymmetry; ``assemble_stiffness`` checks
+every sample by the first, records the bounds on its system and splits off a
+symmetric part by the second.  Where each stencil offset is a diagonal of its own, the
 matrix's diagonals are the stencil's rows shifted in its own memory.
 
 The preconditioner is one symmetric geometric-multigrid V-cycle over the
@@ -54,9 +54,9 @@ transform is an rfft of the odd or even extension along each axis, by
 ``numpy.fft``.  So does an L-shape under Dirichlet, whose unknowns' rows are
 the box's: its level adds the capacitance-matrix correction (Buzbee, Dorr,
 George & Golub, 1971) that pins the box solution to zero on the removed
-quadrant's two inner edges, a dense inverse with a row per edge node, still
-around two transforms.  CG then stops after one step, on its true residual.
-It gives up early when its restarts from the true residual stop lowering it,
+quadrant's two inner edges, read off the divisions in closed form, a dense
+inverse with a row per edge node, still around two transforms.  CG then
+stops after one step, on its true residual.  It gives up early when its restarts from the true residual stop lowering it,
 which has then reached its rounding floor above the tolerance.
 """
 
@@ -74,10 +74,10 @@ from .coeff import symmetric_part_eiglimits
 from .grid import (
     StructuredMesh,
     _corner_offsets,
-    boxes,
     element_blocks,
     element_counts,
     quadrature,
+    walk_boxes,
 )
 
 SMOOTH_WEIGHT = 0.8  # damped Jacobi
@@ -124,7 +124,7 @@ def _unknowns(mesh: StructuredMesh, constraint: Constraint) -> np.ndarray:
     along each axis, all unknowns.  A mesh node is one when an active element
     touches it, under Dirichlet when all 2^n of its elements are active."""
     if isinstance(constraint, Periodic):
-        if mesh.active_mask is not None:
+        if mesh.shape != "box":
             raise ValueError("periodic constraints require a full box mesh")
         return np.ones(mesh.divisions[::-1], dtype=bool)
     counts = element_counts(mesh).reshape(mesh.nodes_per_axis[::-1])
@@ -205,27 +205,24 @@ def _stencil_matrix(stencil: np.ndarray, periodic: bool) -> sp.dia_matrix:
     return sp.dia_matrix((data, diagonals), shape=(n, n))
 
 
-def _period_mesh(mesh: StructuredMesh, period) -> tuple[StructuredMesh, np.ndarray]:
+def _period_mesh(mesh: StructuredMesh, period) -> tuple[StructuredMesh, tuple[int, ...], list[tuple[slice, ...]]]:
     """The mesh of the first ``period`` elements per axis (the whole mesh by
-    default) and the bool grid, last axis first, of the tiles of that size
-    that hold an active element.  With more than one tile each must be
-    wholly active or wholly inactive, and the period mesh is a box.  Raises
-    ValueError otherwise, or when the period does not divide the divisions."""
+    default), the number of tiles of that size per axis and the boxes of
+    those that hold an active element (``grid.walk_boxes``), both last axis
+    first.  With more than one tile the period mesh is a box, and on the
+    L-shape a period must divide half the divisions, so each tile is wholly
+    active or wholly inactive.  Raises ValueError otherwise, or when the
+    period does not divide the divisions."""
     period = mesh.divisions if period is None else tuple(int(p) for p in np.atleast_1d(period))
     if len(period) != mesh.dim or any(p < 1 or d % p for p, d in zip(period, mesh.divisions)):
         raise ValueError(f"a period of {period} elements does not divide the divisions {mesh.divisions}")
     tiles = tuple(d // p for d, p in zip(mesh.divisions, period))[::-1]
     if period == mesh.divisions:
-        return mesh, np.ones(tiles, dtype=bool)
-    occupied = np.ones(tiles, dtype=bool)
-    if mesh.active_mask is not None:
-        # each axis, last first, splits into (tiles, period)
-        split = mesh.active_mask.reshape([v for t, p in zip(tiles, period[::-1]) for v in (t, p)])
-        within = tuple(range(1, 2 * mesh.dim, 2))
-        occupied = split.any(axis=within)
-        if np.any(occupied != split.all(axis=within)):
-            raise ValueError(f"the tiles of {period} elements are not each wholly active or inactive")
-    return StructuredMesh(mesh.origin, tuple(h * p for h, p in zip(mesh.h, period)), period), occupied
+        return mesh, tiles, walk_boxes(tiles)
+    if mesh.shape == "l_shape" and any(d // 2 % p for d, p in zip(mesh.divisions, period)):
+        raise ValueError(f"the tiles of {period} elements are not each wholly active or inactive")
+    walked = StructuredMesh(mesh.origin, tuple(h * p for h, p in zip(mesh.h, period)), period)
+    return walked, tiles, walk_boxes(tiles, mesh.shape)
 
 
 def _nodal_stencil(
@@ -253,8 +250,7 @@ def _nodal_stencil(
     grid cut to the masters, whose neighbours wrap.
     """
     dim, nloc = mesh.dim, 2**mesh.dim
-    walked, occupied = _period_mesh(mesh, period)
-    tiles = list(boxes(occupied))
+    walked, tiles, occupied = _period_mesh(mesh, period)
     corners = [offset[::-1] for offset in _corner_offsets(dim)]
     stencil = np.zeros((3,) * dim + mesh.nodes_per_axis[::-1])
     low, high, dev, largest = np.inf, -np.inf, 0.0, 0.0
@@ -277,9 +273,9 @@ def _nodal_stencil(
         for (ia, ca), (ib, cb) in itertools.product(enumerate(corners), repeat=2):
             nodes = stencil[tuple(1 + q - c for q, c in zip(cb, ca))][
                 tuple(slice(c, c + n - 1) for c, n in zip(ca, stencil.shape[dim:]))]
-            tiled = nodes.reshape([v for t, n in zip(occupied.shape, nodes.shape) for v in (t, n // t)],
+            tiled = nodes.reshape([v for t, n in zip(tiles, nodes.shape) for v in (t, n // t)],
                                   copy=False)
-            for box in tiles:
+            for box in occupied:
                 tiled[tuple(v for tile, part in zip(box, block.box) for v in (tile, part))] += ke[ia, ib]
     if isinstance(constraint, Periodic):
         stencil = _fold(stencil, range(dim, 2 * dim))
@@ -470,10 +466,11 @@ class _Level:
     # on an L-shape, the nodes Gamma of the box's interior that are not
     # unknowns but couple to one, one node row and one node column, each as
     # its sine table (see ``_capacitance``), the inverse of their capacitance
-    # matrix, and the unknowns, off which the solve is zero
+    # matrix, and the interior nodes that are unknowns, off which the solve
+    # is zero
     gamma: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
     capacitance: np.ndarray | None = None
-    unknowns: np.ndarray | None = None
+    keep: np.ndarray | None = None
 
 
 def _dense_inverse(dense: np.ndarray, singular: bool) -> np.ndarray:
@@ -656,15 +653,14 @@ def _transform_level(mesh: StructuredMesh, stencil: np.ndarray, constraint: Cons
     over n_a divisions.  The constant mode, the kernel under ZeroMean, gets
     an inverse of zero.
 
-    With inactive elements, only under Dirichlet: an unknown is a node whose
-    2^n elements are all active, so its row is the box's row.  Where the
-    node (1, ..., 1) is one, the level is the box's sine level with the
-    capacitance correction of ``_capacitance``, or None where that does not
-    apply."""
-    masked = mesh.active_mask is not None
-    if (not isinstance(constraint, Dirichlet if masked else (Dirichlet, ZeroMean))
+    On the L-shape, only under Dirichlet: an unknown is a node whose 2^n
+    elements are all active, so its row is the box's row.  Where the node
+    (1, ..., 1) is one, the level is the box's sine level with the
+    capacitance correction of ``_capacitance``."""
+    l_shape = mesh.shape == "l_shape"
+    if (not isinstance(constraint, Dirichlet if l_shape else (Dirichlet, ZeroMean))
             or period is None or any(int(p) != 1 for p in np.atleast_1d(period))
-            or min(mesh.divisions) < 2 or (masked and not unknowns[(1,) * mesh.dim])):
+            or min(mesh.divisions) < 2 or not unknowns[(1,) * mesh.dim]):
         return None
     dim, sine = mesh.dim, isinstance(constraint, Dirichlet)
     s = stencil[(Ellipsis,) + (1,) * dim]
@@ -684,7 +680,7 @@ def _transform_level(mesh: StructuredMesh, stencil: np.ndarray, constraint: Cons
             norm[[0, -1]] *= 0.5
         eigenvalues[(0,) * dim] = np.inf
     level = _Level(spectrum=functools.reduce(np.multiply.outer, norms) / eigenvalues, sine=sine)
-    return _capacitance(level, unknowns) if masked else level
+    return _capacitance(level, mesh.divisions) if l_shape else level
 
 
 def _sines(nodes, n: int) -> np.ndarray:
@@ -694,14 +690,19 @@ def _sines(nodes, n: int) -> np.ndarray:
     return np.sin(np.pi * (np.outer(np.add(nodes, 1), np.arange(1, n)) % (2 * n)) / n)
 
 
-def _capacitance(level: _Level, unknowns: np.ndarray) -> _Level | None:
-    """A 2D box's sine level extended to the unknowns of a mesh with inactive
-    elements by the capacitance-matrix method (Buzbee, Dorr, George & Golub,
-    SIAM J. Numer. Anal. 8, 1971), or None where Gamma, the box's interior
-    nodes that couple to an unknown without being one, is not one node row
-    plus one node column.  Pinning u = 0 on Gamma separates the unknowns from
-    the rest of the box, so with B the box's inverse and E the injection from
-    Gamma
+def _capacitance(level: _Level, divisions: tuple[int, int]) -> _Level:
+    """The sine level of the L-shape's box extended to the L's unknowns by
+    the capacitance-matrix method (Buzbee, Dorr, George & Golub, SIAM J.
+    Numer. Anal. 8, 1971).  Gamma, the box's interior nodes that couple to an
+    unknown without being one, is the removed quadrant's two inner edges:
+    with interior node indices from 0, the row j0 = d1/2 - 1 over the
+    columns d0/2 - 1 .. d0 - 2, and the column i0 = d0/2 - 1 over the rows
+    d1/2 .. d1 - 2; the row holds the corner node where the two meet, and
+    the unknowns are the interior nodes below the row or left of the column.
+    (On an L two elements across, an edge also holds nodes that couple to
+    no unknown; pinning them too leaves the solve exact.)  Pinning u = 0 on
+    Gamma separates the unknowns from the rest of the box, so with B the
+    box's inverse and E the injection from Gamma
 
         A^-1 r = B (r + E lambda),  lambda = -C^-1 E^T B r,  C = E^T B E
 
@@ -711,26 +712,20 @@ def _capacitance(level: _Level, unknowns: np.ndarray) -> _Level | None:
     the row's block is S_H diag((S[j0]^2) @ spectrum) S_H^T, the column's
     S_V diag(spectrum @ S[i0]^2) S_V^T, and the cross block
     (S_H S[i0]) @ spectrum^T @ (S_V S[j0])^T, O(N^3) with no N^2 x |Gamma|
-    array.  The row holds the corner node where the two meet."""
-    if unknowns.ndim != 2:
-        return None
-    padded = np.pad(unknowns, 1)
-    near = functools.reduce(np.logical_or, (
-        padded[tuple(slice(o, o + m) for o, m in zip(t, unknowns.shape))] for t in np.ndindex(3, 3)))
-    rows, columns = np.nonzero((near & ~unknowns)[1:-1, 1:-1])  # interior nodes, from 0
-    j0, i0 = np.bincount(rows).argmax(), np.bincount(columns).argmax()
-    if np.any((rows != j0) & (columns != i0)):
-        return None
+    array."""
+    d0, d1 = divisions
+    j0, i0 = d1 // 2 - 1, d0 // 2 - 1
     spectrum = level.spectrum
-    n0, n1 = (m + 1 for m in spectrum.shape)
-    across_row, on_row = _sines([j0], n0)[0], _sines(columns[rows == j0], n1)
-    across_column, on_column = _sines([i0], n1)[0], _sines(rows[(columns == i0) & (rows != j0)], n0)
+    across_row, on_row = _sines([j0], d1)[0], _sines(np.arange(i0, d0 - 1), d0)
+    across_column, on_column = _sines([i0], d0)[0], _sines(np.arange(j0 + 1, d1 - 1), d1)
     cross = (on_row * across_column) @ spectrum.T @ (on_column * across_row).T
     capacitance = np.block([
         [(on_row * (across_row**2 @ spectrum)) @ on_row.T, cross],
         [cross.T, (on_column * (spectrum @ across_column**2)) @ on_column.T]])
+    keep = np.ones(spectrum.shape, dtype=bool)
+    keep[j0:, i0:] = False
     return replace(level, gamma=((across_row, on_row), (across_column, on_column)),
-                   capacitance=_dense_inverse(capacitance, False), unknowns=unknowns)
+                   capacitance=_dense_inverse(capacitance, False), keep=keep)
 
 
 def _trig_transform(values: np.ndarray, sine: bool) -> np.ndarray:
@@ -772,8 +767,7 @@ def _transform_solve(level: _Level, r: np.ndarray, out: np.ndarray) -> np.ndarra
             modes = _trig_transform(r, sine)
             x[interior] = _trig_transform(modes * spectrum, sine)
             return out
-        keep = level.unknowns[interior]
-        modes = _trig_transform(np.where(keep, r, 0.0), sine)
+        modes = _trig_transform(np.where(level.keep, r, 0.0), sine)
         modes *= spectrum  # the modes of B r
         (across_row, on_row), (across_column, on_column) = level.gamma
         mu = level.capacitance @ np.concatenate(
@@ -782,7 +776,7 @@ def _transform_solve(level: _Level, r: np.ndarray, out: np.ndarray) -> np.ndarra
         correction += np.outer(mu[len(on_row):] @ on_column, across_column)
         correction *= spectrum
         modes -= correction
-        np.multiply(_trig_transform(modes, sine), keep, out=x[interior])
+        np.multiply(_trig_transform(modes, sine), level.keep, out=x[interior])
         return out
     x, r = out.reshape(spectrum.shape), r.reshape(spectrum.shape)
     modes = _trig_transform(r - r.mean(), sine)

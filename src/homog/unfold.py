@@ -6,7 +6,10 @@ one cell: the epsilon-lattice is nested in the fine node grid, ``m`` elements
 per cell per axis.  The operators read it off that grid by index arithmetic:
 T(phi) on cell xi is phi on the cell's block of (m0+1) x (m1+1) fine nodes,
 and a node on a face between cells belongs to the cell of the element that
-``StructuredMesh.face_rule`` gives it.  The module provides
+``StructuredMesh.face_rule`` gives it.  The domain is the mesh's ``shape``:
+on the L-shape, whose reentrant corner must lie on the cell lattice, the
+cells of the removed quadrant, its boundary distance and the lattice nodes
+that extrapolate around it are read off the divisions.  The module provides
 
 * ``unfold``             -- T(phi)(xi, y) = phi(eps*(xi + y)) at the nodes
                             y = i/m of the cell,
@@ -34,7 +37,6 @@ from .grid import (
     StructuredMesh,
     active_nodes,
     element_blocks,
-    is_l_shape,
     same_mesh,
 )
 
@@ -73,8 +75,7 @@ class CellIndexMap:
 
 def build_cell_map(mesh: StructuredMesh, n_per_unit: int) -> CellIndexMap:
     """Validate epsilon-alignment and enumerate the cells meeting the domain:
-    a box, or the L-shape (``grid.is_l_shape``) with its reentrant corner on
-    the cell lattice, so the operators here may read a mask as the L's."""
+    a box, or the L-shape with its reentrant corner on the cell lattice."""
     n = int(n_per_unit)
     if n < 1:
         raise AlignmentError("epsilon must equal 1/N for a positive integer N")
@@ -89,10 +90,9 @@ def build_cell_map(mesh: StructuredMesh, n_per_unit: int) -> CellIndexMap:
             )
         m.append(mesh.divisions[k] // counts[-1])
     active = np.ones(counts, dtype=bool)
-    if mesh.active_mask is not None:
-        if not is_l_shape(mesh) or any(d // 2 % mk for d, mk in zip(mesh.divisions, m)):
-            raise AlignmentError("a mesh with inactive elements must be the L-shape, with its "
-                                 "reentrant corner on the cell lattice")
+    if mesh.shape == "l_shape":
+        if any(d // 2 % mk for d, mk in zip(mesh.divisions, m)):
+            raise AlignmentError("the L-shape's reentrant corner must lie on the cell lattice")
         active[counts[0] // 2:, counts[1] // 2:] = False
     cells = np.argwhere(active) + np.asarray(lo)
     lookup = np.full(tuple(counts), -1, dtype=int)
@@ -187,7 +187,7 @@ def _lattice_values(cmap: CellIndexMap, means: np.ndarray) -> np.ndarray:
     sums = missing.sum(axis=1)
     for total in np.unique(sums):
         node = missing[sums == total]
-        corner = np.all(node >= half, axis=1, keepdims=True) & (cmap.mesh.active_mask is not None)
+        corner = np.all(node >= half, axis=1, keepdims=True) & (cmap.mesh.shape == "l_shape")
         excess = np.where(node >= counts, node - (counts - 1),
                           np.where(corner, node - (half - 1), np.inf))
         step = np.eye(cmap.dim, dtype=int)[np.argmin(excess, axis=1)]
@@ -230,18 +230,15 @@ def boundary_distance(mesh: StructuredMesh, points: np.ndarray) -> np.ndarray:
     It is the nearest box face, and on an L-shape also the distance to the
     removed upper quadrant ``[o + e/2, o + e]``.  The halves of the top and
     right faces that bound that quadrant lie no nearer than the quadrant
-    itself, so this is the distance to the six edges of the L.  Any other
-    mask (see ``grid.is_l_shape``) raises ValueError.
+    itself, so this is the distance to the six edges of the L.
     """
-    if mesh.active_mask is not None and not is_l_shape(mesh):
-        raise ValueError("boundary_distance knows the box and the L-shape only")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     o = np.asarray(mesh.origin)
     e = np.asarray(mesh.extent)
     dist = np.full(len(points), np.inf)
     for k, x in enumerate(points.T):
         np.minimum(dist, np.minimum(x - o[k], o[k] + e[k] - x), out=dist)
-    if mesh.active_mask is not None:
+    if mesh.shape == "l_shape":
         gap = np.maximum(o + e / 2.0 - points, 0.0)
         np.minimum(dist, np.sqrt(gap[:, 0] ** 2 + gap[:, 1] ** 2), out=dist)
     return dist

@@ -91,8 +91,7 @@ def richardson_reports():
         corr = solve_correctors(coeff, unit_cell_mesh(2, m))
         fine = solve_fine(ProblemInstance(mesh, coeff, rhs, bc, 16))
         phi = solve_homogenized(tensor, rhs, bc, mesh)
-        out[m] = error_report(fine, reconstruct(phi, corr, cmap), cmap,
-                              ((0.25, 0.75), (0.25, 0.75)))
+        out[m] = error_report(fine, reconstruct(phi, corr, cmap), ((0.25, 0.75), (0.25, 0.75)))
     return out
 
 

@@ -16,7 +16,6 @@ from homog.grid import (
     h1_seminorm_sq,
     integrate,
     integrate_field,
-    is_l_shape,
     boundary_nodes,
     l2_norm_sq,
     quadrature,
@@ -42,13 +41,17 @@ def test_mesh_counts_2d():
 
 
 def test_is_l_shape_tells_the_l_shape_mask_from_any_other():
-    lshape = build_mesh((-0.5, 0.25), (1.0, 0.5), (12, 6), "l_shape")
-    assert is_l_shape(lshape)
-    assert not is_l_shape(build_mesh((0.0, 0.0), (1.0, 1.0), (12, 6)))
-    for removed in (0, 41, 42):  # a lower corner, and either side of the reentrant corner
-        mask = lshape.active_mask.copy()
-        mask[removed] = ~mask[removed]
-        assert not is_l_shape(StructuredMesh(lshape.origin, lshape.extent, lshape.divisions, mask))
+    # the domain is the mesh's shape, the box or the L-shape, and nothing else
+    lshape = StructuredMesh((-0.5, 0.25), (1.0, 0.5), (12, 6), "l_shape")
+    assert lshape.shape == "l_shape" and StructuredMesh((0.0, 0.0), (1.0, 1.0), (12, 6)).shape == "box"
+    # elements 40 and 41 of the upper half sit either side of the reentrant corner
+    assert lshape.active_mask[:42].all() and lshape.active_mask[41] and not lshape.active_mask[42]
+    with pytest.raises(ValueError, match="unknown shape"):
+        StructuredMesh((0.0, 0.0), (1.0, 1.0), (12, 6), "mirror_l")
+    with pytest.raises(ValueError, match="2D"):
+        StructuredMesh(0.0, 1.0, (12,), "l_shape")
+    with pytest.raises(ValueError, match="even"):
+        StructuredMesh((0.0, 0.0), (1.0, 1.0), (12, 5), "l_shape")
 
 
 def test_l_shape_quadrant_removed():
@@ -491,16 +494,14 @@ def test_element_walk_scatter_matches_add_at(monkeypatch):
 
 
 
-def _random_masked_mesh(dim, seed):
-    """A mesh whose activity mask repeats rows drawn from a few patterns,
-    so that rows run equal; one pattern has two active runs, one none."""
+def _random_meshes(dim, seed):
+    """A box mesh of random divisions, and in 2D an L-shape of random even
+    divisions, wide or tall."""
     rng = np.random.default_rng(seed)
     if dim == 1:
-        return grid.StructuredMesh(0.0, 1.0, (23,), rng.random(23) < 0.6)
-    patterns = np.array([[1, 1, 0, 0, 1, 1, 1], [1, 1, 1, 1, 1, 1, 1], [0, 1, 1, 1, 0, 0, 0],
-                         [0, 0, 0, 0, 0, 0, 0]], dtype=bool)
-    rows = patterns[rng.integers(0, len(patterns), 9)]
-    return grid.StructuredMesh((0, 0), (1, 1), (7, 9), rows.ravel())
+        return [grid.StructuredMesh(0.0, 1.0, (int(rng.integers(1, 30)),))]
+    box = grid.StructuredMesh((0, 0), (1, 1), tuple(int(d) for d in rng.integers(1, 12, 2)))
+    return [box, grid.StructuredMesh((0, 0), (1, 1), tuple(2 * int(d) for d in rng.integers(1, 7, 2)), "l_shape")]
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 3, 5, 16])
@@ -508,17 +509,36 @@ def _random_masked_mesh(dim, seed):
 def test_walk_blocks_are_disjoint_boxes_of_active_elements(dim, seed, chunk, monkeypatch):
     if chunk is not None:
         monkeypatch.setattr(grid, "CHUNK_ELEMENTS", chunk)
-    mesh = _random_masked_mesh(dim, seed)
-    blocks = list(element_blocks(mesh))
-    for block in blocks:
-        assert block.box == tuple(slice(f, f + n) for f, n in zip(block.first, block.shape))
-        assert len(block_elems(block)) == block.size
-        assert mesh.active_mask[block_elems(block)].all()
-        row = int(np.prod(block.shape[1:]))
-        assert block.size <= grid.CHUNK_ELEMENTS or block.shape[0] == 1 and row > grid.CHUNK_ELEMENTS
-    elems = np.concatenate([block_elems(block) for block in blocks])
-    assert len(np.unique(elems)) == len(elems)
-    np.testing.assert_array_equal(np.sort(elems), mesh.active_elements())
+    for mesh in _random_meshes(dim, seed):
+        active = np.ones(mesh.n_elements, bool) if mesh.active_mask is None else mesh.active_mask
+        blocks = list(element_blocks(mesh))
+        for block in blocks:
+            assert block.box == tuple(slice(f, f + n) for f, n in zip(block.first, block.shape))
+            assert len(block_elems(block)) == block.size
+            assert active[block_elems(block)].all()
+            row = int(np.prod(block.shape[1:]))
+            assert block.size <= grid.CHUNK_ELEMENTS or block.shape[0] == 1 and row > grid.CHUNK_ELEMENTS
+        elems = np.concatenate([block_elems(block) for block in blocks])
+        assert len(np.unique(elems)) == len(elems)
+        np.testing.assert_array_equal(np.sort(elems), mesh.active_elements())
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3])
+@pytest.mark.parametrize("divisions", [(4, 4), (12, 6), (6, 12), (16, 16)])
+def test_l_shape_walk_is_the_two_closed_form_boxes(divisions, chunk, monkeypatch):
+    # the lower half, then the upper left quarter, each cut along the last axis
+    if chunk is not None:
+        monkeypatch.setattr(grid, "CHUNK_ELEMENTS", chunk)
+    d0, d1 = divisions
+    boxes = [(slice(0, d1 // 2), slice(0, d0)), (slice(d1 // 2, d1), slice(0, d0 // 2))]
+    assert grid.walk_boxes((d1, d0), "l_shape") == boxes
+    blocks = list(element_blocks(build_mesh((0, 0), (1, 1), divisions, "l_shape")))
+    expected = []
+    for rows, columns in boxes:
+        step = max(1, grid.CHUNK_ELEMENTS // columns.stop)
+        expected += [((start, 0), (min(start + step, rows.stop) - start, columns.stop))
+                     for start in range(rows.start, rows.stop, step)]
+    assert [(block.first, block.shape) for block in blocks] == expected
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 3])
@@ -542,7 +562,7 @@ def test_box_mesh_walk_cuts_whole_rows(divisions, chunk, monkeypatch):
 
 def test_times_periodic_rejects_a_box_off_the_period():
     # the L-shape's upper box holds 3 columns, not whole periods of 2
-    mesh = grid.StructuredMesh((0, 0), (1, 1), (6, 4), ~((np.arange(24) % 6 >= 3) & (np.arange(24) >= 12)))
+    mesh = build_mesh((0, 0), (1, 1), (6, 4), "l_shape")
     pattern = np.ones((4, 4))
     first, upper = list(element_blocks(mesh))
     assert upper.shape == (2, 3)

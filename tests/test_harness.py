@@ -109,6 +109,15 @@ def test_config_roundtrip(tmp_path):
         dict(bc="periodic"),
         dict(rhs="bogus"),
         dict(coefficient={"kind": "laminate", "axis": 2, "alpha": 1.0, "beta": 2.0}),  # out of range
+        # a bool passes as a number, and a fractional axis or dim was truncated
+        dict(cg_tol=True),  # would run as 1.0
+        dict(expected_rates={"e_l2": {"target": 1.0, "tol": True}}),
+        dict(dim=True, coefficient={"kind": "constant", "matrix": [[2.0]]},
+             interior_box=[[0.25, 0.75]]),  # would run as 1D
+        dict(epsilons=[True, 2, 4]),  # would run as N = 1
+        dict(coefficient={"kind": "laminate", "axis": 1.5, "alpha": 1.0, "beta": 2.0}),
+        dict(coefficient={"kind": "scalar_cosine", "a0": 2.0, "a1": 0.5, "axis": 1.5}),
+        dict(coefficient={"kind": "laminate", "axis": 0, "alpha": 1.0, "beta": 2.0, "dim": 2.5}),
     ],
 )
 def test_config_validation_errors(overrides):

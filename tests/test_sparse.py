@@ -31,6 +31,7 @@ from homog.sparse import (
     ZeroMean,
     _galerkin_pass,
     _nodal_stencil,
+    _sines,
     _stencil_matrix,
     _stencil_transpose,
     _unknowns,
@@ -419,15 +420,8 @@ def test_period_must_divide_the_divisions_and_tile_the_active_elements():
     # elements 6 to 11 of both axes are removed, so the tile of elements 4 to
     # 7 is partly active
     l_shape = build_mesh((0, 0), (1, 1), (12, 12), "l_shape")
-    with pytest.raises(ValueError, match="active"):
-        assemble_stiffness(l_shape, identity_sampler, Dirichlet(), (4, 4))
-    # every 2 x 2 tile lacks its lower-left element: the tiles hold the same
-    # active elements, but none is wholly active
-    perforated = np.ones((4, 2, 4, 2), dtype=bool)  # (tiles, period) per axis, last first
-    perforated[:, 0, :, 0] = False
-    mesh = grid.StructuredMesh((0, 0), (1, 1), (8, 8), perforated.ravel())
     with pytest.raises(ValueError, match="wholly active"):
-        assemble_stiffness(mesh, identity_sampler, Dirichlet(), (2, 2))
+        assemble_stiffness(l_shape, identity_sampler, Dirichlet(), (4, 4))
     # one tile, the whole mesh, is walked without its inactive elements
     whole = assemble_stiffness(l_shape, identity_sampler, Dirichlet(), (12, 12))
     assert _gap(whole.matrix, assemble_stiffness(l_shape, identity_sampler, Dirichlet()).matrix) == 0.0
@@ -883,22 +877,12 @@ def test_transform_level_symmetric_positive_definite(mesh_name, constraint_name)
     assert not np.array(columns)[:, ~system.unknowns.ravel()].any()
 
 
-def _without_quadrant(divisions, upper_x):
-    """A unit square whose upper quadrant, right or left of the middle, is
-    inactive: the L-shape, or its mirror image."""
-    d0, d1 = divisions
-    e0, e1 = np.meshgrid(np.arange(d0), np.arange(d1))
-    removed = ((e0 >= d0 // 2) if upper_x else (e0 < d0 // 2)) & (e1 >= d1 // 2)
-    return grid.StructuredMesh((0.0, 0.0), (1.0, 1.0), divisions, ~removed.ravel())
-
-
 @pytest.mark.parametrize("divisions", [(8, 8), (16, 16), (32, 32), (12, 6)])
-@pytest.mark.parametrize("upper_x", [True, False])
-def test_capacitance_level_equals_dense_solve(divisions, upper_x):
-    mesh = _without_quadrant(divisions, upper_x)
-    if upper_x:
-        assert np.array_equal(mesh.active_mask, build_mesh((0, 0), (1, 1), divisions, "l_shape").active_mask)
-    system = assemble_stiffness(mesh, _constant_sampler(np.diag([2.0, 0.5])), Dirichlet(), (1, 1))
+@pytest.mark.parametrize("stiffer_x", [True, False])
+def test_capacitance_level_equals_dense_solve(divisions, stiffer_x):
+    mesh = build_mesh((0, 0), (1, 1), divisions, "l_shape")
+    tensor = np.diag([2.0, 0.5] if stiffer_x else [0.5, 2.0])
+    system = assemble_stiffness(mesh, _constant_sampler(tensor), Dirichlet(), (1, 1))
     [level] = system.hierarchy
     # Gamma, the removed quadrant's two inner edges: half a node row and half
     # a node column, which share the corner
@@ -928,29 +912,41 @@ def test_capacitance_solve_takes_one_pcg_step(monkeypatch):
 
 
 def test_transform_level_needs_gamma_on_one_row_and_one_column():
-    # a hole of 2 x 2 elements in the middle: Gamma is the hole's 3 x 3 nodes
-    mask = np.ones((16, 16), dtype=bool)
-    mask[7:9, 7:9] = False
-    mesh = grid.StructuredMesh((0.0, 0.0), (1.0, 1.0), (16, 16), mask.ravel())
-    system = assemble_stiffness(mesh, _constant_sampler(np.diag([2.0, 0.5])), Dirichlet(), (1, 1))
-    assert len(system.hierarchy) > 1 and all(level.spectrum is None for level in system.hierarchy)
+    # the closed-form Gamma of the L-shape is the search for it on the
+    # unknowns: the box's interior nodes that couple to an unknown without
+    # being one, one node row and one node column, read as sine tables
+    for divisions in [(4, 4), (8, 8), (16, 16), (64, 64), (256, 256), (12, 6), (6, 12)]:
+        mesh = build_mesh((0, 0), (1, 1), divisions, "l_shape")
+        system = assemble_stiffness(mesh, _constant_sampler(np.diag([2.0, 0.5])), Dirichlet(), (1, 1))
+        [level], unknowns = system.hierarchy, system.unknowns
+        padded = np.pad(unknowns, 1)
+        near = np.any([padded[t[0]:t[0] + unknowns.shape[0], t[1]:t[1] + unknowns.shape[1]]
+                       for t in np.ndindex(3, 3)], axis=0)
+        rows, columns = np.nonzero((near & ~unknowns)[1:-1, 1:-1])  # interior nodes, from 0
+        j0, i0 = np.bincount(rows).argmax(), np.bincount(columns).argmax()
+        assert not np.any((rows != j0) & (columns != i0))
+        d0, d1 = divisions
+        (across_row, on_row), (across_column, on_column) = level.gamma
+        np.testing.assert_array_equal(across_row, _sines([j0], d1)[0])
+        np.testing.assert_array_equal(on_row, _sines(columns[rows == j0], d0))
+        np.testing.assert_array_equal(across_column, _sines([i0], d0)[0])
+        np.testing.assert_array_equal(on_column, _sines(rows[(columns == i0) & (rows != j0)], d1))
+        np.testing.assert_array_equal(level.keep, unknowns[1:-1, 1:-1])
 
 
 def test_all_active_mask_builds_the_box_sine_level_with_no_capacitance():
-    # an all-active mask is stored as none, so the level is the box's, and so
-    # is its solve
-    box = build_mesh((0, 0), (1, 1), (16, 12), "box")
-    masked = grid.StructuredMesh(box.origin, box.extent, box.divisions, np.ones(box.n_elements, bool))
+    # the box, the default shape, has no mask, and its level is the plain
+    # sine level; the L-shape's at the same divisions is that level with the
+    # capacitance correction
+    box = grid.StructuredMesh((0, 0), (1, 1), (16, 12))
+    assert box.shape == "box" and box.active_mask is None
     sampler = _constant_sampler(np.diag([2.0, 0.5]))
-    spectra, solutions = [], []
-    for mesh in (box, masked):
-        system = assemble_stiffness(mesh, sampler, Dirichlet(), (1, 1))
-        [level] = system.hierarchy
-        assert level.sine and level.capacitance is None and not level.gamma
-        b = system.reduce(assemble_load(mesh, lambda p: np.cos(3.0 * p[:, 0]) + p[:, 1])[0])
-        spectra.append(level.spectrum)
-        solutions.append(cg_solve(system, b))
-    assert np.array_equal(*spectra) and np.array_equal(*solutions)
+    [box_level], [l_level] = (assemble_stiffness(mesh, sampler, Dirichlet(), (1, 1)).hierarchy
+                              for mesh in (box, build_mesh((0, 0), (1, 1), (16, 12), "l_shape")))
+    assert box_level.sine and box_level.capacitance is None and not box_level.gamma
+    assert box_level.keep is None
+    assert l_level.sine and l_level.capacitance is not None
+    assert np.array_equal(box_level.spectrum, l_level.spectrum)
 
 
 def _skew_periodic_system(divisions, s):

@@ -527,9 +527,11 @@ def test_box_boundary_distance_equals_axis_min_reference(dim):
 
 
 def test_all_active_mask_is_the_box():
+    # the default shape is the box, which has no mask, and not the L-shape
     box = unit_mesh(16)
-    masked = StructuredMesh(box.origin, box.extent, box.divisions, np.ones(box.n_elements, bool))
+    masked = StructuredMesh(box.origin, box.extent, box.divisions)
     assert masked.active_mask is None and same_mesh(masked, box)
+    assert not same_mesh(masked, StructuredMesh(box.origin, box.extent, box.divisions, "l_shape"))
     # (0.75, 0.75) lies in the quadrant that an L-shape would remove
     pts = np.vstack([np.random.default_rng(5).random((300, 2)), [[0.75, 0.75]]])
     np.testing.assert_array_equal(boundary_distance(masked, pts), boundary_distance(box, pts))
@@ -541,15 +543,14 @@ def test_all_active_mask_is_the_box():
 
 
 def test_a_mask_other_than_the_l_shapes_is_refused():
-    # the mirror L, its upper-left quadrant removed, which the L-shape's
+    # no mesh has another domain, such as the mirror L, which the L-shape's
     # distance and slow part would misread
-    mask = np.ones((16, 16), dtype=bool)  # the element grid, last axis first
-    mask[8:, :8] = False
-    mirror = StructuredMesh((0.0, 0.0), (1.0, 1.0), (16, 16), mask.ravel())
+    with pytest.raises(ValueError, match="unknown shape"):
+        StructuredMesh((0.0, 0.0), (1.0, 1.0), (16, 16), "mirror_l")
+    # and the L-shape's reentrant corner must lie on the cell lattice: at
+    # 3 cells of 8 elements it falls at element 12, mid-cell
     with pytest.raises(AlignmentError, match="L-shape"):
-        build_cell_map(mirror, 4)
-    with pytest.raises(ValueError, match="L-shape"):
-        boundary_distance(mirror, [[0.75, 0.75]])
+        build_cell_map(StructuredMesh((0.0, 0.0), (1.0, 1.0), (24, 24), "l_shape"), 3)
 
 
 def test_smooth_remainder_rate():
