@@ -13,16 +13,18 @@ The homogenized tensor is the cell quadrature of
 
 The stiffness K comes from one assembly call, which measures whether the
 coefficient's samples are symmetric; no field declares it.  A symmetric K is
-solved by CG.  Otherwise the correctors solve K and the adjoints K^T by
-GMRES, both preconditioned by the one V-cycle of K's symmetric part.  The
-load of chi_i is -a(y_i, psi), K applied to the coordinate y_i, and is read
-off K (K^T for the adjoints) with no walk of its own, so the cell problems
-sample the coefficient once, by assembly.  A load within ``rel_tol`` of the
-largest of its family is rounding noise (chi_2's, where A varies along y_1
-alone) and gets the zero corrector, which meets the family's tolerance;
-every other solve meets it on the true residual of the full system.  The
-tensor samples the coefficient again: it takes any correctors of the field,
-the adjoints of A as the correctors of A^T too.
+solved by CG, and its adjoints are its correctors.  Otherwise the correctors
+solve K by GMRES, preconditioned by the one V-cycle of K's symmetric part.
+Only the correctors enter the tensor and the reconstruction, so the adjoints
+of a non-symmetric field are solved when first read, as the correctors of
+A^T: the duality A*(A^T) = A*(A)^T checks them.  The load of chi_i is
+-a(y_i, psi), K applied to the coordinate y_i, and is read off K with no walk
+of its own, so the cell problems sample the coefficient once, by assembly.
+A load within ``rel_tol`` of the largest of its family is rounding noise
+(chi_2's, where A varies along y_1 alone) and gets the zero corrector, which
+meets the family's tolerance; every other solve meets it on the true residual
+of the full system.  The tensor samples the coefficient again: it takes any
+correctors of the field, the adjoints of A as the correctors of A^T too.
 """
 
 from __future__ import annotations
@@ -33,20 +35,33 @@ import numpy as np
 
 from .coeff import CoefficientField
 from .grid import ScalarField, StructuredMesh, element_blocks
-from .sparse import Periodic, SparseSystem, assemble_stiffness, cg_solve
+from .sparse import Periodic, assemble_stiffness, cg_solve
 
 
 @dataclass(frozen=True, eq=False)
 class CorrectorSet:
-    """Zero-mean periodic correctors (and adjoints) on the cell mesh, and
-    the (min, max) eigenvalues of the symmetric part of the coefficient over
-    the cell assembly's quadrature samples."""
+    """Zero-mean periodic correctors on the cell mesh, solved to ``rel_tol``,
+    and the (min, max) eigenvalues of the symmetric part of the coefficient
+    over the cell assembly's quadrature samples.
+
+    The adjoint family is the third argument when one is given (``chi``
+    itself for a symmetric stiffness); None leaves it to ``chi_adjoint``."""
 
     cell_mesh: StructuredMesh
     chi: tuple[ScalarField, ...]
-    chi_adjoint: tuple[ScalarField, ...]
+    _chi_adjoint: tuple[ScalarField, ...] | None
     coefficient: CoefficientField
     ellipticity: tuple[float, float] | None = None
+    rel_tol: float = 1e-10
+
+    @property
+    def chi_adjoint(self) -> tuple[ScalarField, ...]:
+        """The adjoint correctors, those of A^T: solved on the first read
+        when the set was built without them, and kept for the next."""
+        if self._chi_adjoint is None:
+            adjoint = solve_correctors(self.coefficient.transposed(), self.cell_mesh, self.rel_tol).chi
+            object.__setattr__(self, "_chi_adjoint", adjoint)
+        return self._chi_adjoint
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,30 +91,25 @@ def solve_correctors(
     cell_mesh: StructuredMesh,
     rel_tol: float = 1e-10,
 ) -> CorrectorSet:
-    """Solve the n periodic cell problems and their adjoints; a load within
-    ``rel_tol`` of the largest of its family gets the zero corrector."""
+    """Solve the n periodic cell problems; a load within ``rel_tol`` of the
+    largest gets the zero corrector.  The set's adjoints are the correctors
+    for a symmetric stiffness, else solved when ``chi_adjoint`` is read."""
     _check_cell_mesh(field, cell_mesh)
     system = assemble_stiffness(cell_mesh, field.sample_batch, Periodic())
-    symmetric = system.symmetric_part is None
-
-    def solve_family(stiffness: SparseSystem) -> tuple[ScalarField, ...]:
-        # the load of chi_i is -K y_i, on the masters already
-        loads = -stiffness.coordinate_products(cell_mesh.h)
-        noise = rel_tol * max(np.linalg.norm(b) for b in loads)
-        out = []
-        for b in loads:
-            if np.linalg.norm(b) <= noise:
-                x = np.zeros_like(b)
-            else:
-                x = cg_solve(stiffness, b, rel_tol=rel_tol)
-                x = x - x.mean()  # zero mean over the periodic torus
-            out.append(ScalarField(cell_mesh, stiffness.expand(x)))
-        return tuple(out)
-
-    chi = solve_family(system)
-    # the adjoints solve K^T, preconditioned by the hierarchy of K's symmetric part
-    chi_adj = chi if symmetric else solve_family(system.transposed())
-    return CorrectorSet(cell_mesh, chi, chi_adj, field, system.ellipticity)
+    # the load of chi_i is -K y_i, on the masters already
+    loads = -system.coordinate_products(cell_mesh.h)
+    noise = rel_tol * max(np.linalg.norm(b) for b in loads)
+    chi = []
+    for b in loads:
+        if np.linalg.norm(b) <= noise:
+            x = np.zeros_like(b)
+        else:
+            x = cg_solve(system, b, rel_tol=rel_tol)
+            x = x - x.mean()  # zero mean over the periodic torus
+        chi.append(ScalarField(cell_mesh, system.expand(x)))
+    chi = tuple(chi)
+    adjoint = chi if system.symmetric_part is None else None
+    return CorrectorSet(cell_mesh, chi, adjoint, field, system.ellipticity, rel_tol)
 
 
 def homogenized_tensor(field: CoefficientField, correctors: CorrectorSet) -> HomogenizedTensor:

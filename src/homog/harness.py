@@ -24,7 +24,7 @@ from .cell import CorrectorSet, HomogenizedTensor, homogenized_tensor, solve_cor
 from .coeff import from_config as coeff_from_config
 from .coeff import validate_ellipticity
 from .grid import SHAPES, ScalarField, StructuredMesh, build_mesh, eval_field_batch, eval_gradient_batch, h1_seminorm_sq, integrate_field, l2_norm_sq
-from .metrics import CSV_HEADER, FUNCTIONALS, MIN_RATE_POINTS, error_report, fit_rate
+from .metrics import CSV_HEADER, FUNCTIONALS, MIN_RATE_POINTS, InteriorBoxError, _interior_margin, error_report, fit_rate
 from .solve import (NEUMANN_FULL, BoundaryCondition, ProblemInstance, check_neumann_load, reconstruct,
                     solve_fine, solve_homogenized)
 from .sparse import assemble_load
@@ -84,15 +84,17 @@ class StudyConfig:
             box = self.interior_box
             if box and np.isscalar(box[0]):
                 box = (tuple(box),)
-            box = tuple(tuple(float(v) for v in b) for b in box)
+            box = tuple(map(tuple, box))
             rates = {k: dict(v) for k, v in dict(self.expected_rates).items()}
             coefficient = dict(self.coefficient)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"malformed epsilons, interior_box, expected_rates or coefficient: {err}") from err
         if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in sizes):
             raise ConfigError("dim, epsilons, points_per_period, cell_divisions and max_nodes must be integers")
+        if not all(map(_finite, itertools.chain(*box))):  # float() reads a bool as 0.0 or 1.0
+            raise ConfigError(f"interior_box bounds must be finite numbers, got {self.interior_box!r}")
         object.__setattr__(self, "epsilons", tuple(int(n) for n in self.epsilons))
-        object.__setattr__(self, "interior_box", box)
+        object.__setattr__(self, "interior_box", tuple(tuple(float(v) for v in b) for b in box))
         object.__setattr__(self, "coefficient", coefficient)
         object.__setattr__(self, "expected_rates", rates)
         self.validate()
@@ -116,10 +118,8 @@ class StudyConfig:
             raise ConfigError("points_per_period must be at least 4")
         if self.cell_divisions < 4:
             raise ConfigError("cell_divisions must be at least 4")
-        if len(self.interior_box) != self.dim:
+        if len(self.interior_box) != self.dim or any(len(pair) != 2 for pair in self.interior_box):
             raise ConfigError("interior_box must have one (lo, hi) pair per axis")
-        if not all(len(pair) == 2 and np.isfinite(pair).all() and pair[0] < pair[1] for pair in self.interior_box):
-            raise ConfigError("interior_box needs finite bounds with lo < hi on every axis")
         if not (_finite(self.cg_tol) and self.cg_tol > 0):
             raise ConfigError(f"cg_tol must be finite and positive, got {self.cg_tol!r}")
         for key, spec in self.expected_rates.items():
@@ -144,9 +144,14 @@ class StudyConfig:
         if field.dim != self.dim:
             raise ConfigError("coefficient dimension does not match dim")
         validate_ellipticity(field)
+        mesh = self._mesh(max(64, 4 * max(self.epsilons)))
+        try:  # lo < hi, and the box inside the domain, away from the removed quadrant
+            _interior_margin(mesh, self.interior_box)
+        except InteriorBoxError as err:
+            raise ConfigError(f"interior_box: {err}") from err
         rhs = _build("rhs", _rhs_for, self.rhs)
         try:  # under every bc, so a table rhs short of the domain fails here
-            load, f_sq = assemble_load(self._mesh(max(64, 4 * max(self.epsilons))), rhs)
+            load, f_sq = assemble_load(mesh, rhs)
         except ValueError as err:  # outside the domain, or a non-finite value
             raise ConfigError(f"rhs is not defined and finite on the whole domain: {err}") from err
         if bc.kind == NEUMANN_FULL:

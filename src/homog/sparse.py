@@ -43,7 +43,7 @@ builds the levels while it holds the stencil: a 3^n-point stencil has a
 restriction is read off the two node grids in compressed rows.  A
 non-symmetric system carries its symmetric part, the stencil plus its
 transpose halved; the V-cycle, built from that part, right-preconditions
-GMRES, also for the transposed system.
+GMRES.
 
 A box system sampled one element at a time (a constant tensor) under
 Dirichlet or ZeroMean, whose stencil is reflection-symmetric along each axis
@@ -331,13 +331,6 @@ class SparseSystem:
         if not isinstance(self.constraint, Periodic):
             return np.where(self.unknowns.ravel(), x, 0.0)
         return np.pad(np.reshape(x, self.unknowns.shape), (0, 1), mode="wrap").ravel()
-
-    def transposed(self) -> SparseSystem:
-        """The system of the transposed matrix, with the same symmetric part
-        and hierarchy, its diagonals ascending and contiguous."""
-        t = self.matrix.T  # the offsets descending
-        matrix = sp.dia_matrix((np.ascontiguousarray(t.data[::-1]), t.offsets[::-1]), shape=t.shape)
-        return replace(self, matrix=matrix)
 
     def coordinate_products(self, h) -> np.ndarray:
         """``matrix @ y_k`` for each mesh axis k, (n, system nodes), with y_k

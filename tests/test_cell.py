@@ -63,24 +63,32 @@ def test_constant_coefficient_correctors_vanish():
     np.testing.assert_allclose(tensor.matrix, [[2.0, 0.4], [0.4, 1.0]], atol=1e-12)
 
 
-def test_rounding_level_loads_are_solved_as_zero(monkeypatch):
-    # the cosine varies along y1 alone, so the load of chi_2 is rounding
-    # noise, far below rel_tol times that of chi_1: it gets no CG solve
+def _counted_solves(monkeypatch):
     calls = []
     solve = cell.cg_solve
     monkeypatch.setattr(cell, "cg_solve", lambda *args, **kw: calls.append(1) or solve(*args, **kw))
+    return calls
+
+
+def test_rounding_level_loads_are_solved_as_zero(monkeypatch):
+    # the cosine varies along y1 alone, so the load of chi_2 is rounding
+    # noise, far below rel_tol times that of chi_1: it gets no CG solve
+    calls = _counted_solves(monkeypatch)
     mesh = unit_cell_mesh(2, 32)
     cs = solve_correctors(ScalarCosine(2.0, 1.0, axis=0), mesh)
     assert len(calls) == 1
     assert not np.any(cs.chi[1].values)
     assert np.abs(cs.chi[0].values).max() > 1e-2
-    # a 4x4 non-symmetric table varies along both axes: all 2n loads solve
+    # a 4x4 non-symmetric table varies along both axes: all n loads solve,
+    # and the n of the adjoints on their first read
     rng = np.random.default_rng(4)
     table = rng.uniform(-0.3, 0.3, (4, 4, 2, 2)) + np.eye(2) * rng.uniform(1.0, 4.0, (4, 4, 1, 1))
     calls.clear()
     cs = solve_correctors(GridTable(table), mesh)
+    assert len(calls) == 2
+    adjoint = cs.chi_adjoint
     assert len(calls) == 4
-    assert all(np.any(chi.values) for chi in cs.chi + cs.chi_adjoint)
+    assert all(np.any(chi.values) for chi in cs.chi + adjoint)
 
 
 def test_1d_cosine_corrector_closed_form():
@@ -215,6 +223,40 @@ def test_nonsymmetric_adjoint_and_duality():
         assert np.abs(a.values - b.values).max() <= 1e-7
 
 
+def test_adjoints_are_solved_on_the_first_read_only(monkeypatch):
+    calls = _counted_solves(monkeypatch)
+    cs = solve_correctors(nonsym_field(), unit_cell_mesh(2, 16))
+    assert len(calls) == 2
+    first = cs.chi_adjoint
+    assert len(calls) == 4
+    assert cs.chi_adjoint is first and len(calls) == 4
+
+
+def test_symmetric_adjoints_are_the_correctors_with_no_solve(monkeypatch):
+    calls = _counted_solves(monkeypatch)
+    table = np.zeros((2, 2, 2, 2))
+    table[..., 0, 1] = table[..., 1, 0] = [[0.2, -0.1], [0.3, 0.0]]
+    table += np.eye(2) * np.array([[1.0, 2.0], [3.0, 1.5]])[..., None, None]
+    cs = solve_correctors(GridTable(table), unit_cell_mesh(2, 16))
+    assert len(calls) == 2
+    assert cs.chi_adjoint is cs.chi and len(calls) == 2
+
+
+def test_given_adjoints_are_returned_as_given(monkeypatch):
+    # the correctors of A^T, built positionally from those of A as the
+    # benchmark's duality check builds them
+    field, mesh = nonsym_field(), unit_cell_mesh(2, 16)
+    cs = solve_correctors(field, mesh)
+    adjoint = cs.chi_adjoint
+    calls = _counted_solves(monkeypatch)
+    swapped = CorrectorSet(mesh, adjoint, cs.chi, field.transposed())
+    assert swapped.chi is adjoint and swapped.chi_adjoint is cs.chi
+    tensor_t = homogenized_tensor(field.transposed(), swapped).matrix
+    assert calls == []
+    tensor = homogenized_tensor(field, cs).matrix
+    assert np.abs(tensor_t - tensor.T).max() <= 1e-9 * np.abs(tensor).max()
+
+
 def _gradient_load(field, mesh, i):
     """-integral of (A e_i) . grad psi for every node's psi, full-size, by
     quadrature on the walk blocks."""
@@ -240,9 +282,12 @@ def test_corrector_loads_are_read_off_the_stiffness(monkeypatch):
         monkeypatch.setattr(cell, "cg_solve", lambda system, b, **kw: solves.append((system, b))
                             or solve(system, b, **kw))
         monkeypatch.setattr(GridTable, "sample_batch", lambda self, y: calls.append(len(y)) or sample(self, y))
-        solve_correctors(field, mesh)
-        # the cell mesh is one walk block, sampled once, by assembly
-        assert calls == [4 * mesh.n_elements]
+        cs = solve_correctors(field, mesh)
+        # the cell mesh is one walk block, sampled once, by assembly, and
+        # once more by the assembly of A^T on the first read of the adjoints
+        assert calls == [4 * mesh.n_elements] and len(solves) == 2
+        cs.chi_adjoint
+        assert calls == [4 * mesh.n_elements] * 2
         monkeypatch.undo()
         assert len(solves) == 4
         for family, coeff in enumerate((field, field.transposed())):

@@ -5,6 +5,7 @@ import pytest
 
 import homog.cli
 from homog.cli import main
+from homog.harness import StudyConfig, compute_tensor, load_config
 from homog.sparse import SolverError
 
 
@@ -48,6 +49,17 @@ def test_tensor_command_ellipticity_sees_a_thin_layer(tmp_path, capsys):
     assert out["ellipticity"][0] <= np.linalg.eigvalsh(0.5 * (tensor + tensor.T)).min()
 
 
+def test_tensor_command_cell_divisions_override(tmp_path, capsys):
+    # the cosine's tensor depends on the cell divisions, unlike the laminate's
+    path = write_config(tmp_path, coefficient={"kind": "scalar_cosine", "a0": 2.0, "a1": 1.0, "dim": 2})
+    assert main(["tensor", "--config", str(path), "--cell-divisions", "32"]) == 0
+    printed = json.loads(capsys.readouterr().out)["tensor"]
+    config = load_config(path)
+    coarse = compute_tensor(StudyConfig.from_dict({**config.to_dict(), "cell_divisions": 32}))[0]
+    assert printed == coarse.matrix.tolist()
+    assert printed != compute_tensor(config)[0].matrix.tolist()
+
+
 def test_solve_command_writes_field(tmp_path, capsys):
     path = write_config(tmp_path, cell_divisions=8)
     out_dir = tmp_path / "run"
@@ -59,6 +71,16 @@ def test_solve_command_writes_field(tmp_path, capsys):
     assert sidecar["mesh"]["divisions"] == [32, 32]
     assert sidecar["ordering"].startswith("node index = i0")
     assert np.isfinite(values).all()
+
+
+def test_solve_command_reads_an_integer_epsilon_as_its_denominator(tmp_path, capsys):
+    path = write_config(tmp_path, cell_divisions=8)
+    fields = []
+    for text, out in (("4", "n"), ("1/4", "slash")):
+        assert main(["solve", "--config", str(path), "--epsilon", text, "--out", str(tmp_path / out)]) == 0
+        written = tmp_path / out / "fields"
+        fields.append([(written / f"solution_eps_1_4.{ext}").read_bytes() for ext in ("bin", "json")])
+    assert fields[0] == fields[1]
 
 
 def test_study_command_inconclusive_constant(tmp_path, capsys):

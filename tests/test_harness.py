@@ -118,11 +118,22 @@ def test_config_roundtrip(tmp_path):
         dict(coefficient={"kind": "laminate", "axis": 1.5, "alpha": 1.0, "beta": 2.0}),
         dict(coefficient={"kind": "scalar_cosine", "a0": 2.0, "a1": 0.5, "axis": 1.5}),
         dict(coefficient={"kind": "laminate", "axis": 0, "alpha": 1.0, "beta": 2.0, "dim": 2.5}),
+        dict(interior_box=[[0.25, True], [0.25, 0.75]]),  # would run as [0.25, 1.0]
+        # the default box reaches over the L's removed quadrant: refused by
+        # error_report after the cell stage and the first rung's solves
+        dict(domain="l_shape"),
+        dict(interior_box=[[False, 0.375], [0.125, 0.375]]),  # on the boundary, as [0.0, 0.375]
     ],
 )
 def test_config_validation_errors(overrides):
     with pytest.raises(ConfigError):
         small_config(**overrides)
+
+
+def test_a_bool_interior_bound_is_refused_as_no_number():
+    # refused as a bool, before the margin could read it as 1.0
+    with pytest.raises(ConfigError, match="finite numbers"):
+        small_config(interior_box=[[0.25, 0.75], [0.125, True]])
 
 
 @pytest.mark.parametrize("overrides", MALFORMED)
@@ -132,6 +143,16 @@ def test_schema_refuses_the_malformed_values_the_screen_refuses(overrides):
     jsonschema.validate(small_spec(), schema)
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(small_spec(**overrides), schema)
+
+
+def test_tensor_does_not_depend_on_reading_the_adjoints():
+    table = [[[[1.5, 0.1], [0.05, 1.5]], [[3.0, 0.1], [0.35, 3.0]]],
+             [[[2.5, 0.5], [0.05, 2.5]], [[2.0, 0.5], [0.35, 2.0]]]]
+    config = small_config(coefficient={"kind": "grid_table", "values": table}, cell_divisions=16)
+    tensor, correctors = harness.compute_tensor(config)
+    correctors.chi_adjoint
+    again = harness.homogenized_tensor(correctors.coefficient, correctors).matrix
+    assert again.tobytes() == tensor.matrix.tobytes() == harness.compute_tensor(config)[0].matrix.tobytes()
 
 
 def test_grid_table_with_a_nan_entry_refused_by_the_screen():

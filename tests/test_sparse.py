@@ -129,6 +129,13 @@ def _symmetric_part(sampler):
     return sample
 
 
+def _transposed(sampler):
+    def sample(p):
+        return np.swapaxes(sampler(p), 1, 2)
+
+    return sample
+
+
 def _dense_reference(mesh, sampler, node_to_dof):
     """Element-by-element dense assembly onto the dofs, the dof pairs that
     share an active element, and the roundoff scale: the largest element
@@ -241,13 +248,6 @@ def test_stencil_transpose_is_that_of_the_matrix(mesh_name, constraint_name):
     # couplings that the matrix merges add in another order
     narrow = periodic and min(mesh.divisions) < 3
     assert _gap(transposed, expected) <= (1e-14 * scale if narrow else 0.0)
-    # the transposed system keeps the hierarchy, with its diagonals ascending
-    # and contiguous
-    system = assemble_stiffness(mesh, _nonsymmetric_sampler, constraint)
-    adjoint = system.transposed()
-    assert _gap(adjoint.matrix, system.matrix.T) == 0.0
-    assert np.all(np.diff(adjoint.matrix.offsets) > 0) and adjoint.matrix.data.flags.c_contiguous
-    assert adjoint.hierarchy is system.hierarchy and adjoint.symmetric_part is system.symmetric_part
 
 
 DOF_MAP_MESHES = {
@@ -1131,8 +1131,9 @@ COORDINATE_MESHES = {
 
 def _coordinate_systems(mesh, sampler, constraint, transposed):
     sample = _symmetric_sampler if sampler == "symmetric" else _nonsymmetric_sampler
-    systems = [assemble_stiffness(mesh, sample, c) for c in (constraint, ZeroMean())]
-    return [s.transposed() if transposed else s for s in systems]
+    if transposed:  # the stiffness of A^T, as the adjoint cell problems assemble it
+        sample = _transposed(sample)
+    return [assemble_stiffness(mesh, sample, c) for c in (constraint, ZeroMean())]
 
 
 def _relative_gap(got, expected):
