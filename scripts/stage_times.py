@@ -49,9 +49,9 @@ sys.path.insert(0, str(REPO / "src"))
 from homog import cell, solve, sparse  # noqa: E402
 from homog.coeff import from_config as coeff_from_config  # noqa: E402
 from homog.grid import ScalarField, gauss_rule, h1_seminorm_sq  # noqa: E402
-from homog.harness import StudyConfig, _rhs_for, compute_tensor, load_config  # noqa: E402
+from homog.harness import BOUNDARY_CONDITIONS, StudyConfig, _rhs_for, compute_tensor, load_config  # noqa: E402
 from homog.metrics import error_report  # noqa: E402
-from homog.solve import BoundaryCondition, _constraint_for, reconstruct, solve_homogenized  # noqa: E402
+from homog.solve import reconstruct, solve_homogenized  # noqa: E402
 from homog.unfold import build_cell_map  # noqa: E402
 
 CONFIGS = {"box": "convex_square.json", "l_shape": "lshape.json"}
@@ -127,10 +127,9 @@ def rung_stages(name, repeats):
                                     "cell_divisions": POINTS_PER_PERIOD})
     field = coeff_from_config(config.coefficient)
     rhs = _rhs_for(config.rhs)
-    bc = BoundaryCondition(config.bc)
+    bc = BOUNDARY_CONDITIONS[config.bc]
     mesh = config.fine_mesh(N_EPS)
     cmap = build_cell_map(mesh, N_EPS)
-    constraint = _constraint_for(bc)
 
     def sampler(pts):
         return field.sample_batch(pts * N_EPS)
@@ -146,10 +145,10 @@ def rung_stages(name, repeats):
     stage("cell", lambda: compute_tensor(cell_config))
     corrector_solves = len(returns(cell, "cg_solve", lambda: compute_tensor(cell_config)))
     cell_samplings = len(returns(type(field), "sample_batch", lambda: compute_tensor(cell_config)))
-    system = stage("assembly", lambda: sparse.assemble_stiffness(mesh, sampler, constraint, cmap.m))
-    stencil, _ = sparse._nodal_stencil(mesh, sampler, constraint, cmap.m)
+    system = stage("assembly", lambda: sparse.assemble_stiffness(mesh, sampler, bc, cmap.m))
+    stencil, _ = sparse._nodal_stencil(mesh, sampler, bc, cmap.m)
     stage("hierarchy", lambda fine: sparse._build_hierarchy(
-        fine, system.unknowns, isinstance(constraint, sparse.Periodic), system.needs_projection),
+        fine, system.unknowns, isinstance(bc, sparse.Periodic), system.needs_projection),
         lambda: ([stencil.copy()],))
     b = stage("load", lambda: system.reduce(sparse.assemble_load(mesh, rhs)[0]))
     x = stage("solve", lambda: sparse.cg_solve(system, b, rel_tol=config.cg_tol))

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .coeff import from_config as coeff_from_config
 from .harness import (
+    BOUNDARY_CONDITIONS,
     ConfigError,
     StudyConfig,
     _dump_field,
@@ -22,7 +23,7 @@ from .harness import (
     run_operator_checks,
     run_study,
 )
-from .solve import BoundaryCondition, ProblemInstance, solve_fine
+from .solve import ProblemInstance, solve_fine
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -41,7 +42,7 @@ def _parse_epsilon(text: str) -> int:
 
 def _cmd_tensor(args) -> int:
     config = load_config(args.config)
-    if args.cell_divisions:
+    if args.cell_divisions is not None:
         config = StudyConfig.from_dict({**config.to_dict(), "cell_divisions": args.cell_divisions})
     tensor, correctors = compute_tensor(config)
     print(json.dumps({"tensor": tensor.matrix.tolist(),
@@ -54,8 +55,7 @@ def _cmd_solve(args) -> int:
     n_eps = _parse_epsilon(args.epsilon)
     mesh = config.fine_mesh(n_eps)
     field = coeff_from_config(config.coefficient)
-    inst = ProblemInstance(mesh, field, _rhs_for(config.rhs),
-                           BoundaryCondition(config.bc), n_eps)
+    inst = ProblemInstance(mesh, field, _rhs_for(config.rhs), BOUNDARY_CONDITIONS[config.bc], n_eps)
     u = solve_fine(inst, rel_tol=config.cg_tol)
     _dump_field(u, args.out, f"solution_eps_1_{n_eps}", {"epsilon": 1.0 / n_eps})
     print(f"wrote {Path(args.out) / 'fields' / f'solution_eps_1_{n_eps}.bin'} ({mesh.n_nodes} nodes)")

@@ -25,13 +25,14 @@ from .coeff import from_config as coeff_from_config
 from .coeff import validate_ellipticity
 from .grid import SHAPES, ScalarField, StructuredMesh, build_mesh, eval_field_batch, eval_gradient_batch, h1_seminorm_sq, integrate_field, l2_norm_sq
 from .metrics import CSV_HEADER, FUNCTIONALS, MIN_RATE_POINTS, InteriorBoxError, _interior_margin, error_report, fit_rate
-from .solve import (NEUMANN_FULL, BoundaryCondition, ProblemInstance, check_neumann_load, reconstruct,
-                    solve_fine, solve_homogenized)
-from .sparse import assemble_load
+from .solve import ProblemInstance, check_neumann_load, reconstruct, solve_fine, solve_homogenized
+from .sparse import Dirichlet, ZeroMean, assemble_load
 from .unfold import AlignmentError, build_cell_map, layer_indicator, scale_split, unfold, average
 
 BELOW_TOLERANCE = 1e-11
 OPERATOR_EPSILONS = (4, 8, 16, 32)  # the ladder N of ``run_operator_checks``
+# the solver constraint of each config ``bc``: full Dirichlet or full Neumann data
+BOUNDARY_CONDITIONS = {"dirichlet_full": Dirichlet(), "neumann_full": ZeroMean()}
 
 
 class ConfigError(ValueError):
@@ -139,7 +140,7 @@ class StudyConfig:
         nodes = (fine_divisions + 1) ** self.dim
         if nodes > self.max_nodes:
             raise ConfigError(f"finest mesh needs {nodes} nodes, above the cap {self.max_nodes}")
-        bc = _build("bc", BoundaryCondition, self.bc)
+        bc = _build("bc", BOUNDARY_CONDITIONS.__getitem__, self.bc)
         field = _build("coefficient", coeff_from_config, self.coefficient)
         if field.dim != self.dim:
             raise ConfigError("coefficient dimension does not match dim")
@@ -154,7 +155,7 @@ class StudyConfig:
             load, f_sq = assemble_load(mesh, rhs)
         except ValueError as err:  # outside the domain, or a non-finite value
             raise ConfigError(f"rhs is not defined and finite on the whole domain: {err}") from err
-        if bc.kind == NEUMANN_FULL:
+        if isinstance(bc, ZeroMean):
             check_neumann_load(load, np.sqrt(f_sq), ConfigError)
 
     def _mesh(self, divisions: int) -> StructuredMesh:
@@ -298,7 +299,7 @@ def run_study(config: StudyConfig, out_dir=None, progress=None, dump_fields=Fals
     """Run the full epsilon sweep and rate comparison for one configuration."""
     say = progress or (lambda msg: None)
     field = coeff_from_config(config.coefficient)
-    bc = BoundaryCondition(config.bc)
+    bc = BOUNDARY_CONDITIONS[config.bc]
     rhs = _rhs_for(config.rhs)
     m = config.points_per_period
 

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grid import ScalarField, gauss_rule, quadrature, same_mesh, squared_lengths
+from .grid import ScalarField, quadrature, same_mesh, squared_lengths
 from .solve import Reconstruction
 from .unfold import boundary_distance, layer_indicator
 
@@ -91,7 +91,6 @@ def error_report(
     layer = layer_indicator(cmap, 3).reshape(mesh.divisions[::-1])  # the widest layer
     centre = np.full((1, mesh.dim), 0.5)  # of the reference element
     max_rho = 0.0
-    terms = recon._corrector_terms(gauss_rule(mesh.dim))  # at the rule the walk's blocks carry
 
     def sample(block):  # the integrands in ``FUNCTIONALS`` order
         nonlocal max_rho
@@ -101,7 +100,7 @@ def error_report(
         centers = block.points(centre)  # (E, 1, n)
         inside = np.all((centers > lo) & (centers < hi), axis=2)
         u, gu = block.values_and_gradients(fine.values)
-        base, rv, rg = recon._evaluate(block, terms)
+        base, rv, rg = recon.evaluate(block)
         dgrad2 = squared_lengths(gu - rg)
         del centers, rg  # not held at the stack below, where the block peaks
         return np.stack(((u - base) ** 2, dgrad2, rho**2 * dgrad2, inside * ((u - rv) ** 2 + dgrad2),

@@ -46,18 +46,6 @@ from .unfold import CellIndexMap, build_cell_map, scale_split
 
 RhsLike = Callable[[np.ndarray], np.ndarray]
 
-DIRICHLET_FULL = "dirichlet_full"
-NEUMANN_FULL = "neumann_full"
-
-
-@dataclass(frozen=True)
-class BoundaryCondition:
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in (DIRICHLET_FULL, NEUMANN_FULL):
-            raise ValueError(f"unsupported boundary condition {self.kind!r}")
-
 
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
@@ -66,7 +54,7 @@ class ProblemInstance:
     domain_mesh: StructuredMesh
     coefficient: CoefficientField
     rhs: RhsLike
-    bc: BoundaryCondition
+    bc: Dirichlet | ZeroMean  # full Dirichlet or full Neumann data
     n_per_unit: int  # epsilon = 1 / n_per_unit
     cell_map: CellIndexMap = dataclass_field(init=False)  # also the alignment check
 
@@ -76,10 +64,6 @@ class ProblemInstance:
     @property
     def epsilon(self) -> float:
         return 1.0 / self.n_per_unit
-
-
-def _constraint_for(bc: BoundaryCondition):
-    return Dirichlet() if bc.kind == DIRICHLET_FULL else ZeroMean()
 
 
 def _check_solution(system, x, b, field_norms, c_ell, rel_tol):
@@ -112,13 +96,17 @@ def check_neumann_load(load: np.ndarray, f_norm: float, error: type = ValueError
 
 
 def _solve(mesh, sampler, period, rhs, bc, rel_tol):
-    """Solve with a sampler that repeats every ``period`` elements per axis."""
-    system = assemble_stiffness(mesh, sampler, _constraint_for(bc), period)
+    """Solve with a sampler that repeats every ``period`` elements per axis,
+    under Dirichlet or ZeroMean (full Neumann data); raises ValueError for
+    any other constraint."""
+    if not isinstance(bc, (Dirichlet, ZeroMean)):
+        raise ValueError(f"unsupported boundary condition {bc!r}")
+    system = assemble_stiffness(mesh, sampler, bc, period)
     if system.symmetric_part is not None:
         raise AssemblyError("non-symmetric fine problems are not supported")
     b, f_sq = assemble_load(mesh, rhs)  # refuses a non-finite f before any solve
     b, f_norm = system.reduce(b), np.sqrt(f_sq)  # and frees the full load
-    if bc.kind == NEUMANN_FULL:
+    if isinstance(bc, ZeroMean):
         check_neumann_load(b, f_norm)
     x = cg_solve(system, b, rel_tol=rel_tol)
     values = system.expand(x)
@@ -135,7 +123,7 @@ def _solve(mesh, sampler, period, rhs, bc, rel_tol):
 
     total, u_sq, grad_norm2 = quadrature(mesh, sample)
     _check_solution(system, x, b, (grad_norm2, np.sqrt(u_sq), f_norm), system.ellipticity[0], rel_tol)
-    if bc.kind == NEUMANN_FULL:
+    if isinstance(bc, ZeroMean):
         area = float(np.prod(mesh.h)) * len(mesh.active_elements())
         # shift the unknowns, the nodes of an active element: the rest stay at zero
         values[system.unknowns.ravel()] -= total / area
@@ -159,7 +147,7 @@ def solve_fine(instance: ProblemInstance, *, rel_tol: float = 1e-10) -> ScalarFi
 def solve_homogenized(
     tensor: HomogenizedTensor,
     rhs: RhsLike,
-    bc: BoundaryCondition,
+    bc: Dirichlet | ZeroMean,
     mesh: StructuredMesh,
     rel_tol: float = 1e-10,
 ) -> ScalarField:
@@ -178,7 +166,7 @@ def solve_homogenized(
     V-cycle.
     """
     skew = 0.5 * (tensor.matrix - tensor.matrix.T)
-    if bc.kind == NEUMANN_FULL and np.abs(skew).max() > 1e-10 * np.abs(tensor.matrix).max():
+    if isinstance(bc, ZeroMean) and np.abs(skew).max() > 1e-10 * np.abs(tensor.matrix).max():
         raise ValueError("neumann_full data with a non-symmetric effective tensor is not supported")
     sym = 0.5 * (tensor.matrix + tensor.matrix.T)
 
@@ -211,15 +199,28 @@ class Reconstruction:
     correctors: CorrectorSet
     cmap: CellIndexMap
     q_derivatives: tuple[ScalarField, ...]
+    # the rule of the last block evaluated, and its ``_corrector_terms``
+    _terms: tuple | None = dataclass_field(default=None, init=False, repr=False)
 
     @property
     def epsilon(self) -> float:
         return self.cmap.epsilon
 
-    def eval_elements(self, block: ElementBlock) -> tuple[np.ndarray, np.ndarray]:
-        """Values and corrected gradients at the quadrature points of a block
-        of fine elements: (E, Q) and (E, Q, n)."""
-        return self._evaluate(block, self._corrector_terms(block.rule))[1:]
+    def evaluate(self, block: ElementBlock) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Values of the base, and values and corrected gradients of the
+        reconstruction, at the quadrature points of a block of fine elements:
+        (E, Q), (E, Q) and (E, Q, n).  The corrector tables of the block's
+        rule are built on its first block and kept for the next; the base is
+        read once."""
+        if self._terms is None or self._terms[0] is not block.rule:
+            object.__setattr__(self, "_terms", (block.rule, self._corrector_terms(block.rule)))
+        base, grads = block.values_and_gradients(self.base.values)
+        vals = base.copy()
+        for q, chiv, chig in self._terms[1]:
+            qv = block.values(q.values)
+            vals += block.times_periodic(self.epsilon * qv, chiv, self.cmap.m)
+            grads += block.times_periodic(qv[:, :, None], chig, self.cmap.m)
+        return base, vals, grads
 
     def _corrector_terms(self, rule) -> list[tuple[ScalarField, np.ndarray, np.ndarray]]:
         """Per corrector that is not identically zero, its slow derivative
@@ -235,18 +236,6 @@ class Reconstruction:
                 tables = [c.values_and_gradients(chi.values) for c in cells]
                 terms.append((q, *(np.concatenate(t) for t in zip(*tables))))
         return terms
-
-    def _evaluate(self, block: ElementBlock, terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Values of the base, and values and corrected gradients of the
-        reconstruction, at the quadrature points of a block, adding the
-        ``_corrector_terms`` of the block's rule; the base is read once."""
-        base, grads = block.values_and_gradients(self.base.values)
-        vals = base.copy()
-        for q, chiv, chig in terms:
-            qv = block.values(q.values)
-            vals += block.times_periodic(self.epsilon * qv, chiv, self.cmap.m)
-            grads += block.times_periodic(qv[:, :, None], chig, self.cmap.m)
-        return base, vals, grads
 
 
 def reconstruct(phi0: ScalarField, correctors: CorrectorSet, cmap: CellIndexMap) -> Reconstruction:

@@ -56,8 +56,9 @@ the box's: its level adds the capacitance-matrix correction (Buzbee, Dorr,
 George & Golub, 1971) that pins the box solution to zero on the removed
 quadrant's two inner edges, read off the divisions in closed form, a dense
 inverse with a row per edge node, still around two transforms.  CG then
-stops after one step, on its true residual.  It gives up early when its restarts from the true residual stop lowering it,
-which has then reached its rounding floor above the tolerance.
+stops after one step.  Both methods run under one driver, ``cg_solve``,
+which accepts on the true residual after each CG run or GMRES cycle and
+gives up when runs stop lowering it, at its rounding floor.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ SMOOTH_WEIGHT = 0.8  # damped Jacobi
 COARSEN_ABOVE = 100  # coarsen while a level has more unknowns than this
 DENSE_MAX = 1200  # most unknowns of a coarsest level inverted densely; above, smoothing only
 GMRES_RESTART = 30  # Krylov vectors kept before GMRES restarts from the true residual
-STALL_RESTARTS = 3  # CG restarts in a row that do not lower the true residual before it gives up
+STALL_RESTARTS = 3  # solver runs in a row that do not lower the true residual before it gives up
 
 
 class AssemblyError(ValueError):
@@ -838,24 +839,25 @@ def cg_solve(
     rel_tol: float = 1e-10,
     max_iter: int | None = None,
 ) -> np.ndarray:
-    """Conjugate gradients on the constrained system, preconditioned by one
+    """The one Krylov driver: conjugate gradients preconditioned by one
     geometric-multigrid V-cycle per iteration, or by the exact transform
-    solve of a constant-coefficient system's one level, which stops it
-    after one step; restarted GMRES, right-preconditioned by the V-cycle of
-    the symmetric part, when the system carries a ``symmetric_part``.
+    solve of a constant-coefficient system's one level, which stops it after
+    one step; restarted GMRES, right-preconditioned by the V-cycle of the
+    symmetric part, when the system carries a ``symmetric_part``.
 
     ``rhs`` and the solution live on the system grid; the rhs entries off
     the unknowns are ignored and the solution is zero there.  Zero-mean and
     periodic systems are singular with the constant mode in the kernel; the
     mode is removed from the right-hand side and from every iterate, and the
-    returned vector has zero mean over the unknowns.  Convergence is accepted
-    on the true residual, from which CG restarts its recursion when the
-    recurrence has met the tolerance and the true residual has not.  Raises
-    SolverError when the tolerance is not met within ``max_iter`` iterations,
-    or, in CG, when ``STALL_RESTARTS`` restarts in a row leave the true
-    residual no lower than the least at an earlier restart: it has reached
-    its rounding floor above the tolerance.  Raises ValueError at entry for
-    a ``rel_tol`` that is not finite and positive.
+    returned vector has zero mean over the unknowns.  Each run of the method
+    (``_cg`` or ``_gmres``) starts from the iterate and its true residual,
+    which the driver then forms again and accepts on.  Raises SolverError
+    when the tolerance is not met within ``max_iter`` iterations over all
+    runs, or when ``STALL_RESTARTS`` runs in a row leave the true residual
+    no lower than the least after an earlier run: it has reached its
+    rounding floor above the tolerance.  ``achieved`` is then the projected
+    true residual.  Raises ValueError at entry for a ``rel_tol`` that is not
+    finite and positive.
     """
     if not (np.isfinite(rel_tol) and rel_tol > 0):
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
@@ -872,16 +874,36 @@ def cg_solve(
     x = np.zeros_like(b)
     if norm_b == 0.0:
         return x
-    if system.symmetric_part is not None:
-        return _gmres(system, b, norm_b, rel_tol, max_iter, project)
-    levels = system.hierarchy
-    buffers = _cycle_buffers(a, levels)
-    r = b.copy()
+    method, run = ("CG", _cg) if system.symmetric_part is None else ("GMRES", _gmres)
+    buffers = _cycle_buffers(a, system.hierarchy)
+    tol, r, true = rel_tol * norm_b, b.copy(), norm_b  # r: the true residual of x = 0
+    used, least, stalls = 0, np.inf, 0  # the least true residual after a run, and runs since
+    while used < max_iter:
+        used += run(system, x, r, tol, max_iter - used, project, buffers)
+        r = b - a @ x
+        project(r)
+        true = np.linalg.norm(r)
+        if true <= tol:
+            return x
+        # a true residual that no run lowers sits at its rounding floor
+        stalls = stalls + 1 if true >= least else 0
+        least = min(least, true)
+        if stalls == STALL_RESTARTS:
+            raise SolverError(f"{method} stalled over {stalls} restarts", float(true / norm_b))
+    raise SolverError(f"{method} did not converge in {max_iter} iterations", float(true / norm_b))
+
+
+def _cg(system: SparseSystem, x: np.ndarray, r: np.ndarray, tol: float, budget: int,
+        project: Callable[[np.ndarray], None], buffers: list[np.ndarray]) -> int:
+    """Preconditioned CG from ``x`` and its true residual ``r``, both updated
+    in place, until the recurrence residual, which drifts from the true one
+    over long runs, is at most ``tol`` or ``budget`` iterations are spent;
+    returns the iterations."""
+    a, levels = system.matrix, system.hierarchy
     z = _vcycle(a, levels, r, buffers)
     p = z.copy()
     rz = float(r @ z)
-    least, stalls = np.inf, 0  # the least true residual at a restart, and restarts since
-    for _ in range(max_iter):
+    for used in range(1, budget + 1):
         ap = a @ p
         alpha = rz / float(p @ ap)
         # both updates scale into the product's array, not a new temporary
@@ -889,89 +911,63 @@ def cg_solve(
         x += np.multiply(alpha, p, out=ap)
         project(r)
         project(x)
-        if np.linalg.norm(r) <= rel_tol * norm_b:
-            # the recurrence residual drifts over long runs; accept only the
-            # true residual, restarting the recursion from it otherwise
-            r = b - a @ x
-            project(r)
-            true = np.linalg.norm(r)
-            if true <= rel_tol * norm_b:
-                return x
-            # a true residual that no restart lowers sits at its rounding floor
-            stalls = stalls + 1 if true >= least else 0
-            least = min(least, true)
-            if stalls == STALL_RESTARTS:
-                raise SolverError(f"CG stalled over {stalls} restarts", float(true / norm_b))
-            z = _vcycle(a, levels, r, buffers)
-            p = z.copy()
-            rz = float(r @ z)
-            continue
+        if np.linalg.norm(r) <= tol:
+            return used
         z = _vcycle(a, levels, r, buffers)
         rz_new = float(r @ z)
         p *= rz_new / rz
         p += z
         rz = rz_new
-    achieved = float(np.linalg.norm(b - a @ x) / norm_b)
-    raise SolverError(f"CG did not converge in {max_iter} iterations", achieved)
+    return budget
 
 
-def _gmres(system: SparseSystem, b: np.ndarray, norm_b: float, rel_tol: float, max_iter: int,
-           project: Callable[[np.ndarray], None]) -> np.ndarray:
-    """GMRES(``GMRES_RESTART``) for ``K x = b``, right-preconditioned by the
-    V-cycle of the symmetric part S of K.  With K = S + N and N skew, the
-    preconditioned operator's field of values stays away from zero by a margin
-    set by the size of N against S, not by the mesh, so the iteration count
-    does not grow under refinement.  ``project`` is that of ``cg_solve``,
-    which has already applied it to ``b``; the Arnoldi basis is
-    orthogonalised by two passes of classical Gram-Schmidt, and each cycle
-    ends on the true residual."""
+def _gmres(system: SparseSystem, x: np.ndarray, r: np.ndarray, tol: float, budget: int,
+           project: Callable[[np.ndarray], None], buffers: list[np.ndarray]) -> int:
+    """One cycle of GMRES(``GMRES_RESTART``), at most ``budget`` steps, for
+    ``K x = b`` from ``x``, updated in place, and its true residual ``r``;
+    returns the steps.  It is right-preconditioned by the V-cycle of the
+    symmetric part S of K.  With K = S + N and N skew, the preconditioned
+    operator's field of values stays away from zero by a margin set by the
+    size of N against S, not by the mesh, so the iteration count does not
+    grow under refinement.  The Arnoldi basis is orthogonalised by two passes
+    of classical Gram-Schmidt, and the cycle ends early when the rotated
+    residual is at most ``tol``."""
     a, levels = system.matrix, system.hierarchy
-    buffers = _cycle_buffers(a, levels)
 
     def precondition(v):
         z = _vcycle(system.symmetric_part, levels, v, buffers)
         project(z)
         return z
 
-    x = np.zeros_like(b)
-    r = b.copy()
-    used = 0
-    while used < max_iter:
-        steps = min(GMRES_RESTART, max_iter - used)
-        basis = np.empty((steps + 1, len(b)))
-        hess = np.zeros((steps, steps))  # upper triangular once rotated
-        cos, sin = np.zeros(steps), np.zeros(steps)
-        g = np.zeros(steps + 1)  # the rotated residual; |g[k]| is the residual after k steps
-        g[0] = np.linalg.norm(r)
-        basis[0] = r / g[0]
-        k = 0
-        while k < steps:
-            w = a @ precondition(basis[k])
-            project(w)
-            for _ in range(2):
-                coef = basis[: k + 1] @ w
-                w -= coef @ basis[: k + 1]
-                hess[: k + 1, k] += coef
-            h_next = np.linalg.norm(w)
-            for i in range(k):
-                hess[i, k], hess[i + 1, k] = (
-                    cos[i] * hess[i, k] + sin[i] * hess[i + 1, k],
-                    cos[i] * hess[i + 1, k] - sin[i] * hess[i, k],
-                )
-            rho = np.hypot(hess[k, k], h_next)
-            cos[k], sin[k] = hess[k, k] / rho, h_next / rho
-            hess[k, k] = rho
-            g[k + 1], g[k] = -sin[k] * g[k], cos[k] * g[k]
-            k += 1
-            if abs(g[k]) <= rel_tol * norm_b or h_next == 0.0:
-                break
-            basis[k] = w / h_next
-        used += k
-        y = np.linalg.solve(hess[:k, :k], g[:k])
-        x += precondition(y @ basis[:k])
-        r = b - a @ x
-        project(r)
-        if np.linalg.norm(r) <= rel_tol * norm_b:
-            return x
-    achieved = float(np.linalg.norm(r) / norm_b)
-    raise SolverError(f"GMRES did not converge in {max_iter} iterations", achieved)
+    steps = min(GMRES_RESTART, budget)
+    basis = np.empty((steps + 1, len(x)))
+    hess = np.zeros((steps, steps))  # upper triangular once rotated
+    cos, sin = np.zeros(steps), np.zeros(steps)
+    g = np.zeros(steps + 1)  # the rotated residual; |g[k]| is the residual after k steps
+    g[0] = np.linalg.norm(r)
+    basis[0] = r / g[0]
+    k = 0
+    while k < steps:
+        w = a @ precondition(basis[k])
+        project(w)
+        for _ in range(2):
+            coef = basis[: k + 1] @ w
+            w -= coef @ basis[: k + 1]
+            hess[: k + 1, k] += coef
+        h_next = np.linalg.norm(w)
+        for i in range(k):
+            hess[i, k], hess[i + 1, k] = (
+                cos[i] * hess[i, k] + sin[i] * hess[i + 1, k],
+                cos[i] * hess[i + 1, k] - sin[i] * hess[i, k],
+            )
+        rho = np.hypot(hess[k, k], h_next)
+        cos[k], sin[k] = hess[k, k] / rho, h_next / rho
+        hess[k, k] = rho
+        g[k + 1], g[k] = -sin[k] * g[k], cos[k] * g[k]
+        k += 1
+        if abs(g[k]) <= tol or h_next == 0.0:
+            break
+        basis[k] = w / h_next
+    y = np.linalg.solve(hess[:k, :k], g[:k])
+    x += precondition(y @ basis[:k])
+    return k

@@ -27,12 +27,12 @@ from homog.grid import build_mesh, integrate_field
 from homog.harness import load_config, run_operator_checks, run_study
 from homog.metrics import error_report
 from homog.solve import (
-    BoundaryCondition,
     ProblemInstance,
     reconstruct,
     solve_fine,
     solve_homogenized,
 )
+from homog.sparse import Dirichlet
 from homog.unfold import build_cell_map
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -81,7 +81,7 @@ def layer_study():
 def richardson_reports():
     """Criterion 6 guard: reports at eps = 1/16 for m = 32 and m = 64."""
     coeff = ScalarCosine(2.0, 1.0, axis=0)
-    bc = BoundaryCondition("dirichlet_full")
+    bc = Dirichlet()
     rhs = lambda p: np.ones(len(p))
     tensor = homogenized_tensor(coeff, solve_correctors(coeff, unit_cell_mesh(2, 256)))
     out = {}

@@ -60,6 +60,15 @@ def test_tensor_command_cell_divisions_override(tmp_path, capsys):
     assert printed != compute_tensor(config)[0].matrix.tolist()
 
 
+def test_tensor_command_refuses_zero_cell_divisions(tmp_path, capsys):
+    # 0 is refused by the config screen like any count below 4, not ignored
+    path = write_config(tmp_path)
+    assert main(["tensor", "--config", str(path), "--cell-divisions", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cell_divisions must be at least 4" in captured.err
+
+
 def test_solve_command_writes_field(tmp_path, capsys):
     path = write_config(tmp_path, cell_divisions=8)
     out_dir = tmp_path / "run"

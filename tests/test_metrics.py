@@ -17,8 +17,6 @@ from homog.metrics import (
     fit_rate,
 )
 from homog.solve import (
-    BoundaryCondition,
-    DIRICHLET_FULL,
     ProblemInstance,
     Reconstruction,
     reconstruct,
@@ -27,9 +25,10 @@ from homog.solve import (
     solve_homogenized,
 )
 from homog.cell import HomogenizedTensor
+from homog.sparse import Dirichlet
 from homog.unfold import build_cell_map, layer_indicator, scale_split
 
-DIRICHLET = BoundaryCondition(DIRICHLET_FULL)
+DIRICHLET = Dirichlet()
 
 
 def constant_setup(m=8, n=4):
@@ -214,11 +213,11 @@ def test_zero_corrector_term_changes_no_output(shape, monkeypatch):
     assert not recon.q_derivatives[1].values.any() and every.q_derivatives[1].values.any()
     box = ((0.2, 0.4), (0.2, 0.4))
     report = error_report(fine, recon, box)
-    blocks = [recon.eval_elements(block) for block in grid.element_blocks(mesh)]
+    blocks = [recon.evaluate(block)[1:] for block in grid.element_blocks(mesh)]
     monkeypatch.setattr(Reconstruction, "_corrector_terms", _tables_of_every_corrector)
     assert error_report(fine, every, box) == report
     for block, (vals, grads) in zip(grid.element_blocks(mesh), blocks):
-        every_vals, every_grads = every.eval_elements(block)
+        _, every_vals, every_grads = every.evaluate(block)
         assert np.all(every_vals == vals) and np.all(every_grads == grads)
 
 

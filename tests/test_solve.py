@@ -19,9 +19,6 @@ from homog.grid import (
 )
 from homog.metrics import fit_rate
 from homog.solve import (
-    BoundaryCondition,
-    DIRICHLET_FULL,
-    NEUMANN_FULL,
     ProblemInstance,
     _check_solution,
     reconstruct,
@@ -29,11 +26,12 @@ from homog.solve import (
     solve_fine,
     solve_homogenized,
 )
-from homog.sparse import AssemblyError, Dirichlet, ZeroMean, assemble_load, assemble_stiffness, cg_solve
+from homog.sparse import (AssemblyError, Dirichlet, Periodic, ZeroMean, assemble_load, assemble_stiffness,
+                          cg_solve)
 from homog.unfold import build_cell_map
 
-DIRICHLET = BoundaryCondition(DIRICHLET_FULL)
-NEUMANN = BoundaryCondition(NEUMANN_FULL)
+DIRICHLET = Dirichlet()
+NEUMANN = ZeroMean()
 
 
 def values_at(recon, points):
@@ -138,6 +136,12 @@ def test_homogenized_zero_rhs():
     tensor = HomogenizedTensor(np.diag([1.6, 2.5]))
     u = solve_homogenized(tensor, lambda p: np.zeros(len(p)), DIRICHLET, mesh)
     assert np.all(u.values == 0.0)
+
+
+def test_solves_refuse_a_constraint_that_is_not_a_boundary_condition():
+    mesh = build_mesh((0, 0), (1, 1), (16, 16), "box")
+    with pytest.raises(ValueError, match="unsupported boundary condition"):
+        solve_homogenized(HomogenizedTensor(np.eye(2)), sine_rhs, Periodic(), mesh)
 
 
 def test_homogenized_1d_parabola_nodally_exact():
@@ -291,7 +295,7 @@ def test_eval_elements_matches_pointwise():
     phi = ScalarField(mesh, x[:, 0] ** 2 + np.cos(np.pi * x[:, 1]))
     recon = reconstruct(phi, correctors, cmap)
     for block in element_blocks(mesh):
-        vals, grads = recon.eval_elements(block)
+        _, vals, grads = recon.evaluate(block)
         pts = block.points().reshape(-1, 2)
         np.testing.assert_allclose(vals.ravel(), values_at(recon, pts), atol=1e-12)
         np.testing.assert_allclose(grads.reshape(-1, 2), gradients_at(recon, pts), atol=1e-11)
@@ -309,7 +313,7 @@ def test_eval_elements_matches_pointwise_on_l_shape_blocks(monkeypatch):
     recon = reconstruct(ScalarField(mesh, x[:, 0] ** 2 + np.cos(np.pi * x[:, 1])), correctors, cmap)
     monkeypatch.setattr(grid, "CHUNK_ELEMENTS", 3 * m * n)  # three rows per block
     for block in element_blocks(mesh):
-        vals, grads = recon.eval_elements(block)
+        _, vals, grads = recon.evaluate(block)
         pts = block.points().reshape(-1, 2)
         np.testing.assert_allclose(vals.ravel(), values_at(recon, pts), atol=1e-12)
         np.testing.assert_allclose(grads.reshape(-1, 2), gradients_at(recon, pts), atol=1e-11)

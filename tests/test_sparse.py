@@ -619,6 +619,23 @@ def test_cg_stall_at_the_rounding_floor_raises_early(monkeypatch):
     assert 1e-17 < err.value.achieved < 1e-13
 
 
+def test_gmres_stall_at_the_rounding_floor_raises_early():
+    # GMRES cycles under the same driver: once restarts from the true
+    # residual stop lowering it, it gives up instead of running to max_iter
+    # (4200 here, about 1.1 s)
+    import time
+
+    system = _skew_periodic_system(64, 1.0)
+    assert system.symmetric_part is not None
+    b = np.random.default_rng(0).standard_normal(system.unknowns.size)
+    b -= b.mean()
+    start = time.perf_counter()
+    with pytest.raises(SolverError, match="stalled") as err:
+        cg_solve(system, b, rel_tol=1e-17)
+    assert time.perf_counter() - start < 0.5
+    assert 1e-17 < err.value.achieved < 1e-13
+
+
 def _skew_checkerboard(s):
     """Blocks I + sJ and I - sJ in a 2x2 checkerboard: symmetric part I,
     skew part of size s."""
