@@ -47,9 +47,8 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from homog import cell, solve, sparse  # noqa: E402
-from homog.coeff import from_config as coeff_from_config  # noqa: E402
 from homog.grid import ScalarField, gauss_rule, h1_seminorm_sq  # noqa: E402
-from homog.harness import BOUNDARY_CONDITIONS, StudyConfig, _rhs_for, compute_tensor, load_config  # noqa: E402
+from homog.harness import StudyConfig, compute_tensor, load_config  # noqa: E402
 from homog.metrics import error_report  # noqa: E402
 from homog.solve import reconstruct, solve_homogenized  # noqa: E402
 from homog.unfold import build_cell_map  # noqa: E402
@@ -125,10 +124,7 @@ def rung_stages(name, repeats):
     config = StudyConfig.from_dict({**config.to_dict(), "epsilons": [N_EPS // 4, N_EPS // 2, N_EPS],
                                     "points_per_period": POINTS_PER_PERIOD,
                                     "cell_divisions": POINTS_PER_PERIOD})
-    field = coeff_from_config(config.coefficient)
-    rhs = _rhs_for(config.rhs)
-    bc = BOUNDARY_CONDITIONS[config.bc]
-    mesh = config.fine_mesh(N_EPS)
+    field, rhs, bc, mesh = config.field, config.source, config.constraint, config.fine_mesh(N_EPS)
     cmap = build_cell_map(mesh, N_EPS)
 
     def sampler(pts):
@@ -149,7 +145,7 @@ def rung_stages(name, repeats):
     stencil, _ = sparse._nodal_stencil(mesh, sampler, bc, cmap.m)
     stage("hierarchy", lambda fine: sparse._build_hierarchy(
         fine, system.unknowns, isinstance(bc, sparse.Periodic), system.needs_projection),
-        lambda: ([stencil.copy()],))
+        lambda: (stencil.copy(),))
     b = stage("load", lambda: system.reduce(sparse.assemble_load(mesh, rhs)[0]))
     x = stage("solve", lambda: sparse.cg_solve(system, b, rel_tol=config.cg_tol))
     vcycles = count_vcycles(system, lambda: sparse.cg_solve(system, b, rel_tol=config.cg_tol))

@@ -11,19 +11,8 @@ import json
 import sys
 from pathlib import Path
 
-from .coeff import from_config as coeff_from_config
-from .harness import (
-    BOUNDARY_CONDITIONS,
-    ConfigError,
-    StudyConfig,
-    _dump_field,
-    _rhs_for,
-    compute_tensor,
-    load_config,
-    run_operator_checks,
-    run_study,
-)
-from .solve import ProblemInstance, solve_fine
+from .harness import ConfigError, StudyConfig, _dump_field, compute_tensor, load_config, run_operator_checks, run_study
+from .solve import solve_fine
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -53,12 +42,9 @@ def _cmd_tensor(args) -> int:
 def _cmd_solve(args) -> int:
     config = load_config(args.config)
     n_eps = _parse_epsilon(args.epsilon)
-    mesh = config.fine_mesh(n_eps)
-    field = coeff_from_config(config.coefficient)
-    inst = ProblemInstance(mesh, field, _rhs_for(config.rhs), BOUNDARY_CONDITIONS[config.bc], n_eps)
-    u = solve_fine(inst, rel_tol=config.cg_tol)
+    u = solve_fine(config.instance(n_eps), rel_tol=config.cg_tol)
     _dump_field(u, args.out, f"solution_eps_1_{n_eps}", {"epsilon": 1.0 / n_eps})
-    print(f"wrote {Path(args.out) / 'fields' / f'solution_eps_1_{n_eps}.bin'} ({mesh.n_nodes} nodes)")
+    print(f"wrote {Path(args.out) / 'fields' / f'solution_eps_1_{n_eps}.bin'} ({u.mesh.n_nodes} nodes)")
     return EXIT_OK
 
 
@@ -104,7 +90,7 @@ def main(argv=None) -> int:
     p_study.add_argument("--config", required=True)
     p_study.add_argument("--out", default=None)
     p_study.add_argument("--dump-fields", action="store_true",
-                         help="also write per-epsilon solution fields under out/fields/")
+                         help="also write per-epsilon solution fields under out/fields/ (needs --out)")
     p_study.set_defaults(func=_cmd_study)
 
     p_check = sub.add_parser("check-operators", help="run the operator invariant suite")

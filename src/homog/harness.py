@@ -14,13 +14,13 @@ import hashlib
 import itertools
 import json
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .cell import CorrectorSet, HomogenizedTensor, homogenized_tensor, solve_correctors, unit_cell_mesh
+from .cell import CorrectorSet, HomogenizedTensor, homogenized_tensor, solve_correctors
 from .coeff import from_config as coeff_from_config
 from .coeff import validate_ellipticity
 from .grid import SHAPES, ScalarField, StructuredMesh, build_mesh, eval_field_batch, eval_gradient_batch, h1_seminorm_sq, integrate_field, l2_norm_sq
@@ -66,6 +66,12 @@ def _finite(value) -> bool:
 
 @dataclass(frozen=True)
 class StudyConfig:
+    """A study's settings, screened on construction.  The screen keeps the
+    coefficient ``field``, the rhs function ``source`` and the solver
+    ``constraint`` it checks (no fields: ``to_dict``, ``digest`` and ``==``
+    read the settings alone).  ``fine_mesh``, ``cell_mesh`` and ``instance``
+    build every mesh a run solves on, refusing one above ``max_nodes``."""
+
     dim: int
     domain: str
     coefficient: dict
@@ -136,44 +142,62 @@ class StudyConfig:
             if not ok:
                 raise ConfigError(f"expected_rates[{key!r}] needs a finite target and tol >= 0, "
                                   f"or an interval of two finite numbers lo <= hi: {spec!r}")
-        fine_divisions = self.points_per_period * max(self.epsilons)
-        nodes = (fine_divisions + 1) ** self.dim
-        if nodes > self.max_nodes:
-            raise ConfigError(f"finest mesh needs {nodes} nodes, above the cap {self.max_nodes}")
-        bc = _build("bc", BOUNDARY_CONDITIONS.__getitem__, self.bc)
-        field = _build("coefficient", coeff_from_config, self.coefficient)
-        if field.dim != self.dim:
+        # the finest rung has more nodes than the reconstruction's cell mesh (points_per_period)
+        self.fine_mesh(max(self.epsilons))
+        self.cell_mesh(self.cell_divisions)
+        object.__setattr__(self, "constraint", _build("bc", BOUNDARY_CONDITIONS.__getitem__, self.bc))
+        object.__setattr__(self, "field", _build("coefficient", coeff_from_config, self.coefficient))
+        if self.field.dim != self.dim:
             raise ConfigError("coefficient dimension does not match dim")
-        validate_ellipticity(field)
-        mesh = self._mesh(max(64, 4 * max(self.epsilons)))
+        validate_ellipticity(self.field)
+        # the screen's mesh is not capped: no solve runs on it
+        divisions = max(64, 4 * max(self.epsilons))
+        mesh = build_mesh((0.0,) * self.dim, (1.0,) * self.dim, (divisions,) * self.dim, self.domain)
         try:  # lo < hi, and the box inside the domain, away from the removed quadrant
             _interior_margin(mesh, self.interior_box)
         except InteriorBoxError as err:
             raise ConfigError(f"interior_box: {err}") from err
-        rhs = _build("rhs", _rhs_for, self.rhs)
+        object.__setattr__(self, "source", _build("rhs", _rhs_for, self.rhs))
         try:  # under every bc, so a table rhs short of the domain fails here
-            load, f_sq = assemble_load(mesh, rhs)
+            load, f_sq = assemble_load(mesh, self.source)
         except ValueError as err:  # outside the domain, or a non-finite value
             raise ConfigError(f"rhs is not defined and finite on the whole domain: {err}") from err
-        if isinstance(bc, ZeroMean):
+        if isinstance(self.constraint, ZeroMean):
             check_neumann_load(load, np.sqrt(f_sq), ConfigError)
 
-    def _mesh(self, divisions: int) -> StructuredMesh:
-        return build_mesh((0.0,) * self.dim, (1.0,) * self.dim, (divisions,) * self.dim, self.domain)
+    def _mesh(self, divisions: int, shape: str) -> StructuredMesh:
+        nodes = (divisions + 1) ** self.dim
+        if nodes > self.max_nodes:
+            raise ConfigError(f"a mesh of {divisions} divisions per axis needs {nodes} nodes, "
+                              f"above the cap {self.max_nodes}")
+        return build_mesh((0.0,) * self.dim, (1.0,) * self.dim, (divisions,) * self.dim, shape)
 
     def fine_mesh(self, n_eps: int) -> StructuredMesh:
-        return self._mesh(self.points_per_period * n_eps)
+        """The domain's mesh at epsilon = 1/n_eps, ``points_per_period`` divisions per cell."""
+        return self._mesh(self.points_per_period * n_eps, self.domain)
+
+    def cell_mesh(self, divisions: int) -> StructuredMesh:
+        """The unit cell's mesh of a cell problem."""
+        return self._mesh(divisions, "box")
+
+    def instance(self, n_eps: int) -> ProblemInstance:
+        """The fine problem at epsilon = 1/n_eps."""
+        return ProblemInstance(self.fine_mesh(n_eps), self.field, self.source, self.constraint, n_eps)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "StudyConfig":
-        data = dict(data)
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ConfigError(f"a config is an object of named settings, got a {type(data).__name__}")
+        fields = cls.__dataclass_fields__
+        unknown = set(data) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
+        missing = [name for name, f in fields.items() if f.default is MISSING and name not in data]
+        if missing:
+            raise ConfigError(f"missing config keys {missing}")
         return cls(**data)
 
     def digest(self) -> str:
@@ -268,10 +292,8 @@ def _check_rates(expected: dict, fits: dict) -> tuple:
 
 
 def compute_tensor(config: StudyConfig) -> tuple[HomogenizedTensor, CorrectorSet]:
-    field = coeff_from_config(config.coefficient)
-    correctors = solve_correctors(field, unit_cell_mesh(config.dim, config.cell_divisions),
-                                  rel_tol=config.cg_tol)
-    return homogenized_tensor(field, correctors), correctors
+    correctors = solve_correctors(config.field, config.cell_mesh(config.cell_divisions), rel_tol=config.cg_tol)
+    return homogenized_tensor(config.field, correctors), correctors
 
 
 def _dump_field(field, out_dir, name, meta):
@@ -297,10 +319,9 @@ def _dump_field(field, out_dir, name, meta):
 
 def run_study(config: StudyConfig, out_dir=None, progress=None, dump_fields=False) -> StudyResult:
     """Run the full epsilon sweep and rate comparison for one configuration."""
+    if dump_fields and out_dir is None:
+        raise ValueError("dump_fields writes each rung's fields under out_dir, and none was given")
     say = progress or (lambda msg: None)
-    field = coeff_from_config(config.coefficient)
-    bc = BOUNDARY_CONDITIONS[config.bc]
-    rhs = _rhs_for(config.rhs)
     m = config.points_per_period
 
     say("solving cell problems")
@@ -310,20 +331,18 @@ def run_study(config: StudyConfig, out_dir=None, progress=None, dump_fields=Fals
     else:
         # the reconstruction needs correctors at the fine resolution per cell;
         # the tensor benefits from a finer, independent cell mesh
-        recon_correctors = solve_correctors(
-            field, unit_cell_mesh(config.dim, m), rel_tol=config.cg_tol
-        )
+        recon_correctors = solve_correctors(config.field, config.cell_mesh(m), rel_tol=config.cg_tol)
 
     reports = []
     for n_eps in config.epsilons:
         say(f"epsilon = 1/{n_eps}")
-        mesh = config.fine_mesh(n_eps)
-        instance = ProblemInstance(mesh, field, rhs, bc, n_eps)
+        instance = config.instance(n_eps)
         fine = solve_fine(instance, rel_tol=config.cg_tol)
-        phi = solve_homogenized(tensor, rhs, bc, mesh, rel_tol=config.cg_tol)
+        phi = solve_homogenized(tensor, config.source, config.constraint, instance.domain_mesh,
+                                rel_tol=config.cg_tol)
         recon = reconstruct(phi, recon_correctors, instance.cell_map)
         reports.append(error_report(fine, recon, config.interior_box))
-        if dump_fields and out_dir is not None:
+        if dump_fields:
             _dump_field(fine, out_dir, f"fine_eps_1_{n_eps}", {"epsilon": 1.0 / n_eps})
             _dump_field(phi, out_dir, f"homogenized_eps_1_{n_eps}", {"epsilon": 1.0 / n_eps})
 

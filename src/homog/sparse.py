@@ -393,20 +393,17 @@ def assemble_stiffness(
         _zero_off_unknowns(stencil, unknowns, periodic)
         matrix = _stencil_matrix(stencil, periodic)
         return SparseSystem(matrix, constraint, unknowns, (level,), ellipticity=(low, high))
-    # the build takes the only reference to its stencil, whose memory becomes
-    # its matrix or is freed once that matrix is made.  A non-symmetric K is
-    # kept to become the matrix after (K + K^T) / 2 has built: one stencil more
-    fine = [stencil]
+    # the hierarchy is built from K, or from (K + K^T) / 2 when K is not
+    # symmetric; K is then kept to become the matrix after: one stencil more
+    fine = stencil
     if asym > 1e-10:
-        fine[0] = _stencil_transpose(stencil, periodic)
-        fine[0] += stencil
-        fine[0] *= 0.5
-    else:
-        del stencil
+        fine = _stencil_transpose(stencil, periodic)
+        fine += stencil
+        fine *= 0.5
     # only Dirichlet elimination removes the constant mode from the kernel
     singular = not isinstance(constraint, Dirichlet)
     built, hierarchy = _build_hierarchy(fine, unknowns, periodic, singular)
-    if asym <= 1e-10:
+    if fine is stencil:
         return SparseSystem(built, constraint, unknowns, hierarchy, ellipticity=(low, high))
     _zero_off_unknowns(stencil, unknowns, periodic)
     matrix = _stencil_matrix(stencil, periodic)
@@ -597,7 +594,7 @@ def _coarsest_level(matrix: sp.dia_matrix, weights: np.ndarray, unknowns: np.nda
 
 
 def _build_hierarchy(
-    fine: list[np.ndarray], unknowns: np.ndarray, periodic: bool, singular: bool
+    stencil: np.ndarray, unknowns: np.ndarray, periodic: bool, singular: bool
 ) -> tuple[sp.dia_matrix, tuple[_Level, ...]]:
     """The matrix of a nodal stencil on the node grid of ``unknowns`` and its
     V-cycle levels, finest first: coarsen while every axis has an even number
@@ -605,10 +602,8 @@ def _build_hierarchy(
     coarse node is an unknown exactly when the fine node it coincides with
     is one.  Each level's stencil is zeroed off its unknowns, in place, and
     taken by its matrix (see ``_stencil_matrix``) after its Jacobi weights
-    and Galerkin pass are made.  The fine one is popped from ``fine``, so
-    that where the matrix does not reuse its memory it is freed then, unless
-    the caller keeps it."""
-    stencil = fine.pop()
+    and Galerkin pass are made, so the caller must not read ``stencil``
+    after."""
     matrices, smoothers = [], []
     while True:
         _zero_off_unknowns(stencil, unknowns, periodic)
@@ -751,26 +746,24 @@ def _transform_solve(level: _Level, r: np.ndarray, out: np.ndarray) -> np.ndarra
     on Gamma is read off the sine tables' rows of ``spectrum * T r``, whose
     modes then take those of E lambda, and the result is zeroed off the
     unknowns: still two transforms, and one product with C^-1."""
-    spectrum, sine = level.spectrum, level.sine
-    if sine:
+    spectrum, sine, keep = level.spectrum, level.sine, level.keep
+    if sine:  # a box is an L-shape with no Gamma, whose interior nodes are all kept
         interior = (slice(1, -1),) * spectrum.ndim
         x = out.reshape([n + 2 for n in spectrum.shape])
         x[...] = 0.0
         r = r.reshape(x.shape)[interior]
-        if level.capacitance is None:
-            modes = _trig_transform(r, sine)
-            x[interior] = _trig_transform(modes * spectrum, sine)
-            return out
-        modes = _trig_transform(np.where(level.keep, r, 0.0), sine)
+        modes = _trig_transform(r if keep is None else np.where(keep, r, 0.0), sine)
         modes *= spectrum  # the modes of B r
-        (across_row, on_row), (across_column, on_column) = level.gamma
-        mu = level.capacitance @ np.concatenate(
-            [on_row @ (across_row @ modes), on_column @ (modes @ across_column)])  # -lambda
-        correction = np.outer(across_row, mu[:len(on_row)] @ on_row)
-        correction += np.outer(mu[len(on_row):] @ on_column, across_column)
-        correction *= spectrum
-        modes -= correction
-        np.multiply(_trig_transform(modes, sine), level.keep, out=x[interior])
+        if level.capacitance is not None:
+            (across_row, on_row), (across_column, on_column) = level.gamma
+            mu = level.capacitance @ np.concatenate(
+                [on_row @ (across_row @ modes), on_column @ (modes @ across_column)])  # -lambda
+            correction = np.outer(across_row, mu[:len(on_row)] @ on_row)
+            correction += np.outer(mu[len(on_row):] @ on_column, across_column)
+            correction *= spectrum
+            modes -= correction
+        modes = _trig_transform(modes, sine)
+        x[interior] = modes if keep is None else modes * keep
         return out
     x, r = out.reshape(spectrum.shape), r.reshape(spectrum.shape)
     modes = _trig_transform(r - r.mean(), sine)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import homog.cli
+import homog.solve
 from homog.cli import main
 from homog.harness import StudyConfig, compute_tensor, load_config
 from homog.sparse import SolverError
@@ -90,6 +91,41 @@ def test_solve_command_reads_an_integer_epsilon_as_its_denominator(tmp_path, cap
         written = tmp_path / out / "fields"
         fields.append([(written / f"solution_eps_1_4.{ext}").read_bytes() for ext in ("bin", "json")])
     assert fields[0] == fields[1]
+
+
+def test_solve_command_refuses_a_mesh_above_the_cap(tmp_path, capsys, monkeypatch):
+    # the ladder's finest mesh has 4225 nodes; epsilon = 1/64 would need 263,169
+    assemblies = []
+    monkeypatch.setattr(homog.solve, "assemble_stiffness", lambda *args: assemblies.append(args))
+    path = write_config(tmp_path, cell_divisions=8, max_nodes=5000)
+    out_dir = tmp_path / "run"
+    assert main(["solve", "--config", str(path), "--epsilon", "1/64", "--out", str(out_dir)]) == 1
+    assert "above the cap 5000" in capsys.readouterr().err
+    assert not out_dir.exists() and not assemblies
+
+
+def test_study_command_refuses_dump_fields_without_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, cell_divisions=8)
+    assert main(["study", "--config", str(path), "--dump-fields"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: dump_fields") and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("damage", ["no epsilons", "a list"])
+def test_study_command_refuses_an_incomplete_config_file(tmp_path, capsys, damage):
+    path = write_config(tmp_path)
+    cfg = json.loads(path.read_text())
+    if damage == "no epsilons":
+        del cfg["epsilons"]
+    else:
+        cfg = list(cfg.items())
+    path.write_text(json.dumps(cfg))
+    assert main(["study", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert ("epsilons" if damage == "no epsilons" else "got a list") in err
 
 
 def test_study_command_inconclusive_constant(tmp_path, capsys):

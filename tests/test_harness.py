@@ -80,6 +80,8 @@ def test_config_roundtrip(tmp_path):
         dict(expected_rates={"e_l2": {"target": 1.0}}),
         dict(bc="neumann_full"),  # constant_one rhs has nonzero mean
         dict(max_nodes=10),  # memory cap
+        # the 128^2 cell mesh has 16,641 nodes, the ladder's finest mesh 4225
+        dict(max_nodes=5000, cell_divisions=128),
         dict(interior_box=[[0.25, 0.75]]),  # wrong dimension
         dict(interior_box=[[0.25, float("nan")], [0.25, 0.75]]),  # NaN bound
         dict(interior_box=[[0.25, 0.75], [float("-inf"), 0.75]]),  # infinite bound
@@ -128,6 +130,74 @@ def test_config_roundtrip(tmp_path):
 def test_config_validation_errors(overrides):
     with pytest.raises(ConfigError):
         small_config(**overrides)
+
+
+def test_from_dict_names_every_key_the_schema_requires():
+    schema = json.loads((Path(__file__).resolve().parent.parent / "configs" / "schema.json").read_text())
+    with pytest.raises(ConfigError) as err:
+        StudyConfig.from_dict({})
+    assert str(err.value) == f"missing config keys {schema['required']}"
+
+
+@pytest.mark.parametrize("content", [[1, 2], "config", 5, None])
+def test_load_config_refuses_a_file_that_holds_no_object(tmp_path, content):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(content))
+    with pytest.raises(ConfigError, match=f"got a {type(content).__name__}"):
+        load_config(path)
+
+
+def test_load_config_refuses_a_file_with_a_missing_key(tmp_path):
+    spec = small_spec()
+    del spec["rhs"], spec["bc"]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(ConfigError, match=r"missing config keys \['bc', 'rhs'\]"):
+        load_config(path)
+
+
+def test_every_mesh_a_run_solves_on_is_capped():
+    config = small_config(max_nodes=5000, cell_divisions=64)
+    assert config.fine_mesh(8).n_nodes == 65**2 and config.cell_mesh(64).n_nodes == 65**2
+    for build, arg in ((config.fine_mesh, 64), (config.instance, 64), (config.cell_mesh, 128)):
+        with pytest.raises(ConfigError, match="above the cap 5000"):
+            build(arg)
+
+
+def test_the_screen_mesh_is_not_capped():
+    # the screen's 64^2 mesh has 4225 nodes, above the cap, but no solve
+    # runs on it; every mesh of the run has at most 13^2 = 169
+    config = small_config(max_nodes=200, epsilons=[1, 2, 3], points_per_period=4, cell_divisions=4)
+    assert config.fine_mesh(3).n_nodes == 169
+
+
+def test_a_config_builds_its_coefficient_and_rhs_once(monkeypatch):
+    calls = {"coeff_from_config": 0, "_rhs_for": 0}
+    for name in calls:
+        def counted(*args, _name=name, _call=getattr(harness, name)):
+            calls[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(harness, name, counted)
+    config = small_config(cell_divisions=16)  # a reconstruction cell mesh of its own
+    run_study(config)
+    assert calls == {"coeff_from_config": 1, "_rhs_for": 1}
+    harness.compute_tensor(small_config())
+    assert calls == {"coeff_from_config": 2, "_rhs_for": 2}
+
+
+def test_the_kept_objects_are_not_settings():
+    # two screens build two rhs functions, which compare unequal
+    a, b = small_config(), small_config()
+    assert a.source is not b.source and a == b and a.digest() == b.digest()
+
+
+def test_dump_fields_without_an_out_dir_is_refused_before_the_cell_stage(monkeypatch):
+    def no_cell_stage(*args, **kwargs):
+        raise AssertionError("the cell stage ran")
+
+    monkeypatch.setattr(harness, "solve_correctors", no_cell_stage)
+    with pytest.raises(ValueError, match="out_dir"):
+        run_study(small_config(), dump_fields=True)
 
 
 def test_a_bool_interior_bound_is_refused_as_no_number():
